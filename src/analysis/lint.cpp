@@ -17,6 +17,7 @@
 #include "fault/untestable.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/topo.hpp"
+#include "util/json.hpp"
 
 namespace enb::analysis {
 
@@ -505,6 +506,26 @@ void write_lint_text(std::ostream& out, const LintReport& report) {
         << ": " << d.message << '\n';
   }
   out << report.errors() << " errors, " << report.warnings() << " warnings\n";
+}
+
+void write_lint_json(std::ostream& out, const std::string& name,
+                     const LintReport& report) {
+  out << "{\"name\": \"";
+  util::json_escape(out, name);
+  out << "\", \"nodes\": " << report.nodes
+      << ", \"errors\": " << report.errors()
+      << ", \"warnings\": " << report.warnings() << ", \"diagnostics\": [";
+  for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
+    const LintDiagnostic& d = report.diagnostics[i];
+    out << (i == 0 ? "" : ", ") << "{\"severity\": \""
+        << to_string(d.severity) << "\", \"rule\": \"" << to_string(d.rule)
+        << "\", \"site\": \"";
+    util::json_escape(out, d.site);
+    out << "\", \"message\": \"";
+    util::json_escape(out, d.message);
+    out << "\"}";
+  }
+  out << "]}\n";
 }
 
 }  // namespace enb::analysis

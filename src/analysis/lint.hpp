@@ -126,4 +126,11 @@ struct LintReport {
 // closing "N errors, M warnings" summary line.
 void write_lint_text(std::ostream& out, const LintReport& report);
 
+// Renders the report as one JSON object {"name", "nodes", "errors",
+// "warnings", "diagnostics": [{"severity", "rule", "site", "message"}]}
+// plus a newline. Lint results carry typed diagnostics, not (metric, value)
+// rows, so this is their own shape rather than the batch result writer's.
+void write_lint_json(std::ostream& out, const std::string& name,
+                     const LintReport& report);
+
 }  // namespace enb::analysis

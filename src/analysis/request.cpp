@@ -1,6 +1,5 @@
 #include "analysis/request.hpp"
 
-#include <algorithm>
 #include <ios>
 #include <sstream>
 
@@ -218,6 +217,24 @@ class SpecWriter {
   std::ostringstream out_;
 };
 
+// options.lanes is deliberately absent: lane width is execution policy
+// (results are normalized to be width-independent), so requests differing
+// only in lanes share one cache entry. drop and sample ARE value-relevant
+// (sim_passes and the simulated set change). Shared by fault-campaign and
+// harden, whose grading campaign is spelled the same way.
+SpecWriter& write_campaign_options(SpecWriter& w,
+                                   const fault::CampaignOptions& c) {
+  return w.field("patterns", c.patterns)
+      .field("exhaustive", c.exhaustive)
+      .field("seed", c.seed)
+      .field("shard_patterns", c.shard_patterns)
+      .field("bundle_width", c.bundle_width)
+      .field("collapse", c.collapse)
+      .field("drop", c.drop)
+      .field("sample", c.sample)
+      .field("prune", c.prune_untestable);
+}
+
 SpecWriter& write_profile_options(SpecWriter& w,
                                   const core::ProfileOptions& p) {
   return w.field("activity_pairs", p.activity_pairs)
@@ -295,21 +312,9 @@ std::string spec_of(const ProfileRequest& r) {
 }
 
 std::string spec_of(const FaultCampaignRequest& r) {
-  // options.lanes is deliberately absent: lane width is execution policy
-  // (results are normalized to be width-independent), so requests differing
-  // only in lanes share one cache entry. drop and sample ARE value-relevant
-  // (sim_passes and the simulated set change).
-  return SpecWriter("fault-campaign")
-      .field("patterns", r.options.patterns)
-      .field("exhaustive", r.options.exhaustive)
-      .field("seed", r.options.seed)
-      .field("shard_patterns", r.options.shard_patterns)
-      .field("bundle_width", r.options.bundle_width)
-      .field("collapse", r.options.collapse)
-      .field("drop", r.options.drop)
-      .field("sample", r.options.sample)
-      .field("prune", r.options.prune_untestable)
-      .str();
+  SpecWriter w("fault-campaign");
+  write_campaign_options(w, r.options);
+  return w.str();
 }
 
 std::string spec_of(const LintRequest& r) {
@@ -330,10 +335,9 @@ std::string spec_of(const CecRequest& r) {
 }
 
 std::string spec_of(const HardenRequest& r) {
-  // The campaign's lanes knob is excluded exactly as in the fault-campaign
-  // spec (execution policy, results are lane-width independent); everything
-  // else — sweep restriction, voter style, grading campaign, CEC knobs, and
-  // the energy operating point — is value-relevant.
+  // Everything — sweep restriction, voter style, grading campaign (minus
+  // lanes, see write_campaign_options), CEC knobs, and the energy operating
+  // point — is value-relevant.
   const harden::SweepOptions& o = r.options;
   SpecWriter w("harden");
   w.text("style",
@@ -347,16 +351,8 @@ std::string spec_of(const HardenRequest& r) {
       .field("voter", static_cast<int>(o.voter))
       .field("eps", o.epsilon)
       .field("delta", o.delta)
-      .field("leakage_fraction", o.leakage_fraction)
-      .field("patterns", o.campaign.patterns)
-      .field("exhaustive", o.campaign.exhaustive)
-      .field("seed", o.campaign.seed)
-      .field("shard_patterns", o.campaign.shard_patterns)
-      .field("bundle_width", o.campaign.bundle_width)
-      .field("collapse", o.campaign.collapse)
-      .field("drop", o.campaign.drop)
-      .field("sample", o.campaign.sample)
-      .field("prune", o.campaign.prune_untestable)
+      .field("leakage_fraction", o.leakage_fraction);
+  write_campaign_options(w, o.campaign)
       .field("cec_seed", o.cec.seed)
       .field("cec_signature_words", o.cec.signature_words)
       .field("cec_bdd_node_limit", o.cec.bdd_node_limit);
@@ -367,48 +363,6 @@ std::string spec_of(const HardenRequest& r) {
 
 std::string canonical_spec(const RequestOptions& options) {
   return std::visit([](const auto& spec) { return spec_of(spec); }, options);
-}
-
-const char* to_string(AnalysisKind kind) noexcept {
-  switch (kind) {
-    case AnalysisKind::kReliability:
-      return "reliability";
-    case AnalysisKind::kWorstCase:
-      return "worst-case";
-    case AnalysisKind::kActivity:
-      return "activity";
-    case AnalysisKind::kSensitivity:
-      return "sensitivity";
-    case AnalysisKind::kEnergyBound:
-      return "energy-bound";
-    case AnalysisKind::kProfile:
-      return "profile";
-    case AnalysisKind::kFaultCampaign:
-      return "fault-campaign";
-    case AnalysisKind::kLint:
-      return "lint";
-    case AnalysisKind::kCec:
-      return "cec";
-    case AnalysisKind::kHarden:
-      return "harden";
-  }
-  return "unknown";
-}
-
-std::optional<AnalysisKind> parse_analysis_kind(std::string_view name) {
-  std::string canonical(name);
-  std::replace(canonical.begin(), canonical.end(), '_', '-');
-  if (canonical == "reliability") return AnalysisKind::kReliability;
-  if (canonical == "worst-case") return AnalysisKind::kWorstCase;
-  if (canonical == "activity") return AnalysisKind::kActivity;
-  if (canonical == "sensitivity") return AnalysisKind::kSensitivity;
-  if (canonical == "energy-bound") return AnalysisKind::kEnergyBound;
-  if (canonical == "profile") return AnalysisKind::kProfile;
-  if (canonical == "fault-campaign") return AnalysisKind::kFaultCampaign;
-  if (canonical == "lint") return AnalysisKind::kLint;
-  if (canonical == "cec") return AnalysisKind::kCec;
-  if (canonical == "harden") return AnalysisKind::kHarden;
-  return std::nullopt;
 }
 
 std::optional<double> AnalysisResult::metric(std::string_view name) const {

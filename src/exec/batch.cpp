@@ -13,17 +13,17 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "analysis/kinds.hpp"
 #include "analysis/lint.hpp"
 #include "bdd/bdd_analysis.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/campaign.hpp"
 #include "fault/fault_model.hpp"
-#include "fault/lanes.hpp"
 #include "harden/pareto.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "report/csv.hpp"
-#include "util/numeric.hpp"
+#include "util/json.hpp"
 #include "util/sync.hpp"
 
 namespace enb::exec {
@@ -776,301 +776,46 @@ std::vector<analysis::AnalysisResult> evaluate_requests(
 
 namespace {
 
-double parse_manifest_double(const std::string& key, const std::string& value) {
-  double parsed = 0.0;
-  if (!util::parse_double(value, parsed)) {
-    throw std::invalid_argument("manifest: non-numeric value '" + value +
-                                "' for key '" + key + "'");
-  }
-  return parsed;
-}
-
-std::uint64_t parse_manifest_count(const std::string& key,
-                                   const std::string& value) {
-  std::uint64_t parsed = 0;
-  if (!util::parse_uint64(value, parsed)) {
-    throw std::invalid_argument("manifest: value for key '" + key +
-                                "' must be a non-negative integer, got '" +
-                                value + "'");
-  }
-  return parsed;
-}
-
-// Everything a manifest line can say, before the kind-specific request spec
-// is materialized (budget/seed apply once the kind is known, so key order in
-// the line is free).
-struct ManifestLine {
-  std::string name;
-  JobKind kind = JobKind::kReliability;
-  std::string circuit_spec;
-  std::string golden_spec;
-  double epsilon = 0.01;
-  double delta = 0.01;
-  double leakage = 0.5;
-  bool has_leakage = false;
-  std::optional<std::uint64_t> budget;
-  std::optional<std::uint64_t> seed;
-  std::string mode;  // fault-campaign pattern source: "random" | "exhaustive"
-  // Fault-campaign scale knobs (campaign.hpp): drop=0|1, lanes=64|128|256|512,
-  // sample=N classes (0 = full universe), prune=0|1 untestable pruning.
-  std::optional<std::uint64_t> drop;
-  std::optional<std::uint64_t> lanes;
-  std::optional<std::uint64_t> sample;
-  std::optional<std::uint64_t> prune;
-  // Harden-only keys (types.hpp): style=tmr|dwc|selective,
-  // granularity=gate|cone|output, top_k=N (all optional — absent means
-  // sweep the full axis).
-  std::optional<harden::Style> style;
-  std::optional<harden::Granularity> granularity;
-  std::optional<std::uint64_t> top_k;
-};
-
-std::vector<ManifestLine> parse_manifest_lines(std::istream& in) {
-  std::vector<ManifestLine> lines;
-  std::string text;
-  std::size_t line_number = 0;
-  while (std::getline(in, text)) {
-    ++line_number;
-    std::istringstream tokens(text);
-    std::string name;
-    if (!(tokens >> name) || name.front() == '#') continue;
-
-    const auto fail = [&](const std::string& message) -> std::invalid_argument {
-      return std::invalid_argument("manifest line " +
-                                   std::to_string(line_number) + ": " +
-                                   message);
-    };
-
-    ManifestLine line;
-    line.name = name;
-    std::optional<JobKind> kind;
-    std::string token;
-    while (tokens >> token) {
-      const std::size_t eq = token.find('=');
-      if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
-        throw fail("expected key=value, got '" + token + "'");
-      }
-      const std::string key = token.substr(0, eq);
-      const std::string value = token.substr(eq + 1);
-      if (key == "kind") {
-        kind = parse_job_kind(value);
-        if (!kind.has_value()) throw fail("unknown kind '" + value + "'");
-      } else if (key == "circuit") {
-        line.circuit_spec = value;
-      } else if (key == "golden") {
-        line.golden_spec = value;
-      } else if (key == "eps") {
-        line.epsilon = parse_manifest_double(key, value);
-      } else if (key == "delta") {
-        line.delta = parse_manifest_double(key, value);
-      } else if (key == "budget") {
-        line.budget = parse_manifest_count(key, value);
-      } else if (key == "seed") {
-        line.seed = parse_manifest_count(key, value);
-      } else if (key == "leakage") {
-        line.leakage = parse_manifest_double(key, value);
-        line.has_leakage = true;
-      } else if (key == "mode") {
-        line.mode = value;
-      } else if (key == "drop") {
-        line.drop = parse_manifest_count(key, value);
-        if (*line.drop > 1) throw fail("drop must be 0 or 1");
-      } else if (key == "lanes") {
-        line.lanes = parse_manifest_count(key, value);
-        if (!fault::parse_lane_width(*line.lanes).has_value()) {
-          throw fail("lanes must be 64, 128, 256, or 512");
-        }
-      } else if (key == "sample") {
-        line.sample = parse_manifest_count(key, value);
-      } else if (key == "prune") {
-        line.prune = parse_manifest_count(key, value);
-        if (*line.prune > 1) throw fail("prune must be 0 or 1");
-      } else if (key == "style") {
-        line.style = harden::parse_style(value);
-        if (!line.style.has_value()) {
-          throw fail("style must be tmr, dwc, or selective");
-        }
-      } else if (key == "granularity") {
-        line.granularity = harden::parse_granularity(value);
-        if (!line.granularity.has_value()) {
-          throw fail("granularity must be gate, cone, or output");
-        }
-      } else if (key == "top_k") {
-        line.top_k = parse_manifest_count(key, value);
-      } else {
-        throw fail("unknown key '" + key + "'");
-      }
+// One manifest line after its name. kind=, circuit= and golden= belong to
+// the request; every other key goes through the kind's table row, so the
+// kind's key set, parsers and validation live in analysis/kinds alone. The
+// circuit specs land in `circuit`/`golden` for the caller to resolve.
+analysis::AnalysisRequest parse_manifest_line(std::string name,
+                                              std::istream& tokens,
+                                              std::string& circuit,
+                                              std::string& golden) {
+  std::optional<AnalysisKind> kind;
+  std::vector<std::pair<std::string, std::string>> keys;
+  std::string token;
+  while (tokens >> token) {
+    const std::size_t eq = token.find('=');
+    if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
+      throw std::invalid_argument("expected key=value, got '" + token + "'");
     }
-    if (!kind.has_value()) throw fail("missing kind=");
-    if (line.circuit_spec.empty()) throw fail("missing circuit=");
-    line.kind = *kind;
-    lines.push_back(std::move(line));
-  }
-  return lines;
-}
-
-analysis::RequestOptions manifest_options(const ManifestLine& line) {
-  if ((!line.mode.empty() || line.drop.has_value() || line.lanes.has_value() ||
-       line.sample.has_value() || line.prune.has_value()) &&
-      line.kind != JobKind::kFaultCampaign && line.kind != JobKind::kHarden) {
-    throw std::invalid_argument(
-        "manifest: keys 'mode', 'drop', 'lanes', 'sample', and 'prune' only "
-        "apply to kind=fault-campaign and kind=harden");
-  }
-  if ((line.style.has_value() || line.granularity.has_value() ||
-       line.top_k.has_value()) &&
-      line.kind != JobKind::kHarden) {
-    throw std::invalid_argument(
-        "manifest: keys 'style', 'granularity', and 'top_k' only apply to "
-        "kind=harden");
-  }
-  switch (line.kind) {
-    case JobKind::kReliability: {
-      analysis::ReliabilityRequest spec;
-      spec.epsilon = line.epsilon;
-      if (line.budget.has_value()) spec.options.trials = *line.budget;
-      if (line.seed.has_value()) spec.options.seed = *line.seed;
-      return spec;
-    }
-    case JobKind::kWorstCase: {
-      analysis::WorstCaseRequest spec;
-      spec.epsilon = line.epsilon;
-      if (line.budget.has_value()) spec.options.trials_per_input = *line.budget;
-      if (line.seed.has_value()) spec.options.seed = *line.seed;
-      return spec;
-    }
-    case JobKind::kActivity: {
-      analysis::ActivityRequest spec;
-      if (line.budget.has_value()) {
-        spec.options.sample_pairs = static_cast<std::size_t>(*line.budget);
+    std::string key = token.substr(0, eq);
+    std::string value = token.substr(eq + 1);
+    if (key == "kind") {
+      kind = analysis::parse_analysis_kind(value);
+      if (!kind.has_value()) {
+        throw std::invalid_argument("unknown kind '" + value + "'");
       }
-      if (line.seed.has_value()) spec.options.seed = *line.seed;
-      return spec;
-    }
-    case JobKind::kSensitivity: {
-      analysis::SensitivityRequest spec;
-      if (line.budget.has_value()) spec.options.sample_words = *line.budget;
-      if (line.seed.has_value()) spec.options.seed = *line.seed;
-      return spec;
-    }
-    case JobKind::kEnergyBound: {
-      analysis::EnergyBoundRequest spec;
-      spec.epsilon = line.epsilon;
-      spec.delta = line.delta;
-      if (line.has_leakage) spec.energy.leakage_fraction = line.leakage;
-      if (line.budget.has_value()) {
-        spec.profile.activity_pairs = static_cast<std::size_t>(*line.budget);
-      }
-      if (line.seed.has_value()) spec.profile.seed = *line.seed;
-      return spec;
-    }
-    case JobKind::kProfile: {
-      analysis::ProfileRequest spec;
-      if (line.budget.has_value()) {
-        spec.options.activity_pairs = static_cast<std::size_t>(*line.budget);
-      }
-      if (line.seed.has_value()) spec.options.seed = *line.seed;
-      return spec;
-    }
-    case JobKind::kFaultCampaign: {
-      analysis::FaultCampaignRequest spec;
-      if (line.budget.has_value()) spec.options.patterns = *line.budget;
-      if (line.seed.has_value()) spec.options.seed = *line.seed;
-      if (!line.mode.empty()) {
-        if (line.mode == "exhaustive") {
-          spec.options.exhaustive = true;
-        } else if (line.mode != "random") {
-          throw std::invalid_argument(
-              "manifest: mode must be 'random' or 'exhaustive', got '" +
-              line.mode + "'");
-        }
-      }
-      if (line.drop.has_value()) spec.options.drop = (*line.drop != 0);
-      if (line.lanes.has_value()) {
-        spec.options.lanes = *fault::parse_lane_width(*line.lanes);
-      }
-      if (line.sample.has_value()) spec.options.sample = *line.sample;
-      if (line.prune.has_value()) {
-        spec.options.prune_untestable = (*line.prune != 0);
-      }
-      return spec;
-    }
-    case JobKind::kLint:
-      // Structural linting takes no tuning keys; eps/budget/seed are ignored
-      // the same way eps is for activity or sensitivity.
-      return analysis::LintRequest{};
-    case JobKind::kCec: {
-      // The comparison reference rides golden=, like every vs-reference kind.
-      analysis::CecRequest spec;
-      if (line.seed.has_value()) spec.options.seed = *line.seed;
-      if (line.budget.has_value()) {
-        spec.options.signature_words = static_cast<int>(*line.budget);
-      }
-      return spec;
-    }
-    case JobKind::kHarden: {
-      // The campaign keys tune the grading campaign every candidate shares;
-      // style/granularity/top_k pin sweep axes (absent = full axis).
-      analysis::HardenRequest spec;
-      spec.options.epsilon = line.epsilon;
-      spec.options.delta = line.delta;
-      if (line.has_leakage) spec.options.leakage_fraction = line.leakage;
-      if (line.budget.has_value()) spec.options.campaign.patterns = *line.budget;
-      if (line.seed.has_value()) spec.options.campaign.seed = *line.seed;
-      if (!line.mode.empty()) {
-        if (line.mode == "exhaustive") {
-          spec.options.campaign.exhaustive = true;
-        } else if (line.mode != "random") {
-          throw std::invalid_argument(
-              "manifest: mode must be 'random' or 'exhaustive', got '" +
-              line.mode + "'");
-        }
-      }
-      if (line.drop.has_value()) spec.options.campaign.drop = (*line.drop != 0);
-      if (line.lanes.has_value()) {
-        spec.options.campaign.lanes = *fault::parse_lane_width(*line.lanes);
-      }
-      if (line.sample.has_value()) spec.options.campaign.sample = *line.sample;
-      if (line.prune.has_value()) {
-        spec.options.campaign.prune_untestable = (*line.prune != 0);
-      }
-      if (line.style.has_value()) spec.options.style = *line.style;
-      if (line.granularity.has_value()) {
-        spec.options.granularity = *line.granularity;
-      }
-      if (line.top_k.has_value()) {
-        spec.options.top_k = static_cast<std::uint32_t>(*line.top_k);
-      }
-      return spec;
+    } else if (key == "circuit") {
+      circuit = std::move(value);
+    } else if (key == "golden") {
+      golden = std::move(value);
+    } else {
+      keys.emplace_back(std::move(key), std::move(value));
     }
   }
-  throw std::invalid_argument("manifest: unknown job kind");
-}
-
-void json_escape(std::ostream& out, const std::string& text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-              << static_cast<int>(c) << std::dec << std::setfill(' ');
-        } else {
-          out << c;
-        }
-    }
+  if (!kind.has_value()) throw std::invalid_argument("missing kind=");
+  if (circuit.empty()) throw std::invalid_argument("missing circuit=");
+  analysis::AnalysisRequest request;
+  request.name = std::move(name);
+  request.options = analysis::kind_info(*kind).defaults;
+  for (const auto& [key, value] : keys) {
+    analysis::apply_key(request.options, key, value);
   }
+  return request;
 }
 
 }  // namespace
@@ -1078,14 +823,28 @@ void json_escape(std::ostream& out, const std::string& text) {
 std::vector<analysis::AnalysisRequest> parse_manifest_requests(
     std::istream& in,
     const std::function<CompiledCircuit(const std::string&)>& resolve) {
+  // Every line is parsed and validated before any circuit is resolved, so a
+  // malformed manifest never loads a circuit.
   std::vector<analysis::AnalysisRequest> requests;
-  for (const ManifestLine& line : parse_manifest_lines(in)) {
-    analysis::AnalysisRequest request;
-    request.name = line.name;
-    request.options = manifest_options(line);
-    request.circuit = resolve(line.circuit_spec);
-    if (!line.golden_spec.empty()) request.golden = resolve(line.golden_spec);
-    requests.push_back(std::move(request));
+  std::vector<std::pair<std::string, std::string>> specs;  // circuit, golden
+  std::string text;
+  for (std::size_t line_number = 1; std::getline(in, text); ++line_number) {
+    std::istringstream tokens(text);
+    std::string name;
+    if (!(tokens >> name) || name.front() == '#') continue;
+    auto& [circuit, golden] = specs.emplace_back();
+    try {
+      requests.push_back(
+          parse_manifest_line(std::move(name), tokens, circuit, golden));
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument("manifest line " +
+                                  std::to_string(line_number) + ": " +
+                                  e.what());
+    }
+  }
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    requests[i].circuit = resolve(specs[i].first);
+    if (!specs[i].second.empty()) requests[i].golden = resolve(specs[i].second);
   }
   return requests;
 }
@@ -1097,24 +856,25 @@ void write_batch_csv(std::ostream& out,
   value << std::setprecision(17);
   for (const analysis::AnalysisResult& r : results) {
     if (!r.ok) {
-      report::write_csv_row(out, {r.name, to_string(r.kind), "0", "error", ""});
+      report::write_csv_row(
+          out, {r.name, analysis::to_string(r.kind), "0", "error", ""});
       continue;
     }
     for (const auto& [metric, metric_value] : r.metrics) {
       value.str("");
       value << metric_value;
       report::write_csv_row(
-          out, {r.name, to_string(r.kind), "1", metric, value.str()});
+          out, {r.name, analysis::to_string(r.kind), "1", metric, value.str()});
     }
   }
 }
 
 void write_result_json(std::ostream& out, const analysis::AnalysisResult& r) {
   out << std::setprecision(17) << "{\"name\": \"";
-  json_escape(out, r.name);
-  out << "\", \"kind\": \"" << to_string(r.kind) << "\", \"ok\": "
+  util::json_escape(out, r.name);
+  out << "\", \"kind\": \"" << analysis::to_string(r.kind) << "\", \"ok\": "
       << (r.ok ? "true" : "false") << ", \"error\": \"";
-  json_escape(out, r.error);
+  util::json_escape(out, r.error);
   out << "\", \"metrics\": {";
   for (std::size_t m = 0; m < r.metrics.size(); ++m) {
     out << (m == 0 ? "" : ", ") << "\"" << r.metrics[m].first << "\": ";

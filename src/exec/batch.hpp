@@ -32,9 +32,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <functional>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -50,23 +48,6 @@
 #include "sim/sensitivity.hpp"
 
 namespace enb::exec {
-
-// Compatibility names for the pre-analysis-layer API: the kind enum now
-// lives in analysis:: as AnalysisKind (same enumerators).
-using JobKind = analysis::AnalysisKind;
-using analysis::to_string;
-
-[[nodiscard]] inline std::optional<JobKind> parse_job_kind(
-    std::string_view name) {
-  return analysis::parse_analysis_kind(name);
-}
-
-// Per-request outcome (see analysis/request.hpp). BatchResult is the
-// pre-PR-3 name.
-using BatchResult = analysis::AnalysisResult;
-
-// The batch's thread knob is the same Parallelism every layer uses.
-using BatchOptions = Parallelism;
 
 // Streaming consumer: invoked once per request, serially (an internal lock),
 // from an unspecified thread, as each request finishes. result.index is the
@@ -108,30 +89,13 @@ class BatchEvaluator {
 // ---- manifest / output plumbing ------------------------------------------
 
 // Parses a job-manifest stream: one request per non-blank, non-comment line,
-//   <name> kind=<kind> circuit=<spec> [golden=<spec>] [eps=E] [delta=D]
-//          [budget=N] [seed=S] [leakage=L] [mode=M] [drop=0|1]
-//          [lanes=64|128|256|512] [sample=N] [prune=0|1]
-//          [style=tmr|dwc|selective] [granularity=gate|cone|output] [top_k=N]
-// `resolve` maps a circuit spec (suite name or .bench path) to a compiled
-// handle — memoize it to share handles (and profile extractions) across
-// jobs naming the same spec. budget= sets the kind's primary Monte-Carlo
-// knob (reliability trials, worst-case trials per input, activity pairs,
-// sensitivity sample words, profile activity pairs, fault-campaign
-// patterns); seed= the kind's master stream seed; leakage= the energy-bound
-// leakage share. kind=lint takes no numeric knobs (budget/seed are ignored
-// like eps is for activity). The fault-campaign-only keys (rejected for
-// other kinds):
-// mode= the pattern source (random | exhaustive), drop= fault dropping,
-// lanes= the SIMD lane width (execution policy — not part of the request's
-// canonical spec), sample= the sampled class count (0 = full universe),
-// prune= static untestable-class pruning. kind=cec compares circuit= against
-// golden= (required); seed= keys its signature stream and budget= its
-// signature word count. kind=harden sweeps redundancy insertion over
-// circuit=: eps/delta/leakage tune the energy bound, budget/seed/mode/drop/
-// lanes/sample/prune tune the shared grading campaign, and style=,
-// granularity=, top_k= pin sweep axes (absent = sweep the full axis).
-// Throws std::invalid_argument on malformed lines,
-// unknown kinds/keys, or non-numeric values.
+//   <name> kind=<kind> circuit=<spec> [golden=<spec>] [key=value ...]
+// The kinds, the keys each accepts, and their values are the kind table's
+// (analysis/kinds.hpp). `resolve` maps a circuit spec (suite name or .bench
+// path) to a compiled handle — memoize it to share handles (and profile
+// extractions) across jobs naming the same spec; it runs only after every
+// line parsed. Throws std::invalid_argument, naming the line, on malformed
+// lines, unknown kinds or keys, and malformed values.
 [[nodiscard]] std::vector<analysis::AnalysisRequest> parse_manifest_requests(
     std::istream& in,
     const std::function<analysis::CompiledCircuit(const std::string&)>&

@@ -15,7 +15,7 @@ namespace {
 // The pool whose job the current thread is executing, if any. A reentrant
 // parallel_for on the *same* pool runs inline instead of re-entering
 // submit_mutex_ (self-deadlock); a nested call on a *different* pool (e.g. a
-// dedicated ExecPolicy{N} pool created inside a global-pool job) still runs
+// dedicated Parallelism{N} pool created inside a global-pool job) still runs
 // parallel — the two pools have disjoint workers, so progress is guaranteed.
 thread_local const ThreadPool* t_current_pool = nullptr;
 

@@ -84,9 +84,6 @@ struct Parallelism {
   }
 };
 
-// Pre-PR-3 name for Parallelism; prefer the new one in fresh code.
-using ExecPolicy = Parallelism;
-
 // parallel_for under a policy. Serial execution visits indices in order;
 // parallel execution visits them in an arbitrary order, so the body must
 // only combine into shared state commutatively (or slot results by index).

@@ -5,6 +5,8 @@
 #include <cstring>
 #include <iomanip>
 
+#include "util/json.hpp"
+
 namespace enb::obs {
 
 namespace {
@@ -23,19 +25,6 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point from,
   const auto delta =
       std::chrono::duration_cast<std::chrono::nanoseconds>(to - from).count();
   return delta > 0 ? static_cast<std::uint64_t>(delta) : 0;
-}
-
-void json_escape(std::ostream& out, std::string_view text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-          << static_cast<int>(c) << std::dec << std::setfill(' ');
-    } else {
-      out << c;
-    }
-  }
 }
 
 }  // namespace
@@ -114,7 +103,7 @@ void TraceRecorder::write_chrome_trace(std::ostream& out) const {
     out << (first ? "\n" : ",\n");
     first = false;
     out << "{\"name\": \"";
-    json_escape(out, name);
+    util::json_escape(out, name);
     // Complete ("X") events; timestamps and durations are microseconds.
     out << "\", \"cat\": \"enb\", \"ph\": \"X\", \"pid\": 1, \"tid\": "
         << slot.tid.load(std::memory_order_relaxed) << ", \"ts\": "
@@ -126,7 +115,7 @@ void TraceRecorder::write_chrome_trace(std::ostream& out) const {
         << ", \"args\": {\"id\": " << slot.id.load(std::memory_order_relaxed)
         << ", \"parent\": " << slot.parent.load(std::memory_order_relaxed)
         << ", \"detail\": \"";
-    json_escape(out, detail.data());
+    util::json_escape(out, detail.data());
     out << "\"}}";
   }
   out << "\n], \"displayTimeUnit\": \"ms\", \"droppedEvents\": " << dropped()

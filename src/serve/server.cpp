@@ -9,12 +9,14 @@
 #include <chrono>
 #include <cstring>
 #include <iomanip>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "analysis/kinds.hpp"
 #include "exec/batch.hpp"
 #include "gen/suite.hpp"
 #include "netlist/bench_io.hpp"
@@ -89,35 +91,6 @@ void send_error(ByteStream& stream, const std::string& message) {
   send_frame(stream, frame);
 }
 
-// The headline metric mirrored into result-frame arguments so a client can
-// print a summary table without parsing JSON (same metric the offline batch
-// table leads with).
-const char* headline_metric(analysis::AnalysisKind kind) {
-  switch (kind) {
-    case analysis::AnalysisKind::kReliability:
-      return "delta_hat";
-    case analysis::AnalysisKind::kWorstCase:
-      return "worst_delta_hat";
-    case analysis::AnalysisKind::kActivity:
-      return "avg_gate_toggle_rate";
-    case analysis::AnalysisKind::kSensitivity:
-      return "sensitivity";
-    case analysis::AnalysisKind::kEnergyBound:
-      return "total_factor";
-    case analysis::AnalysisKind::kProfile:
-      return "size_s0";
-    case analysis::AnalysisKind::kFaultCampaign:
-      return "coverage";
-    case analysis::AnalysisKind::kLint:
-      return "errors";
-    case analysis::AnalysisKind::kHarden:
-      return "frontier_size";
-    case analysis::AnalysisKind::kCec:
-      break;  // cec results have no headline row (equivalence is the story)
-  }
-  return "";
-}
-
 // Header values must be printable ASCII without spaces; job names come from
 // user manifests and may not be (UTF-8 bytes survive the offline path).
 // The header copy is display-only — the result's exact name rides in the
@@ -140,12 +113,11 @@ Frame result_frame(const analysis::AnalysisResult& result, bool cached) {
   frame.add("kind", analysis::to_string(result.kind));
   frame.add("ok", result.ok ? "1" : "0");
   frame.add("cached", cached ? "1" : "0");
-  if (result.ok) {
-    const char* metric = headline_metric(result.kind);
-    if (const auto value = result.metric(metric); value.has_value()) {
-      frame.add("hmetric", metric);
-      frame.add("hvalue", report::format_double(*value, 6));
-    }
+  // The headline, so a client can print a summary table without parsing
+  // JSON (the same one the offline batch table leads with).
+  if (const auto headline = analysis::headline(result)) {
+    frame.add("hmetric", headline->first);
+    frame.add("hvalue", report::format_double(headline->second, 6));
   }
   std::ostringstream payload;
   exec::write_result_json(payload, result);
@@ -446,34 +418,29 @@ void Server::cmd_analyze(const Frame& frame, ByteStream& stream) {
     ++queries_;
   }
   const std::string handle = frame.required_arg("handle");
-  const std::string kind = frame.required_arg("kind");
-  // Reassemble a one-line manifest so analyze and batch share one option
-  // grammar (and one parser) by construction.
-  std::string line = frame.arg("name").value_or(handle);
-  line += " kind=" + kind + " circuit=" + handle;
+  const std::string kind_name = frame.required_arg("kind");
+  const auto kind = analysis::parse_analysis_kind(kind_name);
+  if (!kind.has_value()) {
+    throw std::invalid_argument("analyze: unknown kind '" + kind_name + "'");
+  }
+  // The request a one-line manifest would build: golden= is the request's
+  // own key, every other argument goes through the kind's table row.
+  analysis::AnalysisRequest request;
+  request.name = frame.arg("name").value_or(handle);
+  request.options = analysis::kind_info(*kind).defaults;
+  std::optional<std::string> golden;
   for (const auto& [key, value] : frame.args) {
     if (key == "handle" || key == "kind" || key == "name") continue;
-    if (key == "eps" || key == "delta" || key == "budget" || key == "seed" ||
-        key == "leakage" || key == "golden" || key == "mode" ||
-        key == "drop" || key == "lanes" || key == "sample" ||
-        key == "prune" || key == "style" || key == "granularity" ||
-        key == "top_k") {
-      line += " " + key + "=" + value;
-      continue;
+    if (key == "golden") {
+      golden = value;
+    } else {
+      analysis::apply_key(request.options, key, value);
     }
-    throw std::invalid_argument("analyze: unknown argument '" + key + "='");
   }
-  std::istringstream in(line);
-  std::vector<analysis::AnalysisRequest> requests =
-      exec::parse_manifest_requests(in, [this](const std::string& spec) {
-        return resolve_spec(spec);
-      });
-  if (requests.empty()) {
-    // A name starting with '#' turns the reassembled line into a manifest
-    // comment: reject rather than reply "done total=0" for a real request.
-    throw std::invalid_argument(
-        "analyze: request parsed to nothing (names must not start with '#')");
-  }
+  request.circuit = resolve_spec(handle);
+  if (golden.has_value()) request.golden = resolve_spec(*golden);
+  std::vector<analysis::AnalysisRequest> requests;
+  requests.push_back(std::move(request));
   run_requests(std::move(requests), stream);
 }
 

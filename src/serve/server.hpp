@@ -21,11 +21,13 @@
 //           (default: the spec). Reply:
 //           ok handle=<id> fingerprint=<hex> gates=N inputs=N outputs=N
 //              depth=N
-//   analyze handle=<id> kind=<kind> [name=<id>] [eps=E] [delta=D]
-//           [budget=N] [seed=S] [leakage=L] [golden=<spec>]
+//   analyze handle=<id> kind=<kind> [name=<id>] [golden=<spec>]
+//           [key=value ...]
 //           One request against a held handle — the manifest-line
-//           vocabulary with circuit= replaced by handle=. Streams one
-//           `result` frame, then `done`.
+//           vocabulary with circuit= replaced by handle=; every other
+//           argument goes through the kind table (analysis/kinds.hpp), so
+//           unknown keys are rejected there. Streams one `result` frame,
+//           then `done`.
 //   batch   payload=<manifest bytes>
 //           A full job manifest. circuit=/golden= specs resolve against the
 //           registry first and auto-load (with the server's default

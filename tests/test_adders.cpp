@@ -31,6 +31,10 @@ struct AdderKind {
   Circuit (*build)(int);
 };
 
+// Prints the case name, so the listed test names stay the same from build
+// to build (gtest's default byte dump would show the struct's pointers).
+void PrintTo(const AdderKind& k, std::ostream* os) { *os << k.name; }
+
 class AdderKindTest : public ::testing::TestWithParam<AdderKind> {};
 
 TEST_P(AdderKindTest, FourBitExhaustive) {

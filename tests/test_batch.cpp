@@ -34,6 +34,7 @@
 namespace enb::exec {
 namespace {
 
+using analysis::AnalysisKind;
 using analysis::AnalysisRequest;
 using analysis::AnalysisResult;
 using analysis::CompiledCircuit;
@@ -347,16 +348,20 @@ TEST(Batch, RunClearsTheQueue) {
 }
 
 TEST(Batch, JobKindRoundTrips) {
-  for (JobKind kind :
-       {JobKind::kReliability, JobKind::kWorstCase, JobKind::kActivity,
-        JobKind::kSensitivity, JobKind::kEnergyBound, JobKind::kProfile}) {
-    const auto parsed = parse_job_kind(to_string(kind));
-    ASSERT_TRUE(parsed.has_value()) << to_string(kind);
+  for (AnalysisKind kind :
+       {AnalysisKind::kReliability, AnalysisKind::kWorstCase,
+        AnalysisKind::kActivity, AnalysisKind::kSensitivity,
+        AnalysisKind::kEnergyBound, AnalysisKind::kProfile}) {
+    const auto parsed =
+        analysis::parse_analysis_kind(analysis::to_string(kind));
+    ASSERT_TRUE(parsed.has_value()) << analysis::to_string(kind);
     EXPECT_EQ(*parsed, kind);
   }
-  EXPECT_EQ(parse_job_kind("worst_case"), JobKind::kWorstCase);
-  EXPECT_EQ(parse_job_kind("energy_bound"), JobKind::kEnergyBound);
-  EXPECT_FALSE(parse_job_kind("bogus").has_value());
+  EXPECT_EQ(analysis::parse_analysis_kind("worst_case"),
+            AnalysisKind::kWorstCase);
+  EXPECT_EQ(analysis::parse_analysis_kind("energy_bound"),
+            AnalysisKind::kEnergyBound);
+  EXPECT_FALSE(analysis::parse_analysis_kind("bogus").has_value());
 }
 
 // Memoized handle resolution, like the CLI and the server use.
@@ -381,13 +386,13 @@ TEST(Manifest, ParsesRequestsWithCommentsAndDefaults) {
   const auto requests = parse_manifest_requests(in, memoized_resolver(handles));
   ASSERT_EQ(requests.size(), 4u);
   EXPECT_EQ(requests[0].name, "r1");
-  EXPECT_EQ(requests[0].kind(), JobKind::kReliability);
+  EXPECT_EQ(requests[0].kind(), AnalysisKind::kReliability);
   const auto& rel =
       std::get<analysis::ReliabilityRequest>(requests[0].options);
   EXPECT_DOUBLE_EQ(rel.epsilon, 0.02);
   EXPECT_EQ(rel.options.trials, 4096u);
   EXPECT_EQ(rel.options.seed, 5u);
-  EXPECT_EQ(requests[1].kind(), JobKind::kWorstCase);
+  EXPECT_EQ(requests[1].kind(), AnalysisKind::kWorstCase);
   EXPECT_EQ(std::get<analysis::WorstCaseRequest>(requests[1].options)
                 .options.trials_per_input,
             512u);
@@ -395,7 +400,7 @@ TEST(Manifest, ParsesRequestsWithCommentsAndDefaults) {
       std::get<analysis::EnergyBoundRequest>(requests[2].options);
   EXPECT_DOUBLE_EQ(bound.delta, 0.1);
   EXPECT_DOUBLE_EQ(bound.energy.leakage_fraction, 0.25);
-  EXPECT_EQ(requests[3].kind(), JobKind::kProfile);  // key order is free
+  EXPECT_EQ(requests[3].kind(), AnalysisKind::kProfile);  // key order is free
   EXPECT_GT(requests[3].circuit.circuit().gate_count(), 0u);
 }
 
@@ -455,9 +460,9 @@ TEST(Batch, ZeroSampledSensitivityBudgetFailsTheRequest) {
 TEST(BatchOutput, JsonEmitsNullForNonFiniteMetrics) {
   // delay_factor is legitimately +inf past the Theorem 4 feasibility limit;
   // "inf"/"nan" are not JSON literals and must render as null.
-  BatchResult r;
+  AnalysisResult r;
   r.name = "edge";
-  r.kind = JobKind::kEnergyBound;
+  r.kind = AnalysisKind::kEnergyBound;
   r.ok = true;
   r.metrics = {{"total_factor", 2.5},
                {"delay_factor", std::numeric_limits<double>::infinity()},
@@ -474,9 +479,9 @@ TEST(BatchOutput, JsonEmitsNullForNonFiniteMetrics) {
 TEST(BatchOutput, ResultJsonObjectMatchesBatchArrayLine) {
   // The per-result writer is the server's framing unit; the array writer
   // must be exactly "[\n  <object>(,\n  <object>)*\n]\n" around it.
-  BatchResult r;
+  AnalysisResult r;
   r.name = "one";
-  r.kind = JobKind::kActivity;
+  r.kind = AnalysisKind::kActivity;
   r.ok = true;
   r.metrics = {{"avg_gate_toggle_rate", 0.25}};
   std::ostringstream object;

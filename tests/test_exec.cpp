@@ -158,7 +158,7 @@ TEST(ThreadPoolTest, BackToBackJobs) {
 TEST(ForEachIndex, SerialPolicyVisitsInOrder) {
   std::vector<std::size_t> order;
   for_each_index(
-      6, [&](std::size_t i) { order.push_back(i); }, ExecPolicy{1});
+      6, [&](std::size_t i) { order.push_back(i); }, Parallelism{1});
   const std::vector<std::size_t> expected{0, 1, 2, 3, 4, 5};
   EXPECT_EQ(order, expected);
 }
@@ -171,7 +171,7 @@ TEST(ForEachIndex, DedicatedPoolPolicy) {
         sum.fetch_add(static_cast<std::uint64_t>(i) + 1,
                       std::memory_order_relaxed);
       },
-      ExecPolicy{3});
+      Parallelism{3});
   EXPECT_EQ(sum.load(), 257ull * 258ull / 2ull);
 }
 

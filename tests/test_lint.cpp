@@ -410,5 +410,24 @@ TEST(Lint, FailedLintRequestReportsNotThrows) {
   EXPECT_FALSE(result.error.empty());
 }
 
+TEST(Lint, JsonEscapesControlBytesAsFourHexDigits) {
+  // A control byte inside a .bench line reaches the diagnostic text; the
+  // JSON writer must emit it as a four-digit escape. An unpadded one is
+  // invalid JSON before 'q', and before 'c' silently reads as U+001C.
+  const LintReport report = lint_bench_text(
+      "INPUT(a)\nOUTPUT(y)\ny = AND(a, b\x01" "q)\nz = OR(a, b\x01" "c)\n",
+      "ctl");
+  std::ostringstream json;
+  write_lint_json(json, "c\x02" "tl", report);
+  const std::string text = json.str();
+  EXPECT_NE(text.find("b\\u0001q"), std::string::npos) << text;
+  EXPECT_NE(text.find("b\\u0001c"), std::string::npos) << text;
+  EXPECT_EQ(text.rfind("{\"name\": \"c\\u0002tl\", ", 0), 0u) << text;
+  for (std::size_t i = 0; i + 1 < text.size(); ++i) {
+    EXPECT_GE(static_cast<unsigned char>(text[i]), 0x20) << "raw byte at " << i;
+  }
+  EXPECT_EQ(text.back(), '\n');
+}
+
 }  // namespace
 }  // namespace enb::analysis

@@ -29,6 +29,10 @@ struct MultiplierKind {
   Circuit (*build)(int);
 };
 
+// Prints the case name, so the listed test names stay the same from build
+// to build (gtest's default byte dump would show the struct's pointers).
+void PrintTo(const MultiplierKind& k, std::ostream* os) { *os << k.name; }
+
 class MultiplierTest : public ::testing::TestWithParam<MultiplierKind> {};
 
 TEST_P(MultiplierTest, ThreeBitExhaustive) {

@@ -24,6 +24,10 @@ struct NamedCircuit {
   netlist::Circuit (*build)();
 };
 
+// Prints the case name, so the listed test names stay the same from build
+// to build (gtest's default byte dump would show the struct's pointers).
+void PrintTo(const NamedCircuit& k, std::ostream* os) { *os << k.name; }
+
 class BddVsSimTest : public ::testing::TestWithParam<NamedCircuit> {};
 
 TEST_P(BddVsSimTest, ExactProbabilitiesMatchExhaustive) {

@@ -22,9 +22,11 @@
 #include <vector>
 
 #include "analysis/compiled_circuit.hpp"
+#include "analysis/kinds.hpp"
 #include "analysis/request.hpp"
 #include "exec/batch.hpp"
 #include "gen/suite.hpp"
+#include "report/table.hpp"
 #include "serve/client.hpp"
 
 namespace enb::serve {
@@ -41,7 +43,8 @@ constexpr const char* kManifest =
 
 // Offline reference with the server's resolution rule: compile + map to the
 // default fanin-3 library, memoized per spec.
-std::string offline_json(const std::string& manifest_text) {
+std::vector<analysis::AnalysisResult> offline_results(
+    const std::string& manifest_text) {
   std::map<std::string, analysis::CompiledCircuit> handles;
   std::istringstream in(manifest_text);
   std::vector<analysis::AnalysisRequest> requests =
@@ -52,10 +55,12 @@ std::string offline_json(const std::string& manifest_text) {
             analysis::compile(gen::find_benchmark(spec).build()).mapped(3);
         return handles.emplace(spec, std::move(handle)).first->second;
       });
-  const std::vector<analysis::AnalysisResult> results =
-      exec::evaluate_requests(std::move(requests));
+  return exec::evaluate_requests(std::move(requests));
+}
+
+std::string offline_json(const std::string& manifest_text) {
   std::ostringstream out;
-  exec::write_batch_json(out, results);
+  exec::write_batch_json(out, offline_results(manifest_text));
   return out.str();
 }
 
@@ -273,6 +278,55 @@ TEST_F(ServeServerTest, HardenRidesServeAndTheResultCache) {
   ASSERT_EQ(pinned.results.size(), 1u);
   EXPECT_TRUE(pinned.results[0].ok);
   EXPECT_EQ(pinned.cached, 0u);
+}
+
+TEST_F(ServeServerTest, ServedCecCarriesTheOfflineHeadline) {
+  // Served result frames and the offline batch table read one headline
+  // metric from the kind table; for cec that is `equivalent`.
+  start();
+  Client client(path());
+  const std::string manifest = "eq kind=cec circuit=c17 golden=c17\n";
+  const QueryOutcome served = client.batch(manifest);
+  ASSERT_EQ(served.results.size(), 1u);
+  ASSERT_TRUE(served.results[0].ok);
+  EXPECT_EQ(served_json(served), offline_json(manifest));
+
+  const std::vector<analysis::AnalysisResult> offline =
+      offline_results(manifest);
+  ASSERT_EQ(offline.size(), 1u);
+  const char* metric = analysis::headline_metric(offline[0].kind);
+  EXPECT_STREQ(metric, "equivalent");
+  const std::optional<double> value = offline[0].metric(metric);
+  ASSERT_TRUE(value.has_value());
+  // The client's headline is "<hmetric> = <hvalue>" from the frame.
+  EXPECT_EQ(served.results[0].headline,
+            "equivalent = " + report::format_double(*value, 6));
+
+  const QueryOutcome analyzed =
+      client.analyze("c17", "cec", {"golden=c17", "name=eq"});
+  ASSERT_EQ(analyzed.results.size(), 1u);
+  EXPECT_EQ(analyzed.cached, 1u);
+  EXPECT_EQ(analyzed.results[0].headline, served.results[0].headline);
+}
+
+TEST_F(ServeServerTest, AnalyzeRejectsKeysTheKindDoesNotTake) {
+  // The analyze verb forwards its arguments to the kind table instead of a
+  // whitelist: unknown keys and keys of other kinds are errors, and the
+  // session survives them.
+  start();
+  Client client(path());
+  EXPECT_THROW((void)client.analyze("c17", "lint", {"bogus=1"}), ServerError);
+  EXPECT_THROW((void)client.analyze("c17", "lint", {"lanes=64"}),
+               ServerError);
+  EXPECT_THROW((void)client.analyze("c17", "lint", {"circuit=c17"}),
+               ServerError);
+  EXPECT_THROW((void)client.analyze("c17", "harden", {"style=quad"}),
+               ServerError);
+  EXPECT_THROW((void)client.analyze("c17", "nosuchkind"), ServerError);
+  EXPECT_EQ(client.ping().verb, "ok");
+  const QueryOutcome ok = client.analyze("c17", "lint", {"eps=0.1"});
+  ASSERT_EQ(ok.results.size(), 1u);
+  EXPECT_TRUE(ok.results[0].ok);
 }
 
 TEST_F(ServeServerTest, ShutdownUnderLoadJoinsEverySession) {

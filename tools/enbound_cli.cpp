@@ -46,6 +46,7 @@
 #include <csignal>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -54,6 +55,7 @@
 
 #include "analysis/analyze.hpp"
 #include "analysis/compiled_circuit.hpp"
+#include "analysis/kinds.hpp"
 #include "analysis/lint.hpp"
 #include "analysis/request.hpp"
 #include "cli/args.hpp"
@@ -125,15 +127,20 @@ int usage() {
          "trace-event JSON for the invocation; client metrics prints the\n"
          "server's Prometheus-style exposition. Batch manifests hold one\n"
          "job per line:\n"
-         "  <name> kind=<reliability|worst-case|activity|sensitivity|\n"
-         "         energy-bound|profile|fault-campaign|lint|cec|harden>\n"
-         "         circuit=<suite name or .bench path>\n"
-         "         [golden=<spec>] [eps=E] [delta=D] [budget=N] [seed=S]\n"
-         "         [leakage=L] [mode=random|exhaustive] [drop=0|1]\n"
-         "         [lanes=64|128|256|512] [sample=N] [prune=0|1]\n"
-         "         [style=tmr|dwc|selective] [granularity=gate|cone|output]\n"
-         "         [top_k=N]\n"
-         "harden sweeps redundancy insertion (TMR / DWC / selective) over\n"
+         "  <name> kind=<kind> circuit=<suite name or .bench path>\n"
+         "         [golden=<spec>] [key=value ...]\n"
+         "kinds and the keys each accepts (unused numeric keys are\n"
+         "validated, then ignored):\n";
+  for (std::size_t k = 0; k < std::variant_size_v<analysis::RequestOptions>;
+       ++k) {
+    const analysis::KindInfo& row =
+        analysis::kind_info(static_cast<analysis::AnalysisKind>(k));
+    std::cerr << "  " << row.name << ":";
+    for (const analysis::KindKey& key : row.keys) std::cerr << ' ' << key.name;
+    std::cerr << "\n";
+  }
+  std::cerr
+      << "harden sweeps redundancy insertion (TMR / DWC / selective) over\n"
          "the base circuit, proves every candidate equivalent, and prints\n"
          "the (energy, protection, gates) Pareto frontier; --emit dir\n"
          "regenerates the frontier winners as .bench files. harden exits 2\n"
@@ -320,39 +327,12 @@ int cmd_sweep(const Args& args) {
   return 0;
 }
 
-// The headline metric shown in the per-job summary table; the full metric
-// set goes to --csv/--json.
-const char* headline_metric(analysis::AnalysisKind kind) {
-  switch (kind) {
-    case analysis::AnalysisKind::kReliability:
-      return "delta_hat";
-    case analysis::AnalysisKind::kWorstCase:
-      return "worst_delta_hat";
-    case analysis::AnalysisKind::kActivity:
-      return "avg_gate_toggle_rate";
-    case analysis::AnalysisKind::kSensitivity:
-      return "sensitivity";
-    case analysis::AnalysisKind::kEnergyBound:
-      return "total_factor";
-    case analysis::AnalysisKind::kProfile:
-      return "size_s0";
-    case analysis::AnalysisKind::kFaultCampaign:
-      return "coverage";
-    case analysis::AnalysisKind::kLint:
-      return "errors";
-    case analysis::AnalysisKind::kCec:
-      return "equivalent";
-    case analysis::AnalysisKind::kHarden:
-      return "frontier_size";
-  }
-  return "";
-}
-
+// "metric = value" for the result's headline, shown in the per-job summary
+// table; the full metric set goes to --csv/--json.
 std::string headline_of(const analysis::AnalysisResult& r) {
-  if (!r.ok) return "-";
-  const char* metric = headline_metric(r.kind);
-  if (const auto value = r.metric(metric); value.has_value()) {
-    return std::string(metric) + " = " + report::format_double(*value, 6);
+  if (const auto headline = analysis::headline(r)) {
+    return std::string(headline->first) + " = " +
+           report::format_double(headline->second, 6);
   }
   return "-";
 }
@@ -430,53 +410,6 @@ int cmd_batch(const Args& args) {
 
 // ---- netlist lint --------------------------------------------------------
 
-void json_escape(std::ostream& out, const std::string& text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << "\\u00" << std::hex << static_cast<int>(c) << std::dec;
-        } else {
-          out << c;
-        }
-    }
-  }
-}
-
-// Lint results carry typed diagnostics, not (metric, value) rows, so the
-// lint subcommand has its own JSON shape instead of write_result_json's.
-void write_lint_json(std::ostream& out, const std::string& name,
-                     const analysis::LintReport& report) {
-  out << "{\"name\": \"";
-  json_escape(out, name);
-  out << "\", \"nodes\": " << report.nodes
-      << ", \"errors\": " << report.errors()
-      << ", \"warnings\": " << report.warnings() << ", \"diagnostics\": [";
-  for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
-    const analysis::LintDiagnostic& d = report.diagnostics[i];
-    out << (i == 0 ? "" : ", ") << "{\"severity\": \""
-        << analysis::to_string(d.severity) << "\", \"rule\": \""
-        << analysis::to_string(d.rule) << "\", \"site\": \"";
-    json_escape(out, d.site);
-    out << "\", \"message\": \"";
-    json_escape(out, d.message);
-    out << "\"}";
-  }
-  out << "]}\n";
-}
-
 int cmd_lint(const Args& args) {
   const std::string& spec = args.positional[1];
   analysis::LintOptions options;
@@ -497,13 +430,54 @@ int cmd_lint(const Args& args) {
   analysis::write_lint_text(std::cout, report);
   if (!args.json.empty()) {
     std::ofstream out(args.json);
-    write_lint_json(out, spec, report);
+    analysis::write_lint_json(out, spec, report);
     std::cout << "wrote " << args.json << "\n";
   }
   return report.clean() ? 0 : kExitProcessing;
 }
 
 // ---- fault campaigns -----------------------------------------------------
+
+// Exact decimal text of a flag's value: 17 significant digits round-trip
+// every double through the manifest number parser.
+std::string exact_text(double value) {
+  std::ostringstream out;
+  out << std::setprecision(17) << value;
+  return out.str();
+}
+
+// faultsim/harden flags in the manifest key=value vocabulary, applied
+// through the kind's table row: flags and manifest keys share one parser
+// and one validation (a bad --lanes/--style/--granularity is rejected
+// there). CLI-only knobs (--bundle-width, --no-collapse, ...) stay direct.
+analysis::RequestOptions options_from_flags(analysis::AnalysisKind kind,
+                                            const Args& args) {
+  std::vector<std::pair<std::string, std::string>> keys = {
+      {"budget", std::to_string(args.patterns)},
+      {"seed", std::to_string(args.seed)},
+      {"lanes", std::to_string(args.lanes)},
+      {"sample", std::to_string(args.sample)},
+      {"eps", exact_text(args.eps)},
+      {"delta", exact_text(args.delta)},
+      {"leakage", exact_text(args.leakage)},
+  };
+  if (args.exhaustive) keys.emplace_back("mode", "exhaustive");
+  if (args.drop) keys.emplace_back("drop", "1");
+  // Absent keeps the kind's default: off for faultsim, on for harden sweeps.
+  if (args.prune_untestable) keys.emplace_back("prune", "1");
+  if (kind == analysis::AnalysisKind::kHarden) {
+    keys.emplace_back("top_k", std::to_string(args.top_k));
+    if (!args.style.empty()) keys.emplace_back("style", args.style);
+    if (!args.granularity.empty()) {
+      keys.emplace_back("granularity", args.granularity);
+    }
+  }
+  analysis::RequestOptions options = analysis::kind_info(kind).defaults;
+  for (const auto& [key, value] : keys) {
+    analysis::apply_key(options, key, value);
+  }
+  return options;
+}
 
 int cmd_faultsim(const Args& args) {
   const std::string& spec = args.positional[1];
@@ -520,22 +494,12 @@ int cmd_faultsim(const Args& args) {
   std::optional<analysis::CompiledCircuit> golden;
   if (!args.golden.empty()) golden = load_compiled(args, args.golden);
 
-  fault::CampaignOptions options;
-  options.patterns = args.patterns;
-  options.exhaustive = args.exhaustive;
-  options.seed = args.seed;
+  analysis::RequestOptions request =
+      options_from_flags(analysis::AnalysisKind::kFaultCampaign, args);
+  fault::CampaignOptions& options =
+      std::get<analysis::FaultCampaignRequest>(request).options;
   options.bundle_width = args.bundle_width;
   options.collapse = !args.no_collapse;
-  options.drop = args.drop;
-  options.sample = args.sample;
-  options.prune_untestable = args.prune_untestable;
-  const std::optional<fault::LaneWidth> lanes =
-      fault::parse_lane_width(args.lanes);
-  if (!lanes.has_value()) {
-    std::cerr << "error: --lanes must be 64, 128, 256, or 512\n";
-    return kExitProcessing;
-  }
-  options.lanes = *lanes;
   if (!args.ans.empty() && options.sample != 0) {
     std::cerr << "error: --ans rows need the full universe; "
                  "drop --sample or --ans\n";
@@ -675,42 +639,10 @@ int cmd_harden(const Args& args) {
     return kExitMissingInput;
   }
 
-  harden::SweepOptions options;
-  if (!args.style.empty()) {
-    const auto style = harden::parse_style(args.style);
-    if (!style.has_value()) {
-      std::cerr << "error: --style must be tmr, dwc, or selective\n";
-      return kExitProcessing;
-    }
-    options.style = *style;
-  }
-  if (!args.granularity.empty()) {
-    const auto granularity = harden::parse_granularity(args.granularity);
-    if (!granularity.has_value()) {
-      std::cerr << "error: --granularity must be gate, cone, or output\n";
-      return kExitProcessing;
-    }
-    options.granularity = *granularity;
-  }
-  options.top_k = static_cast<std::uint32_t>(args.top_k);
-  options.epsilon = args.eps;
-  options.delta = args.delta;
-  options.leakage_fraction = args.leakage;
-  options.campaign.patterns = args.patterns;
-  options.campaign.exhaustive = args.exhaustive;
-  options.campaign.seed = args.seed;
-  options.campaign.drop = args.drop;
-  options.campaign.sample = args.sample;
-  // The sweep default prunes untestable classes; the flag only re-asserts it.
-  options.campaign.prune_untestable =
-      options.campaign.prune_untestable || args.prune_untestable;
-  const std::optional<fault::LaneWidth> lanes =
-      fault::parse_lane_width(args.lanes);
-  if (!lanes.has_value()) {
-    std::cerr << "error: --lanes must be 64, 128, 256, or 512\n";
-    return kExitProcessing;
-  }
-  options.campaign.lanes = *lanes;
+  const analysis::RequestOptions request =
+      options_from_flags(analysis::AnalysisKind::kHarden, args);
+  const harden::SweepOptions& options =
+      std::get<analysis::HardenRequest>(request).options;
 
   const analysis::CompiledCircuit compiled = load_compiled(args, spec);
   const exec::Parallelism how{args.threads};
