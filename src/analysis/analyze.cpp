@@ -7,39 +7,6 @@
 
 namespace enb::analysis {
 
-sim::ReliabilityResult estimate_reliability(const CompiledCircuit& circuit,
-                                            double epsilon,
-                                            const sim::ReliabilityOptions& options,
-                                            exec::Parallelism how) {
-  return sim::estimate_reliability(circuit.circuit(), epsilon, options, how);
-}
-
-sim::ReliabilityResult estimate_reliability_vs(
-    const CompiledCircuit& noisy, const CompiledCircuit& golden, double epsilon,
-    const sim::ReliabilityOptions& options, exec::Parallelism how) {
-  return sim::estimate_reliability_vs(noisy.circuit(), golden.circuit(),
-                                      epsilon, options, how);
-}
-
-sim::WorstCaseResult estimate_worst_case_reliability(
-    const CompiledCircuit& noisy, const CompiledCircuit& golden, double epsilon,
-    const sim::WorstCaseOptions& options, exec::Parallelism how) {
-  return sim::estimate_worst_case_reliability(noisy.circuit(), golden.circuit(),
-                                              epsilon, options, how);
-}
-
-sim::ActivityResult estimate_activity(const CompiledCircuit& circuit,
-                                      const sim::ActivityOptions& options,
-                                      exec::Parallelism how) {
-  return sim::estimate_activity(circuit.circuit(), options, how);
-}
-
-sim::SensitivityResult compute_sensitivity(const CompiledCircuit& circuit,
-                                           const sim::SensitivityOptions& options,
-                                           exec::Parallelism how) {
-  return sim::compute_sensitivity(circuit.circuit(), options, how);
-}
-
 const core::CircuitProfile& extract_profile(const CompiledCircuit& circuit,
                                             const core::ProfileOptions& options,
                                             exec::Parallelism how) {
@@ -58,28 +25,28 @@ AnalysisResult evaluate(const AnalysisRequest& request, exec::Parallelism how) {
   AnalysisResult result;
   result.name = request.name;
   result.kind = request.kind();
+  const auto golden = [&request]() -> const netlist::Circuit& {
+    return request.golden.has_value() ? request.golden->circuit()
+                                      : request.circuit.circuit();
+  };
   try {
     ResultPayload payload = std::visit(
         [&](const auto& spec) -> ResultPayload {
           using Spec = std::decay_t<decltype(spec)>;
           if constexpr (std::is_same_v<Spec, ReliabilityRequest>) {
-            return request.golden.has_value()
-                       ? estimate_reliability_vs(request.circuit,
-                                                 *request.golden, spec.epsilon,
-                                                 spec.options, how)
-                       : estimate_reliability(request.circuit, spec.epsilon,
-                                              spec.options, how);
+            return sim::estimate_reliability_vs(request.circuit.circuit(),
+                                                golden(), spec.epsilon,
+                                                spec.options, how);
           } else if constexpr (std::is_same_v<Spec, WorstCaseRequest>) {
-            const CompiledCircuit& golden = request.golden.has_value()
-                                                ? *request.golden
-                                                : request.circuit;
-            return estimate_worst_case_reliability(request.circuit, golden,
-                                                   spec.epsilon, spec.options,
-                                                   how);
+            return sim::estimate_worst_case_reliability(
+                request.circuit.circuit(), golden(), spec.epsilon, spec.options,
+                how);
           } else if constexpr (std::is_same_v<Spec, ActivityRequest>) {
-            return estimate_activity(request.circuit, spec.options, how);
+            return sim::estimate_activity(request.circuit.circuit(),
+                                          spec.options, how);
           } else if constexpr (std::is_same_v<Spec, SensitivityRequest>) {
-            return compute_sensitivity(request.circuit, spec.options, how);
+            return sim::compute_sensitivity(request.circuit.circuit(),
+                                            spec.options, how);
           } else if constexpr (std::is_same_v<Spec, EnergyBoundRequest>) {
             if (spec.profile_override.has_value()) {
               return core::analyze(*spec.profile_override, spec.epsilon,
@@ -93,10 +60,7 @@ AnalysisResult evaluate(const AnalysisRequest& request, exec::Parallelism how) {
           } else if constexpr (std::is_same_v<Spec, ProfileRequest>) {
             return request.circuit.profile(spec.options, how);
           } else if constexpr (std::is_same_v<Spec, FaultCampaignRequest>) {
-            const netlist::Circuit* golden =
-                request.golden.has_value() ? &request.golden->circuit()
-                                           : nullptr;
-            return fault::run_campaign(request.circuit.circuit(), golden,
+            return fault::run_campaign(request.circuit.circuit(), &golden(),
                                        spec.options, how);
           } else if constexpr (std::is_same_v<Spec, LintRequest>) {
             return lint_circuit(request.circuit.circuit(), spec.options);

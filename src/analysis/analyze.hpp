@@ -1,12 +1,11 @@
-// The analysis layer's front door: handle-based overloads of the six
-// standalone estimator entry points, plus a generic evaluate() over typed
-// requests.
+// The analysis layer's front door: the handle-cached profile and bounds,
+// plus a generic evaluate() over typed requests.
 //
-// These are the single-request counterparts of exec::BatchEvaluator — same
-// request vocabulary, same results (bit-identical: both schedule the
-// estimators' shard-level building blocks over the same counter-based
-// streams). Prefer these for one-off analyses and the batch evaluator when
-// fanning out many requests.
+// evaluate() is the single-request counterpart of exec::BatchEvaluator —
+// same request vocabulary, same results (bit-identical: both drive the
+// estimators' sharded jobs over the same counter-based streams). Prefer it
+// for one-off analyses and the batch evaluator when fanning out many
+// requests; the estimators themselves (sim::, fault::) take plain circuits.
 #pragma once
 
 #include "analysis/compiled_circuit.hpp"
@@ -14,32 +13,6 @@
 #include "core/analyzer.hpp"
 
 namespace enb::analysis {
-
-// ---- the six standalone entry points, on shared handles ------------------
-// Parallelism routes through `how` exclusively (the deprecated
-// Options::threads knobs are ignored here).
-
-[[nodiscard]] sim::ReliabilityResult estimate_reliability(
-    const CompiledCircuit& circuit, double epsilon,
-    const sim::ReliabilityOptions& options = {}, exec::Parallelism how = {});
-
-[[nodiscard]] sim::ReliabilityResult estimate_reliability_vs(
-    const CompiledCircuit& noisy, const CompiledCircuit& golden,
-    double epsilon, const sim::ReliabilityOptions& options = {},
-    exec::Parallelism how = {});
-
-[[nodiscard]] sim::WorstCaseResult estimate_worst_case_reliability(
-    const CompiledCircuit& noisy, const CompiledCircuit& golden,
-    double epsilon, const sim::WorstCaseOptions& options = {},
-    exec::Parallelism how = {});
-
-[[nodiscard]] sim::ActivityResult estimate_activity(
-    const CompiledCircuit& circuit, const sim::ActivityOptions& options = {},
-    exec::Parallelism how = {});
-
-[[nodiscard]] sim::SensitivityResult compute_sensitivity(
-    const CompiledCircuit& circuit,
-    const sim::SensitivityOptions& options = {}, exec::Parallelism how = {});
 
 // Cached on the handle: repeated calls (and batch jobs sharing the handle)
 // extract at most once per profile key.

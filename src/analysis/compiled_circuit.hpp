@@ -17,8 +17,7 @@
 //   - All accessors are thread-safe; concurrent first calls compute an
 //     artifact exactly once.
 //   - Profiles are cached per ProfileKey (the value-relevant fields of
-//     core::ProfileOptions — the deprecated threads knob never changes the
-//     result, so it is not part of the key).
+//     core::ProfileOptions).
 #pragma once
 
 #include <cstddef>

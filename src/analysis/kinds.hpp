@@ -18,7 +18,8 @@
 //
 // Adding a kind: a RequestOptions alternative (request.hpp), its canonical
 // spec and metric flattening (request.cpp), its evaluation hooks
-// (analysis::evaluate and an exec prepare_*), and one row here.
+// (analysis::evaluate and a branch of exec's prepare, which adopts the
+// kind's sharded job when it has one), and one row here.
 #pragma once
 
 #include <optional>

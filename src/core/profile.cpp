@@ -10,61 +10,75 @@
 
 namespace enb::core {
 
-CircuitProfile extract_profile(const netlist::Circuit& circuit,
-                               const ProfileOptions& options,
-                               exec::Parallelism how) {
+exec::ShardedJob<CircuitProfile> profile_job(const netlist::Circuit& circuit,
+                                             const ProfileOptions& options) {
   if (circuit.gate_count() == 0) {
     throw std::invalid_argument(
         "extract_profile: circuit has no gates to profile");
   }
-  const netlist::CircuitStats stats = netlist::compute_stats(circuit);
-
-  CircuitProfile p;
-  p.name = circuit.name();
-  p.num_inputs = static_cast<int>(stats.num_inputs);
-  p.num_outputs = static_cast<int>(stats.num_outputs);
-  p.size_s0 = static_cast<double>(stats.num_gates);
-  p.depth_d0 = stats.depth;
-  p.avg_fanin_k = stats.avg_fanin;
-  p.max_fanin = stats.max_fanin;
-
-  // Activity: exact (BDD) when small enough, Monte-Carlo otherwise. The BDD
-  // route can still blow up on worst-case structures; fall back silently.
-  bool have_activity = false;
-  if (options.prefer_exact_activity &&
-      p.num_inputs <= options.exact_activity_max_inputs) {
-    try {
-      p.avg_activity_sw0 =
-          bdd::exact_activity_bdd(circuit).avg_gate_toggle_rate;
-      have_activity = true;
-    } catch (const bdd::BddLimitExceeded&) {
-      have_activity = false;
-    }
-  }
-  if (!have_activity) {
-    sim::ActivityOptions activity_options;
-    activity_options.sample_pairs = options.activity_pairs;
-    activity_options.seed = options.seed;
-    p.avg_activity_sw0 =
-        sim::estimate_activity(circuit, activity_options, how)
-            .avg_gate_toggle_rate;
-  }
-
+  sim::ActivityOptions activity_options;
+  activity_options.sample_pairs = options.activity_pairs;
+  activity_options.seed = options.seed;
   sim::SensitivityOptions sens_options;
   sens_options.max_exact_inputs = options.sensitivity_exact_max_inputs;
   sens_options.sample_words = options.sensitivity_sample_words;
   sens_options.seed = options.seed + 1;
-  const sim::SensitivityResult sens =
-      sim::compute_sensitivity(circuit, sens_options, how);
-  p.sensitivity_s = std::max(1, sens.sensitivity);
-  p.sensitivity_exact = sens.exact;
-  return p;
+
+  // Exact (BDD) activity, when the input count allows it, is a job with no
+  // shards: finish() builds the BDD, falling back silently to the serial
+  // Monte-Carlo estimate if the BDD outgrows its budget. As a shard the
+  // build would hold a pool job (and grow a worker's heap) for its whole
+  // duration; in finish() the direct path runs it on the calling thread.
+  const bool exact = options.prefer_exact_activity &&
+                     static_cast<int>(circuit.num_inputs()) <=
+                         options.exact_activity_max_inputs;
+  exec::ShardedJob<sim::ActivityResult> activity;
+  if (exact) {
+    activity.finish = [&circuit, activity_options] {
+      try {
+        return bdd::exact_activity_bdd(circuit);
+      } catch (const bdd::BddLimitExceeded&) {
+        return sim::estimate_activity(circuit, activity_options,
+                                      exec::Parallelism::serial());
+      }
+    };
+  } else {
+    activity = sim::activity_job(circuit, activity_options);
+  }
+  const exec::ShardedJob<sim::SensitivityResult> sensitivity =
+      sim::sensitivity_job(circuit, sens_options);
+
+  const std::size_t split = activity.num_shards;
+  return {split + sensitivity.num_shards,
+          [activity, sensitivity, split](std::size_t i) {
+            if (i < split) {
+              activity.run_shard(i);
+            } else {
+              sensitivity.run_shard(i - split);
+            }
+          },
+          [&circuit, activity, sensitivity] {
+            const netlist::CircuitStats stats = netlist::compute_stats(circuit);
+            CircuitProfile p;
+            p.name = circuit.name();
+            p.num_inputs = static_cast<int>(stats.num_inputs);
+            p.num_outputs = static_cast<int>(stats.num_outputs);
+            p.size_s0 = static_cast<double>(stats.num_gates);
+            p.depth_d0 = stats.depth;
+            p.avg_fanin_k = stats.avg_fanin;
+            p.max_fanin = stats.max_fanin;
+            p.avg_activity_sw0 = activity.finish().avg_gate_toggle_rate;
+            const sim::SensitivityResult sens = sensitivity.finish();
+            p.sensitivity_s = std::max(1, sens.sensitivity);
+            p.sensitivity_exact = sens.exact;
+            return p;
+          }};
 }
 
 CircuitProfile extract_profile(const netlist::Circuit& circuit,
-                               const ProfileOptions& options) {
-  const exec::Parallelism how{options.threads};
-  return extract_profile(circuit, options, how);
+                               const ProfileOptions& options,
+                               exec::Parallelism how) {
+  return exec::run(profile_job(circuit, options), how);
 }
 
 CircuitProfile make_profile(std::string name, double sensitivity,

@@ -36,21 +36,23 @@ struct ProfileOptions {
   int sensitivity_exact_max_inputs = 20;
   std::uint64_t sensitivity_sample_words = 256;
   std::uint64_t seed = 17;
-  // Deprecated dual knob: only the extract_profile overload without an
-  // exec::Parallelism parameter still honours it. Results are bit-identical
-  // for any thread count either way.
-  unsigned threads = 0;
 };
 
-// Measures a profile from a (typically mapped) netlist, parallelizing the
-// Monte-Carlo substrates per `how`.
-[[nodiscard]] CircuitProfile extract_profile(const netlist::Circuit& circuit,
-                                             const ProfileOptions& options,
-                                             exec::Parallelism how);
+// Profile extraction as one sharded job (see exec::ShardedJob): Monte-Carlo
+// activity shards (sim::activity_job), then the sensitivity sweep's shards.
+// When prefer_exact_activity and the input count allow it, activity is exact
+// (BDD) instead and has no shards: finish() builds the BDD, falling back
+// silently to the serial Monte-Carlo estimate if the BDD outgrows its
+// budget. Throws std::invalid_argument on a circuit without gates or an
+// invalid budget.
+[[nodiscard]] exec::ShardedJob<CircuitProfile> profile_job(
+    const netlist::Circuit& circuit, const ProfileOptions& options);
 
-// Deprecated-knob form: honours options.threads.
+// Measures a profile from a (typically mapped) netlist: profile_job run per
+// `how`. Results are bit-identical for any thread count.
 [[nodiscard]] CircuitProfile extract_profile(const netlist::Circuit& circuit,
-                                             const ProfileOptions& options = {});
+                                             const ProfileOptions& options = {},
+                                             exec::Parallelism how = {});
 
 // A profile from explicit numbers (e.g. the paper's s=10, S0=21 parity).
 [[nodiscard]] CircuitProfile make_profile(std::string name, double sensitivity,

@@ -21,12 +21,13 @@
 //                      finishes first never reaches the numbers.
 //
 // Determinism contract: a request's result is a pure function of its own
-// spec. Every shard draws its randomness from the counter-based stream of
-// (request seed, shard index) — exactly the streams the standalone
-// estimators use — and shard accumulators combine through order-insensitive
-// reductions (integer sums, max, or slot-per-shard writes). Results are
-// therefore bit-identical to a direct estimator call, and independent of the
-// thread count, the submission order, and whatever else is co-scheduled.
+// spec. A sharded request runs the very exec::ShardedJob its direct entry
+// point runs (sim::*_job, fault::campaign_job, core::profile_job): every
+// shard draws its randomness from the counter-based stream of (request
+// seed, shard index) and merges through an order-insensitive reduction
+// (integer sums, max, min, or slot-per-shard writes). Results are therefore
+// bit-identical to a direct estimator call, and independent of the thread
+// count, the submission order, and whatever else is co-scheduled.
 #pragma once
 
 #include <cstdint>

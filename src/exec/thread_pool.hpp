@@ -11,7 +11,11 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "exec/stream.hpp"
@@ -63,9 +67,8 @@ class ThreadPool {
 };
 
 // How a parallel loop maps onto threads — the single knob every layer routes
-// through (the estimator overloads, the batch evaluator, the analysis front
-// door). Per-estimator `Options::threads` members are deprecated in favour of
-// passing one of these explicitly.
+// through (the estimator entry points, the batch evaluator, the analysis
+// front door).
 //   threads == 0: use the global pool (default);
 //   threads == 1: run serially on the calling thread;
 //   threads >= 2: run on a dedicated transient pool of that many workers
@@ -100,6 +103,86 @@ inline void for_each_shard(const ShardPlan& plan,
                            const Parallelism& policy = {}) {
   for_each_index(
       plan.num_shards(), [&](std::size_t i) { body(plan.shard(i)); }, policy);
+}
+
+// One sharded estimator, written once. run_shard(i) computes shard i and
+// merges it into the job's own state (under the job's lock, or into a slot
+// of its own); finish() reduces the merged state into the result once every
+// shard has run, and is called at most once. Serial work belongs in
+// finish() too: exec::run calls it on the calling thread after the pool job
+// returns, so it never holds the pool. Each module has one factory that
+// validates its inputs and builds the job (sim::activity_job,
+// fault::campaign_job, core::profile_job, ...). exec::run drives a job
+// directly; the batch evaluator interleaves its shards with other requests'
+// in one task space. Both paths run the same shard bodies and the same
+// reduction, so they are bit-identical by construction. The job holds
+// references to the circuits it was built from, which must outlive it.
+template <typename R>
+struct ShardedJob {
+  std::size_t num_shards = 0;
+  std::function<void(std::size_t)> run_shard;
+  std::function<R()> finish;
+};
+
+// Runs every shard of `job` under `how`, then finishes it.
+template <typename R>
+R run(const ShardedJob<R>& job, const Parallelism& how = {}) {
+  for_each_index(job.num_shards, job.run_shard, how);
+  return job.finish();
+}
+
+// A running total that shards merge into under one lock. Counts needs a
+// merge(const Counts&) member that is commutative, so shard completion
+// order never reaches the total.
+template <typename Counts>
+class LockedTotal {
+ public:
+  explicit LockedTotal(Counts zero) : total_(std::move(zero)) {}
+
+  void merge(const Counts& local) {
+    const util::LockGuard lock(mutex_);
+    total_.merge(local);
+  }
+
+  [[nodiscard]] Counts take() {
+    const util::LockGuard lock(mutex_);
+    return std::move(total_);
+  }
+
+ private:
+  util::Mutex mutex_;
+  Counts total_ ENB_GUARDED_BY(mutex_);
+};
+
+// The common job shape: shard(i) returns its Counts, which merge into a
+// LockedTotal started from `zero`; finish(total) turns the merged counts
+// into the result.
+template <typename Counts, typename ShardFn, typename FinishFn>
+auto merging_job(std::size_t num_shards, Counts zero, ShardFn shard,
+                 FinishFn finish)
+    -> ShardedJob<std::invoke_result_t<FinishFn&, Counts>> {
+  auto total = std::make_shared<LockedTotal<Counts>>(std::move(zero));
+  return {num_shards,
+          [total, shard = std::move(shard)](std::size_t i) {
+            total->merge(shard(i));
+          },
+          [total, finish = std::move(finish)] {
+            return finish(total->take());
+          }};
+}
+
+// A one-shard job whose shard computes the whole result. The shard's write
+// and finish()'s read are ordered by whoever runs the job (the pool's join,
+// or the batch's completion count).
+template <typename F>
+auto single_job(F compute) -> ShardedJob<std::invoke_result_t<F&>> {
+  using R = std::invoke_result_t<F&>;
+  auto slot = std::make_shared<std::optional<R>>();
+  return {1,
+          [slot, compute = std::move(compute)](std::size_t) {
+            *slot = compute();
+          },
+          [slot] { return std::move(**slot); }};
 }
 
 }  // namespace enb::exec

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <mutex>
+#include <memory>
 #include <numeric>
 #include <ostream>
 #include <set>
@@ -389,28 +389,31 @@ FaultCampaignResult finalize_campaign(const Circuit& circuit,
   return result;
 }
 
+exec::ShardedJob<FaultCampaignResult> campaign_job(
+    const Circuit& circuit, const Circuit& golden,
+    const CampaignOptions& options) {
+  validate_campaign_inputs(circuit, golden, options);
+  auto universe = std::make_shared<const FaultUniverse>(FaultUniverse::build(
+      circuit, options.collapse, options.prune_untestable));
+  const exec::ShardPlan plan = campaign_shard_plan(golden, options);
+  return exec::merging_job(
+      plan.num_shards(), CampaignCounts(universe->num_classes()),
+      [&circuit, &golden, universe, options, plan](std::size_t i) {
+        return campaign_shard_counts(circuit, golden, *universe, options,
+                                     plan.shard(i));
+      },
+      [&circuit, &golden, universe, options](const CampaignCounts& total) {
+        return finalize_campaign(circuit, golden, *universe, options, total);
+      });
+}
+
 FaultCampaignResult run_campaign(const Circuit& circuit, const Circuit* golden,
                                  const CampaignOptions& options,
                                  exec::Parallelism how) {
-  const Circuit& reference = golden != nullptr ? *golden : circuit;
   const obs::Span span("fault-campaign", {}, circuit.name());
-  validate_campaign_inputs(circuit, reference, options);
-  const FaultUniverse universe =
-      FaultUniverse::build(circuit, options.collapse, options.prune_untestable);
-  const exec::ShardPlan plan = campaign_shard_plan(reference, options);
-
-  CampaignCounts total(universe.num_classes());
-  std::mutex mutex;
-  exec::for_each_shard(
-      plan,
-      [&](const exec::Shard& shard) {
-        const CampaignCounts local =
-            campaign_shard_counts(circuit, reference, universe, options, shard);
-        const std::lock_guard<std::mutex> lock(mutex);
-        total.merge(local);
-      },
+  return exec::run(
+      campaign_job(circuit, golden != nullptr ? *golden : circuit, options),
       how);
-  return finalize_campaign(circuit, reference, universe, options, total);
 }
 
 // ---- detection table / .ans ------------------------------------------------
@@ -426,23 +429,21 @@ DetectionTable build_detection_table(const Circuit& circuit,
   DetectionTable table;
   table.patterns.resize(plan.total());
   table.detected.resize(plan.total());
-  table.counts = CampaignCounts(universe.num_classes());
-  std::mutex mutex;
+  exec::LockedTotal<CampaignCounts> counts(
+      CampaignCounts(universe.num_classes()));
   exec::for_each_shard(
       plan,
       [&](const exec::Shard& shard) {
         // Slot-per-pattern row writes are race-free (disjoint slots); only
         // the counts merge needs the lock.
-        const CampaignCounts local =
-            with_lane_width(options.lanes, [&](auto tag) {
-              using V = typename decltype(tag)::type;
-              return sweep_shard<V>(circuit, golden, universe, options, shard,
-                                    &table);
-            });
-        const std::lock_guard<std::mutex> lock(mutex);
-        table.counts.merge(local);
+        counts.merge(with_lane_width(options.lanes, [&](auto tag) {
+          using V = typename decltype(tag)::type;
+          return sweep_shard<V>(circuit, golden, universe, options, shard,
+                                &table);
+        }));
       },
       how);
+  table.counts = counts.take();
   table.passes = table.counts.passes;
   return table;
 }

@@ -149,8 +149,8 @@ struct FaultCampaignResult {
 
 // ---- shard-level building blocks -----------------------------------------
 //
-// run_campaign is *defined* as the merge of these shard bodies, and the
-// batch engine schedules exactly the same bodies, so batched campaigns are
+// campaign_job is *defined* as the merge of these shard bodies; run_campaign
+// and the batch engine both drive that job, so batched campaigns are
 // bit-identical to direct calls by construction.
 
 // Validation run_campaign applies before sharding: bundle-divisible
@@ -210,8 +210,16 @@ struct CampaignCounts {
     const FaultUniverse& universe, const CampaignOptions& options,
     const CampaignCounts& counts);
 
-// Runs a whole campaign, parallelized per `how`. golden == nullptr grades
-// the circuit against its own fault-free behaviour.
+// A whole campaign as one sharded job (see exec::ShardedJob): validates,
+// builds the fault universe once (shared read-only by every shard), and
+// merges each pattern shard's counts under the job's lock. `golden` is the
+// reference whose outputs detection compares against.
+[[nodiscard]] exec::ShardedJob<FaultCampaignResult> campaign_job(
+    const netlist::Circuit& circuit, const netlist::Circuit& golden,
+    const CampaignOptions& options);
+
+// Runs campaign_job per `how`. golden == nullptr grades the circuit against
+// its own fault-free behaviour.
 [[nodiscard]] FaultCampaignResult run_campaign(
     const netlist::Circuit& circuit, const netlist::Circuit* golden,
     const CampaignOptions& options = {}, exec::Parallelism how = {});

@@ -1,12 +1,13 @@
 #include "sim/activity.hpp"
 
-#include <mutex>
+#include <algorithm>
 #include <stdexcept>
 
 #include "exec/stream.hpp"
 #include "exec/thread_pool.hpp"
 #include "sim/exhaustive.hpp"
 #include "sim/logic_sim.hpp"
+#include "sim/noise.hpp"
 #include "sim/prng.hpp"
 
 namespace enb::sim {
@@ -30,25 +31,47 @@ void finalize_gate_averages(const Circuit& circuit, ActivityResult& result) {
   result.avg_gate_toggle_rate = gates == 0 ? 0.0 : sw_sum / static_cast<double>(gates);
 }
 
-}  // namespace
-
-void ActivityCounts::merge(const ActivityCounts& other) {
-  for (std::size_t id = 0; id < ones.size(); ++id) {
-    ones[id] += other.ones[id];
-    toggles[id] += other.toggles[id];
+// Per-node integer accumulators of one or more shards; merge by +.
+struct ActivityCounts {
+  std::vector<std::uint64_t> ones;     // set lanes per node
+  std::vector<std::uint64_t> toggles;  // differing lanes per node pair
+  explicit ActivityCounts(std::size_t nodes)
+      : ones(nodes, 0), toggles(nodes, 0) {}
+  void merge(const ActivityCounts& other) {
+    for (std::size_t id = 0; id < ones.size(); ++id) {
+      ones[id] += other.ones[id];
+      toggles[id] += other.toggles[id];
+    }
   }
-}
+};
 
-void validate_activity_inputs(const ActivityOptions& options) {
-  if (options.sample_pairs == 0) {
-    throw std::invalid_argument("estimate_activity: sample_pairs must be > 0");
+// Rates and gate averages from merged counts. `ones_per_pair` is how many
+// of each pair's two vectors feed `ones` (1 clean, 2 noisy).
+ActivityResult finalize_activity(const Circuit& circuit,
+                                 std::size_t sample_pairs,
+                                 const ActivityCounts& counts,
+                                 double ones_per_pair) {
+  const std::size_t n = circuit.node_count();
+  const double lanes = static_cast<double>(sample_pairs) * kWordBits;
+  ActivityResult result;
+  result.sample_pairs = sample_pairs;
+  result.one_probability.resize(n);
+  result.toggle_rate.resize(n);
+  for (std::size_t id = 0; id < n; ++id) {
+    result.one_probability[id] =
+        static_cast<double>(counts.ones[id]) / (ones_per_pair * lanes);
+    result.toggle_rate[id] = static_cast<double>(counts.toggles[id]) / lanes;
   }
+  finalize_gate_averages(circuit, result);
+  return result;
 }
 
-exec::ShardPlan activity_shard_plan(const ActivityOptions& options) {
-  return exec::ShardPlan(options.sample_pairs, options.shard_pairs);
+Word input_word(Xoshiro256& rng, double p_in) {
+  return p_in == 0.5 ? rng.next() : bernoulli_word(rng, p_in);
 }
 
+// Counts contributed by one shard; a pure function of (options.seed,
+// shard.index).
 ActivityCounts activity_shard_counts(const Circuit& circuit,
                                      const ActivityOptions& options,
                                      const exec::Shard& shard) {
@@ -63,13 +86,8 @@ ActivityCounts activity_shard_counts(const Circuit& circuit,
 
   for (std::size_t pair = shard.begin; pair < shard.end; ++pair) {
     for (std::size_t i = 0; i < in_a.size(); ++i) {
-      if (p_in == 0.5) {
-        in_a[i] = rng.next();
-        in_b[i] = rng.next();
-      } else {
-        in_a[i] = bernoulli_word(rng, p_in);
-        in_b[i] = bernoulli_word(rng, p_in);
-      }
+      in_a[i] = input_word(rng, p_in);
+      in_b[i] = input_word(rng, p_in);
     }
     sim_a.eval(in_a);
     sim_b.eval(in_b);
@@ -83,52 +101,87 @@ ActivityCounts activity_shard_counts(const Circuit& circuit,
   return counts;
 }
 
-ActivityResult finalize_activity(const Circuit& circuit,
-                                 const ActivityOptions& options,
-                                 const ActivityCounts& counts) {
+// The noisy counterpart: inputs and the shard's private noise source both
+// derive from the shard stream, and both vectors of a pair count as ones.
+ActivityCounts noisy_activity_shard_counts(const Circuit& circuit,
+                                           double epsilon,
+                                           const ActivityOptions& options,
+                                           const exec::Shard& shard) {
   const std::size_t n = circuit.node_count();
-  const double lanes =
-      static_cast<double>(options.sample_pairs) * kWordBits;
-  ActivityResult result;
-  result.sample_pairs = options.sample_pairs;
-  result.one_probability.resize(n);
-  result.toggle_rate.resize(n);
-  for (std::size_t id = 0; id < n; ++id) {
-    result.one_probability[id] = static_cast<double>(counts.ones[id]) / lanes;
-    result.toggle_rate[id] = static_cast<double>(counts.toggles[id]) / lanes;
+  const double p_in = options.input_one_probability;
+  Xoshiro256 rng(exec::stream_seed(options.seed, shard.index));
+  NoisySim sim(circuit, epsilon, rng.next());
+  std::vector<Word> in_a(circuit.num_inputs());
+  std::vector<Word> in_b(circuit.num_inputs());
+  std::vector<Word> first(n);
+  ActivityCounts counts(n);
+
+  for (std::size_t pair = shard.begin; pair < shard.end; ++pair) {
+    for (Word& w : in_a) w = input_word(rng, p_in);
+    for (Word& w : in_b) w = input_word(rng, p_in);
+    sim.eval(in_a);
+    std::copy(sim.values().begin(), sim.values().end(), first.begin());
+    sim.eval(in_b);
+    for (std::size_t id = 0; id < n; ++id) {
+      counts.ones[id] += static_cast<std::uint64_t>(popcount(first[id])) +
+                         static_cast<std::uint64_t>(popcount(sim.values()[id]));
+      counts.toggles[id] +=
+          static_cast<std::uint64_t>(popcount(first[id] ^ sim.values()[id]));
+    }
   }
-  finalize_gate_averages(circuit, result);
-  return result;
+  return counts;
+}
+
+}  // namespace
+
+// Each shard owns a counter-based PRNG stream and local accumulators; the
+// merge is an integer sum, so the totals are independent of the order in
+// which shards finish — bit-exact for any thread count.
+exec::ShardedJob<ActivityResult> activity_job(const Circuit& circuit,
+                                              const ActivityOptions& options) {
+  if (options.sample_pairs == 0) {
+    throw std::invalid_argument("estimate_activity: sample_pairs must be > 0");
+  }
+  const exec::ShardPlan plan(options.sample_pairs, options.shard_pairs);
+  return exec::merging_job(
+      plan.num_shards(), ActivityCounts(circuit.node_count()),
+      [&circuit, options, plan](std::size_t i) {
+        return activity_shard_counts(circuit, options, plan.shard(i));
+      },
+      [&circuit, pairs = options.sample_pairs](const ActivityCounts& counts) {
+        return finalize_activity(circuit, pairs, counts, 1.0);
+      });
 }
 
 ActivityResult estimate_activity(const Circuit& circuit,
                                  const ActivityOptions& options,
                                  exec::Parallelism how) {
-  validate_activity_inputs(options);
-
-  // Each shard owns a counter-based PRNG stream and local accumulators; the
-  // merge is an integer sum, so the totals are independent of the order in
-  // which shards finish — bit-exact for any thread count.
-  const exec::ShardPlan plan = activity_shard_plan(options);
-  ActivityCounts totals(circuit.node_count());
-  std::mutex merge_mutex;
-  exec::for_each_shard(
-      plan,
-      [&](const exec::Shard& shard) {
-        const ActivityCounts local =
-            activity_shard_counts(circuit, options, shard);
-        const std::lock_guard<std::mutex> lock(merge_mutex);
-        totals.merge(local);
-      },
-      how);
-
-  return finalize_activity(circuit, options, totals);
+  return exec::run(activity_job(circuit, options), how);
 }
 
-ActivityResult estimate_activity(const Circuit& circuit,
-                                 const ActivityOptions& options) {
-  const exec::Parallelism how{options.threads};
-  return estimate_activity(circuit, options, how);
+// Sharded exactly like activity_job, over the same counts and reduction.
+exec::ShardedJob<ActivityResult> noisy_activity_job(
+    const Circuit& circuit, double epsilon, const ActivityOptions& options) {
+  if (options.sample_pairs == 0) {
+    throw std::invalid_argument(
+        "estimate_noisy_activity: sample_pairs must be > 0");
+  }
+  const exec::ShardPlan plan(options.sample_pairs, options.shard_pairs);
+  return exec::merging_job(
+      plan.num_shards(), ActivityCounts(circuit.node_count()),
+      [&circuit, epsilon, options, plan](std::size_t i) {
+        return noisy_activity_shard_counts(circuit, epsilon, options,
+                                           plan.shard(i));
+      },
+      [&circuit, pairs = options.sample_pairs](const ActivityCounts& counts) {
+        return finalize_activity(circuit, pairs, counts, 2.0);
+      });
+}
+
+ActivityResult estimate_noisy_activity(const Circuit& circuit, double epsilon,
+                                       const ActivityOptions& options,
+                                       exec::Parallelism how) {
+  return exec::run(noisy_activity_job(circuit, epsilon, options), how);
 }
 
 ActivityResult exact_activity(const Circuit& circuit) {

@@ -36,57 +36,19 @@ struct ActivityOptions {
   // seeded by (seed, i), so the estimate is bit-identical for every thread
   // count.
   std::size_t shard_pairs = 256;
-  // Deprecated dual knob: only the two-argument estimate_activity overload
-  // still honours it. Route thread control through the exec::Parallelism
-  // parameter instead.
-  unsigned threads = 0;
 };
 
-// Monte-Carlo estimate over random vector pairs, parallelized per `how`
-// (results are bit-identical for any thread count).
-[[nodiscard]] ActivityResult estimate_activity(const netlist::Circuit& circuit,
-                                               const ActivityOptions& options,
-                                               exec::Parallelism how);
+// The Monte-Carlo estimate over random vector pairs as a sharded job (see
+// exec::ShardedJob): per-node integer counts merge by sum. Throws
+// std::invalid_argument on a zero sample budget.
+[[nodiscard]] exec::ShardedJob<ActivityResult> activity_job(
+    const netlist::Circuit& circuit, const ActivityOptions& options);
 
-// Deprecated-knob form: honours options.threads.
+// Runs activity_job per `how` (results are bit-identical for any thread
+// count).
 [[nodiscard]] ActivityResult estimate_activity(
-    const netlist::Circuit& circuit, const ActivityOptions& options = {});
-
-// ---- shard-level building blocks -----------------------------------------
-//
-// estimate_activity decomposes into independent shard tasks whose integer
-// accumulators merge by sum; the batch engine (exec/batch.hpp) schedules the
-// same tasks interleaved with other jobs' shards, so a batched activity job
-// is bit-identical to a direct estimator call by construction.
-
-// Per-node integer accumulators of one or more shards; merge by +.
-struct ActivityCounts {
-  std::vector<std::uint64_t> ones;     // set lanes per node
-  std::vector<std::uint64_t> toggles;  // differing lanes per node pair
-  explicit ActivityCounts(std::size_t nodes)
-      : ones(nodes, 0), toggles(nodes, 0) {}
-  void merge(const ActivityCounts& other);
-};
-
-// Throws std::invalid_argument on a zero sample budget — the validation
-// estimate_activity applies before sharding.
-void validate_activity_inputs(const ActivityOptions& options);
-
-// The pair decomposition implied by `options`: sample_pairs split into
-// shards of shard_pairs.
-[[nodiscard]] exec::ShardPlan activity_shard_plan(
-    const ActivityOptions& options);
-
-// Counts contributed by one shard of the plan; a pure function of
-// (options.seed, shard.index).
-[[nodiscard]] ActivityCounts activity_shard_counts(
-    const netlist::Circuit& circuit, const ActivityOptions& options,
-    const exec::Shard& shard);
-
-// Turns merged counts into the estimator's result (rates + gate averages).
-[[nodiscard]] ActivityResult finalize_activity(const netlist::Circuit& circuit,
-                                               const ActivityOptions& options,
-                                               const ActivityCounts& counts);
+    const netlist::Circuit& circuit, const ActivityOptions& options = {},
+    exec::Parallelism how = {});
 
 // Exhaustive (exact) activity for small circuits: one-probabilities from the
 // full truth table, toggle rates via sw = 2 p (1-p) (temporal independence).

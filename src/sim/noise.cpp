@@ -1,12 +1,8 @@
 #include "sim/noise.hpp"
 
-#include <algorithm>
-#include <mutex>
 #include <stdexcept>
 #include <string>
-
-#include "exec/stream.hpp"
-#include "exec/thread_pool.hpp"
+#include <utility>
 
 namespace enb::sim {
 
@@ -66,96 +62,6 @@ std::vector<Word> NoisySim::output_values() const {
   out.reserve(circuit_->num_outputs());
   for (NodeId id : circuit_->outputs()) out.push_back(values_[id]);
   return out;
-}
-
-ActivityResult estimate_noisy_activity(const Circuit& circuit, double epsilon,
-                                       const ActivityOptions& options,
-                                       exec::Parallelism how) {
-  if (options.sample_pairs == 0) {
-    throw std::invalid_argument(
-        "estimate_noisy_activity: sample_pairs must be > 0");
-  }
-  const std::size_t n = circuit.node_count();
-  std::vector<std::uint64_t> ones(n, 0);
-  std::vector<std::uint64_t> toggles(n, 0);
-
-  // Sharded exactly like estimate_activity: per-shard counter-based streams
-  // (inputs and the shard's private noise source both derive from the shard
-  // stream) plus order-insensitive integer merges keep the estimate
-  // bit-identical across thread counts.
-  const exec::ShardPlan plan(options.sample_pairs, options.shard_pairs);
-  std::mutex merge_mutex;
-  exec::for_each_shard(
-      plan,
-      [&](const exec::Shard& shard) {
-        Xoshiro256 rng(exec::stream_seed(options.seed, shard.index));
-        NoisySim sim(circuit, epsilon, rng.next());
-        std::vector<Word> in_a(circuit.num_inputs());
-        std::vector<Word> in_b(circuit.num_inputs());
-        std::vector<Word> first(n);
-        std::vector<std::uint64_t> local_ones(n, 0);
-        std::vector<std::uint64_t> local_toggles(n, 0);
-
-        for (std::size_t pair = shard.begin; pair < shard.end; ++pair) {
-          for (Word& w : in_a) {
-            w = options.input_one_probability == 0.5
-                    ? rng.next()
-                    : bernoulli_word(rng, options.input_one_probability);
-          }
-          for (Word& w : in_b) {
-            w = options.input_one_probability == 0.5
-                    ? rng.next()
-                    : bernoulli_word(rng, options.input_one_probability);
-          }
-          sim.eval(in_a);
-          std::copy(sim.values().begin(), sim.values().end(), first.begin());
-          sim.eval(in_b);
-          for (std::size_t id = 0; id < n; ++id) {
-            local_ones[id] +=
-                static_cast<std::uint64_t>(popcount(first[id])) +
-                static_cast<std::uint64_t>(popcount(sim.values()[id]));
-            local_toggles[id] += static_cast<std::uint64_t>(
-                popcount(first[id] ^ sim.values()[id]));
-          }
-        }
-
-        const std::lock_guard<std::mutex> lock(merge_mutex);
-        for (std::size_t id = 0; id < n; ++id) {
-          ones[id] += local_ones[id];
-          toggles[id] += local_toggles[id];
-        }
-      },
-      how);
-
-  const double lanes =
-      static_cast<double>(options.sample_pairs) * kWordBits;
-  ActivityResult result;
-  result.sample_pairs = options.sample_pairs;
-  result.one_probability.resize(circuit.node_count());
-  result.toggle_rate.resize(circuit.node_count());
-  double p_sum = 0.0;
-  double sw_sum = 0.0;
-  std::size_t gates = 0;
-  for (std::size_t id = 0; id < circuit.node_count(); ++id) {
-    result.one_probability[id] =
-        static_cast<double>(ones[id]) / (2.0 * lanes);
-    result.toggle_rate[id] = static_cast<double>(toggles[id]) / lanes;
-    if (!counts_as_gate(circuit.type(id))) continue;
-    p_sum += result.one_probability[id];
-    sw_sum += result.toggle_rate[id];
-    ++gates;
-  }
-  result.avg_gate_one_probability =
-      gates == 0 ? 0.0 : p_sum / static_cast<double>(gates);
-  result.avg_gate_toggle_rate =
-      gates == 0 ? 0.0 : sw_sum / static_cast<double>(gates);
-  return result;
-}
-
-ActivityResult estimate_noisy_activity(const Circuit& circuit, double epsilon,
-                                       const ActivityOptions& options) {
-  const exec::Parallelism how{options.threads};
-  return estimate_noisy_activity(circuit, epsilon, options, how);
 }
 
 }  // namespace enb::sim

@@ -55,14 +55,16 @@ class NoisySim {
 // Monte-Carlo switching activity of the *noisy* circuit: temporally
 // independent vector pairs, each evaluated with fresh error draws — the
 // executable version of Theorem 1's sw(z). Returns the usual ActivityResult
-// (per-node toggle rates, per-gate average = the paper's sw_eps).
-[[nodiscard]] ActivityResult estimate_noisy_activity(
+// (per-node toggle rates, per-gate average = the paper's sw_eps). The job is
+// sharded like sim::activity_job and shares its counts and reduction (both
+// are defined in activity.cpp). Throws std::invalid_argument on a zero
+// sample budget.
+[[nodiscard]] exec::ShardedJob<ActivityResult> noisy_activity_job(
     const netlist::Circuit& circuit, double epsilon,
-    const ActivityOptions& options, exec::Parallelism how);
+    const ActivityOptions& options);
 
-// Deprecated-knob form: honours options.threads.
 [[nodiscard]] ActivityResult estimate_noisy_activity(
     const netlist::Circuit& circuit, double epsilon,
-    const ActivityOptions& options = {});
+    const ActivityOptions& options = {}, exec::Parallelism how = {});
 
 }  // namespace enb::sim

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -39,48 +40,8 @@ std::uint64_t worst_case_passes(const WorstCaseOptions& options) {
   return (options.trials_per_input + kWordBits - 1) / kWordBits;
 }
 
-}  // namespace
-
-ReliabilityResult wilson_interval(std::uint64_t failures,
-                                  std::uint64_t trials) {
-  ReliabilityResult r;
-  r.trials = trials;
-  r.requested_trials = trials;
-  r.failures = failures;
-  if (trials == 0) return r;
-  const double n = static_cast<double>(trials);
-  const double p = static_cast<double>(failures) / n;
-  r.delta_hat = p;
-  constexpr double z = 1.959963984540054;  // 97.5th percentile of N(0,1)
-  const double z2 = z * z;
-  const double denom = 1.0 + z2 / n;
-  const double center = (p + z2 / (2.0 * n)) / denom;
-  const double half =
-      z * std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom;
-  r.ci_low = std::max(0.0, center - half);
-  r.ci_high = std::min(1.0, center + half);
-  return r;
-}
-
-void validate_reliability_inputs(const Circuit& noisy, const Circuit& golden,
-                                 const ReliabilityOptions& options) {
-  if (noisy.num_inputs() != golden.num_inputs() ||
-      noisy.num_outputs() != golden.num_outputs()) {
-    throw std::invalid_argument(
-        "estimate_reliability_vs: interface mismatch between noisy and "
-        "golden circuits");
-  }
-  if (options.trials == 0) {
-    throw std::invalid_argument("estimate_reliability: trials must be > 0");
-  }
-}
-
-exec::ShardPlan reliability_shard_plan(const ReliabilityOptions& options) {
-  const std::uint64_t passes = (options.trials + kWordBits - 1) / kWordBits;
-  return exec::ShardPlan(static_cast<std::size_t>(passes),
-                         static_cast<std::size_t>(options.shard_passes));
-}
-
+// Failures contributed by one shard of word passes; a pure function of
+// (options.seed, shard.index).
 std::uint64_t reliability_shard_failures(const Circuit& noisy,
                                          const Circuit& golden, double epsilon,
                                          const ReliabilityOptions& options,
@@ -109,65 +70,8 @@ std::uint64_t reliability_shard_failures(const Circuit& noisy,
   return failures;
 }
 
-ReliabilityResult estimate_reliability_vs(const Circuit& noisy,
-                                          const Circuit& golden,
-                                          double epsilon,
-                                          const ReliabilityOptions& options,
-                                          exec::Parallelism how) {
-  validate_reliability_inputs(noisy, golden, options);
-
-  // Sharded over word passes: shard i's inputs and fault injections derive
-  // from the counter-based stream of (seed, i), and failures combine through
-  // an order-insensitive integer sum — bit-identical for any thread count.
-  const exec::ShardPlan plan = reliability_shard_plan(options);
-  std::atomic<std::uint64_t> failures{0};
-  exec::for_each_shard(
-      plan,
-      [&](const exec::Shard& shard) {
-        failures.fetch_add(
-            reliability_shard_failures(noisy, golden, epsilon, options, shard),
-            std::memory_order_relaxed);
-      },
-      how);
-  ReliabilityResult result =
-      wilson_interval(failures.load(), plan.total() * kWordBits);
-  result.requested_trials = options.trials;
-  return result;
-}
-
-ReliabilityResult estimate_reliability_vs(const Circuit& noisy,
-                                          const Circuit& golden,
-                                          double epsilon,
-                                          const ReliabilityOptions& options) {
-  const exec::Parallelism how{options.threads};
-  return estimate_reliability_vs(noisy, golden, epsilon, options, how);
-}
-
-ReliabilityResult estimate_reliability(const Circuit& circuit, double epsilon,
-                                       const ReliabilityOptions& options,
-                                       exec::Parallelism how) {
-  return estimate_reliability_vs(circuit, circuit, epsilon, options, how);
-}
-
-ReliabilityResult estimate_reliability(const Circuit& circuit, double epsilon,
-                                       const ReliabilityOptions& options) {
-  const exec::Parallelism how{options.threads};
-  return estimate_reliability_vs(circuit, circuit, epsilon, options, how);
-}
-
-void validate_worst_case_inputs(const Circuit& noisy, const Circuit& golden,
-                                const WorstCaseOptions& options) {
-  if (noisy.num_inputs() != golden.num_inputs() ||
-      noisy.num_outputs() != golden.num_outputs()) {
-    throw std::invalid_argument(
-        "estimate_worst_case_reliability: interface mismatch");
-  }
-  if (options.num_inputs == 0 || options.trials_per_input == 0) {
-    throw std::invalid_argument(
-        "estimate_worst_case_reliability: counts must be > 0");
-  }
-}
-
+// Failures of sampled input `sample` across options.trials_per_input noise
+// draws (rounded up to 64-trial passes).
 std::uint64_t worst_case_sample_failures(const Circuit& noisy,
                                          const Circuit& golden, double epsilon,
                                          const WorstCaseOptions& options,
@@ -192,6 +96,8 @@ std::uint64_t worst_case_sample_failures(const Circuit& noisy,
   return failures;
 }
 
+// Serial reduction over per-sample failure counts: argmax, average, and the
+// argmax assignment re-derived from its stream.
 WorstCaseResult finalize_worst_case(
     const Circuit& noisy, const WorstCaseOptions& options,
     const std::vector<std::uint64_t>& sample_failures) {
@@ -217,34 +123,108 @@ WorstCaseResult finalize_worst_case(
   return result;
 }
 
-WorstCaseResult estimate_worst_case_reliability(
-    const Circuit& noisy, const Circuit& golden, double epsilon,
-    const WorstCaseOptions& options, exec::Parallelism how) {
-  validate_worst_case_inputs(noisy, golden, options);
+}  // namespace
 
-  // Every sampled input is an independent experiment with its own
-  // counter-based stream, so samples parallelize freely; the per-sample
-  // failure counts land in slots indexed by sample and the argmax/average
-  // reduction runs serially in sample order — the result cannot depend on
-  // the thread count.
-  const std::size_t num_samples =
-      static_cast<std::size_t>(options.num_inputs);
-  std::vector<std::uint64_t> sample_failures(num_samples, 0);
-  exec::for_each_index(
-      num_samples,
-      [&](std::size_t sample) {
-        sample_failures[sample] =
-            worst_case_sample_failures(noisy, golden, epsilon, options, sample);
-      },
-      how);
-  return finalize_worst_case(noisy, options, sample_failures);
+ReliabilityResult wilson_interval(std::uint64_t failures,
+                                  std::uint64_t trials) {
+  ReliabilityResult r;
+  r.trials = trials;
+  r.requested_trials = trials;
+  r.failures = failures;
+  if (trials == 0) return r;
+  const double n = static_cast<double>(trials);
+  const double p = static_cast<double>(failures) / n;
+  r.delta_hat = p;
+  constexpr double z = 1.959963984540054;  // 97.5th percentile of N(0,1)
+  const double z2 = z * z;
+  const double denom = 1.0 + z2 / n;
+  const double center = (p + z2 / (2.0 * n)) / denom;
+  const double half =
+      z * std::sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom;
+  r.ci_low = std::max(0.0, center - half);
+  r.ci_high = std::min(1.0, center + half);
+  return r;
+}
+
+// Sharded over word passes: shard i's inputs and fault injections derive
+// from the counter-based stream of (seed, i), and failures combine through
+// an order-insensitive integer sum — bit-identical for any thread count.
+exec::ShardedJob<ReliabilityResult> reliability_job(
+    const Circuit& noisy, const Circuit& golden, double epsilon,
+    const ReliabilityOptions& options) {
+  if (noisy.num_inputs() != golden.num_inputs() ||
+      noisy.num_outputs() != golden.num_outputs()) {
+    throw std::invalid_argument(
+        "estimate_reliability_vs: interface mismatch between noisy and "
+        "golden circuits");
+  }
+  if (options.trials == 0) {
+    throw std::invalid_argument("estimate_reliability: trials must be > 0");
+  }
+  const std::uint64_t passes = (options.trials + kWordBits - 1) / kWordBits;
+  const exec::ShardPlan plan(static_cast<std::size_t>(passes),
+                             static_cast<std::size_t>(options.shard_passes));
+  auto failures = std::make_shared<std::atomic<std::uint64_t>>(0);
+  return {plan.num_shards(),
+          [&noisy, &golden, epsilon, options, plan,
+           failures](std::size_t i) {
+            failures->fetch_add(
+                reliability_shard_failures(noisy, golden, epsilon, options,
+                                           plan.shard(i)),
+                std::memory_order_relaxed);
+          },
+          [plan, requested = options.trials, failures] {
+            ReliabilityResult result =
+                wilson_interval(failures->load(), plan.total() * kWordBits);
+            result.requested_trials = requested;
+            return result;
+          }};
+}
+
+ReliabilityResult estimate_reliability_vs(const Circuit& noisy,
+                                          const Circuit& golden,
+                                          double epsilon,
+                                          const ReliabilityOptions& options,
+                                          exec::Parallelism how) {
+  return exec::run(reliability_job(noisy, golden, epsilon, options), how);
+}
+
+ReliabilityResult estimate_reliability(const Circuit& circuit, double epsilon,
+                                       const ReliabilityOptions& options,
+                                       exec::Parallelism how) {
+  return estimate_reliability_vs(circuit, circuit, epsilon, options, how);
+}
+
+exec::ShardedJob<WorstCaseResult> worst_case_job(
+    const Circuit& noisy, const Circuit& golden, double epsilon,
+    const WorstCaseOptions& options) {
+  if (noisy.num_inputs() != golden.num_inputs() ||
+      noisy.num_outputs() != golden.num_outputs()) {
+    throw std::invalid_argument(
+        "estimate_worst_case_reliability: interface mismatch");
+  }
+  if (options.num_inputs == 0 || options.trials_per_input == 0) {
+    throw std::invalid_argument(
+        "estimate_worst_case_reliability: counts must be > 0");
+  }
+  // Slot per sample: disjoint writes, read by finish() after every shard.
+  auto sample_failures = std::make_shared<std::vector<std::uint64_t>>(
+      static_cast<std::size_t>(options.num_inputs), 0);
+  return {sample_failures->size(),
+          [&noisy, &golden, epsilon, options,
+           sample_failures](std::size_t sample) {
+            (*sample_failures)[sample] = worst_case_sample_failures(
+                noisy, golden, epsilon, options, sample);
+          },
+          [&noisy, options, sample_failures] {
+            return finalize_worst_case(noisy, options, *sample_failures);
+          }};
 }
 
 WorstCaseResult estimate_worst_case_reliability(
     const Circuit& noisy, const Circuit& golden, double epsilon,
-    const WorstCaseOptions& options) {
-  const exec::Parallelism how{options.threads};
-  return estimate_worst_case_reliability(noisy, golden, epsilon, options, how);
+    const WorstCaseOptions& options, exec::Parallelism how) {
+  return exec::run(worst_case_job(noisy, golden, epsilon, options), how);
 }
 
 }  // namespace enb::sim

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "exec/stream.hpp"
 #include "exec/thread_pool.hpp"
@@ -40,64 +41,32 @@ struct ReliabilityOptions {
   // private fault-injection stream) from a counter-based stream of (seed, i),
   // so delta_hat is bit-identical for every thread count.
   std::uint64_t shard_passes = 32;
-  // Deprecated dual knob: only the estimator overloads without an
-  // exec::Parallelism parameter still honour it.
-  unsigned threads = 0;
 };
 
 // 95% Wilson score interval for `successes` out of `trials`.
 [[nodiscard]] ReliabilityResult wilson_interval(std::uint64_t failures,
                                                 std::uint64_t trials);
 
-// ---- shard-level building blocks -----------------------------------------
-//
-// estimate_reliability_vs decomposes into independent shard tasks; the batch
-// engine (exec/batch.hpp) schedules the same tasks interleaved with other
-// jobs' shards. Because the estimator is *defined* as the sum of these shard
-// bodies, a batched job is bit-identical to a direct estimator call by
-// construction.
-
-// Throws std::invalid_argument on interface mismatch or a zero trial budget —
-// the validation estimate_reliability_vs applies before sharding.
-void validate_reliability_inputs(const netlist::Circuit& noisy,
-                                 const netlist::Circuit& golden,
-                                 const ReliabilityOptions& options);
-
-// The word-pass decomposition implied by `options`: trials rounded up to
-// 64-trial passes, split into shards of `shard_passes`.
-[[nodiscard]] exec::ShardPlan reliability_shard_plan(
-    const ReliabilityOptions& options);
-
-// Failures contributed by one shard of the plan. A pure function of
-// (options.seed, shard.index); callers combine shards by integer sum.
-// Precondition: inputs validated (see validate_reliability_inputs).
-[[nodiscard]] std::uint64_t reliability_shard_failures(
+// The estimate of δ when `noisy` (a redundant implementation, every gate
+// failing independently with probability `epsilon`) must reproduce
+// `golden`'s input/output behaviour, as a sharded job (see
+// exec::ShardedJob): failures merge by integer sum. Throws
+// std::invalid_argument when the two circuits disagree on input or output
+// counts (inputs match positionally) or on a zero trial budget.
+[[nodiscard]] exec::ShardedJob<ReliabilityResult> reliability_job(
     const netlist::Circuit& noisy, const netlist::Circuit& golden,
-    double epsilon, const ReliabilityOptions& options,
-    const exec::Shard& shard);
+    double epsilon, const ReliabilityOptions& options);
 
-// Estimates δ for `circuit` with every gate failing independently with
-// probability `epsilon`, parallelized per `how`.
+// Estimates δ for `circuit` against its own fault-free behaviour.
 [[nodiscard]] ReliabilityResult estimate_reliability(
     const netlist::Circuit& circuit, double epsilon,
-    const ReliabilityOptions& options, exec::Parallelism how);
+    const ReliabilityOptions& options = {}, exec::Parallelism how = {});
 
-// Deprecated-knob form: honours options.threads.
-[[nodiscard]] ReliabilityResult estimate_reliability(
-    const netlist::Circuit& circuit, double epsilon,
-    const ReliabilityOptions& options = {});
-
-// Estimates δ when `noisy` (a redundant implementation) must reproduce
-// `golden`'s input/output behaviour; the two circuits must agree on input
-// and output counts (inputs matched positionally).
+// Runs reliability_job per `how`.
 [[nodiscard]] ReliabilityResult estimate_reliability_vs(
     const netlist::Circuit& noisy, const netlist::Circuit& golden,
-    double epsilon, const ReliabilityOptions& options, exec::Parallelism how);
-
-// Deprecated-knob form: honours options.threads.
-[[nodiscard]] ReliabilityResult estimate_reliability_vs(
-    const netlist::Circuit& noisy, const netlist::Circuit& golden,
-    double epsilon, const ReliabilityOptions& options = {});
+    double epsilon, const ReliabilityOptions& options = {},
+    exec::Parallelism how = {});
 
 // Worst-case-input reliability. The theorems' δ quantifies over *every*
 // input ("with probability 1−δ, the output of the circuit is correct"), so
@@ -109,12 +78,6 @@ struct WorstCaseOptions {
   std::uint64_t num_inputs = 64;        // sampled input vectors
   std::uint64_t trials_per_input = 1 << 12;  // noise draws per vector
   std::uint64_t seed = 0xBAD1;
-  // Deprecated dual knob: only the estimator overload without an
-  // exec::Parallelism parameter still honours it. Sampled inputs are
-  // independent, so each gets its own counter-based stream and they run in
-  // parallel; the argmax reduction happens serially in sample order, keeping
-  // the result thread-count independent.
-  unsigned threads = 0;
 };
 
 struct WorstCaseResult {
@@ -123,34 +86,19 @@ struct WorstCaseResult {
   std::vector<bool> worst_input;        // the argmax assignment
 };
 
+// The worst-case estimate as a sharded job with one shard per sampled
+// input. Sampled inputs are independent, so each gets its own counter-based
+// stream of (seed, sample) and writes its failure count into its own slot;
+// the argmax reduction runs serially in sample order, keeping the result
+// thread-count independent. Throws std::invalid_argument on an interface
+// mismatch or zero counts.
+[[nodiscard]] exec::ShardedJob<WorstCaseResult> worst_case_job(
+    const netlist::Circuit& noisy, const netlist::Circuit& golden,
+    double epsilon, const WorstCaseOptions& options);
+
 [[nodiscard]] WorstCaseResult estimate_worst_case_reliability(
     const netlist::Circuit& noisy, const netlist::Circuit& golden,
-    double epsilon, const WorstCaseOptions& options, exec::Parallelism how);
-
-// Deprecated-knob form: honours options.threads.
-[[nodiscard]] WorstCaseResult estimate_worst_case_reliability(
-    const netlist::Circuit& noisy, const netlist::Circuit& golden,
-    double epsilon, const WorstCaseOptions& options = {});
-
-// Shard-level building blocks of the worst-case estimator (see the
-// reliability block above for the contract). Throws like
-// estimate_worst_case_reliability on invalid inputs.
-void validate_worst_case_inputs(const netlist::Circuit& noisy,
-                                const netlist::Circuit& golden,
-                                const WorstCaseOptions& options);
-
-// Failures of sampled input `sample` (an independent experiment with its own
-// counter-based stream of (options.seed, sample)) across
-// options.trials_per_input noise draws (rounded up to 64-trial passes).
-[[nodiscard]] std::uint64_t worst_case_sample_failures(
-    const netlist::Circuit& noisy, const netlist::Circuit& golden,
-    double epsilon, const WorstCaseOptions& options, std::size_t sample);
-
-// Serial reduction over per-sample failure counts: argmax, average, and the
-// argmax assignment re-derived from its stream. sample_failures[i] must be
-// worst_case_sample_failures(..., i) for every i in [0, options.num_inputs).
-[[nodiscard]] WorstCaseResult finalize_worst_case(
-    const netlist::Circuit& noisy, const WorstCaseOptions& options,
-    const std::vector<std::uint64_t>& sample_failures);
+    double epsilon, const WorstCaseOptions& options = {},
+    exec::Parallelism how = {});
 
 }  // namespace enb::sim

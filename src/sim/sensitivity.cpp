@@ -1,7 +1,8 @@
 #include "sim/sensitivity.hpp"
 
 #include <algorithm>
-#include <mutex>
+#include <stdexcept>
+#include <utility>
 
 #include "exec/thread_pool.hpp"
 #include "sim/bitpack.hpp"
@@ -34,6 +35,23 @@ Word flip_difference(LogicSim& sim, std::vector<Word>& inputs,
 bool degenerate(const Circuit& circuit) {
   return circuit.num_inputs() == 0 || circuit.num_outputs() == 0;
 }
+
+// Accumulators of one or more shards; influence and lane totals merge by
+// sum, sensitivity by max.
+struct SensitivityCounts {
+  std::vector<std::uint64_t> influence_counts;  // per input
+  int sensitivity = 0;
+  std::uint64_t lane_total = 0;
+  explicit SensitivityCounts(std::size_t num_inputs)
+      : influence_counts(num_inputs, 0) {}
+  void merge(const SensitivityCounts& other) {
+    for (std::size_t i = 0; i < influence_counts.size(); ++i) {
+      influence_counts[i] += other.influence_counts[i];
+    }
+    sensitivity = std::max(sensitivity, other.sensitivity);
+    lane_total += other.lane_total;
+  }
+};
 
 // Per-shard worker state: its own simulator, buffers and accumulators.
 struct ShardState {
@@ -70,16 +88,6 @@ void process_block(const Circuit& circuit, ShardState& state, Word valid) {
   state.counts.lane_total += static_cast<std::uint64_t>(popcount(valid));
 }
 
-}  // namespace
-
-void SensitivityCounts::merge(const SensitivityCounts& other) {
-  for (std::size_t i = 0; i < influence_counts.size(); ++i) {
-    influence_counts[i] += other.influence_counts[i];
-  }
-  sensitivity = std::max(sensitivity, other.sensitivity);
-  lane_total += other.lane_total;
-}
-
 bool sensitivity_is_exact(const Circuit& circuit,
                           const SensitivityOptions& options) {
   const int n = static_cast<int>(circuit.num_inputs());
@@ -87,14 +95,8 @@ bool sensitivity_is_exact(const Circuit& circuit,
          (n <= options.max_exact_inputs && n <= kMaxExhaustiveInputs);
 }
 
-void validate_sensitivity_inputs(const Circuit& circuit,
-                                 const SensitivityOptions& options) {
-  if (!sensitivity_is_exact(circuit, options) && options.sample_words == 0) {
-    throw std::invalid_argument(
-        "compute_sensitivity: sample_words must be > 0 for the sampled sweep");
-  }
-}
-
+// The shard decomposition: exhaustive blocks (exact) or sample words
+// (sampled), in groups of shard_words.
 exec::ShardPlan sensitivity_shard_plan(const Circuit& circuit,
                                        const SensitivityOptions& options) {
   if (degenerate(circuit)) return exec::ShardPlan(0, 1);
@@ -106,6 +108,8 @@ exec::ShardPlan sensitivity_shard_plan(const Circuit& circuit,
   return exec::ShardPlan(total, static_cast<std::size_t>(options.shard_words));
 }
 
+// Counts contributed by one shard; deterministic for exact sweeps, a pure
+// function of (options.seed, shard.index) for sampled ones.
 SensitivityCounts sensitivity_shard_counts(const Circuit& circuit,
                                            const SensitivityOptions& options,
                                            const exec::Shard& shard) {
@@ -152,35 +156,32 @@ SensitivityResult finalize_sensitivity(const Circuit& circuit,
   return result;
 }
 
-SensitivityResult compute_sensitivity(const Circuit& circuit,
-                                      const SensitivityOptions& options,
-                                      exec::Parallelism how) {
-  validate_sensitivity_inputs(circuit, options);
-  const std::size_t n = circuit.num_inputs();
-  SensitivityCounts totals(n);
-  if (!degenerate(circuit)) {
-    // Shards merge by sum (influence, lane totals) and max (sensitivity), so
-    // the sweep is thread-count independent for both the exact enumeration
-    // (no randomness at all) and the sampled one (counter-based streams).
-    const exec::ShardPlan plan = sensitivity_shard_plan(circuit, options);
-    std::mutex merge_mutex;
-    exec::for_each_shard(
-        plan,
-        [&](const exec::Shard& shard) {
-          const SensitivityCounts local =
-              sensitivity_shard_counts(circuit, options, shard);
-          const std::lock_guard<std::mutex> lock(merge_mutex);
-          totals.merge(local);
-        },
-        how);
+}  // namespace
+
+// Shards merge by sum (influence, lane totals) and max (sensitivity), so the
+// sweep is thread-count independent for both the exact enumeration (no
+// randomness at all) and the sampled one (counter-based streams).
+exec::ShardedJob<SensitivityResult> sensitivity_job(
+    const Circuit& circuit, const SensitivityOptions& options) {
+  if (!sensitivity_is_exact(circuit, options) && options.sample_words == 0) {
+    throw std::invalid_argument(
+        "compute_sensitivity: sample_words must be > 0 for the sampled sweep");
   }
-  return finalize_sensitivity(circuit, options, totals);
+  const exec::ShardPlan plan = sensitivity_shard_plan(circuit, options);
+  return exec::merging_job(
+      plan.num_shards(), SensitivityCounts(circuit.num_inputs()),
+      [&circuit, options, plan](std::size_t i) {
+        return sensitivity_shard_counts(circuit, options, plan.shard(i));
+      },
+      [&circuit, options](const SensitivityCounts& counts) {
+        return finalize_sensitivity(circuit, options, counts);
+      });
 }
 
 SensitivityResult compute_sensitivity(const Circuit& circuit,
-                                      const SensitivityOptions& options) {
-  const exec::Parallelism how{options.threads};
-  return compute_sensitivity(circuit, options, how);
+                                      const SensitivityOptions& options,
+                                      exec::Parallelism how) {
+  return exec::run(sensitivity_job(circuit, options), how);
 }
 
 }  // namespace enb::sim

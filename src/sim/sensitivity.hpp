@@ -37,63 +37,17 @@ struct SensitivityOptions {
   // the truth-table blocks. Influence counts merge by sum and sensitivity by
   // max, so results are thread-count independent.
   std::uint64_t shard_words = 32;
-  // Deprecated dual knob: only the compute_sensitivity overload without an
-  // exec::Parallelism parameter still honours it.
-  unsigned threads = 0;
 };
 
-[[nodiscard]] SensitivityResult compute_sensitivity(
-    const netlist::Circuit& circuit, const SensitivityOptions& options,
-    exec::Parallelism how);
-
-// Deprecated-knob form: honours options.threads.
-[[nodiscard]] SensitivityResult compute_sensitivity(
-    const netlist::Circuit& circuit, const SensitivityOptions& options = {});
-
-// ---- shard-level building blocks -----------------------------------------
-//
-// compute_sensitivity decomposes into independent shard tasks (exhaustive
-// block ranges when exact, sampled word ranges otherwise); the batch engine
-// (exec/batch.hpp) schedules the same tasks interleaved with other jobs'
-// shards, so a batched sensitivity job is bit-identical to a direct call by
-// construction.
-
-// Accumulators of one or more shards; influence and lane totals merge by
-// sum, sensitivity by max.
-struct SensitivityCounts {
-  std::vector<std::uint64_t> influence_counts;  // per input
-  int sensitivity = 0;
-  std::uint64_t lane_total = 0;
-  explicit SensitivityCounts(std::size_t num_inputs)
-      : influence_counts(num_inputs, 0) {}
-  void merge(const SensitivityCounts& other);
-};
-
-// True when `options` selects the exhaustive (exact) sweep for `circuit`.
-[[nodiscard]] bool sensitivity_is_exact(const netlist::Circuit& circuit,
-                                        const SensitivityOptions& options);
-
-// Throws std::invalid_argument when the sampled sweep is selected with a
-// zero sample budget (which would otherwise divide 0/0 into NaN influence).
-void validate_sensitivity_inputs(const netlist::Circuit& circuit,
-                                 const SensitivityOptions& options);
-
-// The shard decomposition implied by `options`: exhaustive blocks (exact) or
-// sample words (sampled), in groups of shard_words. Degenerate circuits
-// (no inputs or no outputs) get an empty plan.
-[[nodiscard]] exec::ShardPlan sensitivity_shard_plan(
+// The sweep as a sharded job (see exec::ShardedJob): exhaustive block
+// ranges when exact, sampled word ranges otherwise; degenerate circuits (no
+// inputs or no outputs) get no shards. Throws std::invalid_argument when the
+// sampled sweep is selected with a zero sample budget.
+[[nodiscard]] exec::ShardedJob<SensitivityResult> sensitivity_job(
     const netlist::Circuit& circuit, const SensitivityOptions& options);
 
-// Counts contributed by one shard of the plan; deterministic for exact
-// sweeps, a pure function of (options.seed, shard.index) for sampled ones.
-[[nodiscard]] SensitivityCounts sensitivity_shard_counts(
-    const netlist::Circuit& circuit, const SensitivityOptions& options,
-    const exec::Shard& shard);
-
-// Turns merged counts into the estimator's result; handles the degenerate
-// no-inputs/no-outputs case exactly like compute_sensitivity.
-[[nodiscard]] SensitivityResult finalize_sensitivity(
-    const netlist::Circuit& circuit, const SensitivityOptions& options,
-    const SensitivityCounts& counts);
+[[nodiscard]] SensitivityResult compute_sensitivity(
+    const netlist::Circuit& circuit, const SensitivityOptions& options = {},
+    exec::Parallelism how = {});
 
 }  // namespace enb::sim

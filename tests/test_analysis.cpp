@@ -1,8 +1,8 @@
 // Analysis-layer contract tests.
 //
 // The acceptance bar of the PR 3 redesign:
-//   - every handle-based entry point is bit-identical to the circuit-based
-//     estimator it fronts (compiled-vs-fresh, all six kinds);
+//   - evaluate() on a handle, and the handle-cached profile and bounds, are
+//     bit-identical to the circuit-based estimator calls (compiled-vs-fresh);
 //   - streaming run(ResultSink) delivers payloads bit-identical to the
 //     blocking run() for threads in {1, 0 (global pool), 64 (oversubscribed
 //     dedicated pool)};
@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -37,7 +38,20 @@ CompiledCircuit suite_handle(const std::string& name) {
   return compile(gen::find_benchmark(name).build());
 }
 
-// ---- compiled-vs-fresh bit-identity for all six analysis kinds -----------
+// ---- compiled-vs-fresh bit-identity for every estimator -----------------
+
+// The typed payload of evaluate() on a handle, run serially.
+template <typename T>
+T evaluated(const CompiledCircuit& circuit, RequestOptions options,
+            std::optional<CompiledCircuit> golden = std::nullopt) {
+  AnalysisRequest request;
+  request.circuit = circuit;
+  request.golden = std::move(golden);
+  request.options = std::move(options);
+  const AnalysisResult result = evaluate(request, exec::Parallelism::serial());
+  EXPECT_TRUE(result.ok) << result.error;
+  return result.get<T>() != nullptr ? *result.get<T>() : T{};
+}
 
 TEST(Analysis, ReliabilityMatchesFreshCircuitCall) {
   const CompiledCircuit handle = suite_handle("c17");
@@ -47,8 +61,10 @@ TEST(Analysis, ReliabilityMatchesFreshCircuitCall) {
   options.seed = 99;
   const sim::ReliabilityResult fresh = sim::estimate_reliability(
       handle.circuit(), 0.03, options, exec::Parallelism::serial());
-  const sim::ReliabilityResult compiled =
-      estimate_reliability(handle, 0.03, options, exec::Parallelism::serial());
+  ReliabilityRequest spec;
+  spec.epsilon = 0.03;
+  spec.options = options;
+  const auto compiled = evaluated<sim::ReliabilityResult>(handle, spec);
   EXPECT_EQ(compiled.delta_hat, fresh.delta_hat);
   EXPECT_EQ(compiled.ci_low, fresh.ci_low);
   EXPECT_EQ(compiled.ci_high, fresh.ci_high);
@@ -67,8 +83,10 @@ TEST(Analysis, ReliabilityVsGoldenMatchesFreshCircuitCall) {
   const sim::ReliabilityResult fresh = sim::estimate_reliability_vs(
       noisy.circuit(), golden.circuit(), 0.01, options,
       exec::Parallelism::serial());
-  const sim::ReliabilityResult compiled = estimate_reliability_vs(
-      noisy, golden, 0.01, options, exec::Parallelism::serial());
+  ReliabilityRequest spec;
+  spec.epsilon = 0.01;
+  spec.options = options;
+  const auto compiled = evaluated<sim::ReliabilityResult>(noisy, spec, golden);
   EXPECT_EQ(compiled.delta_hat, fresh.delta_hat);
   EXPECT_EQ(compiled.failures, fresh.failures);
 }
@@ -81,8 +99,10 @@ TEST(Analysis, WorstCaseMatchesFreshCircuitCall) {
   const sim::WorstCaseResult fresh = sim::estimate_worst_case_reliability(
       handle.circuit(), handle.circuit(), 0.05, options,
       exec::Parallelism::serial());
-  const sim::WorstCaseResult compiled = estimate_worst_case_reliability(
-      handle, handle, 0.05, options, exec::Parallelism::serial());
+  WorstCaseRequest spec;
+  spec.epsilon = 0.05;
+  spec.options = options;
+  const auto compiled = evaluated<sim::WorstCaseResult>(handle, spec, handle);
   EXPECT_EQ(compiled.worst.delta_hat, fresh.worst.delta_hat);
   EXPECT_EQ(compiled.worst.failures, fresh.worst.failures);
   EXPECT_EQ(compiled.average_delta, fresh.average_delta);
@@ -96,8 +116,8 @@ TEST(Analysis, ActivityMatchesFreshCircuitCall) {
   options.shard_pairs = 32;
   const sim::ActivityResult fresh = sim::estimate_activity(
       handle.circuit(), options, exec::Parallelism::serial());
-  const sim::ActivityResult compiled =
-      estimate_activity(handle, options, exec::Parallelism::serial());
+  const auto compiled =
+      evaluated<sim::ActivityResult>(handle, ActivityRequest{options});
   EXPECT_EQ(compiled.avg_gate_toggle_rate, fresh.avg_gate_toggle_rate);
   EXPECT_EQ(compiled.avg_gate_one_probability, fresh.avg_gate_one_probability);
   EXPECT_EQ(compiled.toggle_rate, fresh.toggle_rate);
@@ -111,8 +131,8 @@ TEST(Analysis, SensitivityMatchesFreshCircuitCall) {
   options.shard_words = 8;
   const sim::SensitivityResult fresh = sim::compute_sensitivity(
       handle.circuit(), options, exec::Parallelism::serial());
-  const sim::SensitivityResult compiled =
-      compute_sensitivity(handle, options, exec::Parallelism::serial());
+  const auto compiled =
+      evaluated<sim::SensitivityResult>(handle, SensitivityRequest{options});
   EXPECT_EQ(compiled.sensitivity, fresh.sensitivity);
   EXPECT_EQ(compiled.total_influence, fresh.total_influence);
   EXPECT_EQ(compiled.assignments, fresh.assignments);
@@ -172,8 +192,9 @@ TEST(Analysis, EvaluateMatchesSpecificEntryPoints) {
       evaluate(request, exec::Parallelism::serial());
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.kind, AnalysisKind::kReliability);
-  const sim::ReliabilityResult direct = estimate_reliability(
-      handle, spec.epsilon, spec.options, exec::Parallelism::serial());
+  const sim::ReliabilityResult direct = sim::estimate_reliability(
+      handle.circuit(), spec.epsilon, spec.options,
+      exec::Parallelism::serial());
   ASSERT_NE(result.get<sim::ReliabilityResult>(), nullptr);
   EXPECT_EQ(result.get<sim::ReliabilityResult>()->delta_hat, direct.delta_hat);
   EXPECT_EQ(result.metric("delta_hat"), direct.delta_hat);

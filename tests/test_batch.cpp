@@ -22,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/analyze.hpp"
 #include "analysis/compiled_circuit.hpp"
 #include "analysis/request.hpp"
 #include "core/profile.hpp"
@@ -29,6 +30,7 @@
 #include "gen/adders.hpp"
 #include "gen/iscas.hpp"
 #include "gen/suite.hpp"
+#include "obs/metrics.hpp"
 #include "sim/reliability.hpp"
 
 namespace enb::exec {
@@ -455,6 +457,59 @@ TEST(Batch, ZeroSampledSensitivityBudgetFailsTheRequest) {
   EXPECT_FALSE(results[0].ok);
   EXPECT_NE(results[0].error.find("sample_words"), std::string::npos)
       << results[0].error;
+}
+
+TEST(Batch, ExtractionSecondsExcludeQueueing) {
+  // A serial batch runs the long reliability job's shards before the c17
+  // profile's. The extraction histogram must record the profile's own shard
+  // time, not the wait behind the reliability job.
+  analysis::ReliabilityRequest rel;
+  rel.options.trials = std::uint64_t{1} << 22;
+  std::vector<AnalysisRequest> requests;
+  requests.push_back(make_request("rel-rca8", compile_suite("rca8"), rel));
+  requests.push_back(make_request("prof-c17", compile_suite("c17"),
+                                  analysis::ProfileRequest{}));
+  obs::Histogram& seconds =
+      obs::Registry::global().histogram("analysis-extraction-seconds");
+  const obs::Histogram::Snapshot before = seconds.snapshot();
+  const auto results =
+      evaluate_requests(std::move(requests), Parallelism::serial());
+  const obs::Histogram::Snapshot after = seconds.snapshot();
+  ASSERT_EQ(results.size(), 2u);
+  ASSERT_TRUE(results[0].ok) << results[0].error;
+  ASSERT_TRUE(results[1].ok) << results[1].error;
+  EXPECT_EQ(after.count, before.count + 1);
+  EXPECT_LT(after.sum - before.sum, 0.1 * results[0].elapsed_seconds);
+}
+
+TEST(Batch, ShardlessProfileExtractionCompletes) {
+  // Without inputs, activity is exact (no shards) and the sensitivity sweep
+  // is degenerate (no shards): the shared extraction has no shards at all
+  // and must still finish and answer both of its dependents exactly as the
+  // direct path does (the bound fails: a constant circuit has sw0 = 0).
+  netlist::Circuit circuit("no-inputs");
+  circuit.add_output(
+      circuit.add_gate(netlist::GateType::kNot, circuit.add_const(true)), "y");
+  const CompiledCircuit handle = analysis::compile(circuit);
+  const std::vector<analysis::RequestOptions> specs = {
+      analysis::ProfileRequest{}, analysis::EnergyBoundRequest{}};
+  std::vector<AnalysisRequest> requests;
+  for (const analysis::RequestOptions& spec : specs) {
+    requests.push_back(make_request("job", handle, spec));
+  }
+  const auto results = evaluate_requests(std::move(requests));
+  ASSERT_EQ(results.size(), specs.size());
+  EXPECT_TRUE(results[0].ok) << results[0].error;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const AnalysisResult direct = analysis::evaluate(
+        make_request("job", analysis::compile(circuit), specs[i]));
+    std::ostringstream batched_json;
+    std::ostringstream direct_json;
+    write_result_json(batched_json, results[i]);
+    write_result_json(direct_json, direct);
+    EXPECT_EQ(batched_json.str(), direct_json.str());
+  }
+  EXPECT_EQ(handle.profile_extractions(), 1u);
 }
 
 TEST(BatchOutput, JsonEmitsNullForNonFiniteMetrics) {

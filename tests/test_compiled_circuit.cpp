@@ -163,10 +163,9 @@ TEST(CompiledCircuit, MappedVariantIsCachedAndEquivalent) {
   EXPECT_LE(mapped2.stats().max_fanin, 2);
 }
 
-TEST(ProfileKeyTest, ThreadsNeverEntersTheKey) {
+TEST(ProfileKeyTest, SeedEntersTheKey) {
   core::ProfileOptions a;
   core::ProfileOptions b;
-  b.threads = 64;  // deprecated knob; never value-relevant
   EXPECT_EQ(profile_key(a), profile_key(b));
   b.seed = a.seed + 1;
   EXPECT_FALSE(profile_key(a) == profile_key(b));

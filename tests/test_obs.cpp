@@ -485,7 +485,8 @@ TEST(ObsTrace, ConcurrentWritersNeverLoseTheirSlotClaim) {
   EXPECT_EQ(recorder.dropped(), kThreads * kEventsPerThread - 16u);
   std::ostringstream out;
   recorder.write_chrome_trace(out);
-  JsonScanner scanner(out.str());
+  const std::string text = out.str();  // the scanner keeps a reference
+  JsonScanner scanner(text);
   EXPECT_TRUE(scanner.valid());
 }
 

@@ -62,21 +62,6 @@ TEST(ParallelDeterminism, ActivityBiasedInputsBitExact) {
   EXPECT_EQ(serial.toggle_rate, parallel.toggle_rate);
 }
 
-TEST(ParallelDeterminism, DeprecatedThreadsKnobStillHonoured) {
-  // The legacy Options::threads route must agree with the Parallelism route
-  // until the knob is removed.
-  const auto c = gen::c17();
-  ActivityOptions options;
-  options.sample_pairs = 320;
-  options.shard_pairs = 32;
-  const ActivityResult via_parallelism =
-      estimate_activity(c, options, exec::Parallelism::dedicated(3));
-  options.threads = 3;
-  const ActivityResult via_knob = estimate_activity(c, options);
-  EXPECT_EQ(via_parallelism.toggle_rate, via_knob.toggle_rate);
-  EXPECT_EQ(via_parallelism.one_probability, via_knob.one_probability);
-}
-
 TEST(ParallelDeterminism, NoisyActivityBitExactAcrossThreadCounts) {
   const auto c = gen::c17();
   ActivityOptions options;

@@ -67,18 +67,6 @@ TEST(CanonicalSpec, EveryKnobReachesTheSpec) {
   }
 }
 
-TEST(CanonicalSpec, DeprecatedThreadsKnobIsExcluded) {
-  analysis::ReliabilityRequest a;
-  analysis::ReliabilityRequest b;
-  b.options.threads = 64;  // never reaches the result
-  EXPECT_EQ(analysis::canonical_spec(a), analysis::canonical_spec(b));
-
-  analysis::ProfileRequest pa;
-  analysis::ProfileRequest pb;
-  pb.options.threads = 8;
-  EXPECT_EQ(analysis::canonical_spec(pa), analysis::canonical_spec(pb));
-}
-
 TEST(CanonicalSpec, KindsNeverCollide) {
   // Default-constructed specs of different kinds must never serialize
   // equal.
