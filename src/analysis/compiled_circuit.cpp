@@ -19,13 +19,16 @@ namespace enb::analysis {
 namespace {
 
 // Profile-cache observability: hits (the amortization the handle design
-// buys) vs extractions (the work it avoids repeating), plus extraction
-// wall-clock. Counts only — the cached values themselves are untouched.
+// buys) vs extractions (the work it avoids repeating) vs derivations (fills
+// copied from another handle's extraction), plus extraction wall-clock.
+// Counts only — the cached values themselves are untouched.
 struct ProfileMetrics {
   obs::Counter& hits =
       obs::Registry::global().counter("analysis-profile-cache-hits-total");
   obs::Counter& extractions =
       obs::Registry::global().counter("analysis-profile-extractions-total");
+  obs::Counter& derived =
+      obs::Registry::global().counter("analysis-profile-derived-total");
   obs::Histogram& seconds =
       obs::Registry::global().histogram("analysis-extraction-seconds");
 };
@@ -63,7 +66,7 @@ struct CompiledCircuit::Impl {
   mutable std::optional<std::vector<int>> levels ENB_GUARDED_BY(mutex);
   mutable std::optional<std::vector<int>> fanout_counts ENB_GUARDED_BY(mutex);
   mutable std::vector<std::pair<ProfileKey,
-                                std::shared_ptr<const core::CircuitProfile>>>
+                                std::shared_ptr<const core::ProfileExtraction>>>
       profiles ENB_GUARDED_BY(mutex);
   mutable std::vector<std::pair<int, CompiledCircuit>> mapped
       ENB_GUARDED_BY(mutex);
@@ -115,6 +118,11 @@ const std::vector<int>& CompiledCircuit::fanout_counts() const {
 
 const core::CircuitProfile& CompiledCircuit::profile(
     const core::ProfileOptions& options, exec::Parallelism how) const {
+  return extraction(options, how).profile;
+}
+
+const core::ProfileExtraction& CompiledCircuit::extraction(
+    const core::ProfileOptions& options, exec::Parallelism how) const {
   Impl& impl = checked();
   const ProfileKey key = profile_key(options);
   const util::LockGuard lock(impl.mutex);
@@ -128,8 +136,8 @@ const core::CircuitProfile& CompiledCircuit::profile(
   // block here and hit the cache instead of re-extracting.
   const obs::Span span("profile-extraction", {}, impl.circuit.name());
   const auto start = std::chrono::steady_clock::now();
-  auto extracted = std::make_shared<const core::CircuitProfile>(
-      core::extract_profile(impl.circuit, options, how));
+  auto extracted = std::make_shared<const core::ProfileExtraction>(
+      exec::run(core::profile_job(impl.circuit, options), how));
   profile_metrics().seconds.observe(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count());
@@ -147,24 +155,30 @@ std::optional<core::CircuitProfile> CompiledCircuit::cached_profile(
   for (const auto& [cached_key, cached] : impl.profiles) {
     if (cached_key == key) {
       profile_metrics().hits.add(1);
-      return *cached;
+      return cached->profile;
     }
   }
   return std::nullopt;
 }
 
 void CompiledCircuit::store_profile(const core::ProfileOptions& options,
-                                    core::CircuitProfile profile) const {
+                                    core::ProfileExtraction extraction,
+                                    ProfileSource source) const {
   Impl& impl = checked();
   const ProfileKey key = profile_key(options);
   const util::LockGuard lock(impl.mutex);
-  profile_metrics().extractions.add(1);
-  impl.extractions.fetch_add(1, std::memory_order_relaxed);
+  if (source == ProfileSource::kDerived) {
+    profile_metrics().derived.add(1);
+  } else {
+    profile_metrics().extractions.add(1);
+    impl.extractions.fetch_add(1, std::memory_order_relaxed);
+  }
   for (const auto& [cached_key, cached] : impl.profiles) {
     if (cached_key == key) return;  // existing entry wins (values equal)
   }
   impl.profiles.emplace_back(
-      key, std::make_shared<const core::CircuitProfile>(std::move(profile)));
+      key,
+      std::make_shared<const core::ProfileExtraction>(std::move(extraction)));
 }
 
 std::uint64_t CompiledCircuit::profile_extractions() const {

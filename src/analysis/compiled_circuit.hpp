@@ -79,22 +79,37 @@ class CompiledCircuit {
       const core::ProfileOptions& options = {},
       exec::Parallelism how = {}) const;
 
+  // The same cached entry with the per-node activity the profile's sw0
+  // averages (what harden/derive.hpp copies into a hardened variant's
+  // profile). Shares profile()'s cache, counters and lifetime.
+  [[nodiscard]] const core::ProfileExtraction& extraction(
+      const core::ProfileOptions& options = {},
+      exec::Parallelism how = {}) const;
+
   // Peek at the cache without computing.
   [[nodiscard]] std::optional<core::CircuitProfile> cached_profile(
       const core::ProfileOptions& options) const;
 
-  // Cache-fill path for engines that extract profiles through their own
-  // (sharded) schedule — exec::BatchEvaluator's extraction groups. `profile`
-  // must be the bit-identical value core::extract_profile would produce for
-  // `options`; ordinary callers should use profile() instead. Counts as one
-  // extraction. A pre-existing entry for the key wins (the values are equal
-  // by contract).
+  // How a store_profile fill was obtained: measured by an engine's own
+  // (sharded) extraction schedule, or derived from another handle's
+  // extraction without simulating this circuit.
+  enum class ProfileSource : std::uint8_t { kExtracted, kDerived };
+
+  // Cache-fill path for engines that produce profiles outside profile() —
+  // exec::BatchEvaluator's extraction groups (kExtracted) and the harden
+  // sweep's derived candidate profiles (kDerived). `extraction` must be the
+  // bit-identical value core::profile_job would produce for `options`;
+  // ordinary callers should use profile() instead. A kExtracted fill counts
+  // as one extraction, a kDerived fill as one derivation
+  // (analysis-profile-derived-total) and never as an extraction. A
+  // pre-existing entry for the key wins (the values are equal by contract).
   void store_profile(const core::ProfileOptions& options,
-                     core::CircuitProfile profile) const;
+                     core::ProfileExtraction extraction,
+                     ProfileSource source = ProfileSource::kExtracted) const;
 
   // Number of profile extractions this handle has performed (lazy computes
-  // plus store_profile fills). The cache-sharing tests pin this to 1 for a
-  // whole sweep.
+  // plus kExtracted store_profile fills; derived fills are not
+  // extractions). The cache-sharing tests pin this to 1 for a whole sweep.
   [[nodiscard]] std::uint64_t profile_extractions() const;
 
   // The circuit mapped to the generic max-fanin-K library, compiled and

@@ -25,21 +25,11 @@ sim::ActivityResult exact_activity_bdd(const Circuit& circuit,
   sim::ActivityResult result;
   result.one_probability = exact_signal_probabilities(circuit, options);
   result.toggle_rate.resize(result.one_probability.size());
-  double p_sum = 0.0;
-  double sw_sum = 0.0;
-  std::size_t gates = 0;
   for (NodeId id = 0; id < circuit.node_count(); ++id) {
     result.toggle_rate[id] =
         sim::activity_from_probability(result.one_probability[id]);
-    if (!counts_as_gate(circuit.type(id))) continue;
-    p_sum += result.one_probability[id];
-    sw_sum += result.toggle_rate[id];
-    ++gates;
   }
-  result.avg_gate_one_probability =
-      gates == 0 ? 0.0 : p_sum / static_cast<double>(gates);
-  result.avg_gate_toggle_rate =
-      gates == 0 ? 0.0 : sw_sum / static_cast<double>(gates);
+  sim::finalize_gate_averages(circuit, result);
   result.sample_pairs = 0;  // exact
   return result;
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "bdd/bdd_analysis.hpp"
 #include "netlist/stats.hpp"
@@ -10,7 +11,7 @@
 
 namespace enb::core {
 
-exec::ShardedJob<CircuitProfile> profile_job(const netlist::Circuit& circuit,
+exec::ShardedJob<ProfileExtraction> profile_job(const netlist::Circuit& circuit,
                                              const ProfileOptions& options) {
   if (circuit.gate_count() == 0) {
     throw std::invalid_argument(
@@ -58,27 +59,37 @@ exec::ShardedJob<CircuitProfile> profile_job(const netlist::Circuit& circuit,
             }
           },
           [&circuit, activity, sensitivity] {
-            const netlist::CircuitStats stats = netlist::compute_stats(circuit);
-            CircuitProfile p;
-            p.name = circuit.name();
-            p.num_inputs = static_cast<int>(stats.num_inputs);
-            p.num_outputs = static_cast<int>(stats.num_outputs);
-            p.size_s0 = static_cast<double>(stats.num_gates);
-            p.depth_d0 = stats.depth;
-            p.avg_fanin_k = stats.avg_fanin;
-            p.max_fanin = stats.max_fanin;
-            p.avg_activity_sw0 = activity.finish().avg_gate_toggle_rate;
             const sim::SensitivityResult sens = sensitivity.finish();
-            p.sensitivity_s = std::max(1, sens.sensitivity);
-            p.sensitivity_exact = sens.exact;
-            return p;
+            return assemble_profile(circuit, activity.finish(),
+                                    std::max(1, sens.sensitivity), sens.exact);
           }};
+}
+
+ProfileExtraction assemble_profile(const netlist::Circuit& circuit,
+                                   sim::ActivityResult activity,
+                                   double sensitivity_s,
+                                   bool sensitivity_exact) {
+  const netlist::CircuitStats stats = netlist::compute_stats(circuit);
+  ProfileExtraction extraction;
+  CircuitProfile& p = extraction.profile;
+  p.name = circuit.name();
+  p.num_inputs = static_cast<int>(stats.num_inputs);
+  p.num_outputs = static_cast<int>(stats.num_outputs);
+  p.size_s0 = static_cast<double>(stats.num_gates);
+  p.depth_d0 = stats.depth;
+  p.avg_fanin_k = stats.avg_fanin;
+  p.max_fanin = stats.max_fanin;
+  p.avg_activity_sw0 = activity.avg_gate_toggle_rate;
+  p.sensitivity_s = sensitivity_s;
+  p.sensitivity_exact = sensitivity_exact;
+  extraction.activity = std::move(activity);
+  return extraction;
 }
 
 CircuitProfile extract_profile(const netlist::Circuit& circuit,
                                const ProfileOptions& options,
                                exec::Parallelism how) {
-  return exec::run(profile_job(circuit, options), how);
+  return exec::run(profile_job(circuit, options), how).profile;
 }
 
 CircuitProfile make_profile(std::string name, double sensitivity,

@@ -10,6 +10,7 @@
 
 #include "exec/thread_pool.hpp"
 #include "netlist/circuit.hpp"
+#include "sim/activity.hpp"
 
 namespace enb::core {
 
@@ -38,6 +39,15 @@ struct ProfileOptions {
   std::uint64_t seed = 17;
 };
 
+// One extraction: the profile plus the per-node activity its sw0 averages.
+// Keeping the per-node rates lets a circuit whose every node provably
+// computes a base node's function (or constant 0) take its activity from
+// the base's extraction instead of re-simulating (see harden/derive.hpp).
+struct ProfileExtraction {
+  CircuitProfile profile;
+  sim::ActivityResult activity;
+};
+
 // Profile extraction as one sharded job (see exec::ShardedJob): Monte-Carlo
 // activity shards (sim::activity_job), then the sensitivity sweep's shards.
 // When prefer_exact_activity and the input count allow it, activity is exact
@@ -45,8 +55,16 @@ struct ProfileOptions {
 // silently to the serial Monte-Carlo estimate if the BDD outgrows its
 // budget. Throws std::invalid_argument on a circuit without gates or an
 // invalid budget.
-[[nodiscard]] exec::ShardedJob<CircuitProfile> profile_job(
+[[nodiscard]] exec::ShardedJob<ProfileExtraction> profile_job(
     const netlist::Circuit& circuit, const ProfileOptions& options);
+
+// The extraction of `circuit` given its per-node activity and sensitivity:
+// size, depth and fanin come from netlist::compute_stats, sw0 is the
+// activity's gate average. profile_job's finish() and derived profiles
+// (harden/derive.hpp) both assemble through here.
+[[nodiscard]] ProfileExtraction assemble_profile(
+    const netlist::Circuit& circuit, sim::ActivityResult activity,
+    double sensitivity_s, bool sensitivity_exact);
 
 // Measures a profile from a (typically mapped) netlist: profile_job run per
 // `how`. Results are bit-identical for any thread count.

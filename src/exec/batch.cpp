@@ -11,6 +11,7 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "analysis/kinds.hpp"
 #include "analysis/lint.hpp"
@@ -79,7 +80,7 @@ struct TaskUnit {
 struct ExtractionGroup : TaskUnit {
   CompiledCircuit circuit;
   core::ProfileOptions options;  // the key's value-relevant knobs
-  std::function<core::CircuitProfile()> finish;
+  std::function<core::ProfileExtraction()> finish;
   std::vector<std::size_t> dependents;  // request indices
   std::atomic<std::size_t> remaining{0};
   // Summed shard and finish() run time, the extraction's own work.
@@ -96,12 +97,13 @@ struct ExtractionGroup : TaskUnit {
   // every later consumer of the handle).
   void assemble() {
     const auto start = std::chrono::steady_clock::now();
-    profile = finish();
+    core::ProfileExtraction extraction = finish();
     busy_ns.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
                           std::chrono::steady_clock::now() - start)
                           .count(),
                       std::memory_order_relaxed);
-    circuit.store_profile(options, *profile);
+    profile = extraction.profile;
+    circuit.store_profile(options, std::move(extraction));
 
     static obs::Histogram& seconds =
         obs::Registry::global().histogram("analysis-extraction-seconds");
@@ -155,7 +157,7 @@ ExtractionGroup& join_extraction_group(
     }
   }
 
-  ShardedJob<core::CircuitProfile> job =
+  ShardedJob<core::ProfileExtraction> job =
       core::profile_job(request.circuit.circuit(), options);
   ExtractionGroup& group = groups.emplace_back();
   group.circuit = request.circuit;

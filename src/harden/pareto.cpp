@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "exec/batch.hpp"
+#include "harden/derive.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -37,6 +39,10 @@ std::string candidate_label(const TransformOptions& config) {
   return label;
 }
 
+// The profile options of every energy request in a sweep: the cache key the
+// base extraction and the derived candidate profiles share.
+constexpr core::ProfileOptions kSweepProfile{};
+
 analysis::AnalysisRequest energy_request(const analysis::CompiledCircuit& c,
                                          std::string name,
                                          const SweepOptions& options) {
@@ -47,6 +53,7 @@ analysis::AnalysisRequest energy_request(const analysis::CompiledCircuit& c,
   spec.epsilon = options.epsilon;
   spec.delta = options.delta;
   spec.energy.leakage_fraction = options.leakage_fraction;
+  spec.profile = kSweepProfile;
   request.options = spec;
   return request;
 }
@@ -207,7 +214,13 @@ ParetoResult pareto_sweep(const analysis::CompiledCircuit& base,
 
   // Phase 2: build, prove, lint, and grade every candidate. The proofs run
   // serially (they are already cheap next to the campaigns); the grading
-  // requests all land in one batch so their shards interleave.
+  // requests all land in one batch so their shards interleave. A proved
+  // candidate's profile is derived from the base extraction (phase 1 cached
+  // it on the handle) and stored in its handle before the batch, so its
+  // energy bound is a cache hit instead of a fresh extraction.
+  const core::ProfileExtraction& base_extraction =
+      base.extraction(kSweepProfile, how);
+  const BaseIndex base_index(circuit);
   const std::vector<TransformOptions> configs =
       enumerate_candidates(circuit.num_outputs(), options);
   metrics.candidates.add(configs.size() + 1);
@@ -245,8 +258,17 @@ ParetoResult pareto_sweep(const analysis::CompiledCircuit& base,
     candidate.lint_clean = lint.clean();
     result.lint_errors += lint.errors();
 
+    std::optional<core::ProfileExtraction> derived;
+    if (proof.equivalent) {
+      derived = derive_profile(base_index, base_extraction, variant);
+    }
     analysis::CompiledCircuit handle =
         analysis::compile(std::move(variant.circuit));
+    if (derived.has_value()) {
+      handle.store_profile(
+          kSweepProfile, std::move(*derived),
+          analysis::CompiledCircuit::ProfileSource::kDerived);
+    }
     requests.push_back(energy_request(handle, label + ":energy", options));
     requests.push_back(campaign_request(handle, label + ":campaign", options));
     handles.push_back(std::move(handle));

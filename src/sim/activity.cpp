@@ -15,8 +15,6 @@ namespace enb::sim {
 using netlist::Circuit;
 using netlist::NodeId;
 
-namespace {
-
 void finalize_gate_averages(const Circuit& circuit, ActivityResult& result) {
   double p_sum = 0.0;
   double sw_sum = 0.0;
@@ -30,6 +28,8 @@ void finalize_gate_averages(const Circuit& circuit, ActivityResult& result) {
   result.avg_gate_one_probability = gates == 0 ? 0.0 : p_sum / static_cast<double>(gates);
   result.avg_gate_toggle_rate = gates == 0 ? 0.0 : sw_sum / static_cast<double>(gates);
 }
+
+namespace {
 
 // Per-node integer accumulators of one or more shards; merge by +.
 struct ActivityCounts {

@@ -54,6 +54,12 @@ struct ActivityOptions {
 // full truth table, toggle rates via sw = 2 p (1-p) (temporal independence).
 [[nodiscard]] ActivityResult exact_activity(const netlist::Circuit& circuit);
 
+// Fills the avg_gate_* fields from the per-node rates: plain sums over the
+// counts_as_gate nodes in node-id order, so equal per-node rates in equal
+// gate order give bit-identical averages.
+void finalize_gate_averages(const netlist::Circuit& circuit,
+                            ActivityResult& result);
+
 // Temporal-independence identity sw = 2 p (1 - p).
 [[nodiscard]] constexpr double activity_from_probability(double p) noexcept {
   return 2.0 * p * (1.0 - p);

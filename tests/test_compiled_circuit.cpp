@@ -15,6 +15,7 @@
 #include "gen/suite.hpp"
 #include "netlist/stats.hpp"
 #include "netlist/topo.hpp"
+#include "obs/metrics.hpp"
 #include "synth/library.hpp"
 #include "synth/mapper.hpp"
 
@@ -113,14 +114,52 @@ TEST(CompiledCircuit, StoreProfileFillsTheCacheAndCounts) {
   const CompiledCircuit handle = compile(gen::c17());
   core::ProfileOptions options;
   options.activity_pairs = 64;
-  const core::CircuitProfile computed = core::extract_profile(
-      handle.circuit(), options, exec::Parallelism::serial());
+  const core::ProfileExtraction computed = exec::run(
+      core::profile_job(handle.circuit(), options), exec::Parallelism::serial());
   handle.store_profile(options, computed);
   EXPECT_EQ(handle.profile_extractions(), 1u);
   ASSERT_TRUE(handle.cached_profile(options).has_value());
   // profile() now hits the stored entry instead of re-extracting.
   EXPECT_EQ(handle.profile(options).avg_activity_sw0,
-            computed.avg_activity_sw0);
+            computed.profile.avg_activity_sw0);
+  EXPECT_EQ(handle.extraction(options).activity.toggle_rate,
+            computed.activity.toggle_rate);
+  EXPECT_EQ(handle.profile_extractions(), 1u);
+}
+
+TEST(CompiledCircuit, DerivedFillIsNotAnExtraction) {
+  obs::Counter& extracted =
+      obs::Registry::global().counter("analysis-profile-extractions-total");
+  obs::Counter& derived =
+      obs::Registry::global().counter("analysis-profile-derived-total");
+  const std::uint64_t extracted_before = extracted.value();
+  const std::uint64_t derived_before = derived.value();
+
+  const CompiledCircuit handle = compile(gen::c17());
+  const core::ProfileOptions options;
+  handle.store_profile(
+      options,
+      exec::run(core::profile_job(handle.circuit(), options),
+                exec::Parallelism::serial()),
+      CompiledCircuit::ProfileSource::kDerived);
+  (void)handle.profile(options);
+  EXPECT_EQ(handle.profile_extractions(), 0u);
+  EXPECT_EQ(derived.value() - derived_before, 1u);
+  // The job above ran outside the handle, so nothing counted an extraction.
+  EXPECT_EQ(extracted.value() - extracted_before, 0u);
+}
+
+TEST(CompiledCircuit, ExtractionKeepsThePerNodeActivity) {
+  const CompiledCircuit handle = compile(gen::c17());
+  core::ProfileOptions options;
+  options.prefer_exact_activity = false;
+  options.activity_pairs = 64;
+  const core::ProfileExtraction& cached =
+      handle.extraction(options, exec::Parallelism::serial());
+  EXPECT_EQ(&cached.profile, &handle.profile(options));
+  ASSERT_EQ(cached.activity.toggle_rate.size(), handle.circuit().node_count());
+  EXPECT_EQ(cached.activity.avg_gate_toggle_rate,
+            cached.profile.avg_activity_sw0);
   EXPECT_EQ(handle.profile_extractions(), 1u);
 }
 

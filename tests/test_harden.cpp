@@ -13,10 +13,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/compiled_circuit.hpp"
+#include "analysis/request.hpp"
+#include "exec/batch.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/campaign.hpp"
 #include "fault/fault_model.hpp"
@@ -27,7 +30,9 @@
 #include "harden/transform.hpp"
 #include "harden/types.hpp"
 #include "netlist/circuit.hpp"
+#include "obs/metrics.hpp"
 #include "sim/logic_sim.hpp"
+#include "util/sha256.hpp"
 
 namespace enb::harden {
 namespace {
@@ -275,6 +280,26 @@ TEST(Harden, SweepIsBitIdenticalForAnyThreadCount) {
       baseline);
 }
 
+TEST(Harden, SweepOverACachedBaseDerivesEveryCandidateProfile) {
+  // Every proved candidate's profile is derived from the base extraction,
+  // never extracted: over a base whose profile is already cached, a c17
+  // sweep performs no extraction at all and nine derivations (the
+  // analysis-profile-* counters the serve metrics verb exposes).
+  obs::Counter& extracted =
+      obs::Registry::global().counter("analysis-profile-extractions-total");
+  obs::Counter& derived =
+      obs::Registry::global().counter("analysis-profile-derived-total");
+  const ParetoResult& reference = c17_sweep();
+  const analysis::CompiledCircuit handle = analysis::compile(gen::c17());
+  (void)handle.profile();
+  const std::uint64_t extracted_before = extracted.value();
+  const std::uint64_t derived_before = derived.value();
+  EXPECT_EQ(pareto_sweep(handle, SweepOptions{}), reference);
+  EXPECT_EQ(extracted.value() - extracted_before, 0u);
+  EXPECT_EQ(derived.value() - derived_before, 9u);
+  EXPECT_EQ(handle.profile_extractions(), 1u);
+}
+
 TEST(Harden, RebuildCandidateRegeneratesAProvedWinner) {
   // --emit regenerates winners from their (style, granularity, K) identity;
   // the rebuilt netlist must match the graded candidate's area and prove
@@ -309,6 +334,45 @@ TEST(Harden, SelectiveHardeningBeatsUniformTmrAtEqualAreaOnC17) {
   ASSERT_NE(uniform, nullptr);
   EXPECT_LE(selective->gates, uniform->gates);
   EXPECT_GT(selective->coverage, uniform->coverage);
+}
+
+// Full default sweeps, serialized through exec::write_result_json and pinned
+// by SHA-256: c17 takes the exact (BDD) activity route with exact
+// sensitivity, c432 the Monte-Carlo route with sampled sensitivity, and the
+// two-input voter style exercises the AND/OR voter netlists. Each sweep runs
+// on a fresh handle, so the base profile is extracted inside the sweep.
+//
+// To re-pin after an *intentional* output change: run this test, copy the
+// "actual" digests from the failure messages, and update kSweepPins in the
+// same change that explains why the bytes moved.
+struct SweepPin {
+  const char* name;
+  Circuit (*build)();
+  std::uint64_t patterns;  // 0 keeps the default campaign budget
+  ft::VoterStyle voter;
+  const char* sha256;
+};
+
+constexpr SweepPin kSweepPins[] = {
+    {"c17", gen::c17, 0, ft::VoterStyle::kMajGate,
+     "59d2af9be4f982cac0aae858f6f0dfaa8f19e6a7976d3a7e197b6c10a17e9eb4"},
+    {"c432", gen::c432, 1024, ft::VoterStyle::kMajGate,
+     "71c8e6b233c8a9855c96f1df521bc34e878c3fd008872e96ed855fb8d56a2940"},
+    {"c17-two-input", gen::c17, 0, ft::VoterStyle::kTwoInput,
+     "8c66f2feaaf205f8a6879dd5d1825066199b8fae1d072f652223b6691a92f4a0"},
+};
+
+TEST(Harden, FullSweepJsonMatchesPinnedDigests) {
+  for (const SweepPin& pin : kSweepPins) {
+    SweepOptions options;
+    if (pin.patterns != 0) options.campaign.patterns = pin.patterns;
+    options.voter = pin.voter;
+    const ParetoResult result =
+        pareto_sweep(analysis::compile(pin.build()), options);
+    std::ostringstream json;
+    exec::write_result_json(json, analysis::make_result(pin.name, result));
+    EXPECT_EQ(util::sha256_hex(json.str()), pin.sha256) << pin.name;
+  }
 }
 
 }  // namespace

@@ -605,6 +605,11 @@ TEST_F(ServeServerTest, MetricsVerbRendersPrometheusExposition) {
   EXPECT_GT(metric_value(text, "enb_serve_bytes_out_total "), 0.0);
   // Exec instrumentation rode along: the batch ran pool tasks.
   EXPECT_GT(metric_value(text, "enb_exec_tasks_total "), 0.0);
+  // The profile cache's counters are exposed, derived fills next to
+  // extractions (the batch's energy bound extracted mult4's profile).
+  EXPECT_GE(metric_value(text, "enb_analysis_profile_extractions_total "),
+            1.0);
+  EXPECT_GE(metric_value(text, "enb_analysis_profile_derived_total "), 0.0);
 }
 
 TEST_F(ServeServerTest, ShutdownVerbStopsTheRunLoop) {
