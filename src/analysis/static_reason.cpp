@@ -8,6 +8,7 @@
 
 #include "bdd/bdd.hpp"
 #include "exec/stream.hpp"
+#include "netlist/flat.hpp"
 #include "netlist/topo.hpp"
 #include "sim/logic_sim.hpp"
 
@@ -86,24 +87,15 @@ LogicValue partial_eval(GateType type, const Circuit& circuit, NodeId id,
   return LogicValue::kUnknown;
 }
 
-std::vector<std::vector<NodeId>> fanout_lists(const Circuit& circuit) {
-  std::vector<std::vector<NodeId>> fanouts(circuit.node_count());
-  for (NodeId id = 0; id < circuit.node_count(); ++id) {
-    for (const NodeId f : circuit.fanins(id)) fanouts[f].push_back(id);
-  }
-  return fanouts;
-}
-
 // One implication environment: a partial assignment plus a propagation
 // queue. Facts flow forward (gate evaluation with partial fanins) and
 // backward (controlling-value rules); a net assigned both values is a
 // contradiction, which is exactly what probe learning looks for.
 class ImplicationEnv {
  public:
-  ImplicationEnv(const Circuit& circuit,
-                 const std::vector<std::vector<NodeId>>& fanouts,
+  ImplicationEnv(const Circuit& circuit, const netlist::FlatCircuit& flat,
                  std::vector<LogicValue> seed)
-      : circuit_(&circuit), fanouts_(&fanouts), val_(std::move(seed)) {}
+      : circuit_(&circuit), flat_(&flat), val_(std::move(seed)) {}
 
   [[nodiscard]] bool consistent() const noexcept { return consistent_; }
   [[nodiscard]] const std::vector<LogicValue>& values() const noexcept {
@@ -138,7 +130,7 @@ class ImplicationEnv {
       // Forward through every fanout: the new fact may force the fanout's
       // output, or — when the fanout output is already known — newly
       // enable one of its backward rules.
-      for (const NodeId g : (*fanouts_)[id]) {
+      for (const NodeId g : flat_->fanouts(id)) {
         const LogicValue forced =
             partial_eval(circuit_->type(g), *circuit_, g, val_);
         if (forced != LogicValue::kUnknown) assign(g, forced);
@@ -232,7 +224,7 @@ class ImplicationEnv {
   }
 
   const Circuit* circuit_;
-  const std::vector<std::vector<NodeId>>* fanouts_;
+  const netlist::FlatCircuit* flat_;
   std::vector<LogicValue> val_;
   std::deque<NodeId> queue_;
   bool consistent_ = true;
@@ -257,9 +249,9 @@ ConstantFacts analyze_constants(const Circuit& circuit,
   // Tier two: probe every still-unknown net at both values and learn from
   // contradictions and branch agreement, iterating until nothing new.
   facts.proved = facts.forward;
-  const std::vector<std::vector<NodeId>> fanouts = fanout_lists(circuit);
+  const netlist::FlatCircuit flat(circuit);
   const auto learn = [&](NodeId id, LogicValue value) {
-    ImplicationEnv env(circuit, fanouts, std::move(facts.proved));
+    ImplicationEnv env(circuit, flat, std::move(facts.proved));
     env.assume(id, value);
     // The circuit itself is consistent, so folding a proved fact back in
     // can never contradict; keep whatever the fixpoint derived with it.
@@ -271,8 +263,8 @@ ConstantFacts analyze_constants(const Circuit& circuit,
     ++facts.probe_rounds;
     for (NodeId id = 0; id < n; ++id) {
       if (facts.proved[id] != LogicValue::kUnknown) continue;
-      ImplicationEnv zero(circuit, fanouts, facts.proved);
-      ImplicationEnv one(circuit, fanouts, facts.proved);
+      ImplicationEnv zero(circuit, flat, facts.proved);
+      ImplicationEnv one(circuit, flat, facts.proved);
       const bool zero_ok = zero.assume(id, LogicValue::kZero);
       const bool one_ok = one.assume(id, LogicValue::kOne);
       facts.probes += 2;

@@ -26,13 +26,17 @@ using netlist::Circuit;
 using sim::Word;
 
 // Campaign observability: simulation passes (the work metric every scale
-// feature — dropping, wide lanes, sampling — exists to shrink), classes
+// feature — dropping, wide lanes, sampling — exists to shrink), node
+// evaluations in faulty sweeps (events / (passes x nodes) is the share of
+// the circuit the event-driven blocks actually re-evaluate), classes
 // retired by fault dropping, and lane occupancy (active fault slots vs
 // provisioned lanes; dense until dropping thins the survivors). Counters
 // only — CampaignCounts and the result path are untouched.
 struct FaultMetrics {
   obs::Counter& passes =
       obs::Registry::global().counter("fault-sweep-passes-total");
+  obs::Counter& events =
+      obs::Registry::global().counter("fault-sweep-events-total");
   obs::Counter& shards =
       obs::Registry::global().counter("fault-sweep-shards-total");
   obs::Counter& dropped =
@@ -199,6 +203,7 @@ CampaignCounts sweep_shard(const Circuit& circuit, const Circuit& golden,
   FaultMetrics& metrics = fault_metrics();
   metrics.shards.add(1);
   metrics.passes.add(counts.passes);
+  metrics.events.add(sim.events());
   metrics.lane_slots.add(obs_slots);
   metrics.lane_slots_active.add(obs_slots_active);
   if (obs_dropped > 0) metrics.dropped.add(obs_dropped);

@@ -17,52 +17,12 @@ using netlist::GateType;
 using netlist::NodeId;
 using sim::Word;
 
-// Lane-generic gate evaluation mirroring netlist::eval_word bit for bit in
-// every lane (same folds, same arity rules). Kept local: the lane container
-// is an implementation detail of this engine.
-template <typename V>
-V eval_lanes(GateType type, std::span<const V> inputs) {
-  const auto [min_arity, max_arity] = netlist::arity_range(type);
-  const int n = static_cast<int>(inputs.size());
-  if (n < min_arity || n > max_arity) {
-    throw std::invalid_argument("eval_lanes: bad arity " + std::to_string(n) +
-                                " for gate " +
-                                std::string(netlist::to_string(type)));
-  }
-  switch (type) {
-    case GateType::kInput:
-      throw std::invalid_argument("eval_lanes: kInput has no evaluation rule");
-    case GateType::kConst0:
-      return V{};
-    case GateType::kConst1:
-      return ~V{};
-    case GateType::kBuf:
-      return inputs[0];
-    case GateType::kNot:
-      return ~inputs[0];
-    case GateType::kAnd:
-    case GateType::kNand: {
-      V acc = ~V{};
-      for (const V& w : inputs) acc &= w;
-      return type == GateType::kAnd ? acc : ~acc;
-    }
-    case GateType::kOr:
-    case GateType::kNor: {
-      V acc = V{};
-      for (const V& w : inputs) acc |= w;
-      return type == GateType::kOr ? acc : ~acc;
-    }
-    case GateType::kXor:
-    case GateType::kXnor: {
-      V acc = V{};
-      for (const V& w : inputs) acc ^= w;
-      return type == GateType::kXor ? acc : ~acc;
-    }
-    case GateType::kMaj:
-      return (inputs[0] & inputs[1]) | (inputs[0] & inputs[2]) |
-             (inputs[1] & inputs[2]);
-  }
-  throw std::invalid_argument("eval_lanes: unknown gate type");
+// Bit `id` of a node-id bitset.
+constexpr std::size_t word_of(NodeId id) noexcept {
+  return id / sim::kWordBits;
+}
+constexpr Word bit_of(NodeId id) noexcept {
+  return Word{1} << (id % sim::kWordBits);
 }
 
 }  // namespace
@@ -94,9 +54,12 @@ template <typename V>
 LaneFaultSim<V>::LaneFaultSim(const Circuit& circuit,
                               const FaultUniverse& universe, int bundle_width)
     : circuit_(&circuit),
+      flat_(circuit),
       universe_(&universe),
       bundle_width_(bundle_width),
       values_(circuit.node_count(), V{}),
+      good_(circuit.node_count() / sim::kWordBits + 1, 0),
+      pending_(good_.size(), 0),
       force0_(circuit.node_count(), V{}),
       force1_(circuit.node_count(), V{}),
       bundle_counter_(bundle_width > 0 ? bundle_width : 1) {
@@ -139,6 +102,23 @@ V LaneFaultSim<V>::decode_output(std::size_t o) {
 }
 
 template <typename V>
+void LaneFaultSim<V>::simulate_good(const std::vector<bool>& pattern) {
+  const auto width = static_cast<std::size_t>(bundle_width_);
+  std::fill(good_.begin(), good_.end(), 0);
+  for (NodeId id = 0; id < flat_.node_count(); ++id) {
+    const int slot = flat_.input_slot(id);
+    const V value =
+        slot >= 0
+            ? lane_broadcast<V>(pattern[static_cast<std::size_t>(slot) / width])
+            : netlist::eval_gate<V>(flat_.type(id), values_, flat_.fanins(id));
+    values_[id] = value;
+    if ((lane_word(value, 0) & 1) != 0) good_[word_of(id)] |= bit_of(id);
+  }
+  touched_.clear();
+  pattern_ = pattern;
+}
+
+template <typename V>
 V LaneFaultSim<V>::detect_block(std::size_t block,
                                 const std::vector<bool>& pattern,
                                 const std::vector<bool>& expected) {
@@ -157,45 +137,58 @@ V LaneFaultSim<V>::detect_block(std::size_t block,
   const std::size_t lanes = std::min<std::size_t>(
       static_cast<std::size_t>(kLanesPerBlock), active_.size() - first);
 
-  // Lane L of this sweep is the circuit under the representative fault of
+  // Back to the good machine: re-simulate it on a new pattern, or restore
+  // just the nodes the previous block changed.
+  if (pattern != pattern_) {
+    simulate_good(pattern);
+  } else {
+    for (const NodeId id : touched_) {
+      values_[id] = lane_broadcast<V>((good_[word_of(id)] & bit_of(id)) != 0);
+    }
+    touched_.clear();
+  }
+
+  // Lane L of this block is the circuit under the representative fault of
   // active class first + L: record the per-node force masks (cleared again
-  // below — only up to kLanesPerBlock nodes are touched per block).
+  // below) and queue every injected site.
+  std::size_t lowest = pending_.size();
   for (std::size_t lane = 0; lane < lanes; ++lane) {
     const FaultSite& site = universe_->representative(active_[first + lane]);
     lane_set_bit(site.value == StuckAt::kZero ? force0_[site.node]
                                               : force1_[site.node],
                  static_cast<int>(lane));
+    pending_[word_of(site.node)] |= bit_of(site.node);
+    lowest = std::min(lowest, word_of(site.node));
   }
 
-  // One linear sweep (ids are topological by construction), forcing applied
-  // at every node so faults on inputs and constants inject exactly like
-  // gate-output faults.
-  for (NodeId id = 0; id < circuit.node_count(); ++id) {
-    const auto& node = circuit.node(id);
-    V value = V{};
-    switch (node.type) {
-      case GateType::kInput:
-        value = lane_broadcast<V>(
-            pattern[static_cast<std::size_t>(circuit.input_index(id)) / width]);
-        break;
-      case GateType::kConst0:
-        value = V{};
-        break;
-      case GateType::kConst1:
-        value = ~V{};
-        break;
-      default: {
-        fanin_buffer_.clear();
-        for (const NodeId fanin : node.fanins) {
-          fanin_buffer_.push_back(values_[fanin]);
-        }
-        value = eval_lanes<V>(node.type, fanin_buffer_);
-        break;
+  // Event-driven sweep: ids are topological and every fanout has a larger
+  // id than its driver, so scanning the pending bitset upward evaluates each
+  // queued node once, after all of its fanins. A node whose lanes all equal
+  // the good machine stops there; one that differs is kept and queues its
+  // fanouts. Forcing applies at every evaluated node, so faults on inputs
+  // and constants inject exactly like gate-output faults.
+  for (std::size_t w = lowest; w < pending_.size(); ++w) {
+    while (pending_[w] != 0) {
+      const Word bits = pending_[w];
+      pending_[w] = bits & (bits - 1);
+      const auto id = static_cast<NodeId>(w * sim::kWordBits +
+                                          static_cast<std::size_t>(
+                                              std::countr_zero(bits)));
+      const GateType type = flat_.type(id);
+      V value = type == GateType::kInput
+                    ? values_[id]
+                    : netlist::eval_gate<V>(type, values_, flat_.fanins(id));
+      value = (value & ~force0_[id]) | force1_[id];
+      ++events_;
+      if (!lane_any(value ^ values_[id])) continue;
+      values_[id] = value;
+      touched_.push_back(id);
+      for (const NodeId fanout : flat_.fanouts(id)) {
+        pending_[word_of(fanout)] |= bit_of(fanout);
       }
     }
-    values_[id] = (value & ~force0_[id]) | force1_[id];
   }
-  // Normalized pass accounting: a sweep over `lanes` active lanes costs the
+  // Normalized pass accounting: a block over `lanes` active lanes costs the
   // same as the 64-lane engine would pay for them, so totals are identical
   // for every vector width.
   passes_ += (static_cast<std::uint64_t>(lanes) + sim::kWordBits - 1) /

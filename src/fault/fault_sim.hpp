@@ -5,18 +5,25 @@
 //
 //   LaneFaultSim<V>   packs one *fault* per lane of the lane container V
 //                     (sim::Word = 64 lanes, LaneVec128/256/512 = wider, see
-//                     lanes.hpp): one linear sweep of the circuit evaluates
-//                     one pattern under every fault of the block
-//                     simultaneously. The simulated set is an explicit
-//                     *active list* of class indices (default: the whole
-//                     universe), which is what fault dropping and sampled
-//                     campaigns repack between patterns — retiring detected
-//                     classes keeps the surviving lanes dense, so late
-//                     patterns sweep only undetected faults.
+//                     lanes.hpp) and evaluates one pattern under every fault
+//                     of a block simultaneously. It simulates the good
+//                     machine once per pattern; each block then re-evaluates
+//                     only the injected sites and the fanouts of nodes whose
+//                     lanes differ from the good machine (event-driven, on
+//                     the fanout CSR of netlist::FlatCircuit), so a fault's
+//                     work ends where its effect dies out. The simulated
+//                     set is an explicit *active list* of class indices
+//                     (default: the whole universe), which is what fault
+//                     dropping and sampled campaigns repack between
+//                     patterns — retiring detected classes keeps the
+//                     surviving lanes dense, so late patterns sweep only
+//                     undetected faults.
 //
 //   ScalarFaultSim    injects one fault at a time and evaluates the pattern
-//                     gate by gate on plain bools. Deliberately shares no
-//                     evaluation machinery with the lane-parallel path; it
+//                     gate by gate on plain bools, in a full sweep of its
+//                     own. Deliberately shares no simulation machinery with
+//                     the lane-parallel path (only the gate rule itself,
+//                     netlist::eval_gate, is common to every engine); it
 //                     exists only to cross-check it (tests and the CLI's
 //                     --check-scalar diff the two bit for bit, for every
 //                     lane width).
@@ -37,8 +44,10 @@
 // (the campaign layer supplies them; golden defaults to the circuit
 // itself). passes() is the currency of the pass-reduction contract and is
 // *normalized to 64-lane sweeps*: a block with A active lanes costs
-// ceil(A/64) regardless of the physical vector width, so pass counts — and
-// therefore whole campaign results — are lane-width independent.
+// ceil(A/64) regardless of the physical vector width (and of how few nodes
+// the block re-evaluated), so pass counts — and therefore whole campaign
+// results — are lane-width independent. events() counts the node
+// evaluations the blocks actually performed; it is observational only.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +57,7 @@
 #include "fault/fault_model.hpp"
 #include "fault/lanes.hpp"
 #include "netlist/circuit.hpp"
+#include "netlist/flat.hpp"
 #include "sim/bitpack.hpp"
 
 namespace enb::fault {
@@ -81,7 +91,9 @@ class LaneFaultSim {
   // Detection lanes for `block` on one pattern: lane L is set iff the
   // class in that lane is detected, i.e. some majority-decoded output under
   // that fault differs from expected. `pattern` holds one bool per
-  // *logical* input, `expected` one bool per *logical* output.
+  // *logical* input, `expected` one bool per *logical* output. The good
+  // machine is re-simulated only when `pattern` differs from the previous
+  // call's, so callers should run every block of a pattern back to back.
   [[nodiscard]] V detect_block(std::size_t block,
                                const std::vector<bool>& pattern,
                                const std::vector<bool>& expected);
@@ -97,21 +109,34 @@ class LaneFaultSim {
 
   // Normalized 64-lane-equivalent sweeps performed so far.
   [[nodiscard]] std::uint64_t passes() const noexcept { return passes_; }
+  // Node evaluations performed by detect_block so far (good-machine sweeps
+  // excluded).
+  [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
 
  private:
   // Decoded value of logical output `o` for every lane of the last sweep.
   [[nodiscard]] V decode_output(std::size_t o);
+  // Sweeps the fault-free circuit on `pattern` into every node's lanes.
+  void simulate_good(const std::vector<bool>& pattern);
 
   const netlist::Circuit* circuit_;
+  netlist::FlatCircuit flat_;
   const FaultUniverse* universe_;
   int bundle_width_;
   std::vector<std::uint32_t> active_;  // lane order: class of block*W + L
+  // Per node: the good machine broadcast to every lane, except the nodes in
+  // touched_, which hold the last block's faulty lanes until the next
+  // detect_block restores them (so first_outputs can re-decode that block).
   std::vector<V> values_;
+  std::vector<sim::Word> good_;  // bitset over node ids: the good value is 1
+  std::vector<netlist::NodeId> touched_;
+  std::vector<sim::Word> pending_;  // bitset over node ids still to evaluate
+  std::vector<bool> pattern_;  // the good machine's pattern (empty: none)
   std::vector<V> force0_;  // per node: lanes forced to 0 this block
   std::vector<V> force1_;  // per node: lanes forced to 1 this block
-  std::vector<V> fanin_buffer_;
   VecLaneCounter<V> bundle_counter_;  // reused across detect_block calls
   std::uint64_t passes_ = 0;
+  std::uint64_t events_ = 0;
 };
 
 // The 64-fault-per-word instantiation: the historical engine name, and the

@@ -3,11 +3,14 @@
 // The bit-parallel engine packs one injected fault per lane. The lane
 // container is either a plain 64-bit sim::Word or a GCC vector-extension
 // type of 2/4/8 words (`__attribute__((vector_size)))`), giving 128/256/512
-// faults per sweep on machines whose SIMD units can carry them. All four
-// widths run the same templated sweep (fault_sim.hpp), so the choice is a
-// pure execution policy: campaign *results* are identical for every width
-// (pass accounting is normalized to 64-lane units), which is why `lanes`
-// stays out of canonical analysis specs and the serve result cache.
+// faults per block on machines whose SIMD units can carry them. All four
+// widths run the same templated kernel (fault_sim.hpp: one good-machine
+// sweep per pattern, then event-driven blocks that re-evaluate only where
+// a fault's effect travels), so the choice is a pure execution policy:
+// campaign *results* are identical for every width (pass accounting is
+// normalized to 64-lane units), which is why `lanes` stays out of
+// canonical analysis specs and the serve result cache. A wider block
+// evaluates fewer blocks over the union of more fault cones.
 //
 // The helpers here are the small vocabulary the templated code needs to be
 // generic over "Word or vector of Words": per-word access, broadcast, bit

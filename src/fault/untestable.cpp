@@ -3,6 +3,7 @@
 #include <cstddef>
 
 #include "analysis/static_reason.hpp"
+#include "netlist/flat.hpp"
 #include "netlist/topo.hpp"
 
 namespace enb::fault {
@@ -76,10 +77,7 @@ UntestableReport find_untestable(const Circuit& circuit,
 
   std::vector<bool> is_output(n, false);
   for (const NodeId out : circuit.outputs()) is_output[out] = true;
-  std::vector<std::vector<NodeId>> fanouts(n);
-  for (NodeId id = 0; id < n; ++id) {
-    for (const NodeId f : circuit.fanins(id)) fanouts[f].push_back(id);
-  }
+  const netlist::FlatCircuit flat(circuit);
 
   // Observability: can a difference on this net reach some output through
   // at least one chain of unblocked gates? Node ids are topological, so one
@@ -90,7 +88,7 @@ UntestableReport find_untestable(const Circuit& circuit,
       observable[id] = true;
       continue;
     }
-    for (const NodeId g : fanouts[id]) {
+    for (const NodeId g : flat.fanouts(id)) {
       if (observable[g] && !blocks(circuit, g, id, constant)) {
         observable[id] = true;
         break;

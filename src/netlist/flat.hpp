@@ -1,0 +1,102 @@
+// Flat, read-only circuit form and the one gate rule every sweep uses.
+//
+// Circuit is built for construction: one heap vector of fanins per node and
+// a hash map from input node to input position. FlatCircuit lays the same
+// DAG out for the simulators' inner loops, built in one O(n) pass: the gate
+// type per node, the fanins and the fanouts in CSR form, and an input slot
+// per node (Circuit::input_index, or -1). Node ids are the Circuit's, so id
+// order is still a topological order, and a fanout always has a larger id
+// than its driver.
+//
+// eval_gate<V> is the lane-generic gate rule: V is sim::Word or any lane
+// vector of words (fault/lanes.hpp), and every lane is an independent
+// evaluation. netlist::eval_word checks arity and delegates to it, so the
+// gate semantics exist once.
+#pragma once
+
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "netlist/circuit.hpp"
+#include "netlist/gate_type.hpp"
+
+namespace enb::netlist {
+
+class FlatCircuit {
+ public:
+  explicit FlatCircuit(const Circuit& circuit);
+
+  [[nodiscard]] std::size_t node_count() const noexcept {
+    return types_.size();
+  }
+  [[nodiscard]] GateType type(NodeId id) const noexcept { return types_[id]; }
+  [[nodiscard]] std::span<const NodeId> fanins(NodeId id) const noexcept {
+    return {fanin_ids_.data() + fanin_begin_[id],
+            fanin_ids_.data() + fanin_begin_[id + 1]};
+  }
+  // Consumers of `id` in ascending id order; a node that reads `id` k times
+  // is listed k times, so this is the exact inverse of fanins().
+  [[nodiscard]] std::span<const NodeId> fanouts(NodeId id) const noexcept {
+    return {fanout_ids_.data() + fanout_begin_[id],
+            fanout_ids_.data() + fanout_begin_[id + 1]};
+  }
+  // Position of `id` in the circuit's input list, or -1.
+  [[nodiscard]] int input_slot(NodeId id) const noexcept {
+    return input_slot_[id];
+  }
+
+ private:
+  std::vector<GateType> types_;
+  std::vector<int> input_slot_;
+  std::vector<std::uint32_t> fanin_begin_;  // node_count() + 1 offsets
+  std::vector<NodeId> fanin_ids_;
+  std::vector<std::uint32_t> fanout_begin_;  // node_count() + 1 offsets
+  std::vector<NodeId> fanout_ids_;
+};
+
+// Value of a `type` gate whose fanins are `values[f]` for f in `fanins`.
+// Arity is the caller's contract (Circuit enforces it on construction).
+// Primary inputs have no rule: sweeps read them from their input slot.
+template <typename V, typename Fanins>
+[[nodiscard]] inline V eval_gate(GateType type, std::span<const V> values,
+                                 const Fanins& fanins) noexcept {
+  switch (type) {
+    case GateType::kInput:
+    case GateType::kConst0:
+      return V{};
+    case GateType::kConst1:
+      return ~V{};
+    case GateType::kBuf:
+      return values[fanins[0]];
+    case GateType::kNot:
+      return ~values[fanins[0]];
+    case GateType::kAnd:
+    case GateType::kNand: {
+      V acc = ~V{};
+      for (const auto f : fanins) acc &= values[f];
+      return type == GateType::kAnd ? acc : ~acc;
+    }
+    case GateType::kOr:
+    case GateType::kNor: {
+      V acc = V{};
+      for (const auto f : fanins) acc |= values[f];
+      return type == GateType::kOr ? acc : ~acc;
+    }
+    case GateType::kXor:
+    case GateType::kXnor: {
+      V acc = V{};
+      for (const auto f : fanins) acc ^= values[f];
+      return type == GateType::kXor ? acc : ~acc;
+    }
+    case GateType::kMaj: {
+      const V a = values[fanins[0]];
+      const V b = values[fanins[1]];
+      const V c = values[fanins[2]];
+      return (a & b) | (a & c) | (b & c);
+    }
+  }
+  return V{};
+}
+
+}  // namespace enb::netlist

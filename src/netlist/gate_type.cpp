@@ -4,8 +4,11 @@
 #include <array>
 #include <cctype>
 #include <limits>
+#include <ranges>
 #include <stdexcept>
 #include <string>
+
+#include "netlist/flat.hpp"
 
 namespace enb::netlist {
 namespace {
@@ -97,40 +100,11 @@ std::uint64_t eval_word(GateType type, std::span<const std::uint64_t> inputs) {
     throw std::invalid_argument("eval_word: bad arity " + std::to_string(n) +
                                 " for gate " + std::string(to_string(type)));
   }
-  switch (type) {
-    case GateType::kInput:
-      throw std::invalid_argument("eval_word: kInput has no evaluation rule");
-    case GateType::kConst0:
-      return 0;
-    case GateType::kConst1:
-      return ~std::uint64_t{0};
-    case GateType::kBuf:
-      return inputs[0];
-    case GateType::kNot:
-      return ~inputs[0];
-    case GateType::kAnd:
-    case GateType::kNand: {
-      std::uint64_t acc = ~std::uint64_t{0};
-      for (std::uint64_t w : inputs) acc &= w;
-      return type == GateType::kAnd ? acc : ~acc;
-    }
-    case GateType::kOr:
-    case GateType::kNor: {
-      std::uint64_t acc = 0;
-      for (std::uint64_t w : inputs) acc |= w;
-      return type == GateType::kOr ? acc : ~acc;
-    }
-    case GateType::kXor:
-    case GateType::kXnor: {
-      std::uint64_t acc = 0;
-      for (std::uint64_t w : inputs) acc ^= w;
-      return type == GateType::kXor ? acc : ~acc;
-    }
-    case GateType::kMaj:
-      return (inputs[0] & inputs[1]) | (inputs[0] & inputs[2]) |
-             (inputs[1] & inputs[2]);
+  if (type == GateType::kInput) {
+    throw std::invalid_argument("eval_word: kInput has no evaluation rule");
   }
-  throw std::invalid_argument("eval_word: unknown gate type");
+  return eval_gate<std::uint64_t>(
+      type, inputs, std::views::iota(std::size_t{0}, inputs.size()));
 }
 
 bool eval_bit(GateType type, const std::vector<bool>& inputs) {

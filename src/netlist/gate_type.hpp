@@ -81,6 +81,7 @@ struct ArityRange {
 // Word-parallel evaluation: each of the 64 bit lanes is an independent
 // evaluation. `inputs` holds one word per fanin; its size must respect
 // arity_range(). kInput is not evaluable and must be handled by the caller.
+// Checks both, then applies netlist::eval_gate (netlist/flat.hpp).
 [[nodiscard]] std::uint64_t eval_word(GateType type,
                                       std::span<const std::uint64_t> inputs);
 

@@ -6,15 +6,25 @@
 
 namespace enb::seq {
 
-using netlist::GateType;
 using netlist::NodeId;
 using sim::Word;
 
-SeqSim::SeqSim(const SeqCircuit& seq)
+SeqSim::SeqSim(const SeqCircuit& seq) : SeqSim(seq, 0.0, 0) {}
+
+SeqSim::SeqSim(const SeqCircuit& seq, double epsilon, std::uint64_t seed)
     : seq_(&seq),
+      core_(seq.core(), epsilon, seed),
       state_(seq.num_latches(), 0),
-      values_(seq.core().node_count(), 0) {
+      core_inputs_(seq.core().num_inputs(), 0) {
   seq.validate();
+  const netlist::Circuit& core = seq.core();
+  for (const Latch& latch : seq.latches()) {
+    latch_slots_.push_back(
+        static_cast<std::size_t>(core.input_index(latch.state_output)));
+  }
+  for (const NodeId id : seq.free_inputs()) {
+    free_slots_.push_back(static_cast<std::size_t>(core.input_index(id)));
+  }
   reset();
 }
 
@@ -24,72 +34,28 @@ void SeqSim::reset() {
   }
 }
 
-void SeqSim::eval_core(std::span<const Word> free_input_words,
-                       sim::Xoshiro256* noise_rng) {
-  const netlist::Circuit& core = seq_->core();
-  const std::vector<NodeId> free = seq_->free_inputs();
-  if (free_input_words.size() != free.size()) {
+std::vector<Word> SeqSim::step(std::span<const Word> free_input_words) {
+  if (free_input_words.size() != free_slots_.size()) {
     throw std::invalid_argument("SeqSim::step: free input count mismatch");
   }
-  // Scatter input words: latch outputs from state, free inputs from caller.
-  core_inputs_.assign(core.num_inputs(), 0);
-  for (std::size_t l = 0; l < seq_->num_latches(); ++l) {
-    core_inputs_[static_cast<std::size_t>(
-        core.input_index(seq_->latches()[l].state_output))] = state_[l];
+  // Latch outputs come from the state, free inputs from the caller.
+  for (std::size_t l = 0; l < latch_slots_.size(); ++l) {
+    core_inputs_[latch_slots_[l]] = state_[l];
   }
-  for (std::size_t i = 0; i < free.size(); ++i) {
-    core_inputs_[static_cast<std::size_t>(core.input_index(free[i]))] =
-        free_input_words[i];
+  for (std::size_t i = 0; i < free_slots_.size(); ++i) {
+    core_inputs_[free_slots_[i]] = free_input_words[i];
   }
-  for (NodeId id = 0; id < core.node_count(); ++id) {
-    const auto& node = core.node(id);
-    if (node.type == GateType::kInput) {
-      values_[id] =
-          core_inputs_[static_cast<std::size_t>(core.input_index(id))];
-      continue;
-    }
-    fanin_buffer_.clear();
-    for (NodeId f : node.fanins) fanin_buffer_.push_back(values_[f]);
-    Word v = netlist::eval_word(node.type, fanin_buffer_);
-    if (noise_rng != nullptr && counts_as_gate(node.type) && epsilon_ > 0.0) {
-      v ^= sim::bernoulli_word(*noise_rng, epsilon_);
-    }
-    values_[id] = v;
-  }
+  core_.eval(core_inputs_);
   // Latch the next state.
   for (std::size_t l = 0; l < seq_->num_latches(); ++l) {
-    state_[l] = values_[seq_->latches()[l].next_state];
+    state_[l] = core_.value(seq_->latches()[l].next_state);
   }
-}
-
-std::vector<Word> SeqSim::step(std::span<const Word> free_input_words) {
-  eval_core(free_input_words, nullptr);
-  std::vector<Word> outs;
-  outs.reserve(seq_->core().num_outputs());
-  for (NodeId id : seq_->core().outputs()) outs.push_back(values_[id]);
-  return outs;
+  return core_.output_values();
 }
 
 NoisySeqSim::NoisySeqSim(const SeqCircuit& seq, double epsilon,
                          std::uint64_t seed)
-    : inner_(seq), rng_(seed) {
-  if (epsilon < 0.0 || epsilon > 0.5) {
-    throw std::invalid_argument("NoisySeqSim: epsilon must be in [0, 0.5]");
-  }
-  inner_.epsilon_ = epsilon;
-}
-
-void NoisySeqSim::reset() { inner_.reset(); }
-
-std::vector<Word> NoisySeqSim::step(std::span<const Word> free_input_words) {
-  inner_.eval_core(free_input_words, &rng_);
-  std::vector<Word> outs;
-  outs.reserve(inner_.seq_->core().num_outputs());
-  for (NodeId id : inner_.seq_->core().outputs()) {
-    outs.push_back(inner_.values_[id]);
-  }
-  return outs;
-}
+    : inner_(seq, epsilon, seed) {}
 
 std::vector<SeqReliabilityPoint> estimate_seq_reliability(
     const SeqCircuit& seq, double epsilon,

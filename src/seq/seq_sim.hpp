@@ -9,7 +9,7 @@
 
 #include "seq/seq_circuit.hpp"
 #include "sim/bitpack.hpp"
-#include "sim/prng.hpp"
+#include "sim/noise.hpp"
 #include "sim/reliability.hpp"
 
 namespace enb::seq {
@@ -32,36 +32,37 @@ class SeqSim {
   }
 
  private:
+  friend class NoisySeqSim;
+  // Each cycle evaluates the combinational core as a sim::NoisySim; the
+  // clean machine is the ε = 0 case, which draws no randomness.
+  SeqSim(const SeqCircuit& seq, double epsilon, std::uint64_t seed);
+
   const SeqCircuit* seq_;
+  sim::NoisySim core_;
+  std::vector<std::size_t> latch_slots_;  // core input position per latch
+  std::vector<std::size_t> free_slots_;   // core input position per free input
   std::vector<sim::Word> state_;
   std::vector<sim::Word> core_inputs_;
-  std::vector<sim::Word> values_;
-  std::vector<sim::Word> fanin_buffer_;
-  bool noisy_ = false;
-  double epsilon_ = 0.0;
-  std::uint64_t noise_seed_ = 0;
-
-  friend class NoisySeqSim;
-  void eval_core(std::span<const sim::Word> free_input_words,
-                 sim::Xoshiro256* noise_rng);
 };
 
 // Noisy cycle simulator: every core gate output flips with probability ε per
 // cycle (latches themselves are assumed reliable; gate errors corrupt the
 // values they capture — matching the paper's gate-level error model).
+// Throws std::invalid_argument unless ε is in [0, 0.5].
 class NoisySeqSim {
  public:
   NoisySeqSim(const SeqCircuit& seq, double epsilon, std::uint64_t seed);
 
-  void reset();
-  std::vector<sim::Word> step(std::span<const sim::Word> free_input_words);
+  void reset() { inner_.reset(); }
+  std::vector<sim::Word> step(std::span<const sim::Word> free_input_words) {
+    return inner_.step(free_input_words);
+  }
   [[nodiscard]] const std::vector<sim::Word>& state() const noexcept {
     return inner_.state_;
   }
 
  private:
   SeqSim inner_;
-  sim::Xoshiro256 rng_;
 };
 
 // Multi-cycle reliability: runs golden and noisy machines in lock-step on

@@ -6,11 +6,10 @@
 namespace enb::sim {
 
 using netlist::Circuit;
-using netlist::GateType;
 using netlist::NodeId;
 
 LogicSim::LogicSim(const Circuit& circuit)
-    : circuit_(&circuit), values_(circuit.node_count(), 0) {}
+    : circuit_(&circuit), flat_(circuit), values_(circuit.node_count(), 0) {}
 
 void LogicSim::eval(std::span<const Word> input_words) {
   if (input_words.size() != circuit_->num_inputs()) {
@@ -18,16 +17,11 @@ void LogicSim::eval(std::span<const Word> input_words) {
         "LogicSim::eval: expected " + std::to_string(circuit_->num_inputs()) +
         " input words, got " + std::to_string(input_words.size()));
   }
-  for (NodeId id = 0; id < circuit_->node_count(); ++id) {
-    const auto& node = circuit_->node(id);
-    if (node.type == GateType::kInput) {
-      values_[id] = input_words[static_cast<std::size_t>(
-          circuit_->input_index(id))];
-      continue;
-    }
-    fanin_buffer_.clear();
-    for (NodeId f : node.fanins) fanin_buffer_.push_back(values_[f]);
-    values_[id] = netlist::eval_word(node.type, fanin_buffer_);
+  for (NodeId id = 0; id < flat_.node_count(); ++id) {
+    const int slot = flat_.input_slot(id);
+    values_[id] = slot >= 0 ? input_words[static_cast<std::size_t>(slot)]
+                            : netlist::eval_gate<Word>(flat_.type(id), values_,
+                                                       flat_.fanins(id));
   }
 }
 

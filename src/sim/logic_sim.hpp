@@ -2,13 +2,14 @@
 //
 // One eval() pass computes 64 independent evaluations (one per bit lane) of
 // every node in the circuit; node-id order is topological by construction,
-// so evaluation is a single linear sweep.
+// so evaluation is a single linear sweep over the circuit's flat form.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "netlist/circuit.hpp"
+#include "netlist/flat.hpp"
 #include "sim/bitpack.hpp"
 
 namespace enb::sim {
@@ -34,8 +35,8 @@ class LogicSim {
 
  private:
   const netlist::Circuit* circuit_;
+  netlist::FlatCircuit flat_;
   std::vector<Word> values_;
-  std::vector<Word> fanin_buffer_;
 };
 
 // Single-vector convenience: evaluates `circuit` on one boolean assignment

@@ -17,6 +17,7 @@ NoisySim::NoisySim(const Circuit& circuit, double epsilon, std::uint64_t seed)
 NoisySim::NoisySim(const Circuit& circuit, std::vector<double> epsilons,
                    std::uint64_t seed)
     : circuit_(&circuit),
+      flat_(circuit),
       epsilons_(std::move(epsilons)),
       rng_(seed),
       values_(circuit.node_count(), 0),
@@ -36,18 +37,18 @@ void NoisySim::eval(std::span<const Word> input_words) {
   if (input_words.size() != circuit_->num_inputs()) {
     throw std::invalid_argument("NoisySim::eval: input word count mismatch");
   }
-  for (NodeId id = 0; id < circuit_->node_count(); ++id) {
-    const auto& node = circuit_->node(id);
-    if (node.type == GateType::kInput) {
-      values_[id] =
-          input_words[static_cast<std::size_t>(circuit_->input_index(id))];
+  // Error draws in node-id order: the RNG stream is part of every noisy
+  // estimator's reproducibility contract.
+  for (NodeId id = 0; id < flat_.node_count(); ++id) {
+    const int slot = flat_.input_slot(id);
+    if (slot >= 0) {
+      values_[id] = input_words[static_cast<std::size_t>(slot)];
       errors_[id] = 0;
       continue;
     }
-    fanin_buffer_.clear();
-    for (NodeId f : node.fanins) fanin_buffer_.push_back(values_[f]);
-    const Word clean = netlist::eval_word(node.type, fanin_buffer_);
-    if (counts_as_gate(node.type) && epsilons_[id] > 0.0) {
+    const GateType type = flat_.type(id);
+    const Word clean = netlist::eval_gate<Word>(type, values_, flat_.fanins(id));
+    if (counts_as_gate(type) && epsilons_[id] > 0.0) {
       errors_[id] = bernoulli_word(rng_, epsilons_[id]);
       values_[id] = clean ^ errors_[id];
     } else {

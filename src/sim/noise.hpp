@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "netlist/circuit.hpp"
+#include "netlist/flat.hpp"
 #include "sim/activity.hpp"
 #include "sim/bitpack.hpp"
 #include "sim/prng.hpp"
@@ -45,11 +46,11 @@ class NoisySim {
 
  private:
   const netlist::Circuit* circuit_;
+  netlist::FlatCircuit flat_;
   std::vector<double> epsilons_;
   Xoshiro256 rng_;
   std::vector<Word> values_;
   std::vector<Word> errors_;
-  std::vector<Word> fanin_buffer_;
 };
 
 // Monte-Carlo switching activity of the *noisy* circuit: temporally

@@ -15,6 +15,7 @@
 #include "exec/batch.hpp"
 #include "ft/nmr.hpp"
 #include "gen/suite.hpp"
+#include "obs/metrics.hpp"
 
 namespace enb::fault {
 namespace {
@@ -58,6 +59,30 @@ TEST(FaultCampaign, ScaledOptionsBitIdenticalForAnyThreadCount) {
   EXPECT_EQ(serial, wide);
   EXPECT_EQ(serial.sampled, 50u);
   EXPECT_GT(serial.detected, 0u);
+}
+
+// The faulty-sweep event counter is observational: bounded by what full
+// sweeps would cost, and the same for any thread count (shards, not
+// workers, own the simulators).
+TEST(FaultCampaign, SweepEventsAreBoundedAndThreadCountIndependent) {
+  const Circuit c17 = gen::find_benchmark("c17").build();
+  CampaignOptions options;
+  options.patterns = 96;
+  options.shard_patterns = 16;
+  obs::Counter& events =
+      obs::Registry::global().counter("fault-sweep-events-total");
+  const auto run = [&](exec::Parallelism how) {
+    const std::uint64_t before = events.value();
+    const FaultCampaignResult result = run_campaign(c17, nullptr, options, how);
+    const std::uint64_t faulty_passes = result.sim_passes - result.patterns;
+    const std::uint64_t delta = events.value() - before;
+    EXPECT_GT(delta, 0u);
+    EXPECT_LE(delta, faulty_passes * c17.node_count());
+    return delta;
+  };
+  const std::uint64_t serial = run(exec::Parallelism::serial());
+  EXPECT_EQ(run(exec::Parallelism::global_pool()), serial);
+  EXPECT_EQ(run(exec::Parallelism::dedicated(8)), serial);
 }
 
 TEST(FaultCampaign, ExhaustiveC17SelfCoverageIsComplete) {

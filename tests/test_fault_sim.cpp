@@ -32,7 +32,7 @@ std::vector<std::vector<bool>> random_patterns(std::size_t count,
 
 // Every (pattern, class) detection bit of the 64-fault-parallel simulator
 // must equal the scalar one-fault-at-a-time reference. The two paths share
-// no evaluation machinery, so this is a real cross-implementation check.
+// only the gate rule, so this is a real cross-implementation check.
 void expect_bit_identity(const Circuit& circuit,
                          const std::vector<std::vector<bool>>& patterns,
                          bool collapse) {

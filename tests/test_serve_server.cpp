@@ -612,6 +612,15 @@ TEST_F(ServeServerTest, MetricsVerbRendersPrometheusExposition) {
   EXPECT_GE(metric_value(text, "enb_analysis_profile_derived_total "), 0.0);
 }
 
+TEST_F(ServeServerTest, MetricsVerbExposesFaultSweepEvents) {
+  start();
+  Client client(path());
+  (void)client.batch("fc kind=fault-campaign circuit=c17 budget=64\n");
+  const std::string text = client.metrics().payload;
+  EXPECT_GT(metric_value(text, "enb_fault_sweep_events_total "), 0.0);
+  EXPECT_GT(metric_value(text, "enb_fault_sweep_passes_total "), 0.0);
+}
+
 TEST_F(ServeServerTest, ShutdownVerbStopsTheRunLoop) {
   start();
   {

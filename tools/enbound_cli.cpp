@@ -569,9 +569,10 @@ int cmd_faultsim(const Args& args) {
 
   if (args.check_scalar) {
     // Cross-check every (pattern, sampled class) bit against the scalar
-    // one-fault-at-a-time reference — the two implementations share no
-    // evaluation machinery, so agreement here is a real equivalence check
-    // for whichever lane width ran.
+    // one-fault-at-a-time reference — the two implementations share only
+    // the gate rule, not the sweep, the fault injection or the good-machine
+    // reuse, so agreement here is a real equivalence check for whichever
+    // lane width ran.
     fault::ScalarFaultSim scalar(circuit, *universe, options.bundle_width);
     const std::vector<std::uint32_t> sampled =
         fault::sampled_classes(*universe, options);
