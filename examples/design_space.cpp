@@ -5,7 +5,6 @@
 #include <cmath>
 #include <iostream>
 
-#include "analysis/analyze.hpp"
 #include "analysis/compiled_circuit.hpp"
 #include "analysis/request.hpp"
 #include "core/analyzer.hpp"

@@ -1,10 +1,10 @@
 #include "analysis/compiled_circuit.hpp"
 
 #include <atomic>
+#include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <utility>
-
-#include <chrono>
 
 #include "netlist/bench_io.hpp"
 #include "netlist/topo.hpp"
@@ -147,32 +147,12 @@ const core::ProfileExtraction& CompiledCircuit::extraction(
   return *impl.profiles.back().second;
 }
 
-std::optional<core::CircuitProfile> CompiledCircuit::cached_profile(
-    const core::ProfileOptions& options) const {
-  Impl& impl = checked();
-  const ProfileKey key = profile_key(options);
-  const util::LockGuard lock(impl.mutex);
-  for (const auto& [cached_key, cached] : impl.profiles) {
-    if (cached_key == key) {
-      profile_metrics().hits.add(1);
-      return cached->profile;
-    }
-  }
-  return std::nullopt;
-}
-
 void CompiledCircuit::store_profile(const core::ProfileOptions& options,
-                                    core::ProfileExtraction extraction,
-                                    ProfileSource source) const {
+                                    core::ProfileExtraction extraction) const {
   Impl& impl = checked();
   const ProfileKey key = profile_key(options);
   const util::LockGuard lock(impl.mutex);
-  if (source == ProfileSource::kDerived) {
-    profile_metrics().derived.add(1);
-  } else {
-    profile_metrics().extractions.add(1);
-    impl.extractions.fetch_add(1, std::memory_order_relaxed);
-  }
+  profile_metrics().derived.add(1);
   for (const auto& [cached_key, cached] : impl.profiles) {
     if (cached_key == key) return;  // existing entry wins (values equal)
   }

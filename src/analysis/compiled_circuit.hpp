@@ -23,7 +23,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -86,30 +85,19 @@ class CompiledCircuit {
       const core::ProfileOptions& options = {},
       exec::Parallelism how = {}) const;
 
-  // Peek at the cache without computing.
-  [[nodiscard]] std::optional<core::CircuitProfile> cached_profile(
-      const core::ProfileOptions& options) const;
-
-  // How a store_profile fill was obtained: measured by an engine's own
-  // (sharded) extraction schedule, or derived from another handle's
-  // extraction without simulating this circuit.
-  enum class ProfileSource : std::uint8_t { kExtracted, kDerived };
-
-  // Cache-fill path for engines that produce profiles outside profile() —
-  // exec::BatchEvaluator's extraction groups (kExtracted) and the harden
-  // sweep's derived candidate profiles (kDerived). `extraction` must be the
-  // bit-identical value core::profile_job would produce for `options`;
-  // ordinary callers should use profile() instead. A kExtracted fill counts
-  // as one extraction, a kDerived fill as one derivation
-  // (analysis-profile-derived-total) and never as an extraction. A
+  // Cache fill for a profile derived from another handle's extraction
+  // without simulating this circuit: the harden sweep's proved candidates
+  // (harden/derive.hpp). `extraction` must be the bit-identical value
+  // core::profile_job would produce for `options`; every other caller uses
+  // profile(). A fill counts as one derivation
+  // (analysis-profile-derived-total), never as an extraction. A
   // pre-existing entry for the key wins (the values are equal by contract).
   void store_profile(const core::ProfileOptions& options,
-                     core::ProfileExtraction extraction,
-                     ProfileSource source = ProfileSource::kExtracted) const;
+                     core::ProfileExtraction extraction) const;
 
-  // Number of profile extractions this handle has performed (lazy computes
-  // plus kExtracted store_profile fills; derived fills are not
-  // extractions). The cache-sharing tests pin this to 1 for a whole sweep.
+  // Number of profile extractions this handle has performed (profile() and
+  // extraction() misses; derived fills are not extractions). The
+  // cache-sharing tests pin this to 1 for a whole sweep.
   [[nodiscard]] std::uint64_t profile_extractions() const;
 
   // The circuit mapped to the generic max-fanin-K library, compiled and

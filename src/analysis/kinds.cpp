@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <type_traits>
 
@@ -42,7 +43,8 @@ T require(std::optional<T> parsed, const char* message) {
 
 // Parses `value` into `field` by the field's type: doubles are numbers,
 // bools 0|1 flags, the lane width one of its four widths, the harden axes
-// their names, and every other field a non-negative count.
+// their names, and every other field a non-negative count that fits the
+// field (a wider value is rejected, never wrapped).
 template <typename T>
 void parse_into(T& field, Str key, Str value) {
   if constexpr (std::is_same_v<T, double>) {
@@ -62,7 +64,16 @@ void parse_into(T& field, Str key, Str value) {
     field = require(harden::parse_granularity(value),
                     "granularity must be gate, cone, or output");
   } else {
-    field = static_cast<T>(count(key, value));
+    static_assert(std::is_integral_v<T>);
+    const std::uint64_t parsed = count(key, value);
+    constexpr auto max =
+        static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+    if (parsed > max) {
+      throw std::invalid_argument("value for key '" + key +
+                                  "' must be at most " + std::to_string(max) +
+                                  ", got '" + value + "'");
+    }
+    field = static_cast<T>(parsed);
   }
 }
 

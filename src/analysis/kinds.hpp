@@ -17,9 +17,9 @@
 // top_k= to harden alone.
 //
 // Adding a kind: a RequestOptions alternative (request.hpp), its canonical
-// spec and metric flattening (request.cpp), its evaluation hooks
-// (analysis::evaluate and a branch of exec's prepare, which adopts the
-// kind's sharded job when it has one), and one row here.
+// spec and metric flattening (request.cpp), one branch of exec's prepare
+// (the one request dispatcher; it adopts the kind's sharded job when it has
+// one), and one row here.
 #pragma once
 
 #include <optional>

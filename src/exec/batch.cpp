@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
-#include <deque>
 #include <exception>
 #include <iomanip>
 #include <istream>
@@ -39,18 +38,24 @@ const Circuit& golden_of(const AnalysisRequest& request) {
                                     : request.circuit.circuit();
 }
 
-// A unit of the flat task space — one request's own tasks, or one shared
-// profile extraction — with error isolation: the first failing task records
-// its message and the unit's remaining tasks turn into no-ops; other units
-// are unaffected.
-struct TaskUnit {
+// All per-request state for one batch run, with error isolation: the first
+// failing task records its message and the request's remaining tasks turn
+// into no-ops; other requests are unaffected.
+struct JobState {
+  // Prepare-time stamp; emission computes the job's wall-clock elapsed from
+  // it (observability only — never part of the result's serialized bytes).
+  std::chrono::steady_clock::time_point start{};
   std::size_t num_tasks = 0;
   std::function<void(std::size_t)> run_task;
+  std::function<void(AnalysisResult&)> finalize;
+  // Tasks left; the thread that takes this to zero finalizes and emits the
+  // result.
+  std::atomic<std::size_t> pending{0};
   std::atomic<bool> failed{false};
   util::Mutex mutex;  // guards error
   std::string error ENB_GUARDED_BY(mutex);
 
-  // Runs task i unless the unit already failed.
+  // Runs task i unless the request already failed.
   void run(std::size_t i) {
     if (failed.load(std::memory_order_relaxed)) return;
     try {
@@ -74,64 +79,6 @@ struct TaskUnit {
   }
 };
 
-// One profile extraction shared by every request in the batch that names the
-// same (handle, profile key): core::profile_job's shards enter the flat task
-// space exactly once and the finished profile lands in the handle's cache.
-struct ExtractionGroup : TaskUnit {
-  CompiledCircuit circuit;
-  core::ProfileOptions options;  // the key's value-relevant knobs
-  std::function<core::ProfileExtraction()> finish;
-  std::vector<std::size_t> dependents;  // request indices
-  std::atomic<std::size_t> remaining{0};
-  // Summed shard and finish() run time, the extraction's own work.
-  // Queueing behind other requests' tasks is excluded; the trace span still
-  // shows the wall-clock from group creation.
-  std::atomic<std::int64_t> busy_ns{0};
-  std::chrono::steady_clock::time_point started =
-      std::chrono::steady_clock::now();
-  // Written once by assemble(), before any dependent can complete.
-  std::optional<core::CircuitProfile> profile;
-
-  // Run by whichever worker finishes the last shard; the result is stored
-  // both here (for this batch's dependents) and in the handle's cache (for
-  // every later consumer of the handle).
-  void assemble() {
-    const auto start = std::chrono::steady_clock::now();
-    core::ProfileExtraction extraction = finish();
-    busy_ns.fetch_add(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now() - start)
-                          .count(),
-                      std::memory_order_relaxed);
-    profile = extraction.profile;
-    circuit.store_profile(options, std::move(extraction));
-
-    static obs::Histogram& seconds =
-        obs::Registry::global().histogram("analysis-extraction-seconds");
-    seconds.observe(static_cast<double>(busy_ns.load()) * 1e-9);
-    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-    if (recorder.enabled()) {
-      recorder.record("profile-extraction",
-                      obs::SpanHandle{recorder.new_id()}, obs::SpanHandle{},
-                      started, std::chrono::steady_clock::now(),
-                      circuit.name());
-    }
-  }
-};
-
-// All per-request state for one batch run.
-struct JobState : TaskUnit {
-  const AnalysisRequest* request = nullptr;
-  // Prepare-time stamp; emission computes the job's wall-clock elapsed from
-  // it (observability only — never part of the result's serialized bytes).
-  std::chrono::steady_clock::time_point start{};
-  std::function<void(AnalysisResult&)> finalize;
-  // Shared extraction this request waits on (one completion unit).
-  ExtractionGroup* extraction = nullptr;
-  // Completion units left: own tasks + (extraction ? 1 : 0). The thread that
-  // takes this to zero finalizes and emits the result.
-  std::atomic<std::size_t> pending{0};
-};
-
 // The batch adapter: a job's shards become the request's tasks and its
 // finish() the request's payload.
 template <typename R>
@@ -143,70 +90,15 @@ void adopt(JobState& state, ShardedJob<R> job) {
   };
 }
 
-// Finds or creates the extraction group for (request.circuit, options);
-// creation builds (and so validates) the profile job.
-ExtractionGroup& join_extraction_group(
-    std::size_t job_index, const AnalysisRequest& request,
-    const core::ProfileOptions& options, std::deque<ExtractionGroup>& groups) {
-  const analysis::ProfileKey key = analysis::profile_key(options);
-  for (ExtractionGroup& group : groups) {
-    if (group.circuit.same_handle(request.circuit) &&
-        analysis::profile_key(group.options) == key) {
-      group.dependents.push_back(job_index);
-      return group;
-    }
-  }
-
-  ShardedJob<core::ProfileExtraction> job =
-      core::profile_job(request.circuit.circuit(), options);
-  ExtractionGroup& group = groups.emplace_back();
-  group.circuit = request.circuit;
-  group.options = options;
-  group.num_tasks = job.num_shards;
-  group.run_task = [&group, run = std::move(job.run_shard)](std::size_t i) {
-    const auto start = std::chrono::steady_clock::now();
-    run(i);
-    group.busy_ns.fetch_add(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count(),
-        std::memory_order_relaxed);
-  };
-  group.finish = std::move(job.finish);
-  group.remaining.store(job.num_shards, std::memory_order_relaxed);
-  group.dependents.push_back(job_index);
-  return group;
-}
-
-// A request whose profile comes from the handle's cache or from a shared
-// extraction; `respond` turns that profile into the result. Cache hits need
-// no tasks at all.
-void prepare_from_profile(
-    std::size_t job_index, const AnalysisRequest& request,
-    const core::ProfileOptions& options, JobState& state,
-    std::deque<ExtractionGroup>& groups,
-    std::function<void(AnalysisResult&, const core::CircuitProfile&)>
-        respond) {
-  if (auto cached = request.circuit.cached_profile(options);
-      cached.has_value()) {
-    state.finalize = [profile = std::move(*cached),
-                      respond = std::move(respond)](AnalysisResult& r) {
-      respond(r, profile);
-    };
-    return;
-  }
-  state.extraction = &join_extraction_group(job_index, request, options,
-                                            groups);
-  state.finalize = [&state, respond = std::move(respond)](AnalysisResult& r) {
-    respond(r, *state.extraction->profile);
-  };
-}
-
 // Validates the request spec (throwing like the direct entry point would)
 // and installs its tasks: the sharded kinds through their module's job
-// factory, the rest as one task or none.
-void prepare(std::size_t job_index, const AnalysisRequest& request,
-             JobState& state, std::deque<ExtractionGroup>& groups) {
+// factory, the rest as one task or none. Profile-reading kinds take the
+// profile from the handle's cache right here, extracting it (in parallel
+// over `how`) on a miss; the handle's lock makes that extraction happen once
+// per (handle, profile key) across requests, batches and server sessions,
+// and the request then needs no tasks.
+void prepare(const AnalysisRequest& request, JobState& state,
+             const Parallelism& how) {
   // Every kind but an overridden energy bound reads the circuit; an empty
   // handle throws on that read, before any task is queued.
   const auto circuit = [&request]() -> const Circuit& {
@@ -239,20 +131,19 @@ void prepare(std::size_t job_index, const AnalysisRequest& request,
                   }));
             return;
           }
-          prepare_from_profile(
-              job_index, request, spec.profile, state, groups,
-              [&spec](AnalysisResult& r, const core::CircuitProfile& profile) {
-                analysis::set_payload(
-                    r, core::analyze(profile, spec.epsilon, spec.delta,
-                                     spec.energy));
-                r.profile = profile;
-              });
+          const core::CircuitProfile& profile =
+              request.circuit.profile(spec.profile, how);
+          state.finalize = [&spec, &profile](AnalysisResult& r) {
+            analysis::set_payload(r, core::analyze(profile, spec.epsilon,
+                                                   spec.delta, spec.energy));
+            r.profile = profile;
+          };
         } else if constexpr (std::is_same_v<Spec, analysis::ProfileRequest>) {
-          prepare_from_profile(
-              job_index, request, spec.options, state, groups,
-              [](AnalysisResult& r, const core::CircuitProfile& profile) {
-                analysis::set_payload(r, profile);
-              });
+          const core::CircuitProfile& profile =
+              request.circuit.profile(spec.options, how);
+          state.finalize = [&profile](AnalysisResult& r) {
+            analysis::set_payload(r, profile);
+          };
         } else if constexpr (std::is_same_v<Spec, analysis::LintRequest>) {
           const Circuit& c = circuit();
           adopt(state, single_job([&c, &spec] {
@@ -292,7 +183,6 @@ std::size_t BatchEvaluator::submit(analysis::AnalysisRequest request) {
 void BatchEvaluator::run(const ResultSink& sink) {
   const std::size_t num_jobs = requests_.size();
   std::vector<JobState> states(num_jobs);
-  std::deque<ExtractionGroup> groups;  // stable addresses
   const obs::Span batch_span("batch-run", {},
                              "jobs=" + std::to_string(num_jobs));
   static obs::Counter& jobs_total =
@@ -300,24 +190,20 @@ void BatchEvaluator::run(const ResultSink& sink) {
   static obs::Counter& jobs_failed =
       obs::Registry::global().counter("batch-job-failures-total");
 
-  // Phase 1 (serial, cheap): validate every request, size its task space,
-  // and group shared profile extractions. A request that fails validation is
-  // isolated into an error result and contributes no tasks.
+  // Phase 1 (serial): validate every request, size its task space, and
+  // read the profile of every profile-reading request from its handle's
+  // cache (each miss is one extraction, itself parallel over the pool). A
+  // request that fails here is isolated into an error result and contributes
+  // no tasks.
   for (std::size_t j = 0; j < num_jobs; ++j) {
-    states[j].request = &requests_[j];
     states[j].start = std::chrono::steady_clock::now();
     try {
-      prepare(j, requests_[j], states[j], groups);
+      prepare(requests_[j], states[j], how_);
     } catch (const std::exception& e) {
       states[j].record_error(e.what());
       states[j].num_tasks = 0;
-      states[j].extraction = nullptr;
     }
-  }
-  for (std::size_t j = 0; j < num_jobs; ++j) {
-    states[j].pending.store(
-        states[j].num_tasks + (states[j].extraction != nullptr ? 1 : 0),
-        std::memory_order_relaxed);
+    states[j].pending.store(states[j].num_tasks, std::memory_order_relaxed);
   }
 
   // Emission: build the result (finalize or error), then hand it to the
@@ -336,12 +222,9 @@ void BatchEvaluator::run(const ResultSink& sink) {
     result.index = j;
     result.name = requests_[j].name;
     result.kind = requests_[j].kind();
-    const bool group_failed =
-        state.extraction != nullptr && state.extraction->failed.load();
-    if (state.failed.load() || group_failed) {
+    if (state.failed.load()) {
       result.ok = false;
-      result.error = state.failed.load() ? state.error_text()
-                                         : state.extraction->error_text();
+      result.error = state.error_text();
     } else {
       try {
         state.finalize(result);
@@ -374,74 +257,29 @@ void BatchEvaluator::run(const ResultSink& sink) {
       if (delivery.error == nullptr) delivery.error = std::current_exception();
     }
   };
-  const auto complete_unit = [&](std::size_t j) {
-    if (states[j].pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      emit(j);
-    }
-  };
 
-  // The thread that completes a group's last shard assembles the profile
-  // and completes every dependent.
-  const auto finish_group = [&](ExtractionGroup& group) {
-    if (!group.failed.load()) {
-      try {
-        group.assemble();
-      } catch (const std::exception& e) {
-        group.record_error(e.what());
-      }
-    }
-    for (const std::size_t dependent : group.dependents) {
-      complete_unit(dependent);
-    }
-  };
-
-  // Requests with no pending work (validation failures, cache-hit profiles)
-  // emit before the parallel phase, and so do groups with no shards (an
-  // exact-activity profile of a circuit without inputs or outputs).
+  // Requests with no tasks (validation failures, profile-reading kinds)
+  // emit before the parallel phase.
   for (std::size_t j = 0; j < num_jobs; ++j) {
-    if (states[j].pending.load(std::memory_order_relaxed) == 0) emit(j);
-  }
-  for (ExtractionGroup& group : groups) {
-    if (group.num_tasks == 0) finish_group(group);
+    if (states[j].num_tasks == 0) emit(j);
   }
 
-  // Phase 2 (parallel): every request's own tasks plus every extraction
-  // group's shards flattened into one task space over the pool. A worker
-  // that completes a request's (or group's) last unit finalizes and emits
-  // right there — that is what makes the sink stream.
-  std::vector<std::size_t> job_offsets(num_jobs + 1, 0);
+  // Phase 2 (parallel): every request's tasks flattened into one task space
+  // over the pool. A worker that completes a request's last task finalizes
+  // and emits right there — that is what makes the sink stream.
+  std::vector<std::size_t> offsets(num_jobs + 1, 0);
   for (std::size_t j = 0; j < num_jobs; ++j) {
-    job_offsets[j + 1] = job_offsets[j] + states[j].num_tasks;
+    offsets[j + 1] = offsets[j] + states[j].num_tasks;
   }
-  const std::size_t job_total = job_offsets[num_jobs];
-  std::vector<std::size_t> group_offsets(groups.size() + 1, 0);
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    group_offsets[g + 1] = group_offsets[g] + groups[g].num_tasks;
-  }
-  const std::size_t total = job_total + group_offsets[groups.size()];
-
-  // Unit index of a flat task offset, given the units' prefix offsets.
-  const auto unit_of = [](const std::vector<std::size_t>& offsets,
-                          std::size_t flat) {
-    return static_cast<std::size_t>(
-        std::upper_bound(offsets.begin(), offsets.end(), flat) -
-        offsets.begin() - 1);
-  };
   for_each_index(
-      total,
+      offsets[num_jobs],
       [&](std::size_t flat) {
-        if (flat < job_total) {
-          const std::size_t j = unit_of(job_offsets, flat);
-          states[j].run(flat - job_offsets[j]);
-          complete_unit(j);
-          return;
-        }
-        const std::size_t offset = flat - job_total;
-        const std::size_t g = unit_of(group_offsets, offset);
-        ExtractionGroup& group = groups[g];
-        group.run(offset - group_offsets[g]);
-        if (group.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-          finish_group(group);
+        const auto j = static_cast<std::size_t>(
+            std::upper_bound(offsets.begin(), offsets.end(), flat) -
+            offsets.begin() - 1);
+        states[j].run(flat - offsets[j]);
+        if (states[j].pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+          emit(j);
         }
       },
       how_);

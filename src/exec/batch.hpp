@@ -6,11 +6,16 @@
 // over the shared ThreadPool with two-level parallelism: the Monte-Carlo
 // shards of *every* request are flattened into one task space, so a long
 // request's shards interleave with short requests instead of serializing
-// behind them. Requests hold shared handles, so a hundred-point sweep over
-// one design never clones the netlist, and requests that need the same
-// profile (same handle, same profile key) share a single extraction by
-// construction — its shards run once and the result lands in the handle's
-// cache.
+// behind them. It is the one dispatcher of the request vocabulary: a single
+// request is evaluated as a one-request batch.
+//
+// Requests hold shared handles, so a hundred-point sweep over one design
+// never clones the netlist. Profile-reading requests (energy-bound,
+// profile) take their profile from the handle's cache
+// (CompiledCircuit::profile) while the batch is prepared, before the
+// parallel phase; a miss extracts there, itself parallel over the pool, and
+// the handle's lock makes that happen once per (handle, profile key) across
+// requests, batches and server sessions.
 //
 // Results can be consumed two ways:
 //   run()            — blocking; results indexed by submission order.

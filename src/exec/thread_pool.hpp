@@ -67,8 +67,8 @@ class ThreadPool {
 };
 
 // How a parallel loop maps onto threads — the single knob every layer routes
-// through (the estimator entry points, the batch evaluator, the analysis
-// front door).
+// through (the estimator entry points, the batch evaluator, the handle's
+// profile cache).
 //   threads == 0: use the global pool (default);
 //   threads == 1: run serially on the calling thread;
 //   threads >= 2: run on a dedicated transient pool of that many workers

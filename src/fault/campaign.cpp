@@ -449,13 +449,7 @@ DetectionTable build_detection_table(const Circuit& circuit,
       },
       how);
   table.counts = counts.take();
-  table.passes = table.counts.passes;
   return table;
-}
-
-CampaignCounts counts_from_table(const FaultUniverse& /*universe*/,
-                                 const DetectionTable& table) {
-  return table.counts;
 }
 
 void write_ans(std::ostream& out, const Circuit& circuit,

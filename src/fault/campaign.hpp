@@ -232,23 +232,17 @@ struct CampaignCounts {
 // lane width), and the merged first-detection counts. Built with
 // slot-per-pattern writes, so the table is bit-identical for any thread
 // count and lane width. The table path never drops (rows must be complete),
-// so its passes match the no-drop campaign.
+// so its counts.passes match the no-drop campaign.
 struct DetectionTable {
   std::vector<std::vector<bool>> patterns;        // [pattern][logical input]
   std::vector<std::vector<sim::Word>> detected;   // [pattern][class / 64]
   CampaignCounts counts;
-  std::uint64_t passes = 0;
 };
 
 [[nodiscard]] DetectionTable build_detection_table(
     const netlist::Circuit& circuit, const netlist::Circuit& golden,
     const FaultUniverse& universe, const CampaignOptions& options,
     exec::Parallelism how = {});
-
-// The aggregate counts of a table (how the CLI derives the summary it
-// shares with manifest campaigns).
-[[nodiscard]] CampaignCounts counts_from_table(const FaultUniverse& universe,
-                                               const DetectionTable& table);
 
 // `.ans`-style rows (as6325400/Fault_Simulation): header
 //   # pattern net sa0_eq sa1_eq

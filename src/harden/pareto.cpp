@@ -265,9 +265,7 @@ ParetoResult pareto_sweep(const analysis::CompiledCircuit& base,
     analysis::CompiledCircuit handle =
         analysis::compile(std::move(variant.circuit));
     if (derived.has_value()) {
-      handle.store_profile(
-          kSweepProfile, std::move(*derived),
-          analysis::CompiledCircuit::ProfileSource::kDerived);
+      handle.store_profile(kSweepProfile, std::move(*derived));
     }
     requests.push_back(energy_request(handle, label + ":energy", options));
     requests.push_back(campaign_request(handle, label + ":campaign", options));

@@ -2,7 +2,7 @@
 // sweep options, and the Pareto-frontier result payload.
 //
 // This header is deliberately light — analysis/request.hpp includes it to
-// ride kind=harden through evaluate/batch/manifest/serve, so it may only
+// ride kind=harden through batch/manifest/serve, so it may only
 // depend on option/result types that the request vocabulary already pulls
 // in (fault campaign options, CEC options, voter styles). The transform and
 // optimizer logic live in harden/transform.hpp and harden/pareto.hpp.

@@ -463,34 +463,6 @@ void Server::cmd_batch(const Frame& frame, ByteStream& stream) {
   run_requests(std::move(requests), stream);
 }
 
-// Pre-fills the handle's profile cache for a request that would otherwise
-// extract inside its batch. The batch engine's extraction groups share an
-// extraction within one batch, but two *concurrent* batches would each run
-// their own; CompiledCircuit::profile() computes under the handle's lock —
-// concurrent sessions block on the first extraction and reuse it — which
-// is what makes "one extraction per (handle, key), server-wide" hold by
-// construction. Extraction failures are swallowed here: the evaluator
-// re-raises them as per-request error results, preserving isolation.
-namespace {
-void prefill_profile(const analysis::AnalysisRequest& request,
-                     exec::Parallelism how) {
-  const core::ProfileOptions* options = nullptr;
-  if (const auto* bound =
-          std::get_if<analysis::EnergyBoundRequest>(&request.options)) {
-    if (bound->profile_override.has_value()) return;
-    options = &bound->profile;
-  } else if (const auto* profile =
-                 std::get_if<analysis::ProfileRequest>(&request.options)) {
-    options = &profile->options;
-  }
-  if (options == nullptr || !request.circuit.valid()) return;
-  try {
-    (void)request.circuit.profile(*options, how);
-  } catch (const std::exception&) {
-  }
-}
-}  // namespace
-
 void Server::run_requests(std::vector<analysis::AnalysisRequest> requests,
                           ByteStream& stream) {
   const std::size_t total = requests.size();
@@ -517,13 +489,13 @@ void Server::run_requests(std::vector<analysis::AnalysisRequest> requests,
     misses.push_back(i);
   }
 
-  // Misses enter the evaluator's flattened shard space, profiles
-  // pre-filled for cross-session sharing (distinct handles extract in
-  // sequence here — the price of server-wide exactly-once; each extraction
-  // is itself parallelized over the pool).
+  // Misses enter the evaluator's flattened shard space. Their profiles come
+  // from the handle cache while the batch is prepared, which extracts once
+  // per (handle, key) server-wide: a concurrent session asking for the same
+  // profile waits on the handle's lock and reuses the extraction (distinct
+  // keys extract in sequence, each itself parallel over the pool).
   std::vector<std::size_t> original_index;  // by evaluator submission index
   for (const std::size_t i : misses) {
-    prefill_profile(requests[i], options_.how);
     original_index.push_back(i);
     evaluator.submit(std::move(requests[i]));
   }

@@ -1,15 +1,14 @@
 // Analysis-layer contract tests.
 //
 // The acceptance bar of the PR 3 redesign:
-//   - evaluate() on a handle, and the handle-cached profile and bounds, are
-//     bit-identical to the circuit-based estimator calls (compiled-vs-fresh);
+//   - a one-request batch on a handle, and the handle-cached profile and
+//     bounds, are bit-identical to the circuit-based estimator calls
+//     (compiled-vs-fresh);
 //   - streaming run(ResultSink) delivers payloads bit-identical to the
 //     blocking run() for threads in {1, 0 (global pool), 64 (oversubscribed
 //     dedicated pool)};
 //   - an N-point eps sweep over one CompiledCircuit performs zero
 //     netlist::Circuit copies and exactly one profile extraction.
-#include "analysis/analyze.hpp"
-
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,7 +39,7 @@ CompiledCircuit suite_handle(const std::string& name) {
 
 // ---- compiled-vs-fresh bit-identity for every estimator -----------------
 
-// The typed payload of evaluate() on a handle, run serially.
+// The typed payload of a one-request batch on a handle, run serially.
 template <typename T>
 T evaluated(const CompiledCircuit& circuit, RequestOptions options,
             std::optional<CompiledCircuit> golden = std::nullopt) {
@@ -48,7 +47,8 @@ T evaluated(const CompiledCircuit& circuit, RequestOptions options,
   request.circuit = circuit;
   request.golden = std::move(golden);
   request.options = std::move(options);
-  const AnalysisResult result = evaluate(request, exec::Parallelism::serial());
+  const AnalysisResult result =
+      exec::evaluate_requests({request}, exec::Parallelism::serial()).front();
   EXPECT_TRUE(result.ok) << result.error;
   return result.get<T>() != nullptr ? *result.get<T>() : T{};
 }
@@ -148,7 +148,7 @@ TEST(Analysis, ProfileMatchesFreshCircuitCall) {
     const core::CircuitProfile fresh = core::extract_profile(
         handle.circuit(), options, exec::Parallelism::serial());
     const core::CircuitProfile& compiled =
-        extract_profile(handle, options, exec::Parallelism::serial());
+        handle.profile(options, exec::Parallelism::serial());
     EXPECT_EQ(compiled.size_s0, fresh.size_s0) << name;
     EXPECT_EQ(compiled.depth_d0, fresh.depth_d0) << name;
     EXPECT_EQ(compiled.avg_fanin_k, fresh.avg_fanin_k) << name;
@@ -166,16 +166,19 @@ TEST(Analysis, AnalyzeMatchesCoreAnalyzeOnExtractedProfile) {
   const core::CircuitProfile fresh = core::extract_profile(
       handle.circuit(), options, exec::Parallelism::serial());
   const core::BoundReport direct = core::analyze(fresh, 0.02, 0.05);
-  const core::BoundReport compiled =
-      analyze(handle, 0.02, 0.05, {}, options, exec::Parallelism::serial());
+  EnergyBoundRequest spec;
+  spec.epsilon = 0.02;
+  spec.delta = 0.05;
+  spec.profile = options;
+  const auto compiled = evaluated<core::BoundReport>(handle, spec);
   EXPECT_EQ(compiled.energy.total_factor, direct.energy.total_factor);
   EXPECT_EQ(compiled.size_factor, direct.size_factor);
   EXPECT_EQ(compiled.metrics.delay, direct.metrics.delay);
-  // analyze() populated the handle cache: one extraction total.
+  // The request read the profile through the handle cache: one extraction.
   EXPECT_EQ(handle.profile_extractions(), 1u);
 }
 
-// ---- evaluate(): the generic typed front door ----------------------------
+// ---- one request through the batch, the one dispatcher ------------------
 
 TEST(Analysis, EvaluateMatchesSpecificEntryPoints) {
   const CompiledCircuit handle = suite_handle("c17");
@@ -189,7 +192,7 @@ TEST(Analysis, EvaluateMatchesSpecificEntryPoints) {
   request.options = spec;
 
   const AnalysisResult result =
-      evaluate(request, exec::Parallelism::serial());
+      exec::evaluate_requests({request}, exec::Parallelism::serial()).front();
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.kind, AnalysisKind::kReliability);
   const sim::ReliabilityResult direct = sim::estimate_reliability(
@@ -206,7 +209,7 @@ TEST(Analysis, EvaluateIsolatesErrors) {
   request.circuit = compile(gen::c17());              // 5 inputs
   request.golden = compile(gen::ripple_carry_adder(4));  // 9 inputs: mismatch
   request.options = ReliabilityRequest{};
-  const AnalysisResult result = evaluate(request);
+  const AnalysisResult result = exec::evaluate_requests({request}).front();
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("mismatch"), std::string::npos) << result.error;
   EXPECT_TRUE(result.metrics.empty());

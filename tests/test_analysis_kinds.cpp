@@ -216,6 +216,19 @@ TEST(ManifestKeyMatrix, LineLevelRejections) {
   EXPECT_TRUE(accepts("job kind=worst_case circuit=c17"));
   EXPECT_TRUE(accepts("job circuit=c17 eps=0.1 kind=lint"));  // order free
   EXPECT_TRUE(parse("# comment\n\n   \n").empty());
+  // A count wider than its field is rejected, naming the key, never wrapped.
+  EXPECT_FALSE(accepts("j1 kind=cec circuit=c17 golden=c17 budget=4294967297"));
+  EXPECT_FALSE(accepts("j1 kind=cec circuit=c17 golden=c17 budget=2147483648"));
+  EXPECT_FALSE(accepts("j1 kind=harden circuit=c17 top_k=4294967297"));
+  EXPECT_TRUE(accepts("j1 kind=cec circuit=c17 golden=c17 budget=2147483647"));
+  EXPECT_TRUE(accepts("j1 kind=harden circuit=c17 top_k=4294967295"));
+  try {
+    (void)parse("j1 kind=harden circuit=c17 top_k=4294967297");
+    ADD_FAILURE() << "top_k=4294967297 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'top_k'"), std::string::npos)
+        << e.what();
+  }
 }
 
 // Every key a kind uses, at a non-default value, lands in the canonical

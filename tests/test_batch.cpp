@@ -19,12 +19,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
-#include "analysis/analyze.hpp"
 #include "analysis/compiled_circuit.hpp"
 #include "analysis/request.hpp"
+#include "core/analyzer.hpp"
 #include "core/profile.hpp"
 #include "ft/nmr.hpp"
 #include "gen/adders.hpp"
@@ -460,9 +461,9 @@ TEST(Batch, ZeroSampledSensitivityBudgetFailsTheRequest) {
 }
 
 TEST(Batch, ExtractionSecondsExcludeQueueing) {
-  // A serial batch runs the long reliability job's shards before the c17
-  // profile's. The extraction histogram must record the profile's own shard
-  // time, not the wait behind the reliability job.
+  // A serial batch holding a long reliability job and a c17 profile. The
+  // extraction histogram must record the profile's own extraction time, not
+  // the reliability job's.
   analysis::ReliabilityRequest rel;
   rel.options.trials = std::uint64_t{1} << 22;
   std::vector<AnalysisRequest> requests;
@@ -484,9 +485,9 @@ TEST(Batch, ExtractionSecondsExcludeQueueing) {
 
 TEST(Batch, ShardlessProfileExtractionCompletes) {
   // Without inputs, activity is exact (no shards) and the sensitivity sweep
-  // is degenerate (no shards): the shared extraction has no shards at all
-  // and must still finish and answer both of its dependents exactly as the
-  // direct path does (the bound fails: a constant circuit has sw0 = 0).
+  // is degenerate (no shards): the extraction has no shards at all and must
+  // still finish and answer both requests exactly as core::extract_profile
+  // and core::analyze do (the bound fails: a constant circuit has sw0 = 0).
   netlist::Circuit circuit("no-inputs");
   circuit.add_output(
       circuit.add_gate(netlist::GateType::kNot, circuit.add_const(true)), "y");
@@ -500,16 +501,53 @@ TEST(Batch, ShardlessProfileExtractionCompletes) {
   const auto results = evaluate_requests(std::move(requests));
   ASSERT_EQ(results.size(), specs.size());
   EXPECT_TRUE(results[0].ok) << results[0].error;
+
+  std::vector<AnalysisResult> direct(specs.size());
+  const core::CircuitProfile profile = core::extract_profile(circuit);
+  direct[0].kind = AnalysisKind::kProfile;
+  direct[0].ok = true;
+  analysis::set_payload(direct[0], profile);
+  direct[1].kind = AnalysisKind::kEnergyBound;
+  try {
+    analysis::set_payload(direct[1], core::analyze(profile, 0.01, 0.01));
+    direct[1].ok = true;
+  } catch (const std::exception& e) {
+    direct[1].error = e.what();
+  }
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const AnalysisResult direct = analysis::evaluate(
-        make_request("job", analysis::compile(circuit), specs[i]));
+    direct[i].name = "job";
     std::ostringstream batched_json;
     std::ostringstream direct_json;
     write_result_json(batched_json, results[i]);
-    write_result_json(direct_json, direct);
+    write_result_json(direct_json, direct[i]);
     EXPECT_EQ(batched_json.str(), direct_json.str());
   }
   EXPECT_EQ(handle.profile_extractions(), 1u);
+}
+
+TEST(Batch, ConcurrentBatchesShareOneProfileExtraction) {
+  // Two batches on two threads ask for the same (handle, profile key): the
+  // handle's lock lets exactly one of them extract, the other reuses it.
+  const CompiledCircuit handle = compile_suite("mult8");
+  std::vector<AnalysisResult> results(2);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < results.size(); ++t) {
+    threads.emplace_back([&handle, &results, t] {
+      results[t] = evaluate_requests(
+                       {make_request("prof", handle, analysis::ProfileRequest{})})
+                       .front();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(handle.profile_extractions(), 1u);
+  for (const AnalysisResult& result : results) {
+    ASSERT_TRUE(result.ok) << result.error;
+  }
+  std::ostringstream first;
+  std::ostringstream second;
+  write_result_json(first, results[0]);
+  write_result_json(second, results[1]);
+  EXPECT_EQ(first.str(), second.str());
 }
 
 TEST(BatchOutput, JsonEmitsNullForNonFiniteMetrics) {

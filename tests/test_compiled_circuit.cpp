@@ -97,36 +97,6 @@ TEST(CompiledCircuit, ProfileMatchesExtractProfileAndCachesPerKey) {
   EXPECT_EQ(handle.profile_extractions(), 2u);
 }
 
-TEST(CompiledCircuit, CachedProfilePeeksWithoutComputing) {
-  const CompiledCircuit handle = compile(gen::c17());
-  core::ProfileOptions options;
-  options.activity_pairs = 64;
-  EXPECT_FALSE(handle.cached_profile(options).has_value());
-  EXPECT_EQ(handle.profile_extractions(), 0u);
-  (void)handle.profile(options);
-  ASSERT_TRUE(handle.cached_profile(options).has_value());
-  EXPECT_EQ(handle.cached_profile(options)->size_s0,
-            handle.profile(options).size_s0);
-  EXPECT_EQ(handle.profile_extractions(), 1u);
-}
-
-TEST(CompiledCircuit, StoreProfileFillsTheCacheAndCounts) {
-  const CompiledCircuit handle = compile(gen::c17());
-  core::ProfileOptions options;
-  options.activity_pairs = 64;
-  const core::ProfileExtraction computed = exec::run(
-      core::profile_job(handle.circuit(), options), exec::Parallelism::serial());
-  handle.store_profile(options, computed);
-  EXPECT_EQ(handle.profile_extractions(), 1u);
-  ASSERT_TRUE(handle.cached_profile(options).has_value());
-  // profile() now hits the stored entry instead of re-extracting.
-  EXPECT_EQ(handle.profile(options).avg_activity_sw0,
-            computed.profile.avg_activity_sw0);
-  EXPECT_EQ(handle.extraction(options).activity.toggle_rate,
-            computed.activity.toggle_rate);
-  EXPECT_EQ(handle.profile_extractions(), 1u);
-}
-
 TEST(CompiledCircuit, DerivedFillIsNotAnExtraction) {
   obs::Counter& extracted =
       obs::Registry::global().counter("analysis-profile-extractions-total");
@@ -136,13 +106,16 @@ TEST(CompiledCircuit, DerivedFillIsNotAnExtraction) {
   const std::uint64_t derived_before = derived.value();
 
   const CompiledCircuit handle = compile(gen::c17());
-  const core::ProfileOptions options;
-  handle.store_profile(
-      options,
-      exec::run(core::profile_job(handle.circuit(), options),
-                exec::Parallelism::serial()),
-      CompiledCircuit::ProfileSource::kDerived);
-  (void)handle.profile(options);
+  core::ProfileOptions options;
+  options.activity_pairs = 64;
+  const core::ProfileExtraction computed = exec::run(
+      core::profile_job(handle.circuit(), options), exec::Parallelism::serial());
+  handle.store_profile(options, computed);
+  // profile() now hits the stored entry instead of re-extracting.
+  EXPECT_EQ(handle.profile(options).avg_activity_sw0,
+            computed.profile.avg_activity_sw0);
+  EXPECT_EQ(handle.extraction(options).activity.toggle_rate,
+            computed.activity.toggle_rate);
   EXPECT_EQ(handle.profile_extractions(), 0u);
   EXPECT_EQ(derived.value() - derived_before, 1u);
   // The job above ran outside the handle, so nothing counted an extraction.

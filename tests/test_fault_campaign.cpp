@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "analysis/analyze.hpp"
 #include "analysis/compiled_circuit.hpp"
 #include "analysis/request.hpp"
 #include "exec/batch.hpp"
@@ -146,20 +145,20 @@ TEST(FaultCampaign, BatchMatchesDirectEvaluate) {
   spec.options.sample = 80;
   request.options = spec;
 
-  const analysis::AnalysisResult direct = analysis::evaluate(request);
-  ASSERT_TRUE(direct.ok) << direct.error;
+  const FaultCampaignResult direct = run_campaign(
+      nmr.circuit(), &base.circuit(), spec.options, exec::Parallelism::serial());
 
   exec::BatchEvaluator batch;
   batch.submit(request);
   const std::vector<analysis::AnalysisResult> results = batch.run();
   ASSERT_EQ(results.size(), 1u);
   ASSERT_TRUE(results[0].ok) << results[0].error;
-  EXPECT_EQ(results[0].metrics, direct.metrics);
-  const auto* direct_payload = direct.get<FaultCampaignResult>();
   const auto* batch_payload = results[0].get<FaultCampaignResult>();
-  ASSERT_NE(direct_payload, nullptr);
   ASSERT_NE(batch_payload, nullptr);
-  EXPECT_EQ(*direct_payload, *batch_payload);
+  EXPECT_EQ(*batch_payload, direct);
+  analysis::AnalysisResult flattened;
+  analysis::set_payload(flattened, direct);
+  EXPECT_EQ(results[0].metrics, flattened.metrics);
 }
 
 TEST(FaultCampaign, BatchIsolatesInvalidCampaigns) {
@@ -294,11 +293,10 @@ TEST(FaultCampaign, DetectionTableAgreesWithAggregateCounts) {
       circuit, circuit, universe, options, exec::Parallelism::dedicated(64));
   EXPECT_EQ(serial_table.patterns, wide_table.patterns);
   EXPECT_EQ(serial_table.detected, wide_table.detected);
-  EXPECT_EQ(serial_table.passes, wide_table.passes);
+  EXPECT_EQ(serial_table.counts.passes, wide_table.counts.passes);
 
   const FaultCampaignResult via_table = finalize_campaign(
-      circuit, circuit, universe, options,
-      counts_from_table(universe, serial_table));
+      circuit, circuit, universe, options, serial_table.counts);
   const FaultCampaignResult direct = run_campaign(circuit, nullptr, options);
   EXPECT_EQ(via_table, direct);
 }

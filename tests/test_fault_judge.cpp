@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/analyze.hpp"
 #include "analysis/compiled_circuit.hpp"
 #include "analysis/request.hpp"
 #include "exec/batch.hpp"
@@ -158,7 +157,8 @@ std::string judge_cec_json(const std::string& name,
   request.circuit = analysis::compile(gen::find_benchmark(name).build());
   request.golden = analysis::compile(ft::nmr_transform(base).circuit);
   request.options = analysis::CecRequest{};
-  const analysis::AnalysisResult result = analysis::evaluate(request, how);
+  const analysis::AnalysisResult result =
+      exec::evaluate_requests({request}, how).front();
   std::ostringstream out;
   exec::write_result_json(out, result);
   return out.str();

@@ -142,8 +142,8 @@ TEST(FaultSim, FaultPackingCutsPassesAtLeast32x) {
   // pattern.
   const std::uint64_t scalar_passes =
       options.patterns * (1 + universe.num_classes());
-  EXPECT_GE(scalar_passes, 32 * table.passes)
-      << "bit-parallel passes " << table.passes << ", scalar passes "
+  EXPECT_GE(scalar_passes, 32 * table.counts.passes)
+      << "bit-parallel passes " << table.counts.passes << ", scalar passes "
       << scalar_passes;
 }
 

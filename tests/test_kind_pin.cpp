@@ -1,7 +1,7 @@
 // All-kinds byte pin: one request of every analysis kind, evaluated through
-// the batch engine at three thread policies and through the single-request
-// front door, must serialize to the same write_result_json bytes — and those
-// bytes must hash to the SHA-256 digests pinned below.
+// the batch engine at three thread policies — alone, as a one-request batch,
+// and together in one batch — must serialize to the same write_result_json
+// bytes, and those bytes must hash to the SHA-256 digests pinned below.
 //
 // The request set is examples/batch_smoke.manifest (one job per kind) plus
 // two sampled shapes the smoke set lacks: a 17-input profile whose activity
@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/analyze.hpp"
 #include "analysis/compiled_circuit.hpp"
 #include "analysis/request.hpp"
 #include "exec/batch.hpp"
@@ -126,22 +125,28 @@ TEST(KindPin, RequestSetCoversEveryKind) {
             static_cast<std::size_t>(analysis::AnalysisKind::kHarden) + 1);
 }
 
+// Each request alone, as a one-request batch, at 1/0/64 threads.
 TEST(KindPin, DirectResultsMatchPinnedDigests) {
-  const std::vector<AnalysisRequest> requests = pin_requests();
-  ASSERT_EQ(requests.size(), std::size(kPinTable));
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_EQ(requests[i].name, kPinTable[i].name);
-    const AnalysisResult result = analysis::evaluate(requests[i]);
-    EXPECT_TRUE(result.ok) << result.name << ": " << result.error;
-    EXPECT_EQ(util::sha256_hex(result_json(result)), kPinTable[i].sha256)
-        << result.name << ": " << result_json(result);
+  for (const unsigned threads : {1U, 0U, 64U}) {
+    const std::vector<AnalysisRequest> requests = pin_requests();
+    ASSERT_EQ(requests.size(), std::size(kPinTable));
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      ASSERT_EQ(requests[i].name, kPinTable[i].name);
+      const AnalysisResult result =
+          evaluate_requests({requests[i]}, Parallelism{threads}).front();
+      EXPECT_TRUE(result.ok) << result.name << ": " << result.error;
+      EXPECT_EQ(util::sha256_hex(result_json(result)), kPinTable[i].sha256)
+          << result.name << " threads=" << threads << ": "
+          << result_json(result);
+    }
   }
 }
 
+// The whole set in one batch: co-scheduling never reaches the bytes.
 TEST(KindPin, BatchedResultsMatchDirectBytesAtEveryThreadPolicy) {
   std::vector<std::string> direct;
   for (const AnalysisRequest& request : pin_requests()) {
-    direct.push_back(result_json(analysis::evaluate(request)));
+    direct.push_back(result_json(evaluate_requests({request}).front()));
   }
   for (const unsigned threads : {1U, 0U, 64U}) {
     const std::vector<AnalysisResult> batched =

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/analyze.hpp"
 #include "analysis/compiled_circuit.hpp"
 #include "analysis/request.hpp"
 #include "exec/batch.hpp"
@@ -362,7 +361,7 @@ TEST(Lint, RidesTheAnalysisRequestVocabulary) {
   request.options = LintRequest{};
   EXPECT_EQ(request.kind(), AnalysisKind::kLint);
 
-  const AnalysisResult result = evaluate(request);
+  const AnalysisResult result = exec::evaluate_requests({request}).front();
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.kind, AnalysisKind::kLint);
   const LintReport* report = result.get<LintReport>();
@@ -405,7 +404,7 @@ TEST(Lint, FailedLintRequestReportsNotThrows) {
   AnalysisRequest request;
   request.name = "empty";
   request.options = LintRequest{};  // empty circuit handle
-  const AnalysisResult result = evaluate(request);
+  const AnalysisResult result = exec::evaluate_requests({request}).front();
   EXPECT_FALSE(result.ok);
   EXPECT_FALSE(result.error.empty());
 }

@@ -11,7 +11,7 @@
 //     rewrite equal to their bases, refutes a single-gate mutation with the
 //     differing output named, and reports "no verdict" (never "different")
 //     when the BDD budget blows;
-//   - kind=cec rides the analysis layer: spec string, evaluate(), and the
+//   - kind=cec rides the analysis layer: spec string, the batch, and the
 //     batch manifest all agree with a direct check_equivalence call.
 #include "analysis/static_reason.hpp"
 
@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/analyze.hpp"
 #include "analysis/compiled_circuit.hpp"
 #include "analysis/request.hpp"
 #include "exec/batch.hpp"
@@ -335,7 +334,7 @@ TEST(CecRequestTest, EvaluateMatchesDirectCall) {
   request.circuit = base;
   request.golden = tmr;
   request.options = CecRequest{};
-  const AnalysisResult result = evaluate(request);
+  const AnalysisResult result = exec::evaluate_requests({request}).front();
   ASSERT_TRUE(result.ok) << result.error;
   EXPECT_EQ(result.kind, AnalysisKind::kCec);
   ASSERT_NE(result.get<CecResult>(), nullptr);
@@ -353,7 +352,7 @@ TEST(CecRequestTest, MissingGoldenFailsTheRequestNotTheBatch) {
   request.name = "no-golden";
   request.circuit = compile(gen::find_benchmark("c17").build());
   request.options = CecRequest{};
-  const AnalysisResult result = evaluate(request);
+  const AnalysisResult result = exec::evaluate_requests({request}).front();
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.error.find("golden"), std::string::npos) << result.error;
 }

@@ -53,7 +53,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/analyze.hpp"
 #include "analysis/compiled_circuit.hpp"
 #include "analysis/kinds.hpp"
 #include "analysis/lint.hpp"
@@ -235,15 +234,13 @@ int cmd_analyze(const Args& args) {
   }
   const analysis::CompiledCircuit compiled =
       load_compiled(args, args.positional[1]);
-  // profile() caches on the handle: the analyze() call below reuses this
-  // extraction.
   const core::CircuitProfile& profile = compiled.profile();
   print_profile(profile);
   core::EnergyModelOptions model;
   model.leakage_fraction = args.leakage;
   model.couple_leakage_to_delay = args.couple_leakage;
   const core::BoundReport r =
-      analysis::analyze(compiled, args.eps, args.delta, model);
+      core::analyze(profile, args.eps, args.delta, model);
   std::cout << "\nbounds at eps = " << args.eps << ", delta = " << args.delta
             << " (leakage share " << args.leakage << "):\n";
   report::Table t({"metric", "lower bound"});
@@ -598,12 +595,12 @@ int cmd_faultsim(const Args& args) {
                 << "on " << mismatches << " (pattern, fault) pairs\n";
       return kExitProcessing;
     }
-    const double reduction = table->passes == 0
-                                 ? 0.0
-                                 : static_cast<double>(scalar_passes) /
-                                       static_cast<double>(table->passes);
+    const std::uint64_t passes = table->counts.passes;
+    const double reduction = passes == 0 ? 0.0
+                                         : static_cast<double>(scalar_passes) /
+                                               static_cast<double>(passes);
     std::cout << "scalar check ok: " << scalar_passes << " scalar vs "
-              << table->passes << " bit-parallel passes ("
+              << passes << " bit-parallel passes ("
               << report::format_double(reduction, 2) << "x reduction)\n";
   }
 
