@@ -1,15 +1,9 @@
 #include "analysis/lint.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <functional>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <set>
-#include <sstream>
-#include <stdexcept>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -254,246 +248,35 @@ LintReport lint_circuit(const netlist::Circuit& circuit,
 
 namespace {
 
-// Mirrors the bench_io dialect: '#' comments, names over [alnum _ . [ ] $ /],
-// INPUT(x) / OUTPUT(x) declarations and `lhs = FUNC(a, b)` definitions — but
-// never throws; anything the strict reader would reject becomes a diagnostic.
-
-bool is_name_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_' ||
-         c == '.' || c == '[' || c == ']' || c == '$' || c == '/';
-}
-
-std::string_view strip(std::string_view text) {
-  while (!text.empty() &&
-         std::isspace(static_cast<unsigned char>(text.front())) != 0) {
-    text.remove_prefix(1);
+LintRule rule_of(netlist::BenchIssueKind kind) noexcept {
+  using Kind = netlist::BenchIssueKind;
+  switch (kind) {
+    case Kind::kSyntax: return LintRule::kSyntax;
+    case Kind::kMultiDriven: return LintRule::kMultiDrivenNet;
+    case Kind::kZeroFanin: return LintRule::kZeroFaninGate;
+    case Kind::kUndriven: return LintRule::kUndrivenNet;
+    case Kind::kCycle: return LintRule::kCycle;
   }
-  while (!text.empty() &&
-         std::isspace(static_cast<unsigned char>(text.back())) != 0) {
-    text.remove_suffix(1);
-  }
-  return text;
-}
-
-bool equals_ignore_case(std::string_view a, std::string_view b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::toupper(static_cast<unsigned char>(a[i])) !=
-        std::toupper(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-struct Call {
-  std::string_view head;
-  std::vector<std::string_view> args;
-};
-
-// Parses `HEAD(a, b, ...)`; returns nullopt on malformed shape.
-std::optional<Call> parse_call(std::string_view text) {
-  const std::size_t open = text.find('(');
-  if (open == std::string_view::npos || text.back() != ')') return std::nullopt;
-  Call call;
-  call.head = strip(text.substr(0, open));
-  if (call.head.empty()) return std::nullopt;
-  for (const char c : call.head) {
-    if (!is_name_char(c)) return std::nullopt;
-  }
-  std::string_view args = text.substr(open + 1, text.size() - open - 2);
-  if (strip(args).empty()) return call;  // e.g. CONST0()
-  while (true) {
-    const std::size_t comma = args.find(',');
-    const std::string_view arg =
-        strip(comma == std::string_view::npos ? args : args.substr(0, comma));
-    if (arg.empty()) return std::nullopt;
-    for (const char c : arg) {
-      if (!is_name_char(c)) return std::nullopt;
-    }
-    call.args.push_back(arg);
-    if (comma == std::string_view::npos) break;
-    args.remove_prefix(comma + 1);
-  }
-  return call;
-}
-
-struct SourceScan {
-  // Net -> line of its first driver (INPUT declaration or definition).
-  std::map<std::string, int> driven_at;
-  // Gate definitions in file order, for cycle detection.
-  std::map<std::string, std::vector<std::string>> gate_fanins;
-  // Net -> line of first use (fanin or OUTPUT listing) with no driver seen
-  // anywhere in the file.
-  std::map<std::string, int> first_use;
-  std::vector<LintDiagnostic> errors;
-};
-
-void note_use(SourceScan& scan, std::string_view net, int line) {
-  scan.first_use.emplace(std::string(net), line);
-}
-
-void note_driver(SourceScan& scan, std::string_view net, int line) {
-  const auto [it, inserted] = scan.driven_at.emplace(std::string(net), line);
-  if (!inserted) {
-    add(scan.errors, LintSeverity::kError, LintRule::kMultiDrivenNet,
-        std::string(net),
-        "net '" + std::string(net) + "' is driven on line " +
-            std::to_string(line) + " and on line " +
-            std::to_string(it->second));
-  }
-}
-
-void scan_line(SourceScan& scan, std::string_view line, int number) {
-  const auto syntax = [&](std::string message) {
-    add(scan.errors, LintSeverity::kError, LintRule::kSyntax,
-        "line " + std::to_string(number), std::move(message));
-  };
-
-  const std::size_t eq = line.find('=');
-  if (eq == std::string_view::npos) {
-    const std::optional<Call> call = parse_call(line);
-    if (!call || call->args.size() != 1) {
-      syntax("expected INPUT(name), OUTPUT(name), or 'net = GATE(...)': '" +
-             std::string(line) + "'");
-      return;
-    }
-    const std::optional<netlist::GateType> head =
-        netlist::gate_type_from_string(call->head);
-    if (head == netlist::GateType::kInput) {
-      note_driver(scan, call->args[0], number);
-    } else if (equals_ignore_case(call->head, "OUTPUT")) {
-      note_use(scan, call->args[0], number);
-    } else {
-      syntax("unknown declaration '" + std::string(call->head) +
-             "' (expected INPUT or OUTPUT)");
-    }
-    return;
-  }
-
-  const std::string_view lhs = strip(line.substr(0, eq));
-  if (lhs.empty() ||
-      !std::all_of(lhs.begin(), lhs.end(),
-                   [](char c) { return is_name_char(c); })) {
-    syntax("malformed net name before '=': '" + std::string(line) + "'");
-    return;
-  }
-  const std::optional<Call> call = parse_call(strip(line.substr(eq + 1)));
-  if (!call) {
-    syntax("malformed gate call after '=': '" + std::string(line) + "'");
-    return;
-  }
-  const std::optional<netlist::GateType> type =
-      netlist::gate_type_from_string(call->head);
-  if (!type || *type == netlist::GateType::kInput) {
-    syntax("unknown gate type '" + std::string(call->head) +
-           "' (sequential elements are not supported)");
-    return;
-  }
-  note_driver(scan, lhs, number);
-  const netlist::ArityRange arity = netlist::arity_range(*type);
-  if (call->args.empty() && arity.min > 0) {
-    add(scan.errors, LintSeverity::kError, LintRule::kZeroFaninGate,
-        std::string(lhs),
-        "gate '" + std::string(lhs) + "' (" + std::string(call->head) +
-            ") has no fanins; " + std::string(netlist::to_string(*type)) +
-            " needs at least " + std::to_string(arity.min));
-  }
-  std::vector<std::string> fanins;
-  fanins.reserve(call->args.size());
-  for (const std::string_view arg : call->args) {
-    note_use(scan, arg, number);
-    fanins.emplace_back(arg);
-  }
-  scan.gate_fanins.emplace(std::string(lhs), std::move(fanins));
-}
-
-// Depth-first search over the gate-definition graph; reports each back edge
-// as one cycle diagnostic carrying the full "a -> b -> a" path.
-void find_cycles(const SourceScan& scan,
-                 std::vector<LintDiagnostic>& errors) {
-  enum class Visit : std::uint8_t { kFresh, kActive, kDone };
-  std::map<std::string, Visit> state;
-  std::vector<std::string> path;
-
-  const std::function<void(const std::string&)> visit =
-      [&](const std::string& net) {
-        state[net] = Visit::kActive;
-        path.push_back(net);
-        const auto it = scan.gate_fanins.find(net);
-        if (it != scan.gate_fanins.end()) {
-          for (const std::string& fanin : it->second) {
-            const auto seen = state.find(fanin);
-            const Visit mark =
-                seen == state.end() ? Visit::kFresh : seen->second;
-            if (mark == Visit::kFresh) {
-              visit(fanin);
-            } else if (mark == Visit::kActive) {
-              std::string rendered;
-              for (auto at = std::find(path.begin(), path.end(), fanin);
-                   at != path.end(); ++at) {
-                rendered += *at;
-                rendered += " -> ";
-              }
-              rendered += fanin;
-              add(errors, LintSeverity::kError, LintRule::kCycle, fanin,
-                  "combinational cycle: " + rendered);
-            }
-          }
-        }
-        path.pop_back();
-        state[net] = Visit::kDone;
-      };
-
-  for (const auto& [net, fanins] : scan.gate_fanins) {
-    (void)fanins;
-    if (const auto it = state.find(net);
-        it == state.end() || it->second == Visit::kFresh) {
-      visit(net);
-    }
-  }
+  return LintRule::kSyntax;
 }
 
 }  // namespace
 
 LintReport lint_bench_text(const std::string& text, const std::string& name,
                            const LintOptions& options) {
-  SourceScan scan;
-  std::istringstream in(text);
-  std::string raw;
-  for (int number = 1; std::getline(in, raw); ++number) {
-    std::string_view line(raw);
-    if (const std::size_t hash = line.find('#');
-        hash != std::string_view::npos) {
-      line = line.substr(0, hash);
-    }
-    line = strip(line);
-    if (line.empty()) continue;
-    scan_line(scan, line, number);
+  netlist::BenchSource source = netlist::scan_bench(text);
+  LintReport report;
+  for (netlist::BenchIssue& issue : source.issues) {
+    add(report.diagnostics, LintSeverity::kError, rule_of(issue.kind),
+        std::move(issue.site), std::move(issue.message));
   }
+  if (!report.diagnostics.empty()) return report;
 
-  for (const auto& [net, line] : scan.first_use) {
-    if (scan.driven_at.contains(net)) continue;
-    add(scan.errors, LintSeverity::kError, LintRule::kUndrivenNet, net,
-        "net '" + net + "' is used on line " + std::to_string(line) +
-            " but never driven (no INPUT declaration or gate definition)");
-  }
-  find_cycles(scan, scan.errors);
-
-  if (!scan.errors.empty()) {
-    LintReport report;
-    report.diagnostics = std::move(scan.errors);
-    return report;
-  }
-
-  // Source-clean: build the netlist and run the circuit rules. Residual
-  // build failures (e.g. an arity the lenient scan does not model) surface
-  // as syntax diagnostics instead of exceptions.
+  // Source-clean: build the netlist and run the circuit rules. A gate whose
+  // operand count its type rejects surfaces as a syntax diagnostic.
   try {
-    const netlist::Circuit circuit = netlist::read_bench_string(text, name);
-    return lint_circuit(circuit, options);
-  } catch (const std::exception& error) {
-    LintReport report;
+    return lint_circuit(netlist::build_bench(source, name).circuit, options);
+  } catch (const netlist::BenchParseError& error) {
     add(report.diagnostics, LintSeverity::kError, LintRule::kSyntax, name,
         error.what());
     return report;

@@ -15,8 +15,11 @@
 //   lint_bench_text  — rules over raw .bench source, where the defects the
 //                      IR cannot represent live: combinational cycles (with
 //                      the cycle path), undriven and multi-driven nets,
-//                      zero-fanin gates, unparseable lines. When the source
-//                      is clean enough to build, the circuit rules run too.
+//                      zero-fanin gates, unparseable lines. These are the
+//                      issues of netlist::scan_bench, the one definition of
+//                      the dialect. When the source is clean, the circuit
+//                      is built from the same scan and the circuit rules run
+//                      too.
 //
 // Severity: kError marks netlists the engines would mis-analyze or reject
 // (cycles, undriven/multi-driven nets, no outputs); kWarning marks
@@ -115,9 +118,10 @@ struct LintReport {
 [[nodiscard]] LintReport lint_circuit(const netlist::Circuit& circuit,
                                       const LintOptions& options = {});
 
-// Lints .bench source text: the source-level rules, then — when no source
-// errors were found and the netlist builds — the circuit rules as well.
-// Never throws BenchParseError; parse failures become diagnostics.
+// Lints .bench source text: one diagnostic per netlist::scan_bench issue,
+// then — when there are none and the netlist builds — the circuit rules as
+// well. Never throws BenchParseError; parse failures become diagnostics, so
+// a text is flagged here exactly when the reader rejects it.
 [[nodiscard]] LintReport lint_bench_text(const std::string& text,
                                          const std::string& name = "bench",
                                          const LintOptions& options = {});

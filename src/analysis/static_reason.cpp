@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "bdd/bdd.hpp"
+#include "bdd/circuit_to_bdd.hpp"
 #include "exec/stream.hpp"
 #include "netlist/flat.hpp"
 #include "netlist/topo.hpp"
@@ -514,58 +515,9 @@ std::vector<bdd::Ref> cone_output_bdds(bdd::Bdd& manager,
   std::vector<NodeId> roots;
   roots.reserve(pairs.size());
   for (const std::size_t o : pairs) roots.push_back(circuit.outputs()[o]);
-  const std::vector<bool> needed = netlist::transitive_fanin(circuit, roots);
-  std::vector<bdd::Ref> refs(circuit.node_count(), bdd::Bdd::kFalse);
-  std::vector<bdd::Ref> fanin_refs;
-  for (NodeId id = 0; id < circuit.node_count(); ++id) {
-    if (!needed[id]) continue;
-    const GateType type = circuit.type(id);
-    fanin_refs.clear();
-    for (const NodeId f : circuit.fanins(id)) fanin_refs.push_back(refs[f]);
-    switch (type) {
-      case GateType::kInput:
-        refs[id] = manager.var_ref(
-            static_cast<unsigned>(circuit.input_index(id)));
-        break;
-      case GateType::kConst0:
-        refs[id] = bdd::Bdd::kFalse;
-        break;
-      case GateType::kConst1:
-        refs[id] = bdd::Bdd::kTrue;
-        break;
-      case GateType::kBuf:
-        refs[id] = fanin_refs[0];
-        break;
-      case GateType::kNot:
-        refs[id] = manager.apply_not(fanin_refs[0]);
-        break;
-      case GateType::kAnd:
-      case GateType::kNand: {
-        bdd::Ref acc = bdd::Bdd::kTrue;
-        for (const bdd::Ref f : fanin_refs) acc = manager.apply_and(acc, f);
-        refs[id] = type == GateType::kAnd ? acc : manager.apply_not(acc);
-        break;
-      }
-      case GateType::kOr:
-      case GateType::kNor: {
-        bdd::Ref acc = bdd::Bdd::kFalse;
-        for (const bdd::Ref f : fanin_refs) acc = manager.apply_or(acc, f);
-        refs[id] = type == GateType::kOr ? acc : manager.apply_not(acc);
-        break;
-      }
-      case GateType::kXor:
-      case GateType::kXnor: {
-        bdd::Ref acc = bdd::Bdd::kFalse;
-        for (const bdd::Ref f : fanin_refs) acc = manager.apply_xor(acc, f);
-        refs[id] = type == GateType::kXor ? acc : manager.apply_not(acc);
-        break;
-      }
-      case GateType::kMaj:
-        refs[id] =
-            manager.apply_maj(fanin_refs[0], fanin_refs[1], fanin_refs[2]);
-        break;
-    }
-  }
+  const std::vector<bool> cone = netlist::transitive_fanin(circuit, roots);
+  const std::vector<bdd::Ref> refs =
+      bdd::build_node_bdds(manager, circuit, &cone);
   std::vector<bdd::Ref> out;
   out.reserve(pairs.size());
   for (const std::size_t o : pairs) out.push_back(refs[circuit.outputs()[o]]);

@@ -8,13 +8,15 @@ using netlist::Circuit;
 using netlist::GateType;
 using netlist::NodeId;
 
-std::vector<Ref> build_node_bdds(Bdd& manager, const Circuit& circuit) {
+std::vector<Ref> build_node_bdds(Bdd& manager, const Circuit& circuit,
+                                 const std::vector<bool>* cone) {
   if (manager.num_vars() < circuit.num_inputs()) {
     throw std::invalid_argument(
         "build_node_bdds: manager has fewer variables than circuit inputs");
   }
   std::vector<Ref> refs(circuit.node_count(), Bdd::kFalse);
   for (NodeId id = 0; id < circuit.node_count(); ++id) {
+    if (cone != nullptr && !(*cone)[id]) continue;
     const auto& node = circuit.node(id);
     const auto fanin = [&](std::size_t i) { return refs[node.fanins[i]]; };
     switch (node.type) {

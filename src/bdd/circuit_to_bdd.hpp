@@ -9,10 +9,13 @@
 
 namespace enb::bdd {
 
-// Returns one Ref per circuit node, in node-id order. Throws
-// BddLimitExceeded if the manager's node budget is exhausted.
-[[nodiscard]] std::vector<Ref> build_node_bdds(Bdd& manager,
-                                               const netlist::Circuit& circuit);
+// Returns one Ref per circuit node, in node-id order. With a `cone` mask
+// (one flag per node, closed under fanin) only the flagged nodes are built;
+// the rest stay kFalse. Throws BddLimitExceeded if the manager's node budget
+// is exhausted.
+[[nodiscard]] std::vector<Ref> build_node_bdds(
+    Bdd& manager, const netlist::Circuit& circuit,
+    const std::vector<bool>* cone = nullptr);
 
 // Convenience: BDDs of the primary outputs only.
 [[nodiscard]] std::vector<Ref> build_output_bdds(

@@ -1,156 +1,26 @@
 #include "seq/seq_bench_io.hpp"
 
-#include <cctype>
-#include <fstream>
-#include <istream>
 #include <ostream>
 #include <sstream>
-#include <vector>
 
 #include "netlist/bench_io.hpp"
 
 namespace enb::seq {
 
-namespace {
-
-// Splits the file into DFF definitions and a purely combinational remainder.
-// "q = DFF(d)" turns q into an INPUT declaration of the core and records the
-// (q, d) pair; everything else passes through to the combinational reader.
-struct SplitBench {
-  std::string combinational;
-  std::vector<std::pair<std::string, std::string>> dffs;  // (q, d)
-};
-
-std::string strip(const std::string& text) {
-  std::size_t b = 0;
-  std::size_t e = text.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(text[b])) != 0) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(text[e - 1])) != 0) --e;
-  return text.substr(b, e - b);
-}
-
-SplitBench split_sequential(std::istream& in) {
-  SplitBench split;
-  std::ostringstream comb;
-  std::string raw;
-  int line_no = 0;
-  while (std::getline(in, raw)) {
-    ++line_no;
-    std::string line = raw;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    const std::string stripped = strip(line);
-    // Detect "<lhs> = DFF(<rhs>)" case-insensitively.
-    const std::size_t eq = stripped.find('=');
-    bool is_dff = false;
-    if (eq != std::string::npos) {
-      std::string rhs = strip(stripped.substr(eq + 1));
-      std::string upper;
-      for (char ch : rhs) upper += static_cast<char>(std::toupper(
-          static_cast<unsigned char>(ch)));
-      if (upper.rfind("DFF", 0) == 0) {
-        const std::size_t open = rhs.find('(');
-        const std::size_t close = rhs.rfind(')');
-        if (open == std::string::npos || close == std::string::npos ||
-            close <= open) {
-          throw netlist::BenchParseError(
-              "seq bench parse error at line " + std::to_string(line_no) +
-              ": malformed DFF");
-        }
-        const std::string q = strip(stripped.substr(0, eq));
-        const std::string d = strip(rhs.substr(open + 1, close - open - 1));
-        if (q.empty() || d.empty()) {
-          throw netlist::BenchParseError(
-              "seq bench parse error at line " + std::to_string(line_no) +
-              ": DFF needs a target and one operand");
-        }
-        split.dffs.emplace_back(q, d);
-        comb << "INPUT(" << q << ")\n";  // present state feeds the core
-        is_dff = true;
-      }
-    }
-    if (!is_dff) comb << raw << "\n";
-  }
-  split.combinational = comb.str();
-  return split;
-}
-
-}  // namespace
-
-SeqCircuit read_seq_bench(std::istream& in, std::string name) {
-  const SplitBench split = split_sequential(in);
-  SeqCircuit seq(name);
-  // Parse the combinational remainder; DFF data signals must resolve, so
-  // reference them via dummy outputs, then map them back to node ids.
-  std::string text = split.combinational;
-  for (const auto& [q, d] : split.dffs) {
-    (void)q;
-    text += "OUTPUT(" + d + ")\n";  // force materialization of d
-  }
-  netlist::Circuit parsed = netlist::read_bench_string(text, name);
-
-  // The forced outputs are the last dffs.size() entries; record their nodes
-  // and rebuild the circuit without them.
-  const std::size_t real_outputs =
-      parsed.num_outputs() - split.dffs.size();
-  std::vector<netlist::NodeId> dff_data;
-  for (std::size_t i = 0; i < split.dffs.size(); ++i) {
-    dff_data.push_back(parsed.outputs()[real_outputs + i]);
-  }
-
-  netlist::Circuit& core = seq.core();
-  // Clone nodes 1:1 (parsed ids are topological).
-  std::vector<netlist::NodeId> map(parsed.node_count());
-  for (netlist::NodeId id = 0; id < parsed.node_count(); ++id) {
-    const auto& node = parsed.node(id);
-    if (node.type == netlist::GateType::kInput) {
-      map[id] = core.add_input(parsed.node_name(id));
-    } else if (netlist::is_constant(node.type)) {
-      map[id] = core.add_const(node.type == netlist::GateType::kConst1);
-    } else {
-      std::vector<netlist::NodeId> fanins;
-      for (netlist::NodeId f : node.fanins) fanins.push_back(map[f]);
-      map[id] = core.add_gate(node.type, std::move(fanins));
-      core.set_node_name(map[id], parsed.node_name(id));
-    }
-  }
-  for (std::size_t pos = 0; pos < real_outputs; ++pos) {
-    core.add_output(map[parsed.outputs()[pos]], parsed.output_name(pos));
-  }
-  // Register latches: find each q's input node by name.
-  for (std::size_t i = 0; i < split.dffs.size(); ++i) {
-    const std::string& q = split.dffs[i].first;
-    netlist::NodeId q_node = netlist::kInvalidNode;
-    for (netlist::NodeId id : core.inputs()) {
-      if (core.node_name(id) == q) {
-        q_node = id;
-        break;
-      }
-    }
-    if (q_node == netlist::kInvalidNode) {
-      throw netlist::BenchParseError("seq bench: lost DFF target " + q);
-    }
-    seq.add_latch(q_node, map[dff_data[i]], false, q);
+SeqCircuit read_seq_bench_string(std::string_view text, std::string name) {
+  netlist::BenchCircuit built =
+      netlist::build_bench(netlist::scan_bench(text, /*latches=*/true));
+  SeqCircuit seq(std::move(name));
+  seq.core() = std::move(built.circuit);
+  for (const auto& [state, data] : built.latches) {
+    seq.add_latch(state, data, false, seq.core().node_name(state));
   }
   return seq;
 }
 
-SeqCircuit read_seq_bench_string(const std::string& text, std::string name) {
-  std::istringstream in(text);
-  return read_seq_bench(in, std::move(name));
-}
-
 SeqCircuit read_seq_bench_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw netlist::BenchParseError("cannot open bench file: " + path);
-  }
-  std::string name = path;
-  const std::size_t slash = name.find_last_of('/');
-  if (slash != std::string::npos) name = name.substr(slash + 1);
-  const std::size_t dot = name.rfind('.');
-  if (dot != std::string::npos) name = name.substr(0, dot);
-  return read_seq_bench(in, std::move(name));
+  netlist::BenchFile file = netlist::load_bench_file(path);
+  return read_seq_bench_string(file.text, std::move(file.stem));
 }
 
 void write_seq_bench(const SeqCircuit& seq, std::ostream& out) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "analysis/lint.hpp"
 #include "netlist/stats.hpp"
 
 namespace enb::netlist {
@@ -128,6 +133,85 @@ TEST(BenchIo, RoundTrip) {
 TEST(BenchIo, MissingFileThrows) {
   EXPECT_THROW((void)read_bench_file("/nonexistent/path.bench"),
                BenchParseError);
+}
+
+// scan_bench is the one definition of the dialect, so the reader rejects a
+// text exactly when the linter reports a source-level defect in it.
+TEST(BenchIo, ReaderAndLinterAgreeOnSourceDefects) {
+  struct Row {
+    const char* label;
+    std::string text;
+    bool defective;
+  };
+  const std::vector<Row> rows = {
+      {"clean c17", kC17, false},
+      {"text after a gate's ')'",
+       "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b) junk\n", true},
+      {"text after an INPUT's ')'", "INPUT(a) junk\nOUTPUT(a)\n", true},
+      {"mixed-case OUTPUT", "INPUT(a)\nOuTpUt(a)\n", false},
+      {"lower-case keywords", "input(a)\noutput(y)\ny = not(a)\n", false},
+      {"empty operand", "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, , b)\n",
+       true},
+      {"trailing empty operand", "INPUT(a)\nOUTPUT(y)\ny = AND(a, )\n", true},
+      {"control byte in a name", "INPUT(a)\nOUTPUT(y)\ny = AND(a, b\x01q)\n",
+       true},
+      {"AND()", "INPUT(a)\nOUTPUT(y)\ng = AND()\ny = OR(a, g)\n", true},
+      {"cycle", "INPUT(x)\nOUTPUT(a)\na = AND(b, x)\nb = OR(a, x)\n", true},
+      {"undriven net", "INPUT(a)\nOUTPUT(y)\ny = AND(a, ghost)\n", true},
+      {"redeclared INPUT", "INPUT(a)\nINPUT(a)\nOUTPUT(a)\n", true},
+      {"redefined INPUT", "INPUT(a)\nINPUT(b)\nOUTPUT(a)\na = NOT(b)\n", true},
+      {"DFF", "INPUT(d)\nOUTPUT(q)\nq = DFF(d)\n", true},
+  };
+  const auto source_level = [](const analysis::LintDiagnostic& d) {
+    using analysis::LintRule;
+    return d.rule == LintRule::kSyntax || d.rule == LintRule::kCycle ||
+           d.rule == LintRule::kUndrivenNet ||
+           d.rule == LintRule::kMultiDrivenNet ||
+           d.rule == LintRule::kZeroFaninGate;
+  };
+  for (const Row& row : rows) {
+    bool reader_threw = false;
+    try {
+      (void)read_bench_string(row.text);
+    } catch (const BenchParseError&) {
+      reader_threw = true;
+    }
+    const analysis::LintReport report = analysis::lint_bench_text(row.text);
+    const bool linter_flagged =
+        std::any_of(report.diagnostics.begin(), report.diagnostics.end(),
+                    source_level);
+    EXPECT_EQ(reader_threw, row.defective) << row.label;
+    EXPECT_EQ(linter_flagged, row.defective) << row.label;
+  }
+}
+
+TEST(BenchIo, DeepChainReadsWithoutRecursion) {
+  constexpr int kDepth = 200000;
+  std::string text = "INPUT(a)\nn1 = NOT(a)\n";
+  for (int i = 2; i <= kDepth; ++i) {
+    text.append("n").append(std::to_string(i)).append(" = NOT(n");
+    text.append(std::to_string(i - 1)).append(")\n");
+  }
+  text.append("OUTPUT(n").append(std::to_string(kDepth)).append(")\n");
+  const Circuit c = read_bench_string(text);
+  EXPECT_EQ(c.node_count(), static_cast<std::size_t>(kDepth) + 1);
+  EXPECT_EQ(c.node_name(c.outputs()[0]), "n200000");
+}
+
+// Definitions no output reaches are built after the output cones, in
+// statement order, each after its own fanin cone.
+TEST(BenchIo, DanglingDefinitionsFollowStatementOrder) {
+  const Circuit c = read_bench_string(R"(
+INPUT(a)
+OUTPUT(y)
+y = NOT(a)
+p = AND(a, q)
+r = OR(a)
+q = BUF(a)
+)");
+  std::vector<std::string> names;
+  for (NodeId id = 0; id < c.node_count(); ++id) names.push_back(c.node_name(id));
+  EXPECT_EQ(names, (std::vector<std::string>{"a", "y", "q", "p", "r"}));
 }
 
 #ifdef ENB_DATA_DIR

@@ -149,6 +149,24 @@ TEST(Lint, SyntaxErrorsNameTheLine) {
   EXPECT_NE(seq->message.find("DFF"), std::string::npos) << seq->message;
 }
 
+// The source rules run on an explicit stack: a 200k-deep chain hanging off
+// an undriven net yields its one diagnostic, and the circuit rules (which
+// need a buildable netlist) never run.
+TEST(Lint, DeepChainSourceScanDoesNotRecurse) {
+  constexpr int kDepth = 200000;
+  std::string text = "n1 = NOT(ghost)\n";
+  for (int i = 2; i <= kDepth; ++i) {
+    text.append("n").append(std::to_string(i)).append(" = NOT(n");
+    text.append(std::to_string(i - 1)).append(")\n");
+  }
+  text.append("OUTPUT(n").append(std::to_string(kDepth)).append(")\n");
+  const LintReport report = lint_bench_text(text);
+  ASSERT_EQ(report.diagnostics.size(), 1u);
+  EXPECT_EQ(report.diagnostics[0].rule, LintRule::kUndrivenNet);
+  EXPECT_EQ(report.diagnostics[0].site, "ghost");
+  EXPECT_EQ(report.nodes, 0u);
+}
+
 TEST(Lint, NoOutputsIsAnError) {
   const LintReport report = lint_bench_text(
       "INPUT(a)\n"

@@ -96,6 +96,20 @@ TEST(SeqBenchIo, RoundTripGeneratedMachines) {
   }
 }
 
+TEST(SeqBenchIo, RoundTripKeepsConstantNetNames) {
+  const SeqCircuit seq = read_seq_bench_string(
+      "INPUT(en)\nOUTPUT(q)\nOUTPUT(k)\nk = CONST1()\nq = DFF(n)\n"
+      "n = AND(q, en, k)\n");
+  const netlist::Circuit& core = seq.core();
+  EXPECT_EQ(core.node_name(core.outputs()[1]), "k");
+  const std::string text = write_seq_bench_string(seq);
+  EXPECT_NE(text.find("OUTPUT(k)\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("k = CONST1()\n"), std::string::npos) << text;
+  EXPECT_NE(text.find("n = AND(q, en, k)\n"), std::string::npos) << text;
+  const SeqCircuit reread = read_seq_bench_string(text);
+  EXPECT_EQ(write_seq_bench_string(reread), text);
+}
+
 TEST(SeqBenchIo, WriterEmitsDffLines) {
   const std::string text = write_seq_bench_string(counter(2));
   EXPECT_NE(text.find("= DFF("), std::string::npos);
