@@ -20,7 +20,7 @@ int main() {
   int helped = 0;
   int total = 0;
   for (const gen::BenchmarkSpec& spec : gen::standard_suite()) {
-    const auto mapped = synth::map_to_library(spec.build(), {});
+    const auto mapped = synth::map_to_library(spec.build(), 3);
     // Cone profiling is exhaustive-sensitive; keep it tractable.
     core::ProfileOptions options;
     options.sensitivity_exact_max_inputs = bench::smoke_mode() ? 12 : 16;

@@ -99,10 +99,8 @@ BENCHMARK(BM_SensitivityRca8);
 
 void BM_MapCla16(benchmark::State& state) {
   const auto c = gen::carry_lookahead_adder(16);
-  synth::MapOptions options;
-  options.verify = false;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(synth::map_to_library(c, options));
+    benchmark::DoNotOptimize(synth::map_to_library(c, 3));
   }
 }
 BENCHMARK(BM_MapCla16);

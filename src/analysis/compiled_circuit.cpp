@@ -10,7 +10,6 @@
 #include "netlist/topo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "synth/library.hpp"
 #include "synth/mapper.hpp"
 #include "util/sync.hpp"
 
@@ -171,10 +170,8 @@ CompiledCircuit CompiledCircuit::mapped(int max_fanin) const {
   for (const auto& [fanin, handle] : impl.mapped) {
     if (fanin == max_fanin) return handle;
   }
-  synth::MapOptions options;
-  options.library = synth::Library::generic(max_fanin);
   CompiledCircuit handle =
-      compile(synth::map_to_library(impl.circuit, options).circuit);
+      compile(synth::map_to_library(impl.circuit, max_fanin).circuit);
   impl.mapped.emplace_back(max_fanin, handle);
   return handle;
 }

@@ -71,7 +71,11 @@ Args parse_args(const std::vector<std::string>& argv) {
     } else if (arg == "--stream") {
       args.stream = true;
     } else if (arg == "--map") {
-      next_int(arg, args.map_fanin);
+      if (next_int(arg, args.map_fanin) &&
+          (args.map_fanin < 0 || args.map_fanin == 1)) {
+        args.error = "option --map expects 0 (analyze as-is) or a fanin "
+                     ">= 2, got '" + std::to_string(args.map_fanin) + "'";
+      }
     } else if (arg == "--points") {
       next_int(arg, args.points);
     } else if (arg == "--threads") {

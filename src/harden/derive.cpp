@@ -1,80 +1,44 @@
 #include "harden/derive.hpp"
 
-#include <algorithm>
 #include <utility>
 
-#include "netlist/gate_type.hpp"
 #include "sim/activity.hpp"
 
 namespace enb::harden {
 
 using netlist::Circuit;
-using netlist::GateType;
 using netlist::NodeId;
 
-// Every base node resolves the same way a variant node does. A node whose
-// key is new becomes the key's canonical node, so a base gate and each of
-// its replicas land on the same canonical node, even through duplicated
-// base gates or gates the rules collapse.
-BaseIndex::BaseIndex(const Circuit& base) : base_(&base) {
-  std::vector<NodeId> canonical(base.node_count());
+BaseIndex::BaseIndex(const Circuit& base)
+    : num_inputs_(base.num_inputs()), hasher_(base.num_inputs()) {
+  const std::vector<std::uint32_t> classes = hasher_.hash_circuit(base);
+  first_node_.assign(hasher_.num_values(), netlist::kInvalidNode);
   for (NodeId id = 0; id < base.node_count(); ++id) {
-    const GateType type = base.type(id);
-    if (netlist::is_input(type)) {
-      canonical[id] = id;
-      continue;
-    }
-    std::vector<NodeId> fanins;
-    fanins.reserve(base.fanins(id).size());
-    for (const NodeId fanin : base.fanins(id)) {
-      fanins.push_back(canonical[fanin]);
-    }
-    if (netlist::is_commutative(type)) std::sort(fanins.begin(), fanins.end());
-    canonical[id] = origin(type, fanins);
-    if (canonical[id] == netlist::kInvalidNode) {
-      nodes_.emplace(std::make_pair(type, std::move(fanins)), id);
-      canonical[id] = id;
+    if (first_node_[classes[id]] == netlist::kInvalidNode) {
+      first_node_[classes[id]] = id;
     }
   }
 }
 
-NodeId BaseIndex::origin(GateType type, std::vector<NodeId> fanins) const {
-  if (netlist::is_commutative(type)) std::sort(fanins.begin(), fanins.end());
-  const auto it = nodes_.find(std::make_pair(type, fanins));
-  if (it != nodes_.end()) return it->second;
-  if (type == GateType::kConst0) return kZeroOrigin;
-  const bool same = !fanins.empty() &&
-                    std::all_of(fanins.begin(), fanins.end(),
-                                [&](NodeId f) { return f == fanins.front(); });
-  if (same) {
-    // Idempotent voters and their two-input AND/OR netlists pass x through;
-    // XOR over an even number of copies of x cancels to 0.
-    if (type == GateType::kAnd || type == GateType::kOr ||
-        type == GateType::kMaj) {
-      return fanins.front();
-    }
-    if (type == GateType::kXor && fanins.size() % 2 == 0) return kZeroOrigin;
-  }
-  return netlist::kInvalidNode;
+NodeId BaseIndex::first_node(std::uint32_t value) const noexcept {
+  return value < first_node_.size() ? first_node_[value]
+                                    : netlist::kInvalidNode;
 }
 
 std::optional<std::vector<NodeId>> node_origins(const BaseIndex& base,
                                                 const Circuit& variant) {
-  if (variant.num_inputs() != base.base().num_inputs()) return std::nullopt;
+  if (variant.num_inputs() != base.num_inputs()) return std::nullopt;
+  // Hash into a copy so the shared index stays read-only; classes the base
+  // never computes get fresh ids past its first_node table.
+  analysis::StructuralHasher hasher = base.hasher();
+  const std::vector<std::uint32_t> classes = hasher.hash_circuit(variant);
   std::vector<NodeId> origins(variant.node_count());
   for (NodeId id = 0; id < variant.node_count(); ++id) {
-    const GateType type = variant.type(id);
-    if (netlist::is_input(type)) {
-      origins[id] = base.base().inputs()[static_cast<std::size_t>(
-          variant.input_index(id))];
+    if (classes[id] == analysis::StructuralHasher::const_id(false)) {
+      origins[id] = kZeroOrigin;
       continue;
     }
-    std::vector<NodeId> fanins;
-    fanins.reserve(variant.fanins(id).size());
-    for (const NodeId fanin : variant.fanins(id)) {
-      fanins.push_back(origins[fanin]);
-    }
-    origins[id] = base.origin(type, std::move(fanins));
+    origins[id] = base.first_node(classes[id]);
     if (origins[id] == netlist::kInvalidNode) return std::nullopt;
   }
   return origins;

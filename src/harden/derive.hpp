@@ -3,15 +3,10 @@
 //
 // The transforms are append-only rebuilds (harden/transform.hpp), so every
 // fault-free node of a variant computes the function of some base node, or
-// the constant 0:
-//   - inputs map by position, a constant 1 to the base's, a constant 0 to 0;
-//   - a replica gate whose (type, fanin origins) matches a base gate is that
-//     gate, found through one structural hash of the base (which resolves
-//     the base's own nodes by these same rules, so structurally duplicated
-//     base gates share one canonical origin);
-//   - a voter MAJ / AND / OR whose fanins all share one origin x is x (this
-//     covers both ft::VoterStyle netlists);
-//   - a DWC comparator XOR(x, x) is 0, and so is an OR of zeros (dwc_check).
+// the constant 0. A node's origin is the first base node that
+// analysis::StructuralHasher proves computes the same function: replicas
+// land on their base gate, voters and their two-input netlists on the
+// voted node, and DWC comparators and their OR on constant 0.
 //
 // Copying the base's per-node activity through these origins and averaging
 // it in variant node order reproduces the variant's own extraction bit for
@@ -21,11 +16,12 @@
 // Monte-Carlo) depends only on the input count, which is unchanged.
 #pragma once
 
-#include <map>
+#include <cstddef>
+#include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
+#include "analysis/static_reason.hpp"
 #include "core/profile.hpp"
 #include "harden/transform.hpp"
 #include "netlist/circuit.hpp"
@@ -36,34 +32,30 @@ namespace enb::harden {
 // of the base included.
 inline constexpr netlist::NodeId kZeroOrigin = netlist::kInvalidNode - 1;
 
-// The structural hash of a base circuit that node_origins looks gates up
-// in: built once per sweep and shared by every candidate. Holds a reference
-// to `base`, which must outlive the index.
+// The structural hash of a base circuit that node_origins looks variants up
+// in: built once per sweep and shared, read-only, by every candidate.
 class BaseIndex {
  public:
   explicit BaseIndex(const netlist::Circuit& base);
 
-  [[nodiscard]] const netlist::Circuit& base() const noexcept {
-    return *base_;
+  [[nodiscard]] std::size_t num_inputs() const noexcept { return num_inputs_; }
+  // The hasher with the base hashed into it.
+  [[nodiscard]] const analysis::StructuralHasher& hasher() const noexcept {
+    return hasher_;
   }
-  // The origin of a node of `type` (a gate or a constant) whose fanins have
-  // origins `fanins`: the canonical base node with that structure, else the
-  // rules' collapse (x, or kZeroOrigin), else netlist::kInvalidNode.
-  [[nodiscard]] netlist::NodeId origin(
-      netlist::GateType type, std::vector<netlist::NodeId> fanins) const;
+  // The first base node of hasher class `value`, or netlist::kInvalidNode
+  // when no base node computes it.
+  [[nodiscard]] netlist::NodeId first_node(std::uint32_t value) const noexcept;
 
  private:
-  const netlist::Circuit* base_;
-  // (type, canonical fanins, sorted for commutative types) -> the first
-  // base node with that structure.
-  std::map<std::pair<netlist::GateType, std::vector<netlist::NodeId>>,
-           netlist::NodeId>
-      nodes_;
+  std::size_t num_inputs_;
+  analysis::StructuralHasher hasher_;
+  std::vector<netlist::NodeId> first_node_;  // indexed by class id
 };
 
 // Per variant node, the base node whose function it computes fault-free, or
-// kZeroOrigin. nullopt when some node matches none of the rules above, or
-// the input counts differ.
+// kZeroOrigin. nullopt when some node's class has no base node, or the
+// input counts differ.
 [[nodiscard]] std::optional<std::vector<netlist::NodeId>> node_origins(
     const BaseIndex& base, const netlist::Circuit& variant);
 

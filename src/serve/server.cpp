@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstring>
 #include <iomanip>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -390,6 +391,12 @@ void Server::cmd_load(const Frame& frame, ByteStream& stream) {
   const std::string name = frame.arg("name").value_or(spec);
   int map_fanin = options_.default_map_fanin;
   if (const auto map = frame.uint_arg("map"); map.has_value()) {
+    if (*map == 1 ||
+        *map > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+      throw std::invalid_argument(
+          "load: argument 'map=' must be 0 (load as-is) or a fanin >= 2 "
+          "that fits an int, got '" + std::to_string(*map) + "'");
+    }
     map_fanin = static_cast<int>(*map);
   }
   analysis::CompiledCircuit handle =

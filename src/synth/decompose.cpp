@@ -102,141 +102,4 @@ Circuit reduce_fanin(const Circuit& circuit, int max_fanin) {
   return next;
 }
 
-namespace {
-
-// Basis-conversion emitters. Each returns a node computing the requested
-// function using only types the library allows. They assume the library
-// always allows NOT (all shipped bases do).
-class BasisEmitter {
- public:
-  BasisEmitter(Circuit& c, const Library& lib) : c_(c), lib_(lib) {}
-
-  NodeId land(NodeId a, NodeId b) {
-    if (lib_.allows_type(GateType::kAnd)) {
-      return c_.add_gate(GateType::kAnd, a, b);
-    }
-    // NAND basis: AND == NOT(NAND).
-    return lnot(c_.add_gate(GateType::kNand, a, b));
-  }
-
-  NodeId lor(NodeId a, NodeId b) {
-    if (lib_.allows_type(GateType::kOr)) {
-      return c_.add_gate(GateType::kOr, a, b);
-    }
-    // NAND basis: OR == NAND(NOT, NOT).
-    return c_.add_gate(GateType::kNand, lnot(a), lnot(b));
-  }
-
-  NodeId lnot(NodeId a) { return c_.add_gate(GateType::kNot, a); }
-
-  NodeId lxor(NodeId a, NodeId b) {
-    if (lib_.allows_type(GateType::kXor)) {
-      return c_.add_gate(GateType::kXor, a, b);
-    }
-    if (lib_.allows_type(GateType::kNand)) {
-      // Four-NAND XOR.
-      const NodeId nab = c_.add_gate(GateType::kNand, a, b);
-      const NodeId t1 = c_.add_gate(GateType::kNand, a, nab);
-      const NodeId t2 = c_.add_gate(GateType::kNand, b, nab);
-      return c_.add_gate(GateType::kNand, t1, t2);
-    }
-    // AND/OR/NOT basis: a^b == (a | b) & !(a & b).
-    return land(lor(a, b), lnot(land(a, b)));
-  }
-
-  NodeId lmaj(NodeId a, NodeId b, NodeId c) {
-    if (lib_.allows(GateType::kMaj, 3)) {
-      return c_.add_gate(GateType::kMaj, a, b, c);
-    }
-    // maj(a,b,c) == ab + c(a|b).
-    return lor(land(a, b), land(c, lor(a, b)));
-  }
-
-  // n-ary folds.
-  NodeId fold_and(const std::vector<NodeId>& xs) {
-    NodeId acc = xs[0];
-    for (std::size_t i = 1; i < xs.size(); ++i) acc = land(acc, xs[i]);
-    return acc;
-  }
-  NodeId fold_or(const std::vector<NodeId>& xs) {
-    NodeId acc = xs[0];
-    for (std::size_t i = 1; i < xs.size(); ++i) acc = lor(acc, xs[i]);
-    return acc;
-  }
-  NodeId fold_xor(const std::vector<NodeId>& xs) {
-    NodeId acc = xs[0];
-    for (std::size_t i = 1; i < xs.size(); ++i) acc = lxor(acc, xs[i]);
-    return acc;
-  }
-
- private:
-  Circuit& c_;
-  const Library& lib_;
-};
-
-}  // namespace
-
-Circuit convert_to_basis(const Circuit& circuit, const Library& library) {
-  if (!library.allows_type(GateType::kNot)) {
-    throw std::invalid_argument(
-        "convert_to_basis: library must allow inverters");
-  }
-  Circuit next(circuit.name());
-  BasisEmitter emit(next, library);
-  std::vector<NodeId> map(circuit.node_count(), netlist::kInvalidNode);
-  for (NodeId id = 0; id < circuit.node_count(); ++id) {
-    const auto& node = circuit.node(id);
-    if (node.type == GateType::kInput) {
-      map[id] = next.add_input(circuit.node_name(id));
-      continue;
-    }
-    if (netlist::is_constant(node.type)) {
-      map[id] = next.add_const(node.type == GateType::kConst1);
-      continue;
-    }
-    std::vector<NodeId> fanins;
-    fanins.reserve(node.fanins.size());
-    for (NodeId f : node.fanins) fanins.push_back(map[f]);
-
-    // A type the library already accepts passes through unchanged (fanin
-    // width is reduce_fanin's job, not ours).
-    if (library.allows_type(node.type)) {
-      map[id] = next.add_gate(node.type, std::move(fanins));
-      continue;
-    }
-    switch (node.type) {
-      case GateType::kAnd:
-        map[id] = emit.fold_and(fanins);
-        break;
-      case GateType::kNand:
-        map[id] = emit.lnot(emit.fold_and(fanins));
-        break;
-      case GateType::kOr:
-        map[id] = emit.fold_or(fanins);
-        break;
-      case GateType::kNor:
-        map[id] = emit.lnot(emit.fold_or(fanins));
-        break;
-      case GateType::kXor:
-        map[id] = emit.fold_xor(fanins);
-        break;
-      case GateType::kXnor:
-        map[id] = emit.lnot(emit.fold_xor(fanins));
-        break;
-      case GateType::kMaj:
-        map[id] = emit.lmaj(fanins[0], fanins[1], fanins[2]);
-        break;
-      case GateType::kBuf:
-        map[id] = emit.lnot(emit.lnot(fanins[0]));
-        break;
-      default:
-        throw std::logic_error("convert_to_basis: unexpected gate type");
-    }
-  }
-  for (std::size_t pos = 0; pos < circuit.num_outputs(); ++pos) {
-    next.add_output(map[circuit.outputs()[pos]], circuit.output_name(pos));
-  }
-  return next;
-}
-
 }  // namespace enb::synth

@@ -1,6 +1,7 @@
 #include "synth/mapper.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "sim/exhaustive.hpp"
 #include "synth/decompose.hpp"
@@ -11,40 +12,36 @@ namespace enb::synth {
 
 using netlist::Circuit;
 
-MapResult map_to_library(const Circuit& circuit, const MapOptions& options) {
+namespace {
+
+constexpr std::size_t kVerifyExactMaxInputs = 14;
+constexpr std::uint64_t kVerifyRandomWords = 512;
+constexpr std::uint64_t kVerifySeed = 0x5EED;
+
+}  // namespace
+
+MapResult map_to_library(const Circuit& circuit, int max_fanin) {
   MapResult result;
   result.before = netlist::compute_stats(circuit);
 
-  // Order matters: fanin reduction runs before basis conversion because the
-  // tree splitter may introduce AND/OR helper gates (e.g. under a wide NAND
-  // root) that a restricted basis must then rewrite; the basis emitters
-  // themselves only produce 2-input gates, so widths stay bounded.
   Circuit mapped = sweep(circuit);
   mapped = strash(mapped);
-  mapped = reduce_fanin(mapped, options.library.max_fanin());
-  mapped = convert_to_basis(mapped, options.library);
+  mapped = reduce_fanin(mapped, max_fanin);
   mapped = sweep(mapped);
   mapped = strash(mapped);
   mapped.set_name(circuit.name());
 
-  if (options.verify) {
-    const bool exact =
-        static_cast<int>(circuit.num_inputs()) <=
-        options.verify_exact_max_inputs;
-    const bool ok =
-        exact ? sim::exhaustive_equivalent(circuit, mapped)
-              : sim::random_equivalent(circuit, mapped,
-                                       options.verify_random_words,
-                                       options.seed);
-    if (!ok) {
-      throw std::runtime_error("map_to_library: mapped circuit for '" +
-                               circuit.name() +
-                               "' is not equivalent to the original");
-    }
-    result.verified = true;
-    result.verified_exact = exact;
+  const bool exact = circuit.num_inputs() <= kVerifyExactMaxInputs;
+  const bool ok = exact ? sim::exhaustive_equivalent(circuit, mapped)
+                        : sim::random_equivalent(circuit, mapped,
+                                                 kVerifyRandomWords,
+                                                 kVerifySeed);
+  if (!ok) {
+    throw std::runtime_error("map_to_library: mapped circuit for '" +
+                             circuit.name() +
+                             "' is not equivalent to the original");
   }
-
+  result.verified_exact = exact;
   result.after = netlist::compute_stats(mapped);
   result.circuit = std::move(mapped);
   return result;

@@ -80,8 +80,7 @@ XorReduced reduce_xor(const Circuit& c, std::vector<NodeId> fanins) {
 
 class SweepPass {
  public:
-  SweepPass(const Circuit& circuit, const SweepOptions& options)
-      : old_(circuit), options_(options) {}
+  explicit SweepPass(const Circuit& circuit) : old_(circuit) {}
 
   Circuit run() {
     Circuit next(old_.name());
@@ -110,9 +109,6 @@ class SweepPass {
       case GateType::kConst1:
         return emit_const(next, true);
       case GateType::kBuf:
-        if (options_.keep_buffers && !const_value(next, fanins[0])) {
-          return next.add_gate(GateType::kBuf, fanins[0]);
-        }
         return fanins[0];
       case GateType::kNot:
         return emit_not(next, fanins[0]);
@@ -180,16 +176,16 @@ class SweepPass {
   }
 
   const Circuit& old_;
-  const SweepOptions& options_;
   std::vector<NodeId> map_;
 };
 
 }  // namespace
 
-Circuit sweep(const Circuit& circuit, const SweepOptions& options) {
-  Circuit current = SweepPass(circuit, options).run();
-  for (int iter = 1; iter < options.max_iterations; ++iter) {
-    Circuit next = SweepPass(current, options).run();
+Circuit sweep(const Circuit& circuit) {
+  constexpr int kMaxPasses = 8;
+  Circuit current = SweepPass(circuit).run();
+  for (int pass = 1; pass < kMaxPasses; ++pass) {
+    Circuit next = SweepPass(current).run();
     if (next.node_count() == current.node_count() &&
         next.gate_count() == current.gate_count()) {
       return next;

@@ -7,14 +7,6 @@
 
 namespace enb::synth {
 
-struct SweepOptions {
-  // Upper bound on the simplify-and-rebuild passes; the loop also stops as
-  // soon as a pass makes no change.
-  int max_iterations = 8;
-  // Keep buffers (some flows want explicit fanout buffering preserved).
-  bool keep_buffers = false;
-};
-
 // Returns a functionally equivalent circuit with the rules applied:
 //   * gates whose operands are constants fold (AND with a 0, OR with a 1...)
 //   * neutral operands drop (AND with 1, XOR with 0, ...)
@@ -22,7 +14,7 @@ struct SweepOptions {
 //   * single-operand associative gates collapse (AND(x) == BUF(x))
 //   * BUF chains and NOT(NOT(x)) collapse
 //   * logic not reachable from any primary output is deleted
-[[nodiscard]] netlist::Circuit sweep(const netlist::Circuit& circuit,
-                                     const SweepOptions& options = {});
+// Passes repeat until one changes nothing, at most 8 of them.
+[[nodiscard]] netlist::Circuit sweep(const netlist::Circuit& circuit);
 
 }  // namespace enb::synth

@@ -108,6 +108,21 @@ TEST(CliArgs, NonIntegerCountRejected) {
   EXPECT_FALSE(map.ok());
 }
 
+TEST(CliArgs, MapAcceptsZeroOrFaninTwoAndUp) {
+  EXPECT_EQ(parse_args({"profile", "c17", "--map", "0"}).map_fanin, 0);
+  EXPECT_EQ(parse_args({"profile", "c17", "--map", "2"}).map_fanin, 2);
+  // Negative values and fanin 1 are argument errors naming the flag and
+  // the rule, never a silent unmapped run or a late mapping failure.
+  for (const char* value : {"-3", "-1", "1"}) {
+    const Args args = parse_args({"profile", "c17", "--map", value});
+    ASSERT_FALSE(args.ok()) << value;
+    EXPECT_NE(args.error.find("--map"), std::string::npos) << args.error;
+    EXPECT_NE(args.error.find(">= 2"), std::string::npos) << args.error;
+  }
+  EXPECT_FALSE(
+      parse_args({"serve", "--socket", "s.sock", "--map", "-1"}).ok());
+}
+
 TEST(CliArgs, NegativeThreadsRejected) {
   const Args args = parse_args({"batch", "jobs.txt", "--threads", "-2"});
   ASSERT_FALSE(args.ok());

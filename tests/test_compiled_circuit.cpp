@@ -16,7 +16,6 @@
 #include "netlist/stats.hpp"
 #include "netlist/topo.hpp"
 #include "obs/metrics.hpp"
-#include "synth/library.hpp"
 #include "synth/mapper.hpp"
 
 namespace enb::analysis {
@@ -161,10 +160,7 @@ TEST(CompiledCircuit, MappedVariantIsCachedAndEquivalent) {
   EXPECT_TRUE(handle.mapped(3).same_handle(mapped));
 
   // The mapped netlist matches a direct map_to_library run.
-  synth::MapOptions options;
-  options.library = synth::Library::generic(3);
-  const synth::MapResult direct = synth::map_to_library(handle.circuit(),
-                                                        options);
+  const synth::MapResult direct = synth::map_to_library(handle.circuit(), 3);
   EXPECT_EQ(mapped.stats().num_gates, direct.after.num_gates);
   EXPECT_EQ(mapped.stats().max_fanin, direct.after.max_fanin);
   EXPECT_LE(mapped.stats().max_fanin, 3);

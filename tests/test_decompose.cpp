@@ -82,53 +82,5 @@ TEST(ReduceFanin, RejectsBadTarget) {
                std::invalid_argument);
 }
 
-TEST(ConvertToBasis, NandNotXor) {
-  const Circuit x = wide_gate(GateType::kXor, 2);
-  const Circuit converted = convert_to_basis(x, Library::nand_not(2));
-  EXPECT_TRUE(sim::exhaustive_equivalent(x, converted));
-  const auto stats = netlist::compute_stats(converted);
-  EXPECT_EQ(stats.gate_histogram.count(GateType::kXor), 0u);
-  EXPECT_EQ(stats.gate_histogram.at(GateType::kNand), 4u);
-}
-
-TEST(ConvertToBasis, AndOrNotXnor) {
-  const Circuit x = wide_gate(GateType::kXnor, 3);
-  const Circuit converted = convert_to_basis(x, Library::and_or_not(3));
-  EXPECT_TRUE(sim::exhaustive_equivalent(x, converted));
-  const auto stats = netlist::compute_stats(converted);
-  EXPECT_EQ(stats.gate_histogram.count(GateType::kXor), 0u);
-  EXPECT_EQ(stats.gate_histogram.count(GateType::kXnor), 0u);
-  EXPECT_EQ(stats.gate_histogram.count(GateType::kNand), 0u);
-}
-
-TEST(ConvertToBasis, MajIntoNand) {
-  Circuit c;
-  const NodeId a = c.add_input();
-  const NodeId b = c.add_input();
-  const NodeId d = c.add_input();
-  c.add_output(c.add_gate(GateType::kMaj, a, b, d));
-  const Circuit converted = convert_to_basis(c, Library::nand_not(2));
-  EXPECT_TRUE(sim::exhaustive_equivalent(c, converted));
-  EXPECT_EQ(netlist::compute_stats(converted).gate_histogram.count(GateType::kMaj), 0u);
-}
-
-TEST(ConvertToBasis, AllowedTypesPassThrough) {
-  const Circuit a = wide_gate(GateType::kAnd, 3);
-  const Circuit converted = convert_to_basis(a, Library::generic(3));
-  EXPECT_EQ(converted.gate_count(), a.gate_count());
-}
-
-TEST(ConvertToBasis, FullAdderToNand) {
-  const Circuit fa = gen::ripple_carry_adder(2);
-  const Circuit converted = convert_to_basis(fa, Library::nand_not(2));
-  EXPECT_TRUE(sim::exhaustive_equivalent(fa, converted));
-  const auto stats = netlist::compute_stats(converted);
-  for (const auto& [type, count] : stats.gate_histogram) {
-    EXPECT_TRUE(type == GateType::kNand || type == GateType::kNot ||
-                type == GateType::kBuf)
-        << to_string(type);
-  }
-}
-
 }  // namespace
 }  // namespace enb::synth

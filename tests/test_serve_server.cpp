@@ -399,6 +399,30 @@ TEST_F(ServeServerTest, LoadReportsContentFingerprintIndependentOfName) {
   EXPECT_EQ(a.arg("gates"), b.arg("gates"));
 }
 
+TEST_F(ServeServerTest, LoadRejectsMapValuesOutsideTheRule) {
+  start();
+  Client client(path());
+  // A value wider than an int must not wrap (4294967298 would map at fanin
+  // 2, 2147483648 would load as-is), and fanin 1 is no library: each gets
+  // an error frame naming the argument.
+  for (const char* map : {"1", "2147483648", "4294967298"}) {
+    Frame load{"load", {}, {}};
+    load.add("circuit", "c17").add("map", map);
+    try {
+      (void)client.call(load);
+      ADD_FAILURE() << "map=" << map << " was accepted";
+    } catch (const ServerError& e) {
+      EXPECT_NE(std::string(e.what()).find("map="), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(server_->registry_stats().handles, 0u);
+  // The session serves its next request.
+  const Frame loaded = client.load("c17", "c17", 2);
+  EXPECT_EQ(loaded.verb, "ok");
+  EXPECT_EQ(server_->registry_stats().handles, 1u);
+}
+
 TEST_F(ServeServerTest, FailedJobsAreReportedNotCached) {
   start();
   Client client(path());

@@ -55,16 +55,6 @@ TEST(Sweep, BufferRemoval) {
   EXPECT_EQ(s.gate_count(), 1u);
 }
 
-TEST(Sweep, KeepBuffersOption) {
-  Circuit c;
-  const NodeId a = c.add_input();
-  c.add_output(c.add_gate(GateType::kBuf, a));
-  SweepOptions options;
-  options.keep_buffers = true;
-  const Circuit s = sweep(c, options);
-  EXPECT_EQ(s.gate_count(), 1u);
-}
-
 TEST(Sweep, DuplicateOperandsAndOr) {
   Circuit c;
   const NodeId a = c.add_input();

@@ -118,8 +118,9 @@ int usage() {
          "  client  --socket <path> stats|metrics|evict [name]|ping|shutdown\n"
          "  gen     <name> [--tmr] [--strash] [-o out.bench]\n"
          "  list\n"
-         "notes: --map 0 analyzes netlists as-is; default maps to the\n"
-         "paper's generic max-fanin-3 library first. batch --stream prints\n"
+         "notes: --map 0 analyzes netlists as-is, --map K (K >= 2) maps to\n"
+         "the generic max-fanin-K library first; the default is the paper's\n"
+         "K = 3, and other values are rejected. batch --stream prints\n"
          "each job as it finishes. cec exits 0 when the circuits are proved\n"
          "equivalent and 2 when refuted (naming the first differing output)\n"
          "or inconclusive. --trace <file> (any command) writes Chrome\n"
@@ -144,8 +145,8 @@ int usage() {
          "the (energy, protection, gates) Pareto frontier; --emit dir\n"
          "regenerates the frontier winners as .bench files. harden exits 2\n"
          "if any candidate's equivalence proof is refuted.\n"
-         "exit codes: 0 ok, 1 usage, 2 processing/parse error or failed\n"
-         "job, 3 input file missing\n";
+         "exit codes: 0 ok, 1 usage, 2 bad option, processing/parse error\n"
+         "or failed job, 3 input file missing\n";
   return 1;
 }
 
@@ -1001,7 +1002,8 @@ int main(int argc, char** argv) {
       cli::parse_args(std::vector<std::string>(argv + 1, argv + argc));
   if (!args.ok()) {
     std::cerr << "error: " << args.error << "\n";
-    return usage();
+    (void)usage();
+    return kExitProcessing;
   }
   if (args.positional.empty()) return usage();
   const std::string& command = args.positional[0];
