@@ -16,6 +16,7 @@
 namespace enb::analysis {
 
 using netlist::Circuit;
+using netlist::GateOp;
 using netlist::GateType;
 using netlist::kInvalidNode;
 using netlist::NodeId;
@@ -29,63 +30,53 @@ namespace {
 LogicValue partial_eval(GateType type, const Circuit& circuit, NodeId id,
                         const std::vector<LogicValue>& val) {
   const auto fanins = circuit.fanins(id);
-  switch (type) {
-    case GateType::kInput:
+  const GateOp op = netlist::gate_op(type);
+  LogicValue out = LogicValue::kUnknown;
+  switch (op) {
+    case GateOp::kInput:
       return val[id];
-    case GateType::kConst0:
-      return LogicValue::kZero;
-    case GateType::kConst1:
-      return LogicValue::kOne;
-    case GateType::kBuf:
-      return val[fanins[0]];
-    case GateType::kNot:
-      return negate(val[fanins[0]]);
-    case GateType::kAnd:
-    case GateType::kNand: {
-      bool all_one = true;
+    case GateOp::kConst:
+      out = LogicValue::kZero;
+      break;
+    case GateOp::kBuf:
+      out = val[fanins[0]];
+      break;
+    case GateOp::kAnd:
+    case GateOp::kOr: {
+      // One controlling fanin decides; otherwise every fanin must be known.
+      const LogicValue control = to_logic(netlist::controlling_value(op));
+      out = negate(control);
       for (const NodeId f : fanins) {
-        if (val[f] == LogicValue::kZero) {
-          return type == GateType::kAnd ? LogicValue::kZero : LogicValue::kOne;
+        if (val[f] == control) {
+          out = control;
+          break;
         }
-        if (val[f] != LogicValue::kOne) all_one = false;
+        if (val[f] == LogicValue::kUnknown) out = LogicValue::kUnknown;
       }
-      if (!all_one) return LogicValue::kUnknown;
-      return type == GateType::kAnd ? LogicValue::kOne : LogicValue::kZero;
+      break;
     }
-    case GateType::kOr:
-    case GateType::kNor: {
-      bool all_zero = true;
-      for (const NodeId f : fanins) {
-        if (val[f] == LogicValue::kOne) {
-          return type == GateType::kOr ? LogicValue::kOne : LogicValue::kZero;
-        }
-        if (val[f] != LogicValue::kZero) all_zero = false;
-      }
-      if (!all_zero) return LogicValue::kUnknown;
-      return type == GateType::kOr ? LogicValue::kZero : LogicValue::kOne;
-    }
-    case GateType::kXor:
-    case GateType::kXnor: {
-      bool parity = type == GateType::kXnor;
+    case GateOp::kXor: {
+      bool parity = false;
       for (const NodeId f : fanins) {
         if (val[f] == LogicValue::kUnknown) return LogicValue::kUnknown;
         parity ^= val[f] == LogicValue::kOne;
       }
-      return to_logic(parity);
+      out = to_logic(parity);
+      break;
     }
-    case GateType::kMaj: {
+    case GateOp::kMaj: {
       int ones = 0;
       int zeros = 0;
       for (const NodeId f : fanins) {
         ones += val[f] == LogicValue::kOne;
         zeros += val[f] == LogicValue::kZero;
       }
-      if (ones >= 2) return LogicValue::kOne;
-      if (zeros >= 2) return LogicValue::kZero;
-      return LogicValue::kUnknown;
+      if (ones >= 2) out = LogicValue::kOne;
+      if (zeros >= 2) out = LogicValue::kZero;
+      break;
     }
   }
-  return LogicValue::kUnknown;
+  return netlist::is_inverted(type) ? negate(out) : out;
 }
 
 // One implication environment: a partial assignment plus a propagation
@@ -144,43 +135,40 @@ class ImplicationEnv {
   // Controlling-value implications from a known gate output into its
   // fanins.
   void backward(NodeId id) {
-    const LogicValue out = val_[id];
-    if (out == LogicValue::kUnknown) return;
+    if (val_[id] == LogicValue::kUnknown) return;
     const GateType type = circuit_->type(id);
+    const GateOp op = netlist::gate_op(type);
     const auto fanins = circuit_->fanins(id);
-    switch (type) {
-      case GateType::kBuf:
+    // The output seen before the gate's inversion.
+    const LogicValue out =
+        netlist::is_inverted(type) ? negate(val_[id]) : val_[id];
+    switch (op) {
+      case GateOp::kBuf:
         assign(fanins[0], out);
         break;
-      case GateType::kNot:
-        assign(fanins[0], negate(out));
-        break;
-      case GateType::kAnd:
-      case GateType::kNand: {
-        // The output seen through an AND lens.
-        const LogicValue and_out = type == GateType::kAnd ? out : negate(out);
-        if (and_out == LogicValue::kOne) {
-          for (const NodeId f : fanins) assign(f, LogicValue::kOne);
-        } else {
-          last_free_gets(fanins, LogicValue::kZero, LogicValue::kZero);
+      case GateOp::kAnd:
+      case GateOp::kOr: {
+        const LogicValue control = to_logic(netlist::controlling_value(op));
+        if (out != control) {
+          for (const NodeId f : fanins) assign(f, out);
+          break;
         }
+        // The controlling value must come from somewhere: when no known
+        // fanin carries it and exactly one fanin is free, that one does.
+        NodeId free = kInvalidNode;
+        for (const NodeId f : fanins) {
+          if (val_[f] == control) return;  // already satisfied
+          if (val_[f] == LogicValue::kUnknown) {
+            if (free != kInvalidNode) return;  // more than one candidate
+            free = f;
+          }
+        }
+        if (free != kInvalidNode) assign(free, control);
         break;
       }
-      case GateType::kOr:
-      case GateType::kNor: {
-        const LogicValue or_out = type == GateType::kOr ? out : negate(out);
-        if (or_out == LogicValue::kZero) {
-          for (const NodeId f : fanins) assign(f, LogicValue::kZero);
-        } else {
-          last_free_gets(fanins, LogicValue::kOne, LogicValue::kOne);
-        }
-        break;
-      }
-      case GateType::kXor:
-      case GateType::kXnor: {
+      case GateOp::kXor: {
         NodeId free = kInvalidNode;
         bool parity = out == LogicValue::kOne;
-        if (type == GateType::kXnor) parity = !parity;
         for (const NodeId f : fanins) {
           if (val_[f] == LogicValue::kUnknown) {
             if (free != kInvalidNode) return;  // two unknowns: no implication
@@ -192,7 +180,7 @@ class ImplicationEnv {
         if (free != kInvalidNode) assign(free, to_logic(parity));
         break;
       }
-      case GateType::kMaj: {
+      case GateOp::kMaj: {
         // MAJ(a,b,c) = v with one fanin at !v forces the other two to v.
         for (std::size_t i = 0; i < fanins.size(); ++i) {
           if (val_[fanins[i]] == negate(out)) {
@@ -204,24 +192,10 @@ class ImplicationEnv {
         }
         break;
       }
-      default:
+      case GateOp::kInput:
+      case GateOp::kConst:
         break;
     }
-  }
-
-  // AND=0 / OR=1 style rule: when the satisfying value is nowhere among the
-  // known fanins and exactly one fanin is free, that fanin must supply it.
-  void last_free_gets(std::span<const NodeId> fanins, LogicValue satisfier,
-                      LogicValue forced) {
-    NodeId free = kInvalidNode;
-    for (const NodeId f : fanins) {
-      if (val_[f] == satisfier) return;  // already satisfied
-      if (val_[f] == LogicValue::kUnknown) {
-        if (free != kInvalidNode) return;  // more than one candidate
-        free = f;
-      }
-    }
-    if (free != kInvalidNode) assign(free, forced);
   }
 
   const Circuit* circuit_;
@@ -456,46 +430,31 @@ std::vector<std::uint32_t> StructuralHasher::hash_circuit(
     const GateType type = circuit.type(id);
     args.clear();
     for (const NodeId f : circuit.fanins(id)) args.push_back(ids[f]);
-    switch (type) {
-      case GateType::kInput:
-        ids[id] = input_id(static_cast<std::size_t>(circuit.input_index(id)));
+    const GateOp op = netlist::gate_op(type);
+    std::uint32_t value = 0;
+    switch (op) {
+      case GateOp::kInput:
+        value = input_id(static_cast<std::size_t>(circuit.input_index(id)));
         break;
-      case GateType::kConst0:
-        ids[id] = const_id(false);
+      case GateOp::kConst:
+        value = const_id(false);
         break;
-      case GateType::kConst1:
-        ids[id] = const_id(true);
+      case GateOp::kBuf:
+        value = args[0];
         break;
-      case GateType::kBuf:
-        ids[id] = args[0];
+      case GateOp::kAnd:
+      case GateOp::kOr:
+        value = make_and_or(netlist::gate_type_of(op, false),
+                            {args.begin(), args.end()});
         break;
-      case GateType::kNot:
-        ids[id] = make_not(args[0]);
+      case GateOp::kXor:
+        value = make_xor({args.begin(), args.end()});
         break;
-      case GateType::kAnd:
-        ids[id] = make_and_or(GateType::kAnd, {args.begin(), args.end()});
-        break;
-      case GateType::kNand:
-        ids[id] =
-            make_not(make_and_or(GateType::kAnd, {args.begin(), args.end()}));
-        break;
-      case GateType::kOr:
-        ids[id] = make_and_or(GateType::kOr, {args.begin(), args.end()});
-        break;
-      case GateType::kNor:
-        ids[id] =
-            make_not(make_and_or(GateType::kOr, {args.begin(), args.end()}));
-        break;
-      case GateType::kXor:
-        ids[id] = make_xor({args.begin(), args.end()});
-        break;
-      case GateType::kXnor:
-        ids[id] = make_not(make_xor({args.begin(), args.end()}));
-        break;
-      case GateType::kMaj:
-        ids[id] = make_maj(args[0], args[1], args[2]);
+      case GateOp::kMaj:
+        value = make_maj(args[0], args[1], args[2]);
         break;
     }
+    ids[id] = netlist::is_inverted(type) ? make_not(value) : value;
   }
   return ids;
 }

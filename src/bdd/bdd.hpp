@@ -48,9 +48,6 @@ class Bdd {
   [[nodiscard]] Ref apply_and(Ref f, Ref g) { return ite(f, g, kFalse); }
   [[nodiscard]] Ref apply_or(Ref f, Ref g) { return ite(f, kTrue, g); }
   [[nodiscard]] Ref apply_xor(Ref f, Ref g) { return ite(f, apply_not(g), g); }
-  [[nodiscard]] Ref apply_nand(Ref f, Ref g) { return apply_not(apply_and(f, g)); }
-  [[nodiscard]] Ref apply_nor(Ref f, Ref g) { return apply_not(apply_or(f, g)); }
-  [[nodiscard]] Ref apply_xnor(Ref f, Ref g) { return apply_not(apply_xor(f, g)); }
   [[nodiscard]] Ref apply_maj(Ref a, Ref b, Ref c) {
     return ite(a, apply_or(b, c), apply_and(b, c));
   }

@@ -5,7 +5,7 @@
 namespace enb::bdd {
 
 using netlist::Circuit;
-using netlist::GateType;
+using netlist::GateOp;
 using netlist::NodeId;
 
 std::vector<Ref> build_node_bdds(Bdd& manager, const Circuit& circuit,
@@ -19,54 +19,39 @@ std::vector<Ref> build_node_bdds(Bdd& manager, const Circuit& circuit,
     if (cone != nullptr && !(*cone)[id]) continue;
     const auto& node = circuit.node(id);
     const auto fanin = [&](std::size_t i) { return refs[node.fanins[i]]; };
-    switch (node.type) {
-      case GateType::kInput:
-        refs[id] = manager.var_ref(
-            static_cast<unsigned>(circuit.input_index(id)));
+    Ref value = Bdd::kFalse;
+    switch (netlist::gate_op(node.type)) {
+      case GateOp::kInput:
+        value =
+            manager.var_ref(static_cast<unsigned>(circuit.input_index(id)));
         break;
-      case GateType::kConst0:
-        refs[id] = Bdd::kFalse;
+      case GateOp::kConst:
         break;
-      case GateType::kConst1:
-        refs[id] = Bdd::kTrue;
+      case GateOp::kBuf:
+        value = fanin(0);
         break;
-      case GateType::kBuf:
-        refs[id] = fanin(0);
-        break;
-      case GateType::kNot:
-        refs[id] = manager.apply_not(fanin(0));
-        break;
-      case GateType::kAnd:
-      case GateType::kNand: {
-        Ref acc = Bdd::kTrue;
+      case GateOp::kAnd:
+        value = Bdd::kTrue;
         for (std::size_t i = 0; i < node.fanins.size(); ++i) {
-          acc = manager.apply_and(acc, fanin(i));
+          value = manager.apply_and(value, fanin(i));
         }
-        refs[id] = node.type == GateType::kAnd ? acc : manager.apply_not(acc);
         break;
-      }
-      case GateType::kOr:
-      case GateType::kNor: {
-        Ref acc = Bdd::kFalse;
+      case GateOp::kOr:
         for (std::size_t i = 0; i < node.fanins.size(); ++i) {
-          acc = manager.apply_or(acc, fanin(i));
+          value = manager.apply_or(value, fanin(i));
         }
-        refs[id] = node.type == GateType::kOr ? acc : manager.apply_not(acc);
         break;
-      }
-      case GateType::kXor:
-      case GateType::kXnor: {
-        Ref acc = Bdd::kFalse;
+      case GateOp::kXor:
         for (std::size_t i = 0; i < node.fanins.size(); ++i) {
-          acc = manager.apply_xor(acc, fanin(i));
+          value = manager.apply_xor(value, fanin(i));
         }
-        refs[id] = node.type == GateType::kXor ? acc : manager.apply_not(acc);
         break;
-      }
-      case GateType::kMaj:
-        refs[id] = manager.apply_maj(fanin(0), fanin(1), fanin(2));
+      case GateOp::kMaj:
+        value = manager.apply_maj(fanin(0), fanin(1), fanin(2));
         break;
     }
+    refs[id] =
+        netlist::is_inverted(node.type) ? manager.apply_not(value) : value;
   }
   return refs;
 }

@@ -462,10 +462,11 @@ void write_ans(std::ostream& out, const Circuit& circuit,
   };
   for (std::size_t p = 0; p < table.detected.size(); ++p) {
     const std::vector<Word>& row = table.detected[p];
-    for (std::size_t net = 0; net < universe.num_nets(); ++net) {
-      out << p << ' ' << circuit.node_name(universe.site(2 * net).node) << ' '
-          << (1 - detected_bit(row, 2 * net)) << ' '
-          << (1 - detected_bit(row, 2 * net + 1)) << '\n';
+    for (netlist::NodeId net = 0; net < universe.num_nets(); ++net) {
+      const std::size_t sa0 = site_index(net, StuckAt::kZero);
+      out << p << ' ' << circuit.node_name(universe.site(sa0).node) << ' '
+          << (1 - detected_bit(row, sa0)) << ' '
+          << (1 - detected_bit(row, site_index(net, StuckAt::kOne))) << '\n';
     }
   }
   // Detectability map: first detecting (pattern, logical output) per site,
@@ -480,10 +481,11 @@ void write_ans(std::ostream& out, const Circuit& circuit,
           << table.counts.first_output[cls];
     }
   };
-  for (std::size_t net = 0; net < universe.num_nets(); ++net) {
-    out << "detect " << circuit.node_name(universe.site(2 * net).node);
-    put_first(2 * net);
-    put_first(2 * net + 1);
+  for (netlist::NodeId net = 0; net < universe.num_nets(); ++net) {
+    const std::size_t sa0 = site_index(net, StuckAt::kZero);
+    out << "detect " << circuit.node_name(universe.site(sa0).node);
+    put_first(sa0);
+    put_first(site_index(net, StuckAt::kOne));
     out << '\n';
   }
 }

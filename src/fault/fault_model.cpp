@@ -12,7 +12,7 @@ namespace enb::fault {
 namespace {
 
 using netlist::Circuit;
-using netlist::GateType;
+using netlist::GateOp;
 using netlist::NodeId;
 
 // Union-find over site indices with path halving; roots are always the
@@ -44,69 +44,8 @@ class UnionFind {
   std::vector<std::size_t> parent_;
 };
 
-// The local equivalence rule for a gate: an input stuck at `input_stuck` is
-// equivalent to the output stuck at `output_stuck`. kNone when the gate type
-// offers no input/output equivalence (XOR-like and MAJ gates).
-struct GateRule {
-  bool has_rule = false;
-  StuckAt input_stuck = StuckAt::kZero;
-  StuckAt output_stuck = StuckAt::kZero;
-  bool identity = false;  // BUF/NOT-like: both polarities map through
-  bool invert = false;    // with identity: polarity flips through the gate
-};
-
-GateRule rule_for(GateType type, std::size_t fanin_count) {
-  GateRule rule;
-  // Single-fanin gates degenerate to a buffer or an inverter regardless of
-  // their nominal type: the value (or its complement) passes straight
-  // through, so both stuck polarities collapse across the gate.
-  if (fanin_count == 1) {
-    switch (type) {
-      case GateType::kBuf:
-      case GateType::kAnd:
-      case GateType::kOr:
-      case GateType::kXor:
-        rule.has_rule = true;
-        rule.identity = true;
-        rule.invert = false;
-        return rule;
-      case GateType::kNot:
-      case GateType::kNand:
-      case GateType::kNor:
-      case GateType::kXnor:
-        rule.has_rule = true;
-        rule.identity = true;
-        rule.invert = true;
-        return rule;
-      default:
-        return rule;
-    }
-  }
-  // Multi-input gates with a controlling value c and output inversion i:
-  // any input stuck at c forces the output to its controlled value, which
-  // is exactly the output stuck at c XOR i.
-  switch (type) {
-    case GateType::kAnd:
-      rule = {true, StuckAt::kZero, StuckAt::kZero, false, false};
-      break;
-    case GateType::kNand:
-      rule = {true, StuckAt::kZero, StuckAt::kOne, false, false};
-      break;
-    case GateType::kOr:
-      rule = {true, StuckAt::kOne, StuckAt::kOne, false, false};
-      break;
-    case GateType::kNor:
-      rule = {true, StuckAt::kOne, StuckAt::kZero, false, false};
-      break;
-    default:
-      break;  // XOR/XNOR/MAJ: no controlling value, no equivalence
-  }
-  return rule;
-}
-
-constexpr std::size_t site_index(NodeId node, StuckAt value) noexcept {
-  return 2 * static_cast<std::size_t>(node) +
-         (value == StuckAt::kOne ? 1 : 0);
+constexpr StuckAt stuck_at(bool value) noexcept {
+  return value ? StuckAt::kOne : StuckAt::kZero;
 }
 
 }  // namespace
@@ -134,20 +73,26 @@ FaultUniverse FaultUniverse::build(const Circuit& circuit, bool collapse,
     for (NodeId id = 0; id < circuit.node_count(); ++id) {
       const auto& node = circuit.node(id);
       if (!netlist::counts_as_gate(node.type)) continue;
-      const GateRule rule = rule_for(node.type, node.fanins.size());
-      if (!rule.has_rule) continue;
+      // A single-fanin gate is a buffer or an inverter whatever its
+      // operator: both stuck polarities pass straight through it. A wider
+      // gate with a controlling value c and output inversion i collapses
+      // an input stuck at c into the output stuck at c XOR i. XOR and MAJ
+      // have no controlling value, hence no equivalence.
+      const GateOp op = netlist::gate_op(node.type);
+      const bool inverted = netlist::is_inverted(node.type);
+      const bool single = node.fanins.size() == 1;
+      if (!single && op != GateOp::kAnd && op != GateOp::kOr) continue;
       for (const NodeId fanin : node.fanins) {
         if (fanouts[fanin] != 1 || is_output[fanin]) continue;
-        if (rule.identity) {
-          const StuckAt out0 = rule.invert ? StuckAt::kOne : StuckAt::kZero;
-          const StuckAt out1 = rule.invert ? StuckAt::kZero : StuckAt::kOne;
+        if (single) {
           classes.merge(site_index(fanin, StuckAt::kZero),
-                        site_index(id, out0));
+                        site_index(id, stuck_at(inverted)));
           classes.merge(site_index(fanin, StuckAt::kOne),
-                        site_index(id, out1));
+                        site_index(id, stuck_at(!inverted)));
         } else {
-          classes.merge(site_index(fanin, rule.input_stuck),
-                        site_index(id, rule.output_stuck));
+          const bool control = netlist::controlling_value(op);
+          classes.merge(site_index(fanin, stuck_at(control)),
+                        site_index(id, stuck_at(control != inverted)));
         }
       }
     }

@@ -42,6 +42,11 @@ struct FaultSite {
 // Site index convention: net i (enumerate_nets order == node-id order)
 // contributes sites 2i (stuck-at-0) and 2i+1 (stuck-at-1). The convention is
 // part of the reproducibility contract — campaign outputs are keyed by it.
+[[nodiscard]] constexpr std::size_t site_index(netlist::NodeId net,
+                                               StuckAt value) noexcept {
+  return 2 * static_cast<std::size_t>(net) + (value == StuckAt::kOne ? 1 : 0);
+}
+
 class FaultUniverse {
  public:
   // Builds the universe for `circuit`. With `collapse` the structural

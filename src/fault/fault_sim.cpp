@@ -264,31 +264,20 @@ bool ScalarFaultSim::detect(std::size_t class_index,
   }
   const FaultSite& site = universe_->representative(class_index);
 
+  // Values are sim::Word, 0 or all-ones, so the one gate rule applies to
+  // any fanin count; the pattern drives the inputs.
   for (NodeId id = 0; id < circuit.node_count(); ++id) {
-    const auto& node = circuit.node(id);
-    bool value = false;
-    switch (node.type) {
-      case GateType::kInput:
-        value =
-            pattern[static_cast<std::size_t>(circuit.input_index(id)) / width];
-        break;
-      case GateType::kConst0:
-        value = false;
-        break;
-      case GateType::kConst1:
-        value = true;
-        break;
-      default: {
-        fanin_buffer_.assign(node.fanins.size(), false);
-        for (std::size_t f = 0; f < node.fanins.size(); ++f) {
-          fanin_buffer_[f] = values_[node.fanins[f]] != 0;
-        }
-        value = netlist::eval_bit(node.type, fanin_buffer_);
-        break;
+    Word value = 0;
+    if (circuit.type(id) == GateType::kInput) {
+      if (pattern[static_cast<std::size_t>(circuit.input_index(id)) / width]) {
+        value = ~Word{0};
       }
+    } else {
+      value = netlist::eval_gate<Word>(circuit.type(id), values_,
+                                       circuit.fanins(id));
     }
-    if (id == site.node) value = (site.value == StuckAt::kOne);
-    values_[id] = value ? 1 : 0;
+    if (id == site.node) value = site.value == StuckAt::kOne ? ~Word{0} : 0;
+    values_[id] = value;
   }
   ++passes_;
 
@@ -301,7 +290,7 @@ bool ScalarFaultSim::detect(std::size_t class_index,
     } else {
       int ones = 0;
       for (std::size_t w = 0; w < width; ++w) {
-        ones += values_[outputs[o * width + w]];
+        ones += values_[outputs[o * width + w]] != 0;
       }
       decoded = ones > bundle_width_ / 2;
     }

@@ -20,13 +20,14 @@
 //                     undetected faults.
 //
 //   ScalarFaultSim    injects one fault at a time and evaluates the pattern
-//                     gate by gate on plain bools, in a full sweep of its
-//                     own. Deliberately shares no simulation machinery with
-//                     the lane-parallel path (only the gate rule itself,
-//                     netlist::eval_gate, is common to every engine); it
-//                     exists only to cross-check it (tests and the CLI's
-//                     --check-scalar diff the two bit for bit, for every
-//                     lane width).
+//                     gate by gate, in a full sweep of its own over the
+//                     Circuit, on words that are 0 or all-ones. It shares
+//                     only the gate rule, netlist::eval_gate, with the
+//                     lane-parallel path: no FlatCircuit, no good-machine
+//                     reuse, no event queue. It exists only to cross-check
+//                     that path (tests and the CLI's --check-scalar diff the
+//                     two bit for bit, for every lane width), on gates of
+//                     any fanin count.
 //
 // FaultParallelSim is the 64-lane instantiation — the historical name and
 // the cross-check baseline.
@@ -166,8 +167,7 @@ class ScalarFaultSim {
   const netlist::Circuit* circuit_;
   const FaultUniverse* universe_;
   int bundle_width_;
-  std::vector<char> values_;
-  std::vector<bool> fanin_buffer_;
+  std::vector<sim::Word> values_;
   std::uint64_t passes_ = 0;
 };
 

@@ -10,7 +10,7 @@ namespace enb::fault {
 
 using analysis::LogicValue;
 using netlist::Circuit;
-using netlist::GateType;
+using netlist::GateOp;
 using netlist::NodeId;
 
 namespace {
@@ -21,41 +21,28 @@ namespace {
 // controlling value.
 bool blocks(const Circuit& circuit, NodeId id, NodeId through,
             const std::vector<LogicValue>& constant) {
-  const GateType type = circuit.type(id);
+  const GateOp op = netlist::gate_op(circuit.type(id));
   const auto fanins = circuit.fanins(id);
-  switch (type) {
-    case GateType::kAnd:
-    case GateType::kNand:
-      for (const NodeId f : fanins) {
-        if (f != through && constant[f] == LogicValue::kZero) return true;
-      }
-      return false;
-    case GateType::kOr:
-    case GateType::kNor:
-      for (const NodeId f : fanins) {
-        if (f != through && constant[f] == LogicValue::kOne) return true;
-      }
-      return false;
-    case GateType::kMaj: {
-      // Two side fanins constant and equal decide the vote regardless of
-      // the third.
-      LogicValue seen = LogicValue::kUnknown;
-      for (const NodeId f : fanins) {
-        if (f == through || constant[f] == LogicValue::kUnknown) continue;
-        if (seen != LogicValue::kUnknown && constant[f] == seen) return true;
-        seen = constant[f];
-      }
-      return false;
+  if (op == GateOp::kAnd || op == GateOp::kOr) {
+    const LogicValue control =
+        analysis::to_logic(netlist::controlling_value(op));
+    for (const NodeId f : fanins) {
+      if (f != through && constant[f] == control) return true;
     }
-    default:
-      // XOR/XNOR/NOT/BUF always pass a difference through.
-      return false;
+    return false;
   }
-}
-
-constexpr std::size_t site_of(NodeId node, StuckAt value) noexcept {
-  return 2 * static_cast<std::size_t>(node) +
-         (value == StuckAt::kOne ? 1 : 0);
+  if (op == GateOp::kMaj) {
+    // Two side fanins constant and equal decide the vote regardless of the
+    // third.
+    LogicValue seen = LogicValue::kUnknown;
+    for (const NodeId f : fanins) {
+      if (f == through || constant[f] == LogicValue::kUnknown) continue;
+      if (seen != LogicValue::kUnknown && constant[f] == seen) return true;
+      seen = constant[f];
+    }
+  }
+  // XOR and BUF operators always pass a difference through.
+  return false;
 }
 
 }  // namespace
@@ -105,18 +92,18 @@ UntestableReport find_untestable(const Circuit& circuit,
       // observed. This is the only argument safe for *both* polarities of
       // a constant net (downstream constant proofs may depend on it).
       ++report.dead_nets;
-      report.site_untestable[site_of(id, StuckAt::kZero)] = true;
-      report.site_untestable[site_of(id, StuckAt::kOne)] = true;
+      report.site_untestable[site_index(id, StuckAt::kZero)] = true;
+      report.site_untestable[site_index(id, StuckAt::kOne)] = true;
     } else if (value == LogicValue::kZero) {
-      report.site_untestable[site_of(id, StuckAt::kZero)] = true;
+      report.site_untestable[site_index(id, StuckAt::kZero)] = true;
     } else if (value == LogicValue::kOne) {
-      report.site_untestable[site_of(id, StuckAt::kOne)] = true;
+      report.site_untestable[site_index(id, StuckAt::kOne)] = true;
     } else if (!observable[id]) {
       // Live, non-constant, but every path out crosses a gate whose side
       // input holds the controlling value in the faulty circuit too.
       ++report.blocked_nets;
-      report.site_untestable[site_of(id, StuckAt::kZero)] = true;
-      report.site_untestable[site_of(id, StuckAt::kOne)] = true;
+      report.site_untestable[site_index(id, StuckAt::kZero)] = true;
+      report.site_untestable[site_index(id, StuckAt::kOne)] = true;
     }
   }
 

@@ -9,14 +9,12 @@ namespace enb::netlist {
 namespace {
 
 const char* shape_for(GateType type) {
-  switch (type) {
-    case GateType::kInput:
+  switch (gate_op(type)) {
+    case GateOp::kInput:
       return "invtriangle";
-    case GateType::kConst0:
-    case GateType::kConst1:
+    case GateOp::kConst:
       return "plaintext";
-    case GateType::kBuf:
-    case GateType::kNot:
+    case GateOp::kBuf:
       return "triangle";
     default:
       return "box";

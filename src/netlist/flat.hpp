@@ -10,8 +10,12 @@
 //
 // eval_gate<V> is the lane-generic gate rule: V is sim::Word or any lane
 // vector of words (fault/lanes.hpp), and every lane is an independent
-// evaluation. netlist::eval_word checks arity and delegates to it, so the
-// gate semantics exist once.
+// evaluation. Every simulator evaluates gates through it: logic, noise and
+// lane fault simulation, and the scalar fault reference (on words that are
+// 0 or all-ones). netlist::eval_word checks arity and delegates to it. It
+// switches on the gate type directly instead of reading the
+// operator-plus-inversion table in gate_type.hpp, because it is the inner
+// loop of every sweep; the gate-type tests check the two agree.
 #pragma once
 
 #include <cstdint>

@@ -36,30 +36,16 @@ std::vector<NodeId> tree_reduce(Circuit& c, std::vector<NodeId> operands,
   return operands;
 }
 
-// Emits `type` over `fanins`, splitting into a tree when wider than k. For
-// negated types the subtrees use the positive base op and only the root
-// inverts, preserving the overall function.
+// Emits `type` over `fanins`, splitting into a tree when wider than k. The
+// subtrees apply the type's operator without its inversion and only the
+// root inverts, preserving the overall function.
 NodeId emit_bounded(Circuit& c, GateType type, std::vector<NodeId> fanins,
                     int k) {
-  if (static_cast<int>(fanins.size()) <= k) {
-    return c.add_gate(type, std::move(fanins));
+  if (static_cast<int>(fanins.size()) > k) {
+    const GateType base = netlist::gate_type_of(netlist::gate_op(type), false);
+    fanins = tree_reduce(c, std::move(fanins), base, k);
   }
-  GateType base = type;
-  switch (type) {
-    case GateType::kNand:
-      base = GateType::kAnd;
-      break;
-    case GateType::kNor:
-      base = GateType::kOr;
-      break;
-    case GateType::kXnor:
-      base = GateType::kXor;
-      break;
-    default:
-      break;
-  }
-  std::vector<NodeId> reduced = tree_reduce(c, std::move(fanins), base, k);
-  return c.add_gate(type, std::move(reduced));
+  return c.add_gate(type, std::move(fanins));
 }
 
 }  // namespace
@@ -72,16 +58,13 @@ Circuit reduce_fanin(const Circuit& circuit, int max_fanin) {
   std::vector<NodeId> map(circuit.node_count(), netlist::kInvalidNode);
   for (NodeId id = 0; id < circuit.node_count(); ++id) {
     const auto& node = circuit.node(id);
-    switch (node.type) {
-      case GateType::kInput:
-        map[id] = next.add_input(circuit.node_name(id));
-        continue;
-      case GateType::kConst0:
-      case GateType::kConst1:
-        map[id] = next.add_const(node.type == GateType::kConst1);
-        continue;
-      default:
-        break;
+    if (netlist::is_input(node.type)) {
+      map[id] = next.add_input(circuit.node_name(id));
+      continue;
+    }
+    if (netlist::is_constant(node.type)) {
+      map[id] = next.add_const(node.type == GateType::kConst1);
+      continue;
     }
     std::vector<NodeId> fanins;
     fanins.reserve(node.fanins.size());

@@ -9,6 +9,7 @@
 namespace enb::synth {
 
 using netlist::Circuit;
+using netlist::GateOp;
 using netlist::GateType;
 using netlist::NodeId;
 
@@ -101,53 +102,38 @@ class SweepPass {
     fanins.reserve(node.fanins.size());
     for (NodeId f : node.fanins) fanins.push_back(map_[f]);
 
-    switch (node.type) {
-      case GateType::kInput:
+    const GateOp op = netlist::gate_op(node.type);
+    const bool negated = netlist::is_inverted(node.type);
+    switch (op) {
+      case GateOp::kInput:
         return next.add_input(old_.node_name(id));
-      case GateType::kConst0:
-        return emit_const(next, false);
-      case GateType::kConst1:
-        return emit_const(next, true);
-      case GateType::kBuf:
-        return fanins[0];
-      case GateType::kNot:
-        return emit_not(next, fanins[0]);
-      case GateType::kAnd:
-      case GateType::kNand: {
-        const bool negated = node.type == GateType::kNand;
-        const ReducedOperands r = reduce_and_or(next, std::move(fanins), true);
-        if (r.dominated) return emit_const(next, negated);
-        if (r.operands.empty()) return emit_const(next, !negated);
+      case GateOp::kConst:
+        return emit_const(next, negated);
+      case GateOp::kBuf:
+        return negated ? emit_not(next, fanins[0]) : fanins[0];
+      case GateOp::kAnd:
+      case GateOp::kOr: {
+        const bool control = netlist::controlling_value(op);
+        const ReducedOperands r =
+            reduce_and_or(next, std::move(fanins), /*identity=*/!control);
+        if (r.dominated) return emit_const(next, control != negated);
+        if (r.operands.empty()) return emit_const(next, control == negated);
         if (r.operands.size() == 1) {
           return negated ? emit_not(next, r.operands[0]) : r.operands[0];
         }
-        return next.add_gate(negated ? GateType::kNand : GateType::kAnd,
-                             r.operands);
+        return next.add_gate(node.type, r.operands);
       }
-      case GateType::kOr:
-      case GateType::kNor: {
-        const bool negated = node.type == GateType::kNor;
-        const ReducedOperands r = reduce_and_or(next, std::move(fanins), false);
-        if (r.dominated) return emit_const(next, !negated);
-        if (r.operands.empty()) return emit_const(next, negated);
-        if (r.operands.size() == 1) {
-          return negated ? emit_not(next, r.operands[0]) : r.operands[0];
-        }
-        return next.add_gate(negated ? GateType::kNor : GateType::kOr,
-                             r.operands);
-      }
-      case GateType::kXor:
-      case GateType::kXnor: {
+      case GateOp::kXor: {
         XorReduced r = reduce_xor(next, std::move(fanins));
-        if (node.type == GateType::kXnor) r.invert = !r.invert;
+        if (negated) r.invert = !r.invert;
         if (r.operands.empty()) return emit_const(next, r.invert);
         if (r.operands.size() == 1) {
           return r.invert ? emit_not(next, r.operands[0]) : r.operands[0];
         }
-        return next.add_gate(r.invert ? GateType::kXnor : GateType::kXor,
+        return next.add_gate(netlist::gate_type_of(GateOp::kXor, r.invert),
                              r.operands);
       }
-      case GateType::kMaj:
+      case GateOp::kMaj:
         return rewrite_maj(next, fanins);
     }
     return netlist::kInvalidNode;  // unreachable

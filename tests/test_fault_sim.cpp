@@ -88,6 +88,32 @@ TEST(FaultSim, BitIdenticalToScalarOnRandomCircuits) {
   }
 }
 
+// Gates wider than any small fixed buffer: the scalar reference evaluates
+// them with the same gate rule as the lanes, at any fanin count.
+TEST(FaultSim, ScalarReferenceHandlesWideGates) {
+  for (const netlist::GateType type :
+       {netlist::GateType::kAnd, netlist::GateType::kNor,
+        netlist::GateType::kXor}) {
+    for (const std::size_t width : {std::size_t{17}, std::size_t{40}}) {
+      Circuit circuit("wide");
+      std::vector<netlist::NodeId> inputs;
+      for (std::size_t i = 0; i < width; ++i) {
+        inputs.push_back(circuit.add_input());
+      }
+      circuit.add_output(circuit.add_gate(type, inputs), "y");
+      std::vector<std::vector<bool>> patterns =
+          random_patterns(8, width, 0x5CA1A + width);
+      patterns.emplace_back(width, false);
+      patterns.emplace_back(width, true);
+      std::vector<bool> one_low(width, true);
+      one_low[width / 2] = false;
+      patterns.push_back(std::move(one_low));
+      expect_bit_identity(circuit, patterns, /*collapse=*/true);
+      expect_bit_identity(circuit, patterns, /*collapse=*/false);
+    }
+  }
+}
+
 TEST(FaultSim, DetectsInjectedFaultOnObservablePath) {
   // y = a AND b: output sa1 is detected by (0,0), masked on (1,1).
   Circuit c("and2");

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 namespace enb::netlist {
@@ -39,12 +43,13 @@ TEST(GateType, Commutativity) {
   EXPECT_FALSE(is_commutative(GateType::kInput));
 }
 
+const GateType kAllTypes[] = {
+    GateType::kInput, GateType::kConst0, GateType::kConst1, GateType::kBuf,
+    GateType::kNot,   GateType::kAnd,    GateType::kNand,   GateType::kOr,
+    GateType::kNor,   GateType::kXor,    GateType::kXnor,   GateType::kMaj};
+
 TEST(GateType, NameRoundTrip) {
-  const std::vector<GateType> all = {
-      GateType::kConst0, GateType::kConst1, GateType::kBuf,  GateType::kNot,
-      GateType::kAnd,    GateType::kNand,   GateType::kOr,   GateType::kNor,
-      GateType::kXor,    GateType::kXnor,   GateType::kMaj,  GateType::kInput};
-  for (GateType type : all) {
+  for (GateType type : kAllTypes) {
     const auto parsed = gate_type_from_string(to_string(type));
     ASSERT_TRUE(parsed.has_value()) << to_string(type);
     EXPECT_EQ(*parsed, type);
@@ -106,14 +111,63 @@ TEST(GateType, EvalWordArityErrors) {
   EXPECT_THROW((void)eval_word(GateType::kInput, {}), std::invalid_argument);
 }
 
-TEST(GateType, EvalBitMatchesEvalWord) {
-  using B = std::vector<bool>;
-  EXPECT_TRUE(eval_bit(GateType::kMaj, B{true, false, true}));
-  EXPECT_FALSE(eval_bit(GateType::kMaj, B{true, false, false}));
-  EXPECT_TRUE(eval_bit(GateType::kXor, B{true, false, false}));
-  EXPECT_FALSE(eval_bit(GateType::kXor, B{true, true, false, false}));
-  EXPECT_TRUE(eval_bit(GateType::kNand, B{true, false}));
-  EXPECT_FALSE(eval_bit(GateType::kAnd, B{true, false}));
+TEST(GateType, AlgebraInvertsBackToTheType) {
+  for (const GateType type : kAllTypes) {
+    EXPECT_EQ(gate_type_of(gate_op(type), is_inverted(type)), type)
+        << to_string(type);
+  }
+  EXPECT_THROW((void)gate_type_of(GateOp::kMaj, true), std::invalid_argument);
+  EXPECT_THROW((void)gate_type_of(GateOp::kInput, true), std::invalid_argument);
+}
+
+TEST(GateType, ControllingValues) {
+  EXPECT_FALSE(controlling_value(GateOp::kAnd));
+  EXPECT_TRUE(controlling_value(GateOp::kOr));
+}
+
+// The operator's value on one input assignment (bit i of `bits` is fanin
+// i), before the output inversion.
+bool apply_op(GateOp op, std::uint32_t bits, int arity) {
+  const int ones = std::popcount(bits);
+  switch (op) {
+    case GateOp::kConst:
+      return false;
+    case GateOp::kBuf:
+      return bits != 0;
+    case GateOp::kAnd:
+      return ones == arity;
+    case GateOp::kOr:
+      return ones > 0;
+    case GateOp::kXor:
+      return ones % 2 == 1;
+    case GateOp::kMaj:
+      return 2 * ones > arity;
+    case GateOp::kInput:
+      break;
+  }
+  ADD_FAILURE() << "no operator value for an input";
+  return false;
+}
+
+// eval_gate keeps its own per-type switch for speed; it must agree with
+// operator-then-inversion on every type, arity up to 5 and assignment.
+TEST(GateType, EvalWordMatchesOperatorThenInversion) {
+  for (const GateType type : kAllTypes) {
+    if (is_input(type)) continue;
+    const auto [min_arity, max_arity] = arity_range(type);
+    for (int arity = min_arity; arity <= std::min(max_arity, 5); ++arity) {
+      for (std::uint32_t bits = 0; bits < (1u << arity); ++bits) {
+        std::vector<std::uint64_t> words;
+        for (int i = 0; i < arity; ++i) {
+          words.push_back(((bits >> i) & 1) != 0 ? ~std::uint64_t{0} : 0);
+        }
+        const bool expected = apply_op(gate_op(type), bits, arity) !=
+                              is_inverted(type);
+        EXPECT_EQ(eval_word(type, words), expected ? ~std::uint64_t{0} : 0)
+            << to_string(type) << " arity " << arity << " bits " << bits;
+      }
+    }
+  }
 }
 
 }  // namespace
