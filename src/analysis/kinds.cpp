@@ -6,7 +6,7 @@
 #include <stdexcept>
 #include <type_traits>
 
-#include "fault/lanes.hpp"
+#include "fault/campaign.hpp"
 #include "harden/types.hpp"
 #include "util/numeric.hpp"
 

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <memory>
-#include <numeric>
+#include <optional>
 #include <ostream>
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <type_traits>
 #include <utility>
 
 #include "fault/fault_sim.hpp"
@@ -25,13 +24,13 @@ namespace {
 using netlist::Circuit;
 using sim::Word;
 
-// Campaign observability: simulation passes (the work metric every scale
-// feature — dropping, wide lanes, sampling — exists to shrink), node
-// evaluations in faulty sweeps (events / (passes x nodes) is the share of
-// the circuit the event-driven blocks actually re-evaluate), classes
-// retired by fault dropping, and lane occupancy (active fault slots vs
-// provisioned lanes; dense until dropping thins the survivors). Counters
-// only — CampaignCounts and the result path are untouched.
+// Campaign observability: simulation passes (the normalized work unit
+// dropping and sampling exist to shrink), node evaluations spent
+// propagating flipped stems (the kernel's real faulty-machine work), classes
+// retired by fault dropping, and lane occupancy in 64-class units (active
+// class slots vs provisioned ones; dense until dropping thins the
+// survivors). Counters only — CampaignCounts and the result path are
+// untouched.
 struct FaultMetrics {
   obs::Counter& passes =
       obs::Registry::global().counter("fault-sweep-passes-total");
@@ -64,38 +63,26 @@ std::uint64_t pattern_total(const Circuit& golden,
   return options.patterns;
 }
 
-// Calls f with a std::type_identity tag for the lane container `lanes`
-// selects — the single point where the runtime LaneWidth policy meets the
-// compile-time lane types.
-template <typename F>
-auto with_lane_width(LaneWidth lanes, F&& f) {
-  switch (lanes) {
-    case LaneWidth::k64:
-      return f(std::type_identity<sim::Word>{});
-    case LaneWidth::k128:
-      return f(std::type_identity<LaneVec128>{});
-    case LaneWidth::k256:
-      return f(std::type_identity<LaneVec256>{});
-    case LaneWidth::k512:
-      return f(std::type_identity<LaneVec512>{});
-  }
-  throw std::invalid_argument("fault campaign: unknown lane width");
-}
-
 // The per-shard body shared by the aggregate counts and the detection
-// table: one golden broadcast pass per pattern for the expected logical
-// outputs, then one faulty sweep per block of active classes. Keeping this
-// in one place is what makes the two views — and every lane width — bit-
-// identical by construction rather than by parallel maintenance.
+// table, so the two views are bit-identical by construction rather than by
+// parallel maintenance. The shard's patterns run through the pattern-
+// parallel kernel 64 at a time; the golden circuit is simulated once per
+// word for the expected outputs, unless it is the circuit itself, whose good
+// machine the kernel already has.
 //
 // First detections are recorded per class the moment they happen (shard
-// patterns are sequential, so the first hit within the shard is the shard's
-// minimum; cross-shard minima are taken by CampaignCounts::merge). Fault
-// dropping — aggregate path only, the table needs complete rows — then
-// retires detected classes and repacks the survivors into dense lanes, so
-// every recorded field is identical with dropping on or off; only the
-// sweep count shrinks.
-template <typename V>
+// patterns are sequential and a word reports each class's lowest detecting
+// pattern, so the first hit within the shard is the shard's minimum;
+// cross-shard minima are taken by CampaignCounts::merge). Fault dropping —
+// aggregate path only, the table needs complete rows — then retires the
+// detected classes, so every recorded field is identical with dropping on
+// or off.
+//
+// Passes stay in the 64-class-sweep unit the contract is written in: per
+// pattern, one golden pass plus one per 64 classes still active at that
+// pattern, where under dropping a class stops being active after its
+// shard-local first detection. They are counted from the first detections,
+// not from the kernel's work, so they are the same for any kernel.
 CampaignCounts sweep_shard(const Circuit& circuit, const Circuit& golden,
                            const FaultUniverse& universe,
                            const CampaignOptions& options,
@@ -103,103 +90,90 @@ CampaignCounts sweep_shard(const Circuit& circuit, const Circuit& golden,
   CampaignCounts counts(universe.num_classes());
   std::vector<std::vector<bool>> patterns =
       shard_pattern_bits(golden.num_inputs(), options, shard);
-  LaneFaultSim<V> sim(circuit, universe, options.bundle_width);
+  PatternFaultSim sim(circuit, universe, options.bundle_width);
   std::vector<std::uint32_t> active = sampled_classes(universe, options);
-  sim.set_active(std::move(active));
+  const std::uint64_t sampled = active.size();
+  sim.set_active(active);
   const bool drop = options.drop && table == nullptr;
-  sim::LogicSim golden_sim(golden);
-  std::vector<Word> golden_inputs(golden.num_inputs());
-  std::vector<bool> expected;
-  std::vector<std::uint32_t> lane_outputs;
+  std::optional<sim::LogicSim> golden_sim;
+  if (&golden != &circuit) golden_sim.emplace(golden);
+  std::vector<Word> inputs(golden.num_inputs());
+  std::vector<Word> expected(golden_sim.has_value() ? golden.num_outputs() : 0);
   const std::size_t row_words =
       (universe.num_classes() + sim::kWordBits - 1) / sim::kWordBits;
-  // Local observability accumulators, published once per shard so the
-  // pattern loop pays no atomics.
+  // first_hits[i]: classes whose shard-local first detection is pattern i.
+  std::vector<std::uint64_t> first_hits(patterns.size(), 0);
+
+  for (std::size_t begin = 0; begin < patterns.size();
+       begin += sim::kWordBits) {
+    const int count = static_cast<int>(std::min<std::size_t>(
+        sim::kWordBits, patterns.size() - begin));
+    std::fill(inputs.begin(), inputs.end(), 0);
+    for (int p = 0; p < count; ++p) {
+      const std::vector<bool>& pattern = patterns[begin + p];
+      for (std::size_t b = 0; b < pattern.size(); ++b) {
+        if (pattern[b]) inputs[b] |= Word{1} << p;
+      }
+    }
+    if (golden_sim.has_value()) {
+      golden_sim->eval(inputs);
+      for (std::size_t o = 0; o < expected.size(); ++o) {
+        expected[o] = golden_sim->value(golden.outputs()[o]);
+      }
+    }
+    if (table != nullptr) {
+      for (int p = 0; p < count; ++p) {
+        table->detected[shard.begin + begin + p].assign(row_words, 0);
+      }
+    }
+    bool retired = false;
+    for (const PatternFaultSim::Detection& hit :
+         sim.detect_word(inputs, count, expected)) {
+      if (table != nullptr) {
+        for (Word bits = hit.patterns; bits != 0; bits &= bits - 1) {
+          table->detected[shard.begin + begin + std::countr_zero(bits)]
+                         [hit.cls / sim::kWordBits] |=
+              Word{1} << (hit.cls % sim::kWordBits);
+        }
+      }
+      if (counts.first_pattern[hit.cls] != kNotDetected) continue;
+      const std::size_t local =
+          begin + static_cast<std::size_t>(std::countr_zero(hit.patterns));
+      counts.first_pattern[hit.cls] = shard.begin + local;
+      counts.first_output[hit.cls] = hit.first_output;
+      ++first_hits[local];
+      retired = drop;
+    }
+    if (retired) {
+      std::erase_if(active, [&](std::uint32_t cls) {
+        return counts.first_pattern[cls] != kNotDetected;
+      });
+      sim.set_active(active);
+    }
+  }
+  if (table != nullptr) {
+    for (std::size_t i = 0; i < patterns.size(); ++i) {
+      table->patterns[shard.begin + i] = std::move(patterns[i]);
+    }
+  }
+
+  // Passes and lane slots per pattern, as described above; the metrics are
+  // published once per shard.
+  std::uint64_t still_active = sampled;
   std::uint64_t obs_slots = 0;
   std::uint64_t obs_slots_active = 0;
   std::uint64_t obs_dropped = 0;
-
-  for (std::size_t i = 0; i < patterns.size(); ++i) {
-    const std::vector<bool>& pattern = patterns[i];
-    const std::uint64_t pattern_index = shard.begin + i;
-    for (std::size_t b = 0; b < pattern.size(); ++b) {
-      golden_inputs[b] = pattern[b] ? sim::kAllOnes : 0;
-    }
-    golden_sim.eval(golden_inputs);
-    expected.resize(golden.num_outputs());
-    for (std::size_t o = 0; o < golden.num_outputs(); ++o) {
-      expected[o] = (golden_sim.value(golden.outputs()[o]) & 1) != 0;
-    }
-    ++counts.passes;  // the golden pass (work the scalar flow pays too)
-    obs_slots += static_cast<std::uint64_t>(sim.num_blocks()) *
-                 static_cast<std::uint64_t>(sim.kLanesPerBlock);
-    obs_slots_active += sim.active().size();
-
-    std::vector<Word>* row = nullptr;
-    if (table != nullptr) {
-      table->detected[pattern_index].assign(row_words, 0);
-      row = &table->detected[pattern_index];
-    }
-    bool any_detected = false;
-    for (std::size_t block = 0; block < sim.num_blocks(); ++block) {
-      const V det = sim.detect_block(block, pattern, expected);
-      if (!lane_any(det)) continue;
-      // Lanes whose class has no recorded detection yet: those are the
-      // first detections of this shard (patterns ascend within it).
-      V newly = V{};
-      const std::span<const std::uint32_t> lanes_of = sim.active();
-      const std::size_t first =
-          block * static_cast<std::size_t>(sim.kLanesPerBlock);
-      for (int w = 0; w < kLaneWords<V>; ++w) {
-        Word bits = lane_word(det, w);
-        while (bits != 0) {
-          const int lane = std::countr_zero(bits);
-          const std::size_t slot = static_cast<std::size_t>(w) *
-                                       static_cast<std::size_t>(sim::kWordBits) +
-                                   static_cast<std::size_t>(lane);
-          const std::uint32_t cls = lanes_of[first + slot];
-          if (row != nullptr) {
-            (*row)[cls / sim::kWordBits] |= Word{1} << (cls % sim::kWordBits);
-          }
-          if (counts.first_pattern[cls] == kNotDetected) {
-            lane_set_bit(newly, static_cast<int>(slot));
-          }
-          bits &= bits - 1;
-        }
-      }
-      any_detected = true;
-      if (!lane_any(newly)) continue;
-      sim.first_outputs(block, newly, expected, lane_outputs);
-      for (int w = 0; w < kLaneWords<V>; ++w) {
-        Word bits = lane_word(newly, w);
-        while (bits != 0) {
-          const int lane = std::countr_zero(bits);
-          const std::size_t slot = static_cast<std::size_t>(w) *
-                                       static_cast<std::size_t>(sim::kWordBits) +
-                                   static_cast<std::size_t>(lane);
-          const std::uint32_t cls = lanes_of[first + slot];
-          counts.first_pattern[cls] = pattern_index;
-          counts.first_output[cls] = lane_outputs[slot];
-          bits &= bits - 1;
-        }
-      }
-    }
-    if (table != nullptr) {
-      table->patterns[pattern_index] = std::move(patterns[i]);
-    }
-    if (drop && any_detected) {
-      std::vector<std::uint32_t> survivors;
-      survivors.reserve(sim.active().size());
-      for (const std::uint32_t cls : sim.active()) {
-        if (counts.first_pattern[cls] == kNotDetected) {
-          survivors.push_back(cls);
-        }
-      }
-      obs_dropped += sim.active().size() - survivors.size();
-      sim.set_active(std::move(survivors));
+  for (const std::uint64_t hits : first_hits) {
+    const std::uint64_t blocks =
+        (still_active + sim::kWordBits - 1) / sim::kWordBits;
+    counts.passes += 1 + blocks;
+    obs_slots += blocks * sim::kWordBits;
+    obs_slots_active += still_active;
+    if (drop) {
+      still_active -= hits;
+      obs_dropped += hits;
     }
   }
-  counts.passes += sim.passes();
   FaultMetrics& metrics = fault_metrics();
   metrics.shards.add(1);
   metrics.passes.add(counts.passes);
@@ -334,10 +308,7 @@ CampaignCounts campaign_shard_counts(const Circuit& circuit,
                                      const exec::Shard& shard) {
   const obs::Span span("fault-sweep-shard", {},
                        "shard=" + std::to_string(shard.index));
-  return with_lane_width(options.lanes, [&](auto tag) {
-    using V = typename decltype(tag)::type;
-    return sweep_shard<V>(circuit, golden, universe, options, shard, nullptr);
-  });
+  return sweep_shard(circuit, golden, universe, options, shard, nullptr);
 }
 
 FaultCampaignResult finalize_campaign(const Circuit& circuit,
@@ -441,11 +412,8 @@ DetectionTable build_detection_table(const Circuit& circuit,
       [&](const exec::Shard& shard) {
         // Slot-per-pattern row writes are race-free (disjoint slots); only
         // the counts merge needs the lock.
-        counts.merge(with_lane_width(options.lanes, [&](auto tag) {
-          using V = typename decltype(tag)::type;
-          return sweep_shard<V>(circuit, golden, universe, options, shard,
-                                &table);
-        }));
+        counts.merge(
+            sweep_shard(circuit, golden, universe, options, shard, &table));
       },
       how);
   table.counts = counts.take();

@@ -21,15 +21,17 @@
 // batch evaluator and the serve daemon's result cache unchanged.
 //
 // Scale knobs (all preserve that contract exactly):
-//   drop    retire detected classes between patterns *within a shard* and
-//           repack survivors into dense lanes. First detections are
-//           recorded before retirement and shard-local pattern order is
-//           sequential, so every output field is bit-identical to the
+//   drop    retire detected classes *within a shard*: a class leaves the
+//           kernel's active set after the word that first detects it, and
+//           the pass count after the pattern that does. First detections
+//           are recorded before retirement and shard-local pattern order
+//           is sequential, so every output field is bit-identical to the
 //           no-drop path — only sim_passes shrinks.
-//   lanes   physical fault lanes per sweep (64/128/256/512, lanes.hpp).
-//           Pure execution policy: pass accounting is normalized to
-//           64-lane units, so results are identical for every width and
-//           `lanes` stays OUT of canonical analysis specs.
+//   lanes   accepted (64/128/256/512) and validated, but it has no
+//           effect: the pattern-parallel kernel (fault_sim.hpp) has no
+//           fault lanes. It stays OUT of canonical analysis specs. Passes
+//           are a normalized work unit, one golden pass plus one per 64
+//           active classes per pattern, whatever the kernel does.
 //   sample  simulate only a deterministic sample of the classes (counter
 //           stream keyed by seed) and report coverage of the sample with a
 //           Wilson confidence interval. Changes what is simulated, so it
@@ -41,19 +43,58 @@
 //           to the unpruned run on every testable class. Spec-relevant.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
 #include "exec/stream.hpp"
 #include "exec/thread_pool.hpp"
 #include "fault/fault_model.hpp"
-#include "fault/lanes.hpp"
 #include "netlist/circuit.hpp"
 #include "sim/bitpack.hpp"
 
 namespace enb::fault {
+
+// The values `lanes` accepts (see "Scale knobs" above: none changes what
+// runs).
+enum class LaneWidth : int { k64 = 64, k128 = 128, k256 = 256, k512 = 512 };
+
+[[nodiscard]] constexpr const char* to_string(LaneWidth width) noexcept {
+  switch (width) {
+    case LaneWidth::k64:
+      return "64";
+    case LaneWidth::k128:
+      return "128";
+    case LaneWidth::k256:
+      return "256";
+    case LaneWidth::k512:
+      return "512";
+  }
+  return "?";
+}
+
+[[nodiscard]] constexpr std::optional<LaneWidth> parse_lane_width(
+    std::uint64_t lanes) noexcept {
+  switch (lanes) {
+    case 64:
+      return LaneWidth::k64;
+    case 128:
+      return LaneWidth::k128;
+    case 256:
+      return LaneWidth::k256;
+    case 512:
+      return LaneWidth::k512;
+    default:
+      return std::nullopt;
+  }
+}
+
+[[nodiscard]] constexpr std::array<LaneWidth, 4> all_lane_widths() noexcept {
+  return {LaneWidth::k64, LaneWidth::k128, LaneWidth::k256, LaneWidth::k512};
+}
 
 struct CampaignOptions {
   // Random-pattern budget (logical input assignments); ignored when
@@ -86,7 +127,7 @@ struct CampaignOptions {
   // so pruned results are bit-identical to unpruned ones restricted to
   // the testable classes. Changes what is simulated: spec-relevant.
   bool prune_untestable = false;
-  // Physical lanes per sweep. Execution policy, not spec.
+  // Accepted and validated; no effect (see "Scale knobs"). Not spec.
   LaneWidth lanes = LaneWidth::k64;
 };
 
@@ -228,10 +269,10 @@ struct CampaignCounts {
 
 // Everything the row-level output needs: the patterns actually simulated
 // (global pattern-index order), per pattern one detection word per 64-class
-// block (bit c = class c detected — universe class indexing regardless of
-// lane width), and the merged first-detection counts. Built with
-// slot-per-pattern writes, so the table is bit-identical for any thread
-// count and lane width. The table path never drops (rows must be complete),
+// block (bit c = class c detected — universe class indexing), and the
+// merged first-detection counts. Built with slot-per-pattern writes, so the
+// table is bit-identical for any thread count. The table path never drops
+// (rows must be complete),
 // so its counts.passes match the no-drop campaign.
 struct DetectionTable {
   std::vector<std::vector<bool>> patterns;        // [pattern][logical input]

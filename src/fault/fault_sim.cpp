@@ -5,6 +5,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "netlist/gate_type.hpp"
 
@@ -48,197 +49,205 @@ void validate_bundle_interface(const Circuit& circuit, int bundle_width) {
   }
 }
 
-// ---- LaneFaultSim ----------------------------------------------------------
+// ---- PatternFaultSim -------------------------------------------------------
 
-template <typename V>
-LaneFaultSim<V>::LaneFaultSim(const Circuit& circuit,
-                              const FaultUniverse& universe, int bundle_width)
-    : circuit_(&circuit),
-      flat_(circuit),
+PatternFaultSim::PatternFaultSim(const Circuit& circuit,
+                                 const FaultUniverse& universe,
+                                 int bundle_width)
+    : flat_(circuit),
       universe_(&universe),
+      outputs_(circuit.outputs()),
       bundle_width_(bundle_width),
-      values_(circuit.node_count(), V{}),
-      good_(circuit.node_count() / sim::kWordBits + 1, 0),
-      pending_(good_.size(), 0),
-      force0_(circuit.node_count(), V{}),
-      force1_(circuit.node_count(), V{}),
+      stem_of_(circuit.node_count(), ~NodeId{0}),
+      values_(circuit.node_count(), 0),
+      obs_(circuit.node_count(), 0),
+      pending_(circuit.node_count() / sim::kWordBits + 1, 0),
       bundle_counter_(bundle_width > 0 ? bundle_width : 1) {
   validate_bundle_interface(circuit, bundle_width);
-  active_.resize(universe.num_classes());
-  std::iota(active_.begin(), active_.end(), 0u);
+  logical_inputs_ =
+      circuit.num_inputs() / static_cast<std::size_t>(bundle_width);
+  const std::size_t logical_outputs =
+      outputs_.size() / static_cast<std::size_t>(bundle_width);
+  expected_.assign(logical_outputs, 0);
+  base_diff_.assign(logical_outputs, 0);
+  stem_diff_.assign(logical_outputs, 0);
+  // Stems: primary outputs, then every node whose fanout count is not 1.
+  // Any other node belongs to the FFR of its one consumer, which has a
+  // larger id, so a descending scan sees the consumer's stem first.
+  for (const NodeId out : outputs_) stem_of_[out] = out;
+  for (NodeId id = flat_.node_count(); id-- > 0;) {
+    if (stem_of_[id] == id) continue;
+    const std::span<const NodeId> fanouts = flat_.fanouts(id);
+    stem_of_[id] = fanouts.size() == 1 ? stem_of_[fanouts[0]] : id;
+  }
+  std::vector<std::uint32_t> all(universe.num_classes());
+  std::iota(all.begin(), all.end(), 0u);
+  set_active(all);
 }
 
-template <typename V>
-void LaneFaultSim<V>::set_active(std::vector<std::uint32_t> classes) {
+void PatternFaultSim::set_active(const std::vector<std::uint32_t>& classes) {
+  std::vector<ActiveSite> sites;
+  sites.reserve(classes.size());
   for (const std::uint32_t cls : classes) {
     if (cls >= universe_->num_classes()) {
       throw std::invalid_argument("fault: active class " + std::to_string(cls) +
                                   " outside universe of " +
                                   std::to_string(universe_->num_classes()));
     }
+    const FaultSite& site = universe_->representative(cls);
+    sites.push_back({stem_of_[site.node], site.node,
+                     site.value == StuckAt::kOne ? sim::kAllOnes : Word{0},
+                     cls});
   }
-  active_ = std::move(classes);
+  // Grouped by stem, so detect_word flips each stem at most once.
+  std::stable_sort(sites.begin(), sites.end(),
+                   [](const ActiveSite& a, const ActiveSite& b) {
+                     return a.stem < b.stem;
+                   });
+  active_ = std::move(sites);
 }
 
-template <typename V>
-V LaneFaultSim<V>::block_mask(std::size_t block) const {
-  const std::size_t begin = block * static_cast<std::size_t>(kLanesPerBlock);
-  if (begin >= active_.size()) return V{};
-  const std::size_t lanes = std::min<std::size_t>(
-      static_cast<std::size_t>(kLanesPerBlock), active_.size() - begin);
-  return lane_low_mask<V>(static_cast<int>(lanes));
-}
-
-template <typename V>
-V LaneFaultSim<V>::decode_output(std::size_t o) {
-  const std::span<const NodeId> outputs = circuit_->outputs();
+Word PatternFaultSim::decode_output(std::size_t o) {
+  if (bundle_width_ == 1) return values_[outputs_[o]];
   const auto width = static_cast<std::size_t>(bundle_width_);
-  if (width == 1) return values_[outputs[o]];
   bundle_counter_.reset();
   for (std::size_t w = 0; w < width; ++w) {
-    bundle_counter_.add(values_[outputs[o * width + w]]);
+    bundle_counter_.add(values_[outputs_[o * width + w]]);
   }
   return bundle_counter_.greater_than(bundle_width_ / 2);
 }
 
-template <typename V>
-void LaneFaultSim<V>::simulate_good(const std::vector<bool>& pattern) {
-  const auto width = static_cast<std::size_t>(bundle_width_);
-  std::fill(good_.begin(), good_.end(), 0);
-  for (NodeId id = 0; id < flat_.node_count(); ++id) {
-    const int slot = flat_.input_slot(id);
-    const V value =
-        slot >= 0
-            ? lane_broadcast<V>(pattern[static_cast<std::size_t>(slot) / width])
-            : netlist::eval_gate<V>(flat_.type(id), values_, flat_.fanins(id));
-    values_[id] = value;
-    if ((lane_word(value, 0) & 1) != 0) good_[word_of(id)] |= bit_of(id);
-  }
+Word PatternFaultSim::flip_stem(NodeId stem) {
   touched_.clear();
-  pattern_ = pattern;
+  touched_.emplace_back(stem, values_[stem]);
+  values_[stem] = ~values_[stem];
+  const std::span<const NodeId> stem_fanouts = flat_.fanouts(stem);
+  if (!stem_fanouts.empty()) {
+    for (const NodeId fanout : stem_fanouts) {
+      pending_[word_of(fanout)] |= bit_of(fanout);
+    }
+    // Event-driven sweep: ids are topological and every fanout has a larger
+    // id than its driver, so scanning the pending bitset upward evaluates
+    // each queued node once, after all of its fanins. A node that still
+    // equals the good machine stops there; one that differs queues its
+    // fanouts (fanouts ascend, so the last one bounds the scan).
+    std::size_t last = word_of(stem_fanouts.back());
+    for (std::size_t w = word_of(stem_fanouts.front()); w <= last; ++w) {
+      while (pending_[w] != 0) {
+        const Word bits = pending_[w];
+        pending_[w] = bits & (bits - 1);
+        const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
+        const auto id = static_cast<NodeId>(w * sim::kWordBits + bit);
+        const Word value =
+            netlist::eval_gate<Word>(flat_.type(id), values_, flat_.fanins(id));
+        ++events_;
+        if (value == values_[id]) continue;
+        touched_.emplace_back(id, values_[id]);
+        values_[id] = value;
+        const std::span<const NodeId> fanouts = flat_.fanouts(id);
+        for (const NodeId fanout : fanouts) {
+          pending_[word_of(fanout)] |= bit_of(fanout);
+        }
+        if (!fanouts.empty()) last = std::max(last, word_of(fanouts.back()));
+      }
+    }
+  }
+  Word detected = 0;
+  for (std::size_t o = 0; o < stem_diff_.size(); ++o) {
+    stem_diff_[o] = decode_output(o) ^ expected_[o];
+    detected |= stem_diff_[o];
+  }
+  for (const auto& [id, good] : touched_) values_[id] = good;
+  return detected;
 }
 
-template <typename V>
-V LaneFaultSim<V>::detect_block(std::size_t block,
-                                const std::vector<bool>& pattern,
-                                const std::vector<bool>& expected) {
-  const Circuit& circuit = *circuit_;
+const std::vector<PatternFaultSim::Detection>& PatternFaultSim::detect_word(
+    std::span<const Word> inputs, int count, std::span<const Word> expected) {
   const auto width = static_cast<std::size_t>(bundle_width_);
-  if (pattern.size() * width != circuit.num_inputs()) {
+  if (inputs.size() != logical_inputs_) {
     throw std::invalid_argument("fault: pattern size mismatch");
   }
-  if (expected.size() * width != circuit.num_outputs()) {
+  if (!expected.empty() && expected.size() != expected_.size()) {
     throw std::invalid_argument("fault: expected-output size mismatch");
   }
-  if (block >= num_blocks()) {
-    throw std::invalid_argument("fault: block index out of range");
+  if (count < 1 || count > sim::kWordBits) {
+    throw std::invalid_argument("fault: a word holds 1 to 64 patterns, got " +
+                                std::to_string(count));
   }
-  const std::size_t first = block * static_cast<std::size_t>(kLanesPerBlock);
-  const std::size_t lanes = std::min<std::size_t>(
-      static_cast<std::size_t>(kLanesPerBlock), active_.size() - first);
+  const Word valid = sim::low_mask(count);
 
-  // Back to the good machine: re-simulate it on a new pattern, or restore
-  // just the nodes the previous block changed.
-  if (pattern != pattern_) {
-    simulate_good(pattern);
-  } else {
-    for (const NodeId id : touched_) {
-      values_[id] = lane_broadcast<V>((good_[word_of(id)] & bit_of(id)) != 0);
+  // The good machine, with each logical input broadcast to its bundle.
+  for (NodeId id = 0; id < flat_.node_count(); ++id) {
+    const int slot = flat_.input_slot(id);
+    values_[id] = slot >= 0 ? inputs[static_cast<std::size_t>(slot) / width]
+                            : netlist::eval_gate<Word>(flat_.type(id), values_,
+                                                       flat_.fanins(id));
+  }
+  // Where the good machine already misses `expected` (never, when it is
+  // the reference itself): a fault that does not reach its stem leaves the
+  // outputs exactly there.
+  Word base_mismatch = 0;
+  for (std::size_t o = 0; o < expected_.size(); ++o) {
+    const Word good = decode_output(o);
+    expected_[o] = expected.empty() ? good : expected[o];
+    base_diff_[o] = (good ^ expected_[o]) & valid;
+    base_mismatch |= base_diff_[o];
+  }
+  // Observability at the stem, consumers before their fanins: a stem sees
+  // itself; a non-stem node is seen where its one consumer is sensitized
+  // to it (that consumer forced-1 XOR forced-0) and the consumer is seen.
+  for (NodeId id = flat_.node_count(); id-- > 0;) {
+    if (stem_of_[id] == id) {
+      obs_[id] = sim::kAllOnes;
+      continue;
     }
-    touched_.clear();
-  }
-
-  // Lane L of this block is the circuit under the representative fault of
-  // active class first + L: record the per-node force masks (cleared again
-  // below) and queue every injected site.
-  std::size_t lowest = pending_.size();
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const FaultSite& site = universe_->representative(active_[first + lane]);
-    lane_set_bit(site.value == StuckAt::kZero ? force0_[site.node]
-                                              : force1_[site.node],
-                 static_cast<int>(lane));
-    pending_[word_of(site.node)] |= bit_of(site.node);
-    lowest = std::min(lowest, word_of(site.node));
-  }
-
-  // Event-driven sweep: ids are topological and every fanout has a larger
-  // id than its driver, so scanning the pending bitset upward evaluates each
-  // queued node once, after all of its fanins. A node whose lanes all equal
-  // the good machine stops there; one that differs is kept and queues its
-  // fanouts. Forcing applies at every evaluated node, so faults on inputs
-  // and constants inject exactly like gate-output faults.
-  for (std::size_t w = lowest; w < pending_.size(); ++w) {
-    while (pending_[w] != 0) {
-      const Word bits = pending_[w];
-      pending_[w] = bits & (bits - 1);
-      const auto id = static_cast<NodeId>(w * sim::kWordBits +
-                                          static_cast<std::size_t>(
-                                              std::countr_zero(bits)));
-      const GateType type = flat_.type(id);
-      V value = type == GateType::kInput
-                    ? values_[id]
-                    : netlist::eval_gate<V>(type, values_, flat_.fanins(id));
-      value = (value & ~force0_[id]) | force1_[id];
-      ++events_;
-      if (!lane_any(value ^ values_[id])) continue;
-      values_[id] = value;
-      touched_.push_back(id);
-      for (const NodeId fanout : flat_.fanouts(id)) {
-        pending_[word_of(fanout)] |= bit_of(fanout);
-      }
+    const NodeId consumer = flat_.fanouts(id)[0];
+    Word obs = obs_[consumer];
+    if (obs != 0) {
+      const Word good = values_[id];
+      values_[id] = sim::kAllOnes;
+      const Word high = netlist::eval_gate<Word>(flat_.type(consumer), values_,
+                                                 flat_.fanins(consumer));
+      values_[id] = 0;
+      const Word low = netlist::eval_gate<Word>(flat_.type(consumer), values_,
+                                                flat_.fanins(consumer));
+      values_[id] = good;
+      obs &= high ^ low;
     }
-  }
-  // Normalized pass accounting: a block over `lanes` active lanes costs the
-  // same as the 64-lane engine would pay for them, so totals are identical
-  // for every vector width.
-  passes_ += (static_cast<std::uint64_t>(lanes) + sim::kWordBits - 1) /
-             sim::kWordBits;
-
-  // Decode each logical output's bundle per lane and compare against the
-  // expected fault-free bit; any difference marks the lane detected.
-  V detected = V{};
-  const std::size_t logical_outputs = circuit.outputs().size() / width;
-  for (std::size_t o = 0; o < logical_outputs; ++o) {
-    detected |= decode_output(o) ^ lane_broadcast<V>(expected[o]);
+    obs_[id] = obs;
   }
 
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
-    const FaultSite& site = universe_->representative(active_[first + lane]);
-    force0_[site.node] = V{};
-    force1_[site.node] = V{};
+  // Classes stem by stem: flip a stem only when some active fault reaches
+  // it, then resolve each of its classes in O(1).
+  const auto reach_of = [&](const ActiveSite& site) {
+    return (values_[site.node] ^ site.stuck) & obs_[site.node] & valid;
+  };
+  detections_.clear();
+  for (std::size_t begin = 0; begin < active_.size();) {
+    const NodeId stem = active_[begin].stem;
+    std::size_t end = begin;
+    Word any_reach = 0;
+    for (; end < active_.size() && active_[end].stem == stem; ++end) {
+      any_reach |= reach_of(active_[end]);
+    }
+    const Word stem_detected = any_reach != 0 ? flip_stem(stem) : 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const Word reach = reach_of(active_[i]);
+      const Word detected = (reach & stem_detected) | (~reach & base_mismatch);
+      if (detected == 0) continue;
+      // The lowest detecting pattern sees the flipped stem's outputs where
+      // the fault reaches the stem and the good machine's elsewhere.
+      const Word first = detected & (~detected + 1);
+      const std::vector<Word>& diffs =
+          (reach & first) != 0 ? stem_diff_ : base_diff_;
+      std::uint32_t output = 0;
+      while (output < diffs.size() && (diffs[output] & first) == 0) ++output;
+      detections_.push_back({active_[i].cls, detected, output});
+    }
+    begin = end;
   }
-  return detected & block_mask(block);
+  return detections_;
 }
-
-template <typename V>
-void LaneFaultSim<V>::first_outputs(std::size_t block, V lanes,
-                                    const std::vector<bool>& expected,
-                                    std::vector<std::uint32_t>& out) {
-  const auto width = static_cast<std::size_t>(bundle_width_);
-  const std::size_t logical_outputs = circuit_->outputs().size() / width;
-  out.assign(static_cast<std::size_t>(kLanesPerBlock), kNoOutput);
-  lanes &= block_mask(block);
-  V remaining = lanes;
-  for (std::size_t o = 0; o < logical_outputs && lane_any(remaining); ++o) {
-    const V hit =
-        (decode_output(o) ^ lane_broadcast<V>(expected[o])) & remaining;
-    for (int w = 0; w < kLaneWords<V>; ++w) {
-      Word bits = lane_word(hit, w);
-      while (bits != 0) {
-        const int lane = std::countr_zero(bits);
-        out[static_cast<std::size_t>(w) * sim::kWordBits +
-            static_cast<std::size_t>(lane)] = static_cast<std::uint32_t>(o);
-        bits &= bits - 1;
-      }
-    }
-    remaining &= ~hit;
-  }
-}
-
-template class LaneFaultSim<sim::Word>;
-template class LaneFaultSim<LaneVec128>;
-template class LaneFaultSim<LaneVec256>;
-template class LaneFaultSim<LaneVec512>;
 
 // ---- ScalarFaultSim --------------------------------------------------------
 

@@ -6,8 +6,10 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "exec/batch.hpp"
+#include "exec/thread_pool.hpp"
 #include "harden/derive.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -212,9 +214,10 @@ ParetoResult pareto_sweep(const analysis::CompiledCircuit& base,
     result.candidates.push_back(std::move(baseline));
   }
 
-  // Phase 2: build, prove, lint, and grade every candidate. The proofs run
-  // serially (they are already cheap next to the campaigns); the grading
-  // requests all land in one batch so their shards interleave. A proved
+  // Phase 2: build, prove, lint, and grade every candidate. Each config is
+  // transformed, proved, linted and compiled by its own pool task, which
+  // writes only its own slot; the grading requests, built in config order,
+  // then all land in one batch so their shards interleave. A proved
   // candidate's profile is derived from the base extraction (phase 1 cached
   // it on the handle) and stored in its handle before the batch, so its
   // energy bound is a cache hit instead of a fresh extraction.
@@ -225,54 +228,66 @@ ParetoResult pareto_sweep(const analysis::CompiledCircuit& base,
       enumerate_candidates(circuit.num_outputs(), options);
   metrics.candidates.add(configs.size() + 1);
 
-  std::vector<HardenedCircuit> variants;
-  variants.reserve(configs.size());
-  std::vector<analysis::CompiledCircuit> handles;
-  handles.reserve(configs.size());
+  struct Prepared {
+    Candidate candidate;
+    analysis::CompiledCircuit handle;
+    std::size_t base_outputs = 0;
+    bool refuted = false;
+    std::size_t lint_errors = 0;
+  };
+  std::vector<Prepared> prepared(configs.size());
+  exec::for_each_index(
+      configs.size(),
+      [&](std::size_t i) {
+        const TransformOptions& config = configs[i];
+        HardenedCircuit variant = harden_transform(circuit, config, ranking);
+        Prepared& slot = prepared[i];
+        Candidate& candidate = slot.candidate;
+        candidate.label = candidate_label(config);
+        candidate.hardened = true;
+        candidate.style = config.style;
+        candidate.granularity = config.granularity;
+        candidate.top_k = config.top_k;
+        candidate.gates = variant.circuit.gate_count();
+        candidate.voter_gates = variant.voter_gates;
+        candidate.check_outputs = variant.check_outputs;
+        slot.base_outputs = variant.base_outputs;
+
+        const auto start = std::chrono::steady_clock::now();
+        const analysis::CecResult proof =
+            verify_hardened(circuit, variant, options.cec);
+        metrics.cec_seconds.observe(
+            std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          start)
+                .count());
+        candidate.equivalent = proof.equivalent;
+        slot.refuted = !proof.equivalent && !proof.inconclusive;
+
+        const analysis::LintReport lint = lint_hardened(variant);
+        candidate.lint_clean = lint.clean();
+        slot.lint_errors = lint.errors();
+
+        std::optional<core::ProfileExtraction> derived;
+        if (proof.equivalent) {
+          derived = derive_profile(base_index, base_extraction, variant);
+        }
+        slot.handle = analysis::compile(std::move(variant.circuit));
+        if (derived.has_value()) {
+          slot.handle.store_profile(kSweepProfile, std::move(*derived));
+        }
+      },
+      how);
+
   std::vector<analysis::AnalysisRequest> requests;
   requests.reserve(configs.size() * 2);
-  for (const TransformOptions& config : configs) {
-    const std::string label = candidate_label(config);
-    HardenedCircuit variant = harden_transform(circuit, config, ranking);
-
-    Candidate candidate;
-    candidate.label = label;
-    candidate.hardened = true;
-    candidate.style = config.style;
-    candidate.granularity = config.granularity;
-    candidate.top_k = config.top_k;
-    candidate.gates = variant.circuit.gate_count();
-    candidate.voter_gates = variant.voter_gates;
-    candidate.check_outputs = variant.check_outputs;
-
-    const auto start = std::chrono::steady_clock::now();
-    const analysis::CecResult proof =
-        verify_hardened(circuit, variant, options.cec);
-    metrics.cec_seconds.observe(
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count());
-    candidate.equivalent = proof.equivalent;
-    if (!proof.equivalent && !proof.inconclusive) result.refuted += 1;
-
-    const analysis::LintReport lint = lint_hardened(variant);
-    candidate.lint_clean = lint.clean();
-    result.lint_errors += lint.errors();
-
-    std::optional<core::ProfileExtraction> derived;
-    if (proof.equivalent) {
-      derived = derive_profile(base_index, base_extraction, variant);
-    }
-    analysis::CompiledCircuit handle =
-        analysis::compile(std::move(variant.circuit));
-    if (derived.has_value()) {
-      handle.store_profile(kSweepProfile, std::move(*derived));
-    }
-    requests.push_back(energy_request(handle, label + ":energy", options));
-    requests.push_back(campaign_request(handle, label + ":campaign", options));
-    handles.push_back(std::move(handle));
-    variant.circuit = netlist::Circuit();
-    variants.push_back(std::move(variant));
-    result.candidates.push_back(std::move(candidate));
+  for (Prepared& slot : prepared) {
+    const std::string& label = slot.candidate.label;
+    requests.push_back(energy_request(slot.handle, label + ":energy", options));
+    requests.push_back(
+        campaign_request(slot.handle, label + ":campaign", options));
+    if (slot.refuted) result.refuted += 1;
+    result.lint_errors += slot.lint_errors;
+    result.candidates.push_back(std::move(slot.candidate));
   }
 
   const std::vector<analysis::AnalysisResult> graded =
@@ -282,7 +297,7 @@ ParetoResult pareto_sweep(const analysis::CompiledCircuit& base,
     candidate.energy_factor = bound_of(graded[2 * i]).energy.total_factor;
     const fault::FaultCampaignResult& campaign = campaign_of(graded[2 * i + 1]);
     candidate.protection =
-        protection_of(campaign, variants[i].base_outputs);
+        protection_of(campaign, prepared[i].base_outputs);
     candidate.coverage = campaign.coverage;
   }
 

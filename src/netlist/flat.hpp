@@ -8,11 +8,11 @@
 // order is still a topological order, and a fanout always has a larger id
 // than its driver.
 //
-// eval_gate<V> is the lane-generic gate rule: V is sim::Word or any lane
-// vector of words (fault/lanes.hpp), and every lane is an independent
-// evaluation. Every simulator evaluates gates through it: logic, noise and
-// lane fault simulation, and the scalar fault reference (on words that are
-// 0 or all-ones). netlist::eval_word checks arity and delegates to it. It
+// eval_gate<V> is the bit-parallel gate rule: V is sim::Word (or any type
+// with the bitwise operators), and every bit is an independent evaluation.
+// Every simulator evaluates gates through it: logic, noise and
+// pattern-parallel fault simulation, and the scalar fault reference (on
+// words that are 0 or all-ones). netlist::eval_word checks arity and delegates to it. It
 // switches on the gate type directly instead of reading the
 // operator-plus-inversion table in gate_type.hpp, because it is the inner
 // loop of every sweep; the gate-type tests check the two agree.

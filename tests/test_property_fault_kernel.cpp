@@ -1,20 +1,23 @@
-// Every LaneFaultSim width against the scalar one-fault-at-a-time reference,
-// on the paths where a simulator that keeps state between calls can go
-// wrong: an `expected` that is not the circuit's own fault-free response,
-// patterns revisited on one instance, both polarities of one node in one
-// block, faults on inputs, constants, dangling nodes and repeated outputs,
-// and majority-decoded bundles. Both detect_block and first_outputs are
-// checked lane by lane.
+// The pattern-parallel kernel against the scalar one-fault-at-a-time
+// reference, on the paths where it can go wrong: an `expected` that is not
+// the circuit's own fault-free response (so a fault that never reaches its
+// stem is still detected where the good machine misses), patterns revisited
+// on one instance, both polarities of one node in one word, faults on
+// inputs, constants, dangling nodes and repeated outputs, majority-decoded
+// bundles, and the fanout-free-region logic itself: outputs that also feed
+// one gate, nodes read twice by one gate, non-stem faults under MAJ, XOR
+// and a 17-input AND, and partial words. Detection bits and first outputs
+// are checked per pattern, both one pattern per word and packed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "fault/fault_model.hpp"
 #include "fault/fault_sim.hpp"
-#include "fault/lanes.hpp"
 #include "ft/multiplex.hpp"
 #include "gen/random_circuit.hpp"
 #include "gen/suite.hpp"
@@ -105,61 +108,92 @@ struct Step {
   std::vector<std::uint32_t> reference;  // per class, from ScalarReference
 };
 
-// Runs `steps` in order on one LaneFaultSim<V> instance over `active`,
-// checking every lane of every block after each detect_block and the
-// first_outputs call that follows it.
-template <typename V>
-void expect_width_matches(const Circuit& circuit, const FaultUniverse& universe,
-                          int bundle_width,
-                          const std::vector<std::uint32_t>& active,
-                          const std::vector<Step>& steps) {
-  constexpr int kLanes = kLaneBits<V>;
-  LaneFaultSim<V> sim(circuit, universe, bundle_width);
-  sim.set_active(active);
-  std::vector<std::uint32_t> firsts;
-  for (std::size_t s = 0; s < steps.size(); ++s) {
-    const Step& step = steps[s];
-    for (std::size_t b = 0; b < sim.num_blocks(); ++b) {
-      const V detected = sim.detect_block(b, step.pattern, step.expected);
-      sim.first_outputs(b, detected, step.expected, firsts);
-      ASSERT_EQ(firsts.size(), static_cast<std::size_t>(kLanes));
-      for (int lane = 0; lane < kLanes; ++lane) {
-        const std::size_t slot = b * kLanes + static_cast<std::size_t>(lane);
-        const bool bit = lane_bit(detected, lane);
-        if (slot >= active.size()) {
-          EXPECT_FALSE(bit) << "padding lane " << lane;
-          EXPECT_EQ(firsts[static_cast<std::size_t>(lane)], kNoOutput);
-          continue;
-        }
-        const std::uint32_t want = step.reference[active[slot]];
-        EXPECT_EQ(bit, want != kNoOutput)
-            << circuit.name() << " width " << kLanes << " step " << s
-            << " class " << active[slot];
-        EXPECT_EQ(firsts[static_cast<std::size_t>(lane)], want)
-            << circuit.name() << " width " << kLanes << " step " << s
-            << " class " << active[slot];
-      }
+// Packs steps[begin, begin + count) into one word: bit p of inputs[i] is
+// input i of step begin + p, and likewise for expected.
+void pack_steps(const std::vector<Step>& steps, std::size_t begin, int count,
+                std::vector<sim::Word>& inputs,
+                std::vector<sim::Word>& expected) {
+  inputs.assign(steps[begin].pattern.size(), 0);
+  expected.assign(steps[begin].expected.size(), 0);
+  for (int p = 0; p < count; ++p) {
+    const Step& step = steps[begin + static_cast<std::size_t>(p)];
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      if (step.pattern[i]) inputs[i] |= sim::Word{1} << p;
+    }
+    for (std::size_t o = 0; o < expected.size(); ++o) {
+      if (step.expected[o]) expected[o] |= sim::Word{1} << p;
     }
   }
 }
 
-// Fills each step's reference, then checks every lane width.
-void expect_all_widths(const Circuit& circuit, const FaultUniverse& universe,
-                       int bundle_width,
-                       const std::vector<std::uint32_t>& active,
-                       std::vector<Step> steps) {
+// Runs `steps` on one PatternFaultSim instance over `active`: first each
+// step alone as a one-pattern word, then all of them packed 64 to a word
+// (a short last word), then each step alone again. Every active class's
+// detection bit must match the reference at every pattern, its first
+// output at its lowest detecting pattern, and no padding pattern or
+// inactive class may report anything.
+void expect_kernel_matches(const Circuit& circuit,
+                           const FaultUniverse& universe, int bundle_width,
+                           const std::vector<std::uint32_t>& active,
+                           const std::vector<Step>& steps) {
+  PatternFaultSim sim(circuit, universe, bundle_width);
+  sim.set_active(active);
+  std::vector<bool> is_active(universe.num_classes(), false);
+  for (const std::uint32_t cls : active) is_active[cls] = true;
+  std::vector<sim::Word> inputs;
+  std::vector<sim::Word> expected;
+  const auto run_word = [&](std::size_t begin, int count, const char* how) {
+    pack_steps(steps, begin, count, inputs, expected);
+    std::vector<sim::Word> want(universe.num_classes(), 0);
+    for (int p = 0; p < count; ++p) {
+      const Step& step = steps[begin + static_cast<std::size_t>(p)];
+      for (const std::uint32_t cls : active) {
+        if (step.reference[cls] != kNoOutput) want[cls] |= sim::Word{1} << p;
+      }
+    }
+    std::vector<sim::Word> got(universe.num_classes(), 0);
+    for (const PatternFaultSim::Detection& hit :
+         sim.detect_word(inputs, count, expected)) {
+      ASSERT_LT(hit.cls, universe.num_classes());
+      ASSERT_EQ(hit.patterns & ~sim::low_mask(count), 0u)
+          << circuit.name() << " " << how << " class " << hit.cls
+          << " detected on a padding pattern";
+      EXPECT_TRUE(is_active[hit.cls]) << "inactive class " << hit.cls;
+      EXPECT_EQ(got[hit.cls], 0u) << "class " << hit.cls << " reported twice";
+      got[hit.cls] = hit.patterns;
+      ASSERT_NE(hit.patterns, 0u);
+      const std::size_t first =
+          begin + static_cast<std::size_t>(std::countr_zero(hit.patterns));
+      EXPECT_EQ(hit.first_output, steps[first].reference[hit.cls])
+          << circuit.name() << " " << how << " step " << first << " class "
+          << hit.cls;
+    }
+    for (const std::uint32_t cls : active) {
+      EXPECT_EQ(got[cls], want[cls])
+          << circuit.name() << " " << how << " steps " << begin << "+"
+          << count << " class " << cls;
+    }
+  };
+  for (std::size_t s = 0; s < steps.size(); ++s) run_word(s, 1, "alone");
+  for (std::size_t begin = 0; begin < steps.size(); begin += sim::kWordBits) {
+    run_word(begin,
+             static_cast<int>(std::min<std::size_t>(sim::kWordBits,
+                                                    steps.size() - begin)),
+             "packed");
+  }
+  for (std::size_t s = steps.size(); s-- > 0;) run_word(s, 1, "again");
+}
+
+// Fills each step's reference, then checks the kernel.
+void expect_matches_reference(const Circuit& circuit,
+                              const FaultUniverse& universe, int bundle_width,
+                              const std::vector<std::uint32_t>& active,
+                              std::vector<Step> steps) {
   ScalarReference reference(circuit, universe, bundle_width);
   for (Step& step : steps) {
     step.reference = reference.first_outputs(step.pattern, step.expected);
   }
-  expect_width_matches<sim::Word>(circuit, universe, bundle_width, active,
-                                  steps);
-  expect_width_matches<LaneVec128>(circuit, universe, bundle_width, active,
-                                   steps);
-  expect_width_matches<LaneVec256>(circuit, universe, bundle_width, active,
-                                   steps);
-  expect_width_matches<LaneVec512>(circuit, universe, bundle_width, active,
-                                   steps);
+  expect_kernel_matches(circuit, universe, bundle_width, active, steps);
 }
 
 std::vector<std::uint32_t> all_classes(const FaultUniverse& universe) {
@@ -201,7 +235,8 @@ TEST(FaultKernel, ExpectedFromANonEquivalentGoldenOrFlippedBits) {
     }
     for (const bool collapse : {true, false}) {
       const FaultUniverse universe = FaultUniverse::build(circuit, collapse);
-      expect_all_widths(circuit, universe, 1, all_classes(universe), steps);
+      expect_matches_reference(circuit, universe, 1, all_classes(universe),
+                               steps);
     }
   }
   const Circuit c432 = gen::find_benchmark("c432").build();
@@ -214,7 +249,7 @@ TEST(FaultKernel, ExpectedFromANonEquivalentGoldenOrFlippedBits) {
     steps.push_back({pattern, flipped, {}});
   }
   const FaultUniverse universe = FaultUniverse::build(c432);
-  expect_all_widths(c432, universe, 1, all_classes(universe), steps);
+  expect_matches_reference(c432, universe, 1, all_classes(universe), steps);
 }
 
 TEST(FaultKernel, PatternsInterleavedOnOneInstance) {
@@ -227,7 +262,7 @@ TEST(FaultKernel, PatternsInterleavedOnOneInstance) {
     steps.push_back({*pattern, sim::eval_single(c432, *pattern), {}});
   }
   const FaultUniverse universe = FaultUniverse::build(c432);
-  expect_all_widths(c432, universe, 1, all_classes(universe), steps);
+  expect_matches_reference(c432, universe, 1, all_classes(universe), steps);
 
   for (std::uint64_t seed = 5; seed <= 7; ++seed) {
     const Circuit circuit = random_dag(seed);
@@ -240,7 +275,7 @@ TEST(FaultKernel, PatternsInterleavedOnOneInstance) {
           {*pattern, sim::eval_single(circuit, *pattern), {}});
     }
     const FaultUniverse full = FaultUniverse::build(circuit, false);
-    expect_all_widths(circuit, full, 1, all_classes(full), interleaved);
+    expect_matches_reference(circuit, full, 1, all_classes(full), interleaved);
   }
 }
 
@@ -249,7 +284,7 @@ TEST(FaultKernel, BothPolaritiesOfOneNodeInOneBlock) {
     const Circuit circuit = random_dag(seed);
     const FaultUniverse universe = FaultUniverse::build(circuit, false);
     // sa0 and sa1 of every node side by side, nodes in descending order so
-    // a block's sites are not in lane order either.
+    // the active list is not in class order either.
     std::vector<std::uint32_t> active;
     for (std::size_t net = universe.num_nets(); net-- > 0;) {
       active.push_back(static_cast<std::uint32_t>(universe.class_of(2 * net)));
@@ -263,7 +298,7 @@ TEST(FaultKernel, BothPolaritiesOfOneNodeInOneBlock) {
           random_pattern(circuit.num_inputs(), rng);
       steps.push_back({pattern, sim::eval_single(circuit, pattern), {}});
     }
-    expect_all_widths(circuit, universe, 1, active, steps);
+    expect_matches_reference(circuit, universe, 1, active, steps);
   }
 }
 
@@ -303,10 +338,10 @@ TEST(FaultKernel, InputsConstantsDanglingNodesAndRepeatedOutputs) {
   steps.push_back(steps.front());
   for (const bool collapse : {true, false}) {
     const FaultUniverse universe = FaultUniverse::build(c, collapse);
-    expect_all_widths(c, universe, 1, all_classes(universe), steps);
+    expect_matches_reference(c, universe, 1, all_classes(universe), steps);
     std::vector<std::uint32_t> reversed = all_classes(universe);
     std::reverse(reversed.begin(), reversed.end());
-    expect_all_widths(c, universe, 1, reversed, steps);
+    expect_matches_reference(c, universe, 1, reversed, steps);
   }
 }
 
@@ -327,8 +362,145 @@ TEST(FaultKernel, MultiplexedBundlesOfThree) {
     }
     steps.push_back(steps.front());
     const FaultUniverse universe = FaultUniverse::build(mc.circuit);
-    expect_all_widths(mc.circuit, universe, mc.bundle_width,
-                      all_classes(universe), steps);
+    expect_matches_reference(mc.circuit, universe, mc.bundle_width,
+                             all_classes(universe), steps);
+  }
+}
+
+// Every input assignment of a small circuit, each against the circuit's own
+// response and against that response with output (v mod outputs) flipped.
+std::vector<Step> exhaustive_steps(const Circuit& circuit) {
+  const std::size_t inputs = circuit.num_inputs();
+  std::vector<Step> steps;
+  for (std::uint64_t v = 0; v < (std::uint64_t{1} << inputs); ++v) {
+    std::vector<bool> pattern(inputs);
+    for (std::size_t i = 0; i < inputs; ++i) pattern[i] = ((v >> i) & 1) != 0;
+    std::vector<bool> expected = sim::eval_single(circuit, pattern);
+    steps.push_back({pattern, expected, {}});
+    expected[v % expected.size()].flip();
+    steps.push_back({pattern, expected, {}});
+  }
+  return steps;
+}
+
+TEST(FaultKernel, OutputsThatFeedOneGateAndNodesReadTwice) {
+  Circuit c("ffr-edges");
+  const NodeId a = c.add_input("a");
+  const NodeId b = c.add_input("b");
+  const NodeId d = c.add_input("d");
+  // `po` is an output and feeds exactly one gate: a stem, although its
+  // fanout count is 1. When `d` is 0 the AND masks it, and only the output
+  // itself sees its faults.
+  const NodeId po = c.add_gate(GateType::kNand, a, b);
+  const NodeId masked = c.add_gate(GateType::kAnd, po, d);
+  // `sq` is read twice by one gate and by nothing else: a stem, because its
+  // fanout count is 2. XOR(sq, sq) is constant, so its faults are
+  // untestable through `zero`; OR(sq, sq) passes them.
+  const NodeId sq = c.add_gate(GateType::kXor, a, d);
+  const NodeId zero = c.add_gate(GateType::kXor, sq, sq);
+  const NodeId sq2 = c.add_gate(GateType::kNor, b, d);
+  const NodeId pass = c.add_gate(GateType::kOr, sq2, sq2);
+  const NodeId tail = c.add_gate(GateType::kXnor, {masked, zero, pass});
+  c.add_output(po);
+  c.add_output(tail);
+  const std::vector<Step> steps = exhaustive_steps(c);
+  for (const bool collapse : {true, false}) {
+    const FaultUniverse universe = FaultUniverse::build(c, collapse);
+    expect_matches_reference(c, universe, 1, all_classes(universe), steps);
+  }
+}
+
+TEST(FaultKernel, NonStemFaultsUnderMajXorAndA17InputAnd) {
+  Circuit c("ffr-gates");
+  std::vector<NodeId> x;
+  for (int i = 0; i < 17; ++i) x.push_back(c.add_input());
+  // Each NOT feeds only the AND, each NAND/NOR only the MAJ or the XOR, and
+  // the AND, MAJ and XOR only the final XNOR: all of them are non-stems in
+  // the output's fanout-free region.
+  std::vector<NodeId> inverted;
+  for (const NodeId in : x) inverted.push_back(c.add_gate(GateType::kNot, in));
+  const NodeId wide = c.add_gate(GateType::kAnd, inverted);
+  const NodeId m0 = c.add_gate(GateType::kNand, x[0], x[1]);
+  const NodeId m1 = c.add_gate(GateType::kNor, x[2], x[3]);
+  const NodeId m2 = c.add_gate(GateType::kNand, x[4], x[5]);
+  const NodeId maj = c.add_gate(GateType::kMaj, m0, m1, m2);
+  const NodeId p0 = c.add_gate(GateType::kNor, x[6], x[7]);
+  const NodeId p1 = c.add_gate(GateType::kNand, x[8], x[9]);
+  const NodeId parity = c.add_gate(GateType::kXor, p0, p1);
+  c.add_output(c.add_gate(GateType::kXnor, {wide, maj, parity}));
+
+  // Random patterns almost never sensitize a 17-input AND, so add the
+  // all-zero assignment (every NOT at 1) and each one-hot assignment.
+  sim::Xoshiro256 rng(17);
+  std::vector<std::vector<bool>> patterns;
+  patterns.emplace_back(x.size(), false);
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    std::vector<bool> one_hot(x.size(), false);
+    one_hot[i] = true;
+    patterns.push_back(std::move(one_hot));
+  }
+  for (int p = 0; p < 60; ++p) {
+    patterns.push_back(random_pattern(x.size(), rng));
+  }
+  std::vector<Step> steps;
+  for (std::size_t p = 0; p < patterns.size(); ++p) {
+    std::vector<bool> expected = sim::eval_single(c, patterns[p]);
+    if (p % 7 == 3) expected[0].flip();
+    steps.push_back({patterns[p], expected, {}});
+  }
+  ASSERT_GT(steps.size(), 64u);  // one full word and one partial
+  for (const bool collapse : {true, false}) {
+    const FaultUniverse universe = FaultUniverse::build(c, collapse);
+    expect_matches_reference(c, universe, 1, all_classes(universe), steps);
+  }
+}
+
+TEST(FaultKernel, NonEquivalentGoldenWhereTheFaultNeverReachesItsStem) {
+  // y = AND(NOT a, b) against a golden y = b. Faults inside the cone of
+  // NOT a that a = 1 leaves unexcited or b = 0 blocks never reach y, yet
+  // every pattern where the golden differs (a = 1, b = 1) detects them.
+  Circuit c("unreached");
+  const NodeId a = c.add_input("a");
+  const NodeId b = c.add_input("b");
+  const NodeId na = c.add_gate(GateType::kNot, a);
+  const NodeId bb = c.add_gate(GateType::kBuf, b);
+  c.add_output(c.add_gate(GateType::kAnd, na, bb), "y");
+  c.add_output(c.add_gate(GateType::kOr, a, b), "z");
+  std::vector<Step> steps;
+  for (std::uint64_t v = 0; v < 4; ++v) {
+    const std::vector<bool> pattern{(v & 1) != 0, (v & 2) != 0};
+    steps.push_back({pattern, {pattern[1], pattern[0] || pattern[1]}, {}});
+  }
+  for (const bool collapse : {true, false}) {
+    const FaultUniverse universe = FaultUniverse::build(c, collapse);
+    expect_matches_reference(c, universe, 1, all_classes(universe), steps);
+  }
+}
+
+TEST(FaultKernel, HandWrittenBundleOfThreeAgainstAPlainNand) {
+  // Three NAND replicas decoded by majority against one NAND (the CLI's
+  // --bundle-width 3 --golden case): no single fault survives decoding, so
+  // only the flipped-expected steps detect anything.
+  Circuit c("nand3");
+  std::vector<NodeId> a;
+  std::vector<NodeId> b;
+  for (int w = 0; w < 3; ++w) a.push_back(c.add_input());
+  for (int w = 0; w < 3; ++w) b.push_back(c.add_input());
+  std::vector<NodeId> y;
+  for (int w = 0; w < 3; ++w) {
+    y.push_back(c.add_gate(GateType::kNand, a[w], b[w]));
+  }
+  for (const NodeId out : y) c.add_output(out);
+  std::vector<Step> steps;
+  for (std::uint64_t v = 0; v < 4; ++v) {
+    const bool va = (v & 1) != 0;
+    const bool vb = (v & 2) != 0;
+    steps.push_back({{va, vb}, {!(va && vb)}, {}});
+    steps.push_back({{va, vb}, {va && vb}, {}});
+  }
+  for (const bool collapse : {true, false}) {
+    const FaultUniverse universe = FaultUniverse::build(c, collapse);
+    expect_matches_reference(c, universe, 3, all_classes(universe), steps);
   }
 }
 

@@ -510,7 +510,7 @@ int cmd_faultsim(const Args& args) {
   fault::validate_campaign_inputs(circuit, reference, options);
   const exec::Parallelism how{args.threads};
   // The summary always comes from the aggregate campaign, so it reflects
-  // the requested dropping/sampling/lane policy. The row-level consumers
+  // the requested dropping and sampling. The row-level consumers
   // (--ans, --check-scalar) additionally build the per-pattern detection
   // table, which never drops (rows must be complete) — its detection bits
   // and first-detection records are bit-identical to the aggregate's by
@@ -568,9 +568,8 @@ int cmd_faultsim(const Args& args) {
   if (args.check_scalar) {
     // Cross-check every (pattern, sampled class) bit against the scalar
     // one-fault-at-a-time reference — the two implementations share only
-    // the gate rule, not the sweep, the fault injection or the good-machine
-    // reuse, so agreement here is a real equivalence check for whichever
-    // lane width ran.
+    // the gate rule, not the sweep, the fault injection or the stem
+    // propagation, so agreement here is a real equivalence check.
     fault::ScalarFaultSim scalar(circuit, *universe, options.bundle_width);
     const std::vector<std::uint32_t> sampled =
         fault::sampled_classes(*universe, options);
