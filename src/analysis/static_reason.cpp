@@ -23,6 +23,9 @@ using netlist::NodeId;
 
 namespace {
 
+// Probe-learning sweeps analyze_constants runs at most.
+constexpr int kMaxProbeRounds = 3;
+
 // ---------------------------------------------------------------------------
 // Partial evaluation: the value of a gate when only some fanins are known.
 // ---------------------------------------------------------------------------
@@ -85,9 +88,9 @@ LogicValue partial_eval(GateType type, const Circuit& circuit, NodeId id,
 // contradiction, which is exactly what probe learning looks for.
 class ImplicationEnv {
  public:
-  ImplicationEnv(const Circuit& circuit, const netlist::FlatCircuit& flat,
+  ImplicationEnv(const Circuit& circuit, const netlist::Fanouts& fanouts,
                  std::vector<LogicValue> seed)
-      : circuit_(&circuit), flat_(&flat), val_(std::move(seed)) {}
+      : circuit_(&circuit), fanouts_(&fanouts), val_(std::move(seed)) {}
 
   [[nodiscard]] bool consistent() const noexcept { return consistent_; }
   [[nodiscard]] const std::vector<LogicValue>& values() const noexcept {
@@ -122,7 +125,7 @@ class ImplicationEnv {
       // Forward through every fanout: the new fact may force the fanout's
       // output, or — when the fanout output is already known — newly
       // enable one of its backward rules.
-      for (const NodeId g : flat_->fanouts(id)) {
+      for (const NodeId g : fanouts_->of(id)) {
         const LogicValue forced =
             partial_eval(circuit_->type(g), *circuit_, g, val_);
         if (forced != LogicValue::kUnknown) assign(g, forced);
@@ -199,7 +202,7 @@ class ImplicationEnv {
   }
 
   const Circuit* circuit_;
-  const netlist::FlatCircuit* flat_;
+  const netlist::Fanouts* fanouts_;
   std::vector<LogicValue> val_;
   std::deque<NodeId> queue_;
   bool consistent_ = true;
@@ -207,39 +210,41 @@ class ImplicationEnv {
 
 }  // namespace
 
-ConstantFacts analyze_constants(const Circuit& circuit,
-                                const StaticReasonOptions& options) {
+std::vector<LogicValue> forward_constants(const Circuit& circuit) {
+  // Forward propagation from constant gates. One topological scan reaches
+  // the fixpoint because fanins always have lower ids.
+  std::vector<LogicValue> forward(circuit.node_count(), LogicValue::kUnknown);
+  for (NodeId id = 0; id < circuit.node_count(); ++id) {
+    if (circuit.type(id) == GateType::kInput) continue;
+    forward[id] = partial_eval(circuit.type(id), circuit, id, forward);
+  }
+  return forward;
+}
+
+ConstantFacts analyze_constants(const Circuit& circuit) {
   ConstantFacts facts;
   const std::size_t n = circuit.node_count();
-  facts.forward.assign(n, LogicValue::kUnknown);
-
-  // Tier one: forward propagation from constant gates. One topological scan
-  // reaches the fixpoint because fanins always have lower ids.
-  for (NodeId id = 0; id < n; ++id) {
-    if (circuit.type(id) == GateType::kInput) continue;
-    facts.forward[id] =
-        partial_eval(circuit.type(id), circuit, id, facts.forward);
-  }
+  facts.forward = forward_constants(circuit);
 
   // Tier two: probe every still-unknown net at both values and learn from
   // contradictions and branch agreement, iterating until nothing new.
   facts.proved = facts.forward;
-  const netlist::FlatCircuit flat(circuit);
+  const netlist::Fanouts fanouts(circuit);
   const auto learn = [&](NodeId id, LogicValue value) {
-    ImplicationEnv env(circuit, flat, std::move(facts.proved));
+    ImplicationEnv env(circuit, fanouts, std::move(facts.proved));
     env.assume(id, value);
     // The circuit itself is consistent, so folding a proved fact back in
     // can never contradict; keep whatever the fixpoint derived with it.
     facts.proved = env.values();
     ++facts.learned;
   };
-  for (int round = 0; round < options.max_probe_rounds; ++round) {
+  for (int round = 0; round < kMaxProbeRounds; ++round) {
     bool changed = false;
     ++facts.probe_rounds;
     for (NodeId id = 0; id < n; ++id) {
       if (facts.proved[id] != LogicValue::kUnknown) continue;
-      ImplicationEnv zero(circuit, flat, facts.proved);
-      ImplicationEnv one(circuit, flat, facts.proved);
+      ImplicationEnv zero(circuit, fanouts, facts.proved);
+      ImplicationEnv one(circuit, fanouts, facts.proved);
       const bool zero_ok = zero.assume(id, LogicValue::kZero);
       const bool one_ok = one.assume(id, LogicValue::kOne);
       facts.probes += 2;

@@ -12,7 +12,8 @@
 //       forced by already-proved-constant fanins is itself constant); its
 //       proofs survive any single stuck-at fault on a net that is not
 //       itself proved constant, which is what makes them usable for
-//       untestability arguments (see fault/untestable.hpp). Tier two adds
+//       untestability arguments (see fault/untestable.hpp);
+//       forward_constants computes it alone. Tier two adds
 //       backward implications and probing: assume net = 0 and net = 1 in
 //       turn, push direct implications (forward gate evaluation with
 //       partial values plus backward controlling-value rules) to a
@@ -60,13 +61,6 @@ enum class LogicValue : std::uint8_t { kUnknown = 0, kZero = 1, kOne = 2 };
   return LogicValue::kUnknown;
 }
 
-struct StaticReasonOptions {
-  // Probe-learning sweeps over all nets; each sweep is a full implication
-  // fixpoint per (net, value) pair. The cap bounds pathological circuits;
-  // real netlists converge in one or two rounds.
-  int max_probe_rounds = 3;
-};
-
 struct ConstantFacts {
   // Tier one: constants provable by forward propagation from constant
   // gates alone. The derivation of every entry is supported entirely by
@@ -83,8 +77,15 @@ struct ConstantFacts {
   std::size_t probe_rounds = 0;    // sweeps until fixpoint (or the cap)
 };
 
-[[nodiscard]] ConstantFacts analyze_constants(
-    const netlist::Circuit& circuit, const StaticReasonOptions& options = {});
+// Tier one alone: `ConstantFacts::forward`, without any probing.
+[[nodiscard]] std::vector<LogicValue> forward_constants(
+    const netlist::Circuit& circuit);
+
+// Both tiers. Probe-learning sweeps over all nets, each sweep a full
+// implication fixpoint per (net, value) pair, until nothing new is learned
+// or three sweeps have run: the cap bounds pathological circuits; real
+// netlists converge in one or two rounds.
+[[nodiscard]] ConstantFacts analyze_constants(const netlist::Circuit& circuit);
 
 // Canonical value ids: 0 = const0, 1 = const1, 2 + i = primary input i,
 // then interned gate classes. Input ids are positional, so hashing two

@@ -17,10 +17,11 @@ std::vector<Ref> build_node_bdds(Bdd& manager, const Circuit& circuit,
   std::vector<Ref> refs(circuit.node_count(), Bdd::kFalse);
   for (NodeId id = 0; id < circuit.node_count(); ++id) {
     if (cone != nullptr && !(*cone)[id]) continue;
-    const auto& node = circuit.node(id);
-    const auto fanin = [&](std::size_t i) { return refs[node.fanins[i]]; };
+    const auto type = circuit.type(id);
+    const auto fanins = circuit.fanins(id);
+    const auto fanin = [&](std::size_t i) { return refs[fanins[i]]; };
     Ref value = Bdd::kFalse;
-    switch (netlist::gate_op(node.type)) {
+    switch (netlist::gate_op(type)) {
       case GateOp::kInput:
         value =
             manager.var_ref(static_cast<unsigned>(circuit.input_index(id)));
@@ -32,17 +33,17 @@ std::vector<Ref> build_node_bdds(Bdd& manager, const Circuit& circuit,
         break;
       case GateOp::kAnd:
         value = Bdd::kTrue;
-        for (std::size_t i = 0; i < node.fanins.size(); ++i) {
+        for (std::size_t i = 0; i < fanins.size(); ++i) {
           value = manager.apply_and(value, fanin(i));
         }
         break;
       case GateOp::kOr:
-        for (std::size_t i = 0; i < node.fanins.size(); ++i) {
+        for (std::size_t i = 0; i < fanins.size(); ++i) {
           value = manager.apply_or(value, fanin(i));
         }
         break;
       case GateOp::kXor:
-        for (std::size_t i = 0; i < node.fanins.size(); ++i) {
+        for (std::size_t i = 0; i < fanins.size(); ++i) {
           value = manager.apply_xor(value, fanin(i));
         }
         break;
@@ -51,7 +52,7 @@ std::vector<Ref> build_node_bdds(Bdd& manager, const Circuit& circuit,
         break;
     }
     refs[id] =
-        netlist::is_inverted(node.type) ? manager.apply_not(value) : value;
+        netlist::is_inverted(type) ? manager.apply_not(value) : value;
   }
   return refs;
 }

@@ -71,18 +71,19 @@ FaultUniverse FaultUniverse::build(const Circuit& circuit, bool collapse,
     for (const NodeId out : circuit.outputs()) is_output[out] = true;
 
     for (NodeId id = 0; id < circuit.node_count(); ++id) {
-      const auto& node = circuit.node(id);
-      if (!netlist::counts_as_gate(node.type)) continue;
+      const auto type = circuit.type(id);
+      const auto fanins = circuit.fanins(id);
+      if (!netlist::counts_as_gate(type)) continue;
       // A single-fanin gate is a buffer or an inverter whatever its
       // operator: both stuck polarities pass straight through it. A wider
       // gate with a controlling value c and output inversion i collapses
       // an input stuck at c into the output stuck at c XOR i. XOR and MAJ
       // have no controlling value, hence no equivalence.
-      const GateOp op = netlist::gate_op(node.type);
-      const bool inverted = netlist::is_inverted(node.type);
-      const bool single = node.fanins.size() == 1;
+      const GateOp op = netlist::gate_op(type);
+      const bool inverted = netlist::is_inverted(type);
+      const bool single = fanins.size() == 1;
       if (!single && op != GateOp::kAnd && op != GateOp::kOr) continue;
-      for (const NodeId fanin : node.fanins) {
+      for (const NodeId fanin : fanins) {
         if (fanouts[fanin] != 1 || is_output[fanin]) continue;
         if (single) {
           classes.merge(site_index(fanin, StuckAt::kZero),

@@ -54,7 +54,8 @@ void validate_bundle_interface(const Circuit& circuit, int bundle_width) {
 PatternFaultSim::PatternFaultSim(const Circuit& circuit,
                                  const FaultUniverse& universe,
                                  int bundle_width)
-    : flat_(circuit),
+    : circuit_(&circuit),
+      fanouts_(circuit),
       universe_(&universe),
       outputs_(circuit.outputs()),
       bundle_width_(bundle_width),
@@ -75,9 +76,9 @@ PatternFaultSim::PatternFaultSim(const Circuit& circuit,
   // Any other node belongs to the FFR of its one consumer, which has a
   // larger id, so a descending scan sees the consumer's stem first.
   for (const NodeId out : outputs_) stem_of_[out] = out;
-  for (NodeId id = flat_.node_count(); id-- > 0;) {
+  for (NodeId id = circuit.node_count(); id-- > 0;) {
     if (stem_of_[id] == id) continue;
-    const std::span<const NodeId> fanouts = flat_.fanouts(id);
+    const std::span<const NodeId> fanouts = fanouts_.of(id);
     stem_of_[id] = fanouts.size() == 1 ? stem_of_[fanouts[0]] : id;
   }
   std::vector<std::uint32_t> all(universe.num_classes());
@@ -121,7 +122,7 @@ Word PatternFaultSim::flip_stem(NodeId stem) {
   touched_.clear();
   touched_.emplace_back(stem, values_[stem]);
   values_[stem] = ~values_[stem];
-  const std::span<const NodeId> stem_fanouts = flat_.fanouts(stem);
+  const std::span<const NodeId> stem_fanouts = fanouts_.of(stem);
   if (!stem_fanouts.empty()) {
     for (const NodeId fanout : stem_fanouts) {
       pending_[word_of(fanout)] |= bit_of(fanout);
@@ -138,13 +139,13 @@ Word PatternFaultSim::flip_stem(NodeId stem) {
         pending_[w] = bits & (bits - 1);
         const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
         const auto id = static_cast<NodeId>(w * sim::kWordBits + bit);
-        const Word value =
-            netlist::eval_gate<Word>(flat_.type(id), values_, flat_.fanins(id));
+        const Word value = netlist::eval_gate<Word>(
+            circuit_->type(id), values_, circuit_->fanins(id));
         ++events_;
         if (value == values_[id]) continue;
         touched_.emplace_back(id, values_[id]);
         values_[id] = value;
-        const std::span<const NodeId> fanouts = flat_.fanouts(id);
+        const std::span<const NodeId> fanouts = fanouts_.of(id);
         for (const NodeId fanout : fanouts) {
           pending_[word_of(fanout)] |= bit_of(fanout);
         }
@@ -177,11 +178,12 @@ const std::vector<PatternFaultSim::Detection>& PatternFaultSim::detect_word(
   const Word valid = sim::low_mask(count);
 
   // The good machine, with each logical input broadcast to its bundle.
-  for (NodeId id = 0; id < flat_.node_count(); ++id) {
-    const int slot = flat_.input_slot(id);
+  const Circuit& circuit = *circuit_;
+  for (NodeId id = 0; id < circuit.node_count(); ++id) {
+    const int slot = circuit.input_index(id);
     values_[id] = slot >= 0 ? inputs[static_cast<std::size_t>(slot) / width]
-                            : netlist::eval_gate<Word>(flat_.type(id), values_,
-                                                       flat_.fanins(id));
+                            : netlist::eval_gate<Word>(circuit.type(id), values_,
+                                                       circuit.fanins(id));
   }
   // Where the good machine already misses `expected` (never, when it is
   // the reference itself): a fault that does not reach its stem leaves the
@@ -196,21 +198,21 @@ const std::vector<PatternFaultSim::Detection>& PatternFaultSim::detect_word(
   // Observability at the stem, consumers before their fanins: a stem sees
   // itself; a non-stem node is seen where its one consumer is sensitized
   // to it (that consumer forced-1 XOR forced-0) and the consumer is seen.
-  for (NodeId id = flat_.node_count(); id-- > 0;) {
+  for (NodeId id = circuit.node_count(); id-- > 0;) {
     if (stem_of_[id] == id) {
       obs_[id] = sim::kAllOnes;
       continue;
     }
-    const NodeId consumer = flat_.fanouts(id)[0];
+    const NodeId consumer = fanouts_.of(id)[0];
     Word obs = obs_[consumer];
     if (obs != 0) {
       const Word good = values_[id];
       values_[id] = sim::kAllOnes;
-      const Word high = netlist::eval_gate<Word>(flat_.type(consumer), values_,
-                                                 flat_.fanins(consumer));
+      const Word high = netlist::eval_gate<Word>(
+          circuit.type(consumer), values_, circuit.fanins(consumer));
       values_[id] = 0;
-      const Word low = netlist::eval_gate<Word>(flat_.type(consumer), values_,
-                                                flat_.fanins(consumer));
+      const Word low = netlist::eval_gate<Word>(
+          circuit.type(consumer), values_, circuit.fanins(consumer));
       values_[id] = good;
       obs &= high ^ low;
     }

@@ -23,7 +23,7 @@
 //                     past the stem is the circuit with the stem flipped,
 //                     so each stem some active fault reaches is flipped
 //                     once per word and propagated event-driven over the
-//                     fanout CSR of netlist::FlatCircuit; that records its
+//                     fanout inverse (netlist::Fanouts); that records its
 //                     decoded per-output difference words against
 //                     `expected`. A class is then O(1):
 //                         det = (reach & stem_det) | (~reach & base_mismatch)
@@ -37,8 +37,8 @@
 //                     gate by gate, in a full sweep of its own over the
 //                     Circuit, on words that are 0 or all-ones. It shares
 //                     only the gate rule, netlist::eval_gate, with the
-//                     pattern-parallel path: no FlatCircuit, no FFRs, no
-//                     stems, no event queue. It is the oracle: tests and
+//                     pattern-parallel path: no fanout inverse, no FFRs,
+//                     no stems, no event queue. It is the oracle: tests and
 //                     the CLI's --check-scalar diff the two bit for bit, on
 //                     gates of any fanin count.
 //
@@ -118,7 +118,8 @@ class PatternFaultSim {
   // and restores values_ to the good machine; returns the detection word.
   sim::Word flip_stem(netlist::NodeId stem);
 
-  netlist::FlatCircuit flat_;
+  const netlist::Circuit* circuit_;
+  netlist::Fanouts fanouts_;
   const FaultUniverse* universe_;
   std::span<const netlist::NodeId> outputs_;
   int bundle_width_;

@@ -52,19 +52,16 @@ UntestableReport find_untestable(const Circuit& circuit,
   UntestableReport report;
   const std::size_t n = circuit.node_count();
 
-  // Tier-one constants only — see the header's soundness argument. Probe
-  // rounds are disabled: their facts would be unsound here and their cost
-  // is the dominant term.
-  analysis::StaticReasonOptions options;
-  options.max_probe_rounds = 0;
+  // Tier-one constants only — see the header's soundness argument. Probed
+  // facts would be unsound here, and their cost is the dominant term.
   const std::vector<LogicValue> constant =
-      analysis::analyze_constants(circuit, options).forward;
+      analysis::forward_constants(circuit);
 
   const std::vector<bool> live = netlist::reachable_from_outputs(circuit);
 
   std::vector<bool> is_output(n, false);
   for (const NodeId out : circuit.outputs()) is_output[out] = true;
-  const netlist::FlatCircuit flat(circuit);
+  const netlist::Fanouts fanouts(circuit);
 
   // Observability: can a difference on this net reach some output through
   // at least one chain of unblocked gates? Node ids are topological, so one
@@ -75,7 +72,7 @@ UntestableReport find_untestable(const Circuit& circuit,
       observable[id] = true;
       continue;
     }
-    for (const NodeId g : flat.fanouts(id)) {
+    for (const NodeId g : fanouts.of(id)) {
       if (observable[g] && !blocks(circuit, g, id, constant)) {
         observable[id] = true;
         break;

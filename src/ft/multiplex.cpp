@@ -84,38 +84,39 @@ MultiplexedCircuit multiplex_transform(const Circuit& circuit,
   };
 
   for (NodeId id = 0; id < circuit.node_count(); ++id) {
-    const auto& node = circuit.node(id);
-    if (node.type == GateType::kInput) continue;
-    if (netlist::is_constant(node.type)) {
+    const auto type = circuit.type(id);
+    const auto fanins = circuit.fanins(id);
+    if (type == GateType::kInput) continue;
+    if (netlist::is_constant(type)) {
       std::vector<NodeId> wires;
       for (int w = 0; w < n; ++w) {
-        wires.push_back(out.add_const(node.type == GateType::kConst1));
+        wires.push_back(out.add_const(type == GateType::kConst1));
       }
       bundle[id] = std::move(wires);
       continue;
     }
-    if (node.fanins.size() > 2) {
+    if (fanins.size() > 2) {
       throw std::invalid_argument(
           "multiplex_transform: gate " + circuit.node_name(id) + " has " +
-          std::to_string(node.fanins.size()) +
+          std::to_string(fanins.size()) +
           " fanins; map to a 2-input basis first");
     }
     // Executive stage: N copies of the gate over permuted input bundles.
     std::vector<NodeId> wires;
     wires.reserve(static_cast<std::size_t>(n));
-    if (node.fanins.size() == 1) {
-      const auto& src = bundle[node.fanins[0]];
+    if (fanins.size() == 1) {
+      const auto& src = bundle[fanins[0]];
       const auto perm = random_permutation(src.size(), rng);
       for (int w = 0; w < n; ++w) {
-        wires.push_back(out.add_gate(node.type, src[perm[static_cast<std::size_t>(w)]]));
+        wires.push_back(out.add_gate(type, src[perm[static_cast<std::size_t>(w)]]));
       }
     } else {
-      const auto& src_a = bundle[node.fanins[0]];
-      const auto& src_b = bundle[node.fanins[1]];
+      const auto& src_a = bundle[fanins[0]];
+      const auto& src_b = bundle[fanins[1]];
       const auto pa = random_permutation(src_a.size(), rng);
       const auto pb = random_permutation(src_b.size(), rng);
       for (int w = 0; w < n; ++w) {
-        wires.push_back(out.add_gate(node.type,
+        wires.push_back(out.add_gate(type,
                                      src_a[pa[static_cast<std::size_t>(w)]],
                                      src_b[pb[static_cast<std::size_t>(w)]]));
       }

@@ -72,25 +72,17 @@ NodeId append_majority(Circuit& c, const std::vector<NodeId>& signals,
       columns[w + 1].push_back(ha.carry);
     }
   }
-  // columns[w] now holds bit w of the count. Compare count >= threshold.
+  // columns[w] now holds bit w of the count. Compare count >= threshold
+  // from the LSB up, keeping ge_w = (count[0..w] >= threshold[0..w]):
+  //   ge_w = (bit > t) | ((bit == t) & ge_{w-1}),   ge_{-1} = 1,
+  // where t is threshold bit w. For t = 1 that is bit & ge_{w-1}; for
+  // t = 0 it is bit | ge_{w-1}.
   const auto threshold = static_cast<std::uint64_t>((n + 1) / 2);
-  // count >= threshold  <=>  OR over prefixes where count's bit > threshold's
-  // bit and all higher bits equal, or all bits equal.
-  NodeId ge = c.add_const(true);  // running "suffix so far equal" -> >= holds
-  // Process from LSB to MSB maintaining: ge = (count[0..w] >= thr[0..w]).
+  NodeId ge = c.add_const(true);
   for (std::size_t w = 0; w < columns.size(); ++w) {
     const NodeId bit = columns[w][0];
     const bool tbit = ((threshold >> w) & 1U) != 0;
-    if (tbit) {
-      // ge' = bit & (ge | ...) : count bit 1 keeps previous, 0 fails unless
-      // higher bits compensate (handled at next iterations). Exact update:
-      // ge' = bit ? ge_prev_or_equal : 0 when thr bit is 1 ->
-      // ge' = bit & ge  |  bit & !ge ... simplifies to: ge' = bit & ge | bit & ~ge? No:
-      // standard: ge' = (bit > tbit) | (bit == tbit) & ge = (bit & !tbit) | (bit XNOR tbit) & ge.
-      ge = c.add_gate(GateType::kAnd, bit, ge);
-    } else {
-      ge = c.add_gate(GateType::kOr, bit, ge);
-    }
+    ge = c.add_gate(tbit ? GateType::kAnd : GateType::kOr, bit, ge);
   }
   return ge;
 }

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "fault/fault_model.hpp"
+#include "ft/nmr.hpp"
 #include "netlist/gate_type.hpp"
 #include "netlist/transform.hpp"
 
@@ -127,25 +128,6 @@ HardenedCircuit tmr_cone_level(const Circuit& base,
     const NodeId b = netlist::append_circuit(out, cone, subs)[0];
     const NodeId c = netlist::append_circuit(out, cone, subs)[0];
     const NodeId voted = vote(out, a, b, c, options.voter, result.voter_gates);
-    out.add_output(voted, base.output_name(pos));
-  }
-  result.circuit = std::move(out);
-  return result;
-}
-
-// Whole-circuit TMR: three shared replicas of the complete netlist, one
-// voter per primary output.
-HardenedCircuit tmr_output_level(const Circuit& base,
-                                 const TransformOptions& options) {
-  HardenedCircuit result;
-  Circuit out(variant_name(base, options));
-  const std::vector<NodeId> subs = input_image(base, out);
-  const std::vector<NodeId> r1 = netlist::append_circuit(out, base, subs);
-  const std::vector<NodeId> r2 = netlist::append_circuit(out, base, subs);
-  const std::vector<NodeId> r3 = netlist::append_circuit(out, base, subs);
-  for (std::size_t pos = 0; pos < base.num_outputs(); ++pos) {
-    const NodeId voted =
-        vote(out, r1[pos], r2[pos], r3[pos], options.voter, result.voter_gates);
     out.add_output(voted, base.output_name(pos));
   }
   result.circuit = std::move(out);
@@ -329,9 +311,15 @@ HardenedCircuit harden_transform(const netlist::Circuit& base,
         case Granularity::kCone:
           result = tmr_cone_level(base, options);
           break;
-        case Granularity::kOutput:
-          result = tmr_output_level(base, options);
+        case Granularity::kOutput: {
+          // Whole-circuit TMR is NMR at N = 3: three shared replicas of
+          // the complete netlist, one voter per primary output.
+          ft::NmrResult nmr = ft::nmr_transform(base, {3, options.voter});
+          result.circuit = std::move(nmr.circuit);
+          result.circuit.set_name(variant_name(base, options));
+          result.voter_gates = nmr.voter_gates;
           break;
+        }
       }
       break;
     case Style::kDwc:

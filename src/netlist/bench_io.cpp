@@ -383,12 +383,13 @@ void write_bench(const Circuit& circuit, std::ostream& out) {
     out << "OUTPUT(" << circuit.node_name(id) << ")\n";
   }
   for (NodeId id = 0; id < circuit.node_count(); ++id) {
-    const auto& node = circuit.node(id);
-    if (node.type == GateType::kInput) continue;
-    out << circuit.node_name(id) << " = " << to_string(node.type) << "(";
-    for (std::size_t i = 0; i < node.fanins.size(); ++i) {
+    const auto type = circuit.type(id);
+    const auto fanins = circuit.fanins(id);
+    if (type == GateType::kInput) continue;
+    out << circuit.node_name(id) << " = " << to_string(type) << "(";
+    for (std::size_t i = 0; i < fanins.size(); ++i) {
       if (i != 0) out << ", ";
-      out << circuit.node_name(node.fanins[i]);
+      out << circuit.node_name(fanins[i]);
     }
     out << ")\n";
   }

@@ -11,12 +11,14 @@ std::atomic<std::uint64_t> g_circuit_copies{0};
 
 Circuit::Circuit(const Circuit& other)
     : name_(other.name_),
-      nodes_(other.nodes_),
+      types_(other.types_),
+      fanin_begin_(other.fanin_begin_),
+      fanin_ids_(other.fanin_ids_),
+      input_slot_(other.input_slot_),
       inputs_(other.inputs_),
       outputs_(other.outputs_),
       output_names_(other.output_names_),
       node_names_(other.node_names_),
-      input_index_(other.input_index_),
       gate_count_(other.gate_count_) {
   g_circuit_copies.fetch_add(1, std::memory_order_relaxed);
 }
@@ -24,12 +26,14 @@ Circuit::Circuit(const Circuit& other)
 Circuit& Circuit::operator=(const Circuit& other) {
   if (this != &other) {
     name_ = other.name_;
-    nodes_ = other.nodes_;
+    types_ = other.types_;
+    fanin_begin_ = other.fanin_begin_;
+    fanin_ids_ = other.fanin_ids_;
+    input_slot_ = other.input_slot_;
     inputs_ = other.inputs_;
     outputs_ = other.outputs_;
     output_names_ = other.output_names_;
     node_names_ = other.node_names_;
-    input_index_ = other.input_index_;
     gate_count_ = other.gate_count_;
     g_circuit_copies.fetch_add(1, std::memory_order_relaxed);
   }
@@ -40,34 +44,36 @@ std::uint64_t Circuit::copies_made() noexcept {
   return g_circuit_copies.load(std::memory_order_relaxed);
 }
 
-NodeId Circuit::append_node(Node node) {
-  const NodeId id = static_cast<NodeId>(nodes_.size());
-  if (counts_as_gate(node.type)) ++gate_count_;
-  nodes_.push_back(std::move(node));
+NodeId Circuit::append_node(GateType type, std::span<const NodeId> fanins,
+                            int input_slot) {
+  const NodeId id = static_cast<NodeId>(types_.size());
+  if (counts_as_gate(type)) ++gate_count_;
+  types_.push_back(type);
+  if (fanin_begin_.empty()) fanin_begin_.push_back(0);
+  fanin_ids_.insert(fanin_ids_.end(), fanins.begin(), fanins.end());
+  fanin_begin_.push_back(static_cast<std::uint32_t>(fanin_ids_.size()));
+  input_slot_.push_back(input_slot);
   return id;
 }
 
-void Circuit::check_valid(NodeId id, const char* context) const {
-  if (!is_valid(id)) {
-    throw std::invalid_argument(std::string(context) + ": invalid node id " +
-                                std::to_string(id));
-  }
+void Circuit::throw_invalid(NodeId id, const char* context) {
+  throw std::invalid_argument(std::string(context) + ": invalid node id " +
+                              std::to_string(id));
 }
 
 NodeId Circuit::add_input(std::string name) {
-  const NodeId id = append_node(Node{GateType::kInput, {}});
-  input_index_.emplace(id, static_cast<int>(inputs_.size()));
+  const NodeId id =
+      append_node(GateType::kInput, {}, static_cast<int>(inputs_.size()));
   inputs_.push_back(id);
   if (!name.empty()) set_node_name(id, std::move(name));
   return id;
 }
 
 NodeId Circuit::add_const(bool value) {
-  return append_node(
-      Node{value ? GateType::kConst1 : GateType::kConst0, {}});
+  return append_node(value ? GateType::kConst1 : GateType::kConst0, {}, -1);
 }
 
-NodeId Circuit::add_gate(GateType type, std::vector<NodeId> fanins) {
+NodeId Circuit::append_gate(GateType type, std::span<const NodeId> fanins) {
   if (type == GateType::kInput) {
     throw std::invalid_argument("add_gate: use add_input for primary inputs");
   }
@@ -79,19 +85,26 @@ NodeId Circuit::add_gate(GateType type, std::vector<NodeId> fanins) {
         std::string(to_string(type)));
   }
   for (NodeId f : fanins) check_valid(f, "add_gate fanin");
-  return append_node(Node{type, std::move(fanins)});
+  return append_node(type, fanins, -1);
+}
+
+NodeId Circuit::add_gate(GateType type, std::vector<NodeId> fanins) {
+  return append_gate(type, fanins);
 }
 
 NodeId Circuit::add_gate(GateType type, NodeId a) {
-  return add_gate(type, std::vector<NodeId>{a});
+  const NodeId fanins[] = {a};
+  return append_gate(type, fanins);
 }
 
 NodeId Circuit::add_gate(GateType type, NodeId a, NodeId b) {
-  return add_gate(type, std::vector<NodeId>{a, b});
+  const NodeId fanins[] = {a, b};
+  return append_gate(type, fanins);
 }
 
 NodeId Circuit::add_gate(GateType type, NodeId a, NodeId b, NodeId c) {
-  return add_gate(type, std::vector<NodeId>{a, b, c});
+  const NodeId fanins[] = {a, b, c};
+  return append_gate(type, fanins);
 }
 
 void Circuit::add_output(NodeId id, std::string name) {
@@ -103,16 +116,6 @@ void Circuit::add_output(NodeId id, std::string name) {
 void Circuit::set_node_name(NodeId id, std::string name) {
   check_valid(id, "set_node_name");
   node_names_[id] = std::move(name);
-}
-
-const Circuit::Node& Circuit::node(NodeId id) const {
-  check_valid(id, "node");
-  return nodes_[id];
-}
-
-int Circuit::input_index(NodeId id) const {
-  const auto it = input_index_.find(id);
-  return it == input_index_.end() ? -1 : it->second;
 }
 
 std::string Circuit::node_name(NodeId id) const {

@@ -4,6 +4,13 @@
 // when the node is created, so node-id order is always a valid topological
 // order. Transforms build new circuits rather than mutating in place, which
 // keeps ids stable and invariants trivial to maintain.
+//
+// Because nodes only ever append, the Circuit stores the flat layout the
+// simulators sweep: one gate type per node, every node's fanins in one CSR
+// array (add_gate appends them and closes the node's offset), and one input
+// slot per node (Circuit::input_index, or -1). The only structure derived
+// from it is the fanout inverse (netlist::Fanouts, flat.hpp), which the
+// engines that walk forward build in one pass.
 #pragma once
 
 #include <cstdint>
@@ -21,11 +28,6 @@ inline constexpr NodeId kInvalidNode = ~NodeId{0};
 
 class Circuit {
  public:
-  struct Node {
-    GateType type = GateType::kInput;
-    std::vector<NodeId> fanins;
-  };
-
   Circuit() = default;
   explicit Circuit(std::string name) : name_(std::move(name)) {}
 
@@ -69,11 +71,18 @@ class Circuit {
   // ---- inspection ----
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
-  [[nodiscard]] std::size_t node_count() const noexcept { return nodes_.size(); }
-  [[nodiscard]] const Node& node(NodeId id) const;
-  [[nodiscard]] GateType type(NodeId id) const { return node(id).type; }
+  [[nodiscard]] std::size_t node_count() const noexcept { return types_.size(); }
+
+  // Gate type and fanins of node `id`; both throw std::invalid_argument on
+  // an invalid id. A gate that reads a node k times lists it k times.
+  [[nodiscard]] GateType type(NodeId id) const {
+    check_valid(id, "type");
+    return types_[id];
+  }
   [[nodiscard]] std::span<const NodeId> fanins(NodeId id) const {
-    return node(id).fanins;
+    check_valid(id, "fanins");
+    return {fanin_ids_.data() + fanin_begin_[id],
+            fanin_ids_.data() + fanin_begin_[id + 1]};
   }
 
   [[nodiscard]] std::span<const NodeId> inputs() const noexcept { return inputs_; }
@@ -85,7 +94,9 @@ class Circuit {
   [[nodiscard]] std::size_t gate_count() const noexcept { return gate_count_; }
 
   // Position of `id` in the input list, or -1 if it is not an input.
-  [[nodiscard]] int input_index(NodeId id) const;
+  [[nodiscard]] int input_index(NodeId id) const noexcept {
+    return is_valid(id) ? input_slot_[id] : -1;
+  }
 
   // Node name; synthesizes "n<id>" when no name was assigned.
   [[nodiscard]] std::string node_name(NodeId id) const;
@@ -94,20 +105,29 @@ class Circuit {
 
   // True if `id` refers to an existing node.
   [[nodiscard]] bool is_valid(NodeId id) const noexcept {
-    return id < nodes_.size();
+    return id < types_.size();
   }
 
  private:
-  NodeId append_node(Node node);
-  void check_valid(NodeId id, const char* context) const;
+  NodeId append_node(GateType type, std::span<const NodeId> fanins,
+                     int input_slot);
+  NodeId append_gate(GateType type, std::span<const NodeId> fanins);
+  void check_valid(NodeId id, const char* context) const {
+    if (!is_valid(id)) [[unlikely]] throw_invalid(id, context);
+  }
+  [[noreturn]] static void throw_invalid(NodeId id, const char* context);
 
   std::string name_;
-  std::vector<Node> nodes_;
+  std::vector<GateType> types_;
+  // node_count() + 1 offsets once a node exists (empty before, and after a
+  // move).
+  std::vector<std::uint32_t> fanin_begin_;
+  std::vector<NodeId> fanin_ids_;
+  std::vector<int> input_slot_;
   std::vector<NodeId> inputs_;
   std::vector<NodeId> outputs_;
   std::vector<std::string> output_names_;
   std::unordered_map<NodeId, std::string> node_names_;
-  std::unordered_map<NodeId, int> input_index_;
   std::size_t gate_count_ = 0;
 };
 

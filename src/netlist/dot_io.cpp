@@ -30,9 +30,9 @@ void write_dot(const Circuit& circuit, std::ostream& out) {
   // fault engine's site enumeration, so diagrams and campaign reports agree
   // on naming and sequence).
   for (const NetInfo& net : enumerate_nets(circuit)) {
-    const auto& node = circuit.node(net.node);
+    const auto type = circuit.type(net.node);
     out << "  n" << net.node << " [label=\"" << net.name << "\\n"
-        << to_string(node.type) << "\" shape=" << shape_for(node.type)
+        << to_string(type) << "\" shape=" << shape_for(type)
         << "];\n";
   }
   for (NodeId id = 0; id < circuit.node_count(); ++id) {

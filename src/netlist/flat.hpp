@@ -1,21 +1,22 @@
-// Flat, read-only circuit form and the one gate rule every sweep uses.
+// What every sweep over a Circuit's flat layout shares: the fanout
+// inverse and the one gate rule.
 //
-// Circuit is built for construction: one heap vector of fanins per node and
-// a hash map from input node to input position. FlatCircuit lays the same
-// DAG out for the simulators' inner loops, built in one O(n) pass: the gate
-// type per node, the fanins and the fanouts in CSR form, and an input slot
-// per node (Circuit::input_index, or -1). Node ids are the Circuit's, so id
-// order is still a topological order, and a fanout always has a larger id
-// than its driver.
+// Circuit stores gate types, CSR fanins and input slots itself (see
+// circuit.hpp). Fanouts is the one structure derived from it: the exact
+// inverse of Circuit::fanins in CSR form, built in one O(n) pass by the
+// engines that walk forward from a node (pattern-parallel fault
+// simulation, the implication engine, the untestability prover). Node ids
+// are the Circuit's, so id order is a topological order, and a fanout
+// always has a larger id than its driver.
 //
 // eval_gate<V> is the bit-parallel gate rule: V is sim::Word (or any type
 // with the bitwise operators), and every bit is an independent evaluation.
 // Every simulator evaluates gates through it: logic, noise and
 // pattern-parallel fault simulation, and the scalar fault reference (on
-// words that are 0 or all-ones). netlist::eval_word checks arity and delegates to it. It
-// switches on the gate type directly instead of reading the
-// operator-plus-inversion table in gate_type.hpp, because it is the inner
-// loop of every sweep; the gate-type tests check the two agree.
+// words that are 0 or all-ones). netlist::eval_word checks arity and
+// delegates to it. It switches on the gate type directly instead of reading
+// the operator-plus-inversion table in gate_type.hpp, because it is the
+// inner loop of every sweep; the gate-type tests check the two agree.
 #pragma once
 
 #include <cstdint>
@@ -27,36 +28,19 @@
 
 namespace enb::netlist {
 
-class FlatCircuit {
+class Fanouts {
  public:
-  explicit FlatCircuit(const Circuit& circuit);
+  explicit Fanouts(const Circuit& circuit);
 
-  [[nodiscard]] std::size_t node_count() const noexcept {
-    return types_.size();
-  }
-  [[nodiscard]] GateType type(NodeId id) const noexcept { return types_[id]; }
-  [[nodiscard]] std::span<const NodeId> fanins(NodeId id) const noexcept {
-    return {fanin_ids_.data() + fanin_begin_[id],
-            fanin_ids_.data() + fanin_begin_[id + 1]};
-  }
   // Consumers of `id` in ascending id order; a node that reads `id` k times
-  // is listed k times, so this is the exact inverse of fanins().
-  [[nodiscard]] std::span<const NodeId> fanouts(NodeId id) const noexcept {
-    return {fanout_ids_.data() + fanout_begin_[id],
-            fanout_ids_.data() + fanout_begin_[id + 1]};
-  }
-  // Position of `id` in the circuit's input list, or -1.
-  [[nodiscard]] int input_slot(NodeId id) const noexcept {
-    return input_slot_[id];
+  // is listed k times, so this is the exact inverse of Circuit::fanins.
+  [[nodiscard]] std::span<const NodeId> of(NodeId id) const noexcept {
+    return {ids_.data() + begin_[id], ids_.data() + begin_[id + 1]};
   }
 
  private:
-  std::vector<GateType> types_;
-  std::vector<int> input_slot_;
-  std::vector<std::uint32_t> fanin_begin_;  // node_count() + 1 offsets
-  std::vector<NodeId> fanin_ids_;
-  std::vector<std::uint32_t> fanout_begin_;  // node_count() + 1 offsets
-  std::vector<NodeId> fanout_ids_;
+  std::vector<std::uint32_t> begin_;  // node_count() + 1 offsets
+  std::vector<NodeId> ids_;
 };
 
 // Value of a `type` gate whose fanins are `values[f]` for f in `fanins`.

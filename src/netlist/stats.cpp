@@ -18,12 +18,13 @@ CircuitStats compute_stats(const Circuit& circuit) {
 
   std::size_t fanin_sum = 0;
   for (NodeId id = 0; id < circuit.node_count(); ++id) {
-    const auto& node = circuit.node(id);
-    if (!counts_as_gate(node.type)) continue;
-    ++stats.gate_histogram[node.type];
-    fanin_sum += node.fanins.size();
+    const auto type = circuit.type(id);
+    const auto fanins = circuit.fanins(id);
+    if (!counts_as_gate(type)) continue;
+    ++stats.gate_histogram[type];
+    fanin_sum += fanins.size();
     stats.max_fanin =
-        std::max(stats.max_fanin, static_cast<int>(node.fanins.size()));
+        std::max(stats.max_fanin, static_cast<int>(fanins.size()));
   }
   stats.avg_fanin = stats.num_gates == 0
                         ? 0.0

@@ -7,10 +7,11 @@ namespace enb::netlist {
 std::vector<int> levels(const Circuit& circuit) {
   std::vector<int> level(circuit.node_count(), 0);
   for (NodeId id = 0; id < circuit.node_count(); ++id) {
-    const auto& node = circuit.node(id);
-    if (!counts_as_gate(node.type)) continue;
+    const auto type = circuit.type(id);
+    const auto fanins = circuit.fanins(id);
+    if (!counts_as_gate(type)) continue;
     int max_in = -1;
-    for (NodeId f : node.fanins) max_in = std::max(max_in, level[f]);
+    for (NodeId f : fanins) max_in = std::max(max_in, level[f]);
     level[id] = max_in + 1;
   }
   return level;

@@ -19,16 +19,16 @@ std::vector<NodeId> append_circuit(Circuit& dst, const Circuit& src,
     map[src.inputs()[i]] = input_substitutes[i];
   }
   for (NodeId id = 0; id < src.node_count(); ++id) {
-    const auto& node = src.node(id);
-    if (node.type == GateType::kInput) continue;
-    if (is_constant(node.type)) {
-      map[id] = dst.add_const(node.type == GateType::kConst1);
+    const auto type = src.type(id);
+    if (type == GateType::kInput) continue;
+    if (is_constant(type)) {
+      map[id] = dst.add_const(type == GateType::kConst1);
       continue;
     }
     std::vector<NodeId> fanins;
-    fanins.reserve(node.fanins.size());
-    for (NodeId f : node.fanins) fanins.push_back(map[f]);
-    map[id] = dst.add_gate(node.type, std::move(fanins));
+    fanins.reserve(src.fanins(id).size());
+    for (NodeId f : src.fanins(id)) fanins.push_back(map[f]);
+    map[id] = dst.add_gate(type, std::move(fanins));
   }
   std::vector<NodeId> outputs;
   outputs.reserve(src.num_outputs());
@@ -59,19 +59,19 @@ Circuit rebuild(const Circuit& circuit, const std::vector<bool>& keep,
   Circuit out(circuit.name());
   std::vector<NodeId> map(circuit.node_count(), kInvalidNode);
   for (NodeId id = 0; id < circuit.node_count(); ++id) {
-    const auto& node = circuit.node(id);
-    if (node.type == GateType::kInput) {
+    const auto type = circuit.type(id);
+    if (type == GateType::kInput) {
       map[id] = out.add_input(circuit.node_name(id));
       continue;
     }
     if (!keep[id]) continue;
-    if (is_constant(node.type)) {
-      map[id] = out.add_const(node.type == GateType::kConst1);
+    if (is_constant(type)) {
+      map[id] = out.add_const(type == GateType::kConst1);
     } else {
       std::vector<NodeId> fanins;
-      fanins.reserve(node.fanins.size());
-      for (NodeId f : node.fanins) fanins.push_back(map[f]);
-      map[id] = out.add_gate(node.type, std::move(fanins));
+      fanins.reserve(circuit.fanins(id).size());
+      for (NodeId f : circuit.fanins(id)) fanins.push_back(map[f]);
+      map[id] = out.add_gate(type, std::move(fanins));
     }
     out.set_node_name(map[id], circuit.node_name(id));
   }

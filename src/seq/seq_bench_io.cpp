@@ -39,12 +39,13 @@ void write_seq_bench(const SeqCircuit& seq, std::ostream& out) {
         << core.node_name(latch.next_state) << ")\n";
   }
   for (netlist::NodeId id = 0; id < core.node_count(); ++id) {
-    const auto& node = core.node(id);
-    if (node.type == netlist::GateType::kInput) continue;
-    out << core.node_name(id) << " = " << to_string(node.type) << "(";
-    for (std::size_t i = 0; i < node.fanins.size(); ++i) {
+    const auto type = core.type(id);
+    const auto fanins = core.fanins(id);
+    if (type == netlist::GateType::kInput) continue;
+    out << core.node_name(id) << " = " << to_string(type) << "(";
+    for (std::size_t i = 0; i < fanins.size(); ++i) {
       if (i != 0) out << ", ";
-      out << core.node_name(node.fanins[i]);
+      out << core.node_name(fanins[i]);
     }
     out << ")\n";
   }

@@ -55,16 +55,16 @@ Circuit unroll(const SeqCircuit& seq, const UnrollOptions& options) {
       map[core.inputs()[i]] = substitutes[i];
     }
     for (NodeId id = 0; id < core.node_count(); ++id) {
-      const auto& node = core.node(id);
-      if (node.type == netlist::GateType::kInput) continue;
-      if (netlist::is_constant(node.type)) {
-        map[id] = out.add_const(node.type == netlist::GateType::kConst1);
+      const auto type = core.type(id);
+      if (type == netlist::GateType::kInput) continue;
+      if (netlist::is_constant(type)) {
+        map[id] = out.add_const(type == netlist::GateType::kConst1);
         continue;
       }
       std::vector<NodeId> fanins;
-      fanins.reserve(node.fanins.size());
-      for (NodeId f : node.fanins) fanins.push_back(map[f]);
-      map[id] = out.add_gate(node.type, std::move(fanins));
+      fanins.reserve(core.fanins(id).size());
+      for (NodeId f : core.fanins(id)) fanins.push_back(map[f]);
+      map[id] = out.add_gate(type, std::move(fanins));
     }
 
     if (options.outputs_every_frame || frame == options.frames - 1) {

@@ -9,7 +9,7 @@ using netlist::Circuit;
 using netlist::NodeId;
 
 LogicSim::LogicSim(const Circuit& circuit)
-    : circuit_(&circuit), flat_(circuit), values_(circuit.node_count(), 0) {}
+    : circuit_(&circuit), values_(circuit.node_count(), 0) {}
 
 void LogicSim::eval(std::span<const Word> input_words) {
   if (input_words.size() != circuit_->num_inputs()) {
@@ -17,11 +17,12 @@ void LogicSim::eval(std::span<const Word> input_words) {
         "LogicSim::eval: expected " + std::to_string(circuit_->num_inputs()) +
         " input words, got " + std::to_string(input_words.size()));
   }
-  for (NodeId id = 0; id < flat_.node_count(); ++id) {
-    const int slot = flat_.input_slot(id);
+  const Circuit& c = *circuit_;
+  for (NodeId id = 0; id < c.node_count(); ++id) {
+    const int slot = c.input_index(id);
     values_[id] = slot >= 0 ? input_words[static_cast<std::size_t>(slot)]
-                            : netlist::eval_gate<Word>(flat_.type(id), values_,
-                                                       flat_.fanins(id));
+                            : netlist::eval_gate<Word>(c.type(id), values_,
+                                                       c.fanins(id));
   }
 }
 

@@ -2,7 +2,7 @@
 //
 // One eval() pass computes 64 independent evaluations (one per bit lane) of
 // every node in the circuit; node-id order is topological by construction,
-// so evaluation is a single linear sweep over the circuit's flat form.
+// so evaluation is a single linear sweep over the circuit's flat layout.
 #pragma once
 
 #include <span>
@@ -35,7 +35,6 @@ class LogicSim {
 
  private:
   const netlist::Circuit* circuit_;
-  netlist::FlatCircuit flat_;
   std::vector<Word> values_;
 };
 

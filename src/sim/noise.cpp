@@ -17,7 +17,6 @@ NoisySim::NoisySim(const Circuit& circuit, double epsilon, std::uint64_t seed)
 NoisySim::NoisySim(const Circuit& circuit, std::vector<double> epsilons,
                    std::uint64_t seed)
     : circuit_(&circuit),
-      flat_(circuit),
       epsilons_(std::move(epsilons)),
       rng_(seed),
       values_(circuit.node_count(), 0),
@@ -39,15 +38,16 @@ void NoisySim::eval(std::span<const Word> input_words) {
   }
   // Error draws in node-id order: the RNG stream is part of every noisy
   // estimator's reproducibility contract.
-  for (NodeId id = 0; id < flat_.node_count(); ++id) {
-    const int slot = flat_.input_slot(id);
+  const Circuit& c = *circuit_;
+  for (NodeId id = 0; id < c.node_count(); ++id) {
+    const int slot = c.input_index(id);
     if (slot >= 0) {
       values_[id] = input_words[static_cast<std::size_t>(slot)];
       errors_[id] = 0;
       continue;
     }
-    const GateType type = flat_.type(id);
-    const Word clean = netlist::eval_gate<Word>(type, values_, flat_.fanins(id));
+    const GateType type = c.type(id);
+    const Word clean = netlist::eval_gate<Word>(type, values_, c.fanins(id));
     if (counts_as_gate(type) && epsilons_[id] > 0.0) {
       errors_[id] = bernoulli_word(rng_, epsilons_[id]);
       values_[id] = clean ^ errors_[id];

@@ -46,7 +46,6 @@ class NoisySim {
 
  private:
   const netlist::Circuit* circuit_;
-  netlist::FlatCircuit flat_;
   std::vector<double> epsilons_;
   Xoshiro256 rng_;
   std::vector<Word> values_;

@@ -57,19 +57,19 @@ Circuit reduce_fanin(const Circuit& circuit, int max_fanin) {
   Circuit next(circuit.name());
   std::vector<NodeId> map(circuit.node_count(), netlist::kInvalidNode);
   for (NodeId id = 0; id < circuit.node_count(); ++id) {
-    const auto& node = circuit.node(id);
-    if (netlist::is_input(node.type)) {
+    const auto type = circuit.type(id);
+    if (netlist::is_input(type)) {
       map[id] = next.add_input(circuit.node_name(id));
       continue;
     }
-    if (netlist::is_constant(node.type)) {
-      map[id] = next.add_const(node.type == GateType::kConst1);
+    if (netlist::is_constant(type)) {
+      map[id] = next.add_const(type == GateType::kConst1);
       continue;
     }
     std::vector<NodeId> fanins;
-    fanins.reserve(node.fanins.size());
-    for (NodeId f : node.fanins) fanins.push_back(map[f]);
-    if (node.type == GateType::kMaj && max_fanin < 3) {
+    fanins.reserve(circuit.fanins(id).size());
+    for (NodeId f : circuit.fanins(id)) fanins.push_back(map[f]);
+    if (type == GateType::kMaj && max_fanin < 3) {
       // MAJ3 cannot narrow by tree reduction; expand to ab + c(a|b).
       const NodeId ab = next.add_gate(GateType::kAnd, fanins[0], fanins[1]);
       const NodeId a_or_b = next.add_gate(GateType::kOr, fanins[0], fanins[1]);
@@ -77,7 +77,7 @@ Circuit reduce_fanin(const Circuit& circuit, int max_fanin) {
       map[id] = next.add_gate(GateType::kOr, ab, c_sel);
       continue;
     }
-    map[id] = emit_bounded(next, node.type, std::move(fanins), max_fanin);
+    map[id] = emit_bounded(next, type, std::move(fanins), max_fanin);
   }
   for (std::size_t pos = 0; pos < circuit.num_outputs(); ++pos) {
     next.add_output(map[circuit.outputs()[pos]], circuit.output_name(pos));

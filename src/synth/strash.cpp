@@ -20,27 +20,27 @@ Circuit strash(const Circuit& circuit) {
   std::map<std::pair<GateType, std::vector<NodeId>>, NodeId> seen;
 
   for (NodeId id = 0; id < circuit.node_count(); ++id) {
-    const auto& node = circuit.node(id);
-    if (node.type == GateType::kInput) {
+    const auto type = circuit.type(id);
+    if (type == GateType::kInput) {
       map[id] = next.add_input(circuit.node_name(id));
       continue;
     }
     std::vector<NodeId> fanins;
-    fanins.reserve(node.fanins.size());
-    for (NodeId f : node.fanins) fanins.push_back(map[f]);
-    if (is_commutative(node.type)) {
+    fanins.reserve(circuit.fanins(id).size());
+    for (NodeId f : circuit.fanins(id)) fanins.push_back(map[f]);
+    if (is_commutative(type)) {
       std::sort(fanins.begin(), fanins.end());
     }
-    const auto key = std::make_pair(node.type, fanins);
+    const auto key = std::make_pair(type, fanins);
     const auto it = seen.find(key);
     if (it != seen.end()) {
       map[id] = it->second;
       continue;
     }
-    if (netlist::is_constant(node.type)) {
-      map[id] = next.add_const(node.type == GateType::kConst1);
+    if (netlist::is_constant(type)) {
+      map[id] = next.add_const(type == GateType::kConst1);
     } else {
-      map[id] = next.add_gate(node.type, std::move(fanins));
+      map[id] = next.add_gate(type, std::move(fanins));
     }
     seen.emplace(key, map[id]);
   }

@@ -97,13 +97,13 @@ class SweepPass {
 
  private:
   NodeId rewrite(Circuit& next, NodeId id) {
-    const auto& node = old_.node(id);
+    const auto type = old_.type(id);
     std::vector<NodeId> fanins;
-    fanins.reserve(node.fanins.size());
-    for (NodeId f : node.fanins) fanins.push_back(map_[f]);
+    fanins.reserve(old_.fanins(id).size());
+    for (NodeId f : old_.fanins(id)) fanins.push_back(map_[f]);
 
-    const GateOp op = netlist::gate_op(node.type);
-    const bool negated = netlist::is_inverted(node.type);
+    const GateOp op = netlist::gate_op(type);
+    const bool negated = netlist::is_inverted(type);
     switch (op) {
       case GateOp::kInput:
         return next.add_input(old_.node_name(id));
@@ -121,7 +121,7 @@ class SweepPass {
         if (r.operands.size() == 1) {
           return negated ? emit_not(next, r.operands[0]) : r.operands[0];
         }
-        return next.add_gate(node.type, r.operands);
+        return next.add_gate(type, r.operands);
       }
       case GateOp::kXor: {
         XorReduced r = reduce_xor(next, std::move(fanins));

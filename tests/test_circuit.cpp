@@ -106,7 +106,9 @@ TEST(Circuit, DuplicateOutputListings) {
 
 TEST(Circuit, NodeAccessBounds) {
   Circuit c;
-  EXPECT_THROW((void)c.node(0), std::invalid_argument);
+  EXPECT_THROW((void)c.type(0), std::invalid_argument);
+  EXPECT_THROW((void)c.fanins(0), std::invalid_argument);
+  EXPECT_EQ(c.input_index(0), -1);
   EXPECT_THROW((void)c.node_name(5), std::invalid_argument);
   EXPECT_THROW((void)c.output_name(0), std::out_of_range);
   EXPECT_FALSE(c.is_valid(kInvalidNode));

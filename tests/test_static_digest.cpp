@@ -7,9 +7,10 @@
 // id, one fault class or one BDD ref fails here.
 //
 // Covered: the standard and scale suites, every harden_transform variant
-// of c17 and c432 (all enumerate_candidates configs, both voter styles),
-// and seeded random DAGs over all gate types with constant nodes mixed in,
-// so that every type meets controlling and non-controlling constants.
+// of c17, c432 and mult8 (all enumerate_candidates configs, both voter
+// styles), deep NOT and AND/OR chains, and seeded random DAGs over all gate
+// types with constant nodes mixed in, so that every type meets controlling
+// and non-controlling constants.
 //
 // To re-pin after an *intentional* change: run this test, copy the
 // "actual" digests from the failure messages, and update the tables in the
@@ -27,6 +28,7 @@
 #include "bdd/circuit_to_bdd.hpp"
 #include "fault/fault_model.hpp"
 #include "gen/iscas.hpp"
+#include "gen/multipliers.hpp"
 #include "gen/suite.hpp"
 #include "harden/pareto.hpp"
 #include "harden/transform.hpp"
@@ -256,24 +258,114 @@ const Pin kHardenedPins[] = {
      "f36c7766655f13ceb1f64f97e7942a0ebc53f039048d20665fc1c59c840b1a54"},
 };
 
+// Checks every enumerate_candidates config of `base`, both voter styles,
+// against `table` from entry `next` on, advancing `next`.
+template <std::size_t N>
+void expect_variant_pins(const Pin (&table)[N], std::size_t& next,
+                         const char* base_name, const Circuit& base) {
+  for (const ft::VoterStyle voter :
+       {ft::VoterStyle::kMajGate, ft::VoterStyle::kTwoInput}) {
+    harden::SweepOptions options;
+    options.voter = voter;
+    for (const harden::TransformOptions& t :
+         harden::enumerate_candidates(base.num_outputs(), options)) {
+      const std::string name = variant_name(base_name, t);
+      expect_pin(table, next++, name,
+                 static_digest(harden::harden_transform(base, t).circuit));
+    }
+  }
+}
+
 TEST(StaticDigest, HardenedVariantsMatchTable) {
   std::size_t next = 0;
-  const auto check = [&](const char* base_name, const Circuit& base) {
-    for (const ft::VoterStyle voter :
-         {ft::VoterStyle::kMajGate, ft::VoterStyle::kTwoInput}) {
-      harden::SweepOptions options;
-      options.voter = voter;
-      for (const harden::TransformOptions& t :
-           harden::enumerate_candidates(base.num_outputs(), options)) {
-        const std::string name = variant_name(base_name, t);
-        expect_pin(kHardenedPins, next++, name,
-                   static_digest(harden::harden_transform(base, t).circuit));
-      }
-    }
-  };
-  check("c17", gen::c17());
-  check("c432", gen::c432());
+  expect_variant_pins(kHardenedPins, next, "c17", gen::c17());
+  expect_variant_pins(kHardenedPins, next, "c432", gen::c432());
   EXPECT_EQ(next, std::size(kHardenedPins));
+}
+
+const Pin kMult8HardenedPins[] = {
+    {"mult8/tmr/gate/k0/maj",
+     "1191a5f575af5db3d8f7025d16c2e89b9b7bc697280507ff3b018f6dc9d159be"},
+    {"mult8/tmr/cone/k0/maj",
+     "ba6c09b98325e6786aa784fe8ff1b1fdd3a1c841970004cb657de5fcdd38ae1f"},
+    {"mult8/tmr/output/k0/maj",
+     "8ec3d9dbff44086028deecd438a4cc63d7acf40ad3899ef1cdd695ff643eda13"},
+    {"mult8/dwc/gate/k0/maj",
+     "c7b8278b98e424bbf4b8760bbd6f54e0a3532e5df5aa3afab770f1476d60da62"},
+    {"mult8/dwc/cone/k0/maj",
+     "80c015ec3f2db39cbe4c74bffff8f8021183b1f8724a1d0d1f3f39d53c1e239d"},
+    {"mult8/dwc/output/k0/maj",
+     "f406aa59cba0bcfe99fa78ecdfe4fdf944937dbc2a9273d169ed7f6e08c03669"},
+    {"mult8/selective/gate/k1/maj",
+     "c08a4105c7847e3554a4857806589e063c8eeb76eec110dbe7d239ed2e94953d"},
+    {"mult8/selective/gate/k2/maj",
+     "632b0fee54b0d41b5c854859ce2817c827795b930bdc7634dc4fc0da4642105d"},
+    {"mult8/selective/gate/k4/maj",
+     "5c51ebd3593325b3f7fa16bb66d5c8e77837a6644b22cbf3e28348791e7be30f"},
+    {"mult8/selective/gate/k8/maj",
+     "332956a5982b2d5c8cbf3a9834c3107ea976c94bebfb7c6b617efea5b41719bf"},
+    {"mult8/selective/cone/k1/maj",
+     "dfd86cb5944b4f03503ae0bf1152d97fce6b56ff7b50bc60e8328ae70e8988cd"},
+    {"mult8/selective/cone/k2/maj",
+     "1f8d889f65bc4c55d6b7a1c084c759fce234220d19fad269d28156d12170ced2"},
+    {"mult8/selective/cone/k4/maj",
+     "2ae8c0eaa7ba4dbb40835133802e206ded364d0ce54f9107484289da3c838230"},
+    {"mult8/selective/cone/k8/maj",
+     "decdd5f5f0822e090c7201a13e04f3210fa03369b0c111d31922b0069067315b"},
+    {"mult8/selective/output/k1/maj",
+     "e3a7ce9340e531279522f6891556a7330ad2808bc1d70696cf5de3a262c0a55f"},
+    {"mult8/selective/output/k2/maj",
+     "42b5d4d572b080ff8e4750302ffb6386beb407bc77a0f3051c2ae55473dabd97"},
+    {"mult8/selective/output/k4/maj",
+     "edaac33e80600e2224ea182a51e7203f4c4520488e50ed2822878236522ef386"},
+    {"mult8/selective/output/k8/maj",
+     "8b4ec9463c3efcf713c03705ab04bca852b12866559d1bb7e3ef927e38faa42e"},
+    {"mult8/tmr/gate/k0/two-input",
+     "7ddad84a08ebc0cd633eb25a9e440eab3d3c85781d761b643f13f6a28f82bb52"},
+    {"mult8/tmr/cone/k0/two-input",
+     "d9fabb202dd26c923d81f976353a839063b47cb17d47df520650b6add1b520e6"},
+    {"mult8/tmr/output/k0/two-input",
+     "a219b8f30f4ea8f5dacf9a82791fa60c6e48f0de9319bf768d68a40ba806f416"},
+    {"mult8/dwc/gate/k0/two-input",
+     "c7b8278b98e424bbf4b8760bbd6f54e0a3532e5df5aa3afab770f1476d60da62"},
+    {"mult8/dwc/cone/k0/two-input",
+     "80c015ec3f2db39cbe4c74bffff8f8021183b1f8724a1d0d1f3f39d53c1e239d"},
+    {"mult8/dwc/output/k0/two-input",
+     "f406aa59cba0bcfe99fa78ecdfe4fdf944937dbc2a9273d169ed7f6e08c03669"},
+    {"mult8/selective/gate/k1/two-input",
+     "176a635f261cb4133ab25221b454b8c2d4292ab538632b47d472807c16e14e8c"},
+    {"mult8/selective/gate/k2/two-input",
+     "38d9cb12af216028207f5e2a801b80a0d58b72520bebdf73de97b47be1c97ec2"},
+    {"mult8/selective/gate/k4/two-input",
+     "7fa498d1e3d4f6b31ba7265ebbea97b2794c771c16c570eb9c5057d3f8e67468"},
+    {"mult8/selective/gate/k8/two-input",
+     "3dca5c531546a025625f79f77c1ab2515c2543101c16a7f35bbdd622e34d8b19"},
+    {"mult8/selective/cone/k1/two-input",
+     "211e7be2b9f51128bfcbf027ddb415420679d17acd45b568c07d500e953cacbd"},
+    {"mult8/selective/cone/k2/two-input",
+     "e598f26caf8c30d4399f3b62c5ba532eee59ffb5dfeef5369f42aa8353357027"},
+    {"mult8/selective/cone/k4/two-input",
+     "62693ac5417e161696664c1f03d6e033f32fb2fb1ee455168dc7f77bcf4d5aca"},
+    {"mult8/selective/cone/k8/two-input",
+     "3853d237dfef0208d7b2ff977ea95d8060e0ab8aee63462dc6d37b12467ddeea"},
+    {"mult8/selective/output/k1/two-input",
+     "4d6b2b3a787098fa31340a32ceae78106ad283ae5517f2632d8c2c77ba2e49b3"},
+    {"mult8/selective/output/k2/two-input",
+     "ba502213ce28935ea20f206e9b02981f2bc8d18621ffb4b1ebe9f8b4b179496b"},
+    {"mult8/selective/output/k4/two-input",
+     "855d8b7e9e9f81d42168092dad2eb73abaed0ea77bf241864e29e1e41b51181b"},
+    {"mult8/selective/output/k8/two-input",
+     "efa26b17eb3fa7bdeb72f2f9df2886205af4dcabf29e07ec8cd76a1b62d378c5"},
+};
+
+// mult8 has 16 outputs, so its selective ladder reaches k = 8, and each
+// variant is large enough (over a thousand gates for TMR) that probing and
+// the BDDs work through many levels.
+TEST(StaticDigest, HardenedMult8VariantsMatchTable) {
+  std::size_t next = 0;
+  expect_variant_pins(kMult8HardenedPins, next, "mult8",
+                      gen::array_multiplier(8));
+  EXPECT_EQ(next, std::size(kMult8HardenedPins));
 }
 
 // ---- random DAGs with constants --------------------------------------------
@@ -365,6 +457,53 @@ TEST(StaticDigest, RandomDagsWithConstantsMatchTable) {
     expect_pin(kRandomPins, seed - 1, c.name(), static_digest(c));
   }
   EXPECT_EQ(kRandomSeeds, std::size(kRandomPins));
+}
+
+// ---- deep chains -----------------------------------------------------------
+
+// `length` inverters in series behind one input: the deepest, narrowest
+// implication paths there are.
+Circuit not_chain(int length) {
+  Circuit c(label("not_chain", static_cast<std::uint64_t>(length)));
+  NodeId acc = c.add_input("x");
+  for (int i = 0; i < length; ++i) acc = c.add_gate(GateType::kNot, acc);
+  c.add_output(acc, "y");
+  return c;
+}
+
+// Alternating AND/OR stages, each folding in one of eight inputs in turn,
+// so controlling values from either operator reach the whole depth.
+Circuit and_or_chain(int length) {
+  Circuit c(label("and_or_chain", static_cast<std::uint64_t>(length)));
+  std::vector<NodeId> inputs;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    inputs.push_back(c.add_input(label("x", i)));
+  }
+  NodeId acc = inputs[0];
+  for (int i = 1; i <= length; ++i) {
+    acc = c.add_gate(i % 2 == 1 ? GateType::kAnd : GateType::kOr, acc,
+                     inputs[static_cast<std::size_t>(i) % inputs.size()]);
+  }
+  c.add_output(acc, "y");
+  return c;
+}
+
+const Pin kChainPins[] = {
+    {"not_chain1000",
+     "5c56340c9eef35aa4ed6a6ecf266f99b8bd7ecc2e5b7a8f3ed3a577dd15ed788"},
+    {"not_chain1001",
+     "8973d2aaf2dd8cbeead436fe507b8c69147bdc337dc309ef1ebb3787c9b3ae08"},
+    {"and_or_chain1000",
+     "e68780c98ef5b777c48ec21fdd019ac962adef4ba23ee1339002629fcf73efa9"},
+};
+
+TEST(StaticDigest, DeepChainsMatchTable) {
+  const Circuit chains[] = {not_chain(1000), not_chain(1001),
+                            and_or_chain(1000)};
+  for (std::size_t i = 0; i < std::size(chains); ++i) {
+    expect_pin(kChainPins, i, chains[i].name(), static_digest(chains[i]));
+  }
+  EXPECT_EQ(std::size(chains), std::size(kChainPins));
 }
 
 }  // namespace

@@ -80,18 +80,14 @@ TEST(StaticReason, ProbingLearnsContradictionConstants) {
 }
 
 TEST(StaticReason, ProbeRoundsCanBeDisabled) {
-  Circuit c("no-probe");
-  const NodeId x = c.add_input("x");
-  const NodeId nx = c.add_gate(GateType::kNot, x);
-  const NodeId m = c.add_gate(GateType::kAnd, x, nx);
-  c.add_output(m, "y");
-
-  StaticReasonOptions options;
-  options.max_probe_rounds = 0;
-  const ConstantFacts facts = analyze_constants(c, options);
-  EXPECT_EQ(facts.proved[m], LogicValue::kUnknown);
-  EXPECT_EQ(facts.probes, 0u);
-  EXPECT_EQ(facts.probe_rounds, 0u);
+  // forward_constants is tier one alone: exactly analyze_constants'
+  // `forward`, with no probe run.
+  std::vector<gen::BenchmarkSpec> specs = gen::standard_suite();
+  for (auto& spec : gen::scale_suite()) specs.push_back(std::move(spec));
+  for (const gen::BenchmarkSpec& spec : specs) {
+    const Circuit c = spec.build();
+    EXPECT_EQ(forward_constants(c), analyze_constants(c).forward) << spec.name;
+  }
 }
 
 // ---- StructuralHasher ----------------------------------------------------
