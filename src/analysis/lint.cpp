@@ -89,21 +89,14 @@ std::string circuit_site(const netlist::Circuit& circuit) {
 
 // ---- circuit-level rules ---------------------------------------------------
 
-LintReport lint_circuit(const netlist::Circuit& circuit,
-                        const LintOptions& options) {
+LintReport lint_errors(const netlist::Circuit& circuit) {
   LintReport report;
   report.nodes = circuit.node_count();
-  std::vector<LintDiagnostic> errors;
-  std::vector<LintDiagnostic> warnings;
-
   if (circuit.num_outputs() == 0) {
-    add(errors, LintSeverity::kError, LintRule::kNoOutputs,
+    add(report.diagnostics, LintSeverity::kError, LintRule::kNoOutputs,
         circuit_site(circuit),
         "circuit has no primary outputs; every analysis cone is empty");
   }
-
-  std::vector<bool> is_output(circuit.node_count(), false);
-  for (const netlist::NodeId id : circuit.outputs()) is_output[id] = true;
 
   // Duplicate names: explicit names can collide with each other or with a
   // synthesized "n<id>", making .bench round-trips and fault-site reports
@@ -114,11 +107,23 @@ LintReport lint_circuit(const netlist::Circuit& circuit,
     const std::string name = circuit.node_name(id);
     const auto [it, inserted] = first_by_name.emplace(name, id);
     if (!inserted && reported_names.insert(name).second) {
-      add(errors, LintSeverity::kError, LintRule::kDuplicateName, name,
+      add(report.diagnostics, LintSeverity::kError, LintRule::kDuplicateName,
+          name,
           "net name '" + name + "' refers to both node " +
               std::to_string(it->second) + " and node " + std::to_string(id));
     }
   }
+  return report;
+}
+
+LintReport lint_circuit(const netlist::Circuit& circuit,
+                        const LintOptions& options) {
+  LintReport report = lint_errors(circuit);
+  // Every rule below warns; its findings append after the errors.
+  std::vector<LintDiagnostic>& warnings = report.diagnostics;
+
+  std::vector<bool> is_output(circuit.node_count(), false);
+  for (const netlist::NodeId id : circuit.outputs()) is_output[id] = true;
 
   // A MAJ voter whose fanins are not distinct does not vote over independent
   // replicas: a duplicated driver holds a guaranteed majority, so the
@@ -237,10 +242,6 @@ LintReport lint_circuit(const netlist::Circuit& circuit,
             " (use a sampled universe)");
   }
 
-  report.diagnostics = std::move(errors);
-  report.diagnostics.insert(report.diagnostics.end(),
-                            std::make_move_iterator(warnings.begin()),
-                            std::make_move_iterator(warnings.end()));
   return report;
 }
 

@@ -7,7 +7,9 @@
 // static-analysis pass that surfaces those defects as typed diagnostics
 // before they show up as wrong coverage numbers deep inside a campaign.
 //
-// Two entry points:
+// Entry points:
+//   lint_errors      — the error rules alone over a built circuit, for
+//                      callers that gate on clean() and read no warnings.
 //   lint_circuit     — rules over a built netlist::Circuit. The IR is
 //                      append-only (fanins must exist, so cycles and
 //                      undriven nets are unrepresentable), which leaves the
@@ -112,9 +114,18 @@ struct LintReport {
   friend bool operator==(const LintReport&, const LintReport&) = default;
 };
 
+// The error rules alone over a built circuit: no-outputs, then every
+// duplicate-name in node-id order. These are exactly the errors
+// lint_circuit reports, so `lint_errors(c).errors() ==
+// lint_circuit(c).errors()` and clean() agrees, but no warning rule runs —
+// in particular no constant proof, strash or untestability pass. Callers
+// that only gate on errors (the harden sweep) use this.
+[[nodiscard]] LintReport lint_errors(const netlist::Circuit& circuit);
+
 // Lints a built circuit (see the rule list above; source-only rules cannot
-// fire here). Diagnostics are ordered errors first, then warnings, each
-// group in discovery (node-id) order — deterministic for any thread count.
+// fire here): lint_errors, then the warning rules. Diagnostics are ordered
+// errors first, then warnings, each group in discovery (node-id) order —
+// deterministic for any thread count.
 [[nodiscard]] LintReport lint_circuit(const netlist::Circuit& circuit,
                                       const LintOptions& options = {});
 

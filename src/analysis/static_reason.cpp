@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <deque>
 #include <stdexcept>
 #include <utility>
 
@@ -11,6 +10,7 @@
 #include "exec/stream.hpp"
 #include "netlist/flat.hpp"
 #include "netlist/topo.hpp"
+#include "obs/trace.hpp"
 #include "sim/logic_sim.hpp"
 
 namespace enb::analysis {
@@ -82,30 +82,52 @@ LogicValue partial_eval(GateType type, const Circuit& circuit, NodeId id,
   return netlist::is_inverted(type) ? negate(out) : out;
 }
 
-// One implication environment: a partial assignment plus a propagation
-// queue. Facts flow forward (gate evaluation with partial fanins) and
-// backward (controlling-value rules); a net assigned both values is a
-// contradiction, which is exactly what probe learning looks for.
-class ImplicationEnv {
+// The implication engine: one partial assignment shared by every probe,
+// plus a trail of the nodes assigned since the last commit() or undo().
+// Facts flow forward (gate evaluation with partial fanins) and backward
+// (controlling-value rules); a net assigned both values is a contradiction,
+// which is exactly what probe learning looks for. The trail doubles as the
+// FIFO propagation queue, and undo() resets only the nodes it lists, so a
+// probe costs the size of its implication, not the size of the circuit.
+class ImplicationEngine {
  public:
-  ImplicationEnv(const Circuit& circuit, const netlist::Fanouts& fanouts,
-                 std::vector<LogicValue> seed)
+  ImplicationEngine(const Circuit& circuit, const netlist::Fanouts& fanouts,
+                    std::vector<LogicValue> seed)
       : circuit_(&circuit), fanouts_(&fanouts), val_(std::move(seed)) {}
 
-  [[nodiscard]] bool consistent() const noexcept { return consistent_; }
-  [[nodiscard]] const std::vector<LogicValue>& values() const noexcept {
-    return val_;
+  [[nodiscard]] LogicValue value(NodeId id) const { return val_[id]; }
+  [[nodiscard]] std::vector<LogicValue> take_values() && {
+    return std::move(val_);
+  }
+  // Nodes assigned since the last commit() or undo(), in assignment order.
+  [[nodiscard]] const std::vector<NodeId>& trail() const noexcept {
+    return trail_;
   }
 
-  // Asserts `id = value` and pushes implications to a fixpoint. Returns
-  // false (and latches inconsistency) on contradiction.
+  // Asserts `id = value` on top of the committed assignment and pushes
+  // implications to a fixpoint. Returns false on contradiction; whatever was
+  // assigned up to it stays on the trail either way.
   bool assume(NodeId id, LogicValue value) {
+    consistent_ = true;
     assign(id, value);
     propagate();
     return consistent_;
   }
 
+  // Drops the trail's assignments, restoring the committed assignment.
+  void undo() {
+    for (const NodeId id : trail_) val_[id] = LogicValue::kUnknown;
+    clear_trail();
+  }
+  // Keeps the trail's assignments as committed facts.
+  void commit() { clear_trail(); }
+
  private:
+  void clear_trail() {
+    trail_.clear();
+    head_ = 0;
+  }
+
   void assign(NodeId id, LogicValue value) {
     if (value == LogicValue::kUnknown || !consistent_) return;
     if (val_[id] != LogicValue::kUnknown) {
@@ -113,13 +135,12 @@ class ImplicationEnv {
       return;
     }
     val_[id] = value;
-    queue_.push_back(id);
+    trail_.push_back(id);
   }
 
   void propagate() {
-    while (consistent_ && !queue_.empty()) {
-      const NodeId id = queue_.front();
-      queue_.pop_front();
+    while (consistent_ && head_ < trail_.size()) {
+      const NodeId id = trail_[head_++];
       // Backward from the newly known net into its own fanins.
       backward(id);
       // Forward through every fanout: the new fact may force the fanout's
@@ -204,7 +225,8 @@ class ImplicationEnv {
   const Circuit* circuit_;
   const netlist::Fanouts* fanouts_;
   std::vector<LogicValue> val_;
-  std::deque<NodeId> queue_;
+  std::vector<NodeId> trail_;
+  std::size_t head_ = 0;  // trail_[head_..] is the propagation queue
   bool consistent_ = true;
 };
 
@@ -222,55 +244,65 @@ std::vector<LogicValue> forward_constants(const Circuit& circuit) {
 }
 
 ConstantFacts analyze_constants(const Circuit& circuit) {
+  const obs::Span span("static-constants", {}, circuit.name());
   ConstantFacts facts;
   const std::size_t n = circuit.node_count();
   facts.forward = forward_constants(circuit);
 
   // Tier two: probe every still-unknown net at both values and learn from
-  // contradictions and branch agreement, iterating until nothing new.
-  facts.proved = facts.forward;
+  // contradictions and branch agreement, iterating until nothing new. Both
+  // branches run on the engine's one assignment and are undone afterwards.
   const netlist::Fanouts fanouts(circuit);
+  ImplicationEngine engine(circuit, fanouts, facts.forward);
   const auto learn = [&](NodeId id, LogicValue value) {
-    ImplicationEnv env(circuit, fanouts, std::move(facts.proved));
-    env.assume(id, value);
     // The circuit itself is consistent, so folding a proved fact back in
     // can never contradict; keep whatever the fixpoint derived with it.
-    facts.proved = env.values();
+    engine.assume(id, value);
+    engine.commit();
     ++facts.learned;
   };
+  std::vector<std::pair<NodeId, LogicValue>> zero_branch;
+  std::vector<std::pair<NodeId, LogicValue>> agreed;
   for (int round = 0; round < kMaxProbeRounds; ++round) {
     bool changed = false;
     ++facts.probe_rounds;
     for (NodeId id = 0; id < n; ++id) {
-      if (facts.proved[id] != LogicValue::kUnknown) continue;
-      ImplicationEnv zero(circuit, fanouts, facts.proved);
-      ImplicationEnv one(circuit, fanouts, facts.proved);
-      const bool zero_ok = zero.assume(id, LogicValue::kZero);
-      const bool one_ok = one.assume(id, LogicValue::kOne);
+      if (engine.value(id) != LogicValue::kUnknown) continue;
+      const bool zero_ok = engine.assume(id, LogicValue::kZero);
+      zero_branch.clear();
+      for (const NodeId m : engine.trail()) {
+        zero_branch.emplace_back(m, engine.value(m));
+      }
+      engine.undo();
+      const bool one_ok = engine.assume(id, LogicValue::kOne);
       facts.probes += 2;
-      if (!zero_ok && !one_ok) continue;  // unreachable for a real circuit
-      if (!zero_ok) {
-        learn(id, LogicValue::kOne);
-        changed = true;
-        continue;
-      }
-      if (!one_ok) {
-        learn(id, LogicValue::kZero);
-        changed = true;
-        continue;
-      }
-      // Values forced under both branches hold unconditionally.
-      for (NodeId m = 0; m < n; ++m) {
-        const LogicValue v = zero.values()[m];
-        if (v != LogicValue::kUnknown && v == one.values()[m] &&
-            facts.proved[m] == LogicValue::kUnknown) {
-          learn(m, v);
-          changed = true;
+      // Values forced under both branches hold unconditionally. Only nodes
+      // the zero branch assigned can agree.
+      agreed.clear();
+      if (zero_ok && one_ok) {
+        for (const auto& [m, v] : zero_branch) {
+          if (engine.value(m) == v) agreed.emplace_back(m, v);
         }
+      }
+      engine.undo();
+      if (!zero_ok && !one_ok) continue;  // unreachable for a real circuit
+      if (!zero_ok || !one_ok) {
+        learn(id, zero_ok ? LogicValue::kZero : LogicValue::kOne);
+        changed = true;
+        continue;
+      }
+      // Learned in ascending node order; an earlier fact's implications may
+      // already cover a later one.
+      std::sort(agreed.begin(), agreed.end());
+      for (const auto& [m, v] : agreed) {
+        if (engine.value(m) != LogicValue::kUnknown) continue;
+        learn(m, v);
+        changed = true;
       }
     }
     if (!changed) break;
   }
+  facts.proved = std::move(engine).take_values();
   return facts;
 }
 
@@ -552,25 +584,29 @@ CecResult check_equivalence(const Circuit& a, const Circuit& b,
   }
 
   // Stage 2: structural discharge. Both circuits hash into one shared
-  // hasher (with their own proved constants folded), so equal canonical ids
-  // across circuits prove equal functions.
+  // hasher, so equal canonical ids across circuits prove equal functions.
+  // Plain structure settles most pairs (TMR replicas and strash rewrites
+  // collapse to their base's ids); only when an output is still open are
+  // both circuits' constants proved and the pair rehashed, in a fresh
+  // hasher, with them folded in.
+  const auto discharge = [&](const std::vector<LogicValue>* constants_a,
+                             const std::vector<LogicValue>* constants_b) {
+    StructuralHasher hasher(a.num_inputs());
+    const std::vector<std::uint32_t> ids_a =
+        hasher.hash_circuit(a, constants_a);
+    const std::vector<std::uint32_t> ids_b =
+        hasher.hash_circuit(b, constants_b);
+    std::erase_if(open, [&](std::size_t o) {
+      if (ids_a[a.outputs()[o]] != ids_b[b.outputs()[o]]) return false;
+      ++result.proved_structural;
+      return true;
+    });
+  };
+  if (!open.empty()) discharge(nullptr, nullptr);
   if (!open.empty()) {
     const ConstantFacts facts_a = analyze_constants(a);
     const ConstantFacts facts_b = analyze_constants(b);
-    StructuralHasher hasher(a.num_inputs());
-    const std::vector<std::uint32_t> ids_a =
-        hasher.hash_circuit(a, &facts_a.proved);
-    const std::vector<std::uint32_t> ids_b =
-        hasher.hash_circuit(b, &facts_b.proved);
-    std::vector<std::size_t> still_open;
-    for (const std::size_t o : open) {
-      if (ids_a[a.outputs()[o]] == ids_b[b.outputs()[o]]) {
-        ++result.proved_structural;
-      } else {
-        still_open.push_back(o);
-      }
-    }
-    open = std::move(still_open);
+    discharge(&facts_a.proved, &facts_b.proved);
   }
 
   // Stage 3: the BDD engine. One shared manager maps input position i of

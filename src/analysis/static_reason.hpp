@@ -19,7 +19,11 @@
 //       partial values plus backward controlling-value rules) to a
 //       fixpoint, and learn a constant whenever one branch contradicts
 //       itself or both branches agree on some other net. Tier-two facts
-//       hold for the fault-free circuit only.
+//       hold for the fault-free circuit only. Both branches run on one
+//       shared value array and are undone from a trail of the nodes they
+//       assigned, so a probe costs the size of its implication, not the
+//       node count (a probe whose implication spans the circuit, as on a
+//       NOT chain, still costs O(n)).
 //
 //   StructuralHasher   — functional-flavored structural hashing. Every cone
 //       maps to a canonical value id; NAND/NOR/XNOR normalize to
@@ -33,7 +37,9 @@
 //   check_equivalence  — three-stage CEC: (1) 64-bit random-simulation
 //       signatures refute inequivalent output pairs almost instantly and
 //       name the first differing output; (2) surviving pairs are
-//       discharged structurally via a shared StructuralHasher; (3) the
+//       discharged structurally via a shared StructuralHasher, plain
+//       first, and only if some pair is still open again in a fresh
+//       hasher with both circuits' proved constants folded in; (3) the
 //       remainder goes to the bdd/ engine (one shared manager, inputs
 //       mapped positionally), where Ref equality is exact functional
 //       equivalence. A BDD node-budget blowout is reported as
@@ -84,7 +90,9 @@ struct ConstantFacts {
 // Both tiers. Probe-learning sweeps over all nets, each sweep a full
 // implication fixpoint per (net, value) pair, until nothing new is learned
 // or three sweeps have run: the cap bounds pathological circuits; real
-// netlists converge in one or two rounds.
+// netlists converge in one or two rounds. Facts agreed by both branches of
+// one probe are learned in ascending node order. Records a
+// "static-constants" trace span.
 [[nodiscard]] ConstantFacts analyze_constants(const netlist::Circuit& circuit);
 
 // Canonical value ids: 0 = const0, 1 = const1, 2 + i = primary input i,
@@ -154,7 +162,9 @@ struct CecResult {
   bool inconclusive = false;
   std::uint64_t outputs = 0;
   std::uint64_t refuted = 0;            // output pairs refuted (sim or BDD)
-  std::uint64_t proved_structural = 0;  // discharged by StructuralHasher
+  // Discharged by StructuralHasher: plain hashing, then (for pairs still
+  // open) hashing with proved constants folded in.
+  std::uint64_t proved_structural = 0;
   std::uint64_t proved_bdd = 0;         // discharged by the bdd/ engine
   std::uint64_t signature_words = 0;
   // Name (in circuit `a`) of the first output pair proved different;

@@ -205,8 +205,7 @@ ParetoResult pareto_sweep(const analysis::CompiledCircuit& base,
     baseline.label = "base";
     baseline.hardened = false;
     baseline.equivalent = true;
-    baseline.lint_clean =
-        analysis::lint_circuit(circuit, {.allow_voter_replicas = true}).clean();
+    baseline.lint_clean = analysis::lint_errors(circuit).clean();
     baseline.gates = circuit.gate_count();
     baseline.energy_factor = base_bound.energy.total_factor;
     baseline.protection = protection_of(base_campaign, circuit.num_outputs());
@@ -253,22 +252,29 @@ ParetoResult pareto_sweep(const analysis::CompiledCircuit& base,
         candidate.check_outputs = variant.check_outputs;
         slot.base_outputs = variant.base_outputs;
 
-        const auto start = std::chrono::steady_clock::now();
-        const analysis::CecResult proof =
-            verify_hardened(circuit, variant, options.cec);
-        metrics.cec_seconds.observe(
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          start)
-                .count());
-        candidate.equivalent = proof.equivalent;
-        slot.refuted = !proof.equivalent && !proof.inconclusive;
-
-        const analysis::LintReport lint = lint_hardened(variant);
-        candidate.lint_clean = lint.clean();
-        slot.lint_errors = lint.errors();
+        {
+          const obs::Span cec_span("harden-cec", span.handle(),
+                                   candidate.label);
+          const auto start = std::chrono::steady_clock::now();
+          const analysis::CecResult proof =
+              verify_hardened(circuit, variant, options.cec);
+          metrics.cec_seconds.observe(
+              std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            start)
+                  .count());
+          candidate.equivalent = proof.equivalent;
+          slot.refuted = !proof.equivalent && !proof.inconclusive;
+        }
+        {
+          const obs::Span lint_span("harden-lint", span.handle(),
+                                    candidate.label);
+          const analysis::LintReport lint = lint_hardened(variant);
+          candidate.lint_clean = lint.clean();
+          slot.lint_errors = lint.errors();
+        }
 
         std::optional<core::ProfileExtraction> derived;
-        if (proof.equivalent) {
+        if (candidate.equivalent) {
           derived = derive_profile(base_index, base_extraction, variant);
         }
         slot.handle = analysis::compile(std::move(variant.circuit));

@@ -33,7 +33,7 @@ namespace enb::harden {
 //   1. evaluates the base (energy bound + campaign — also the selective
 //      cone-ranking evidence),
 //   2. builds every candidate, proves it output-equivalent with the
-//      static-reasoning oracle, lints it (--allow-voter-replicas), and
+//      static-reasoning oracle, checks it for lint errors, and
 //      grades it through one exec::BatchEvaluator batch,
 //   3. computes the non-dominated frontier over (energy_factor down,
 //      protection up, gates down) across the equivalent, lint-clean

@@ -366,9 +366,7 @@ analysis::CecResult verify_hardened(const netlist::Circuit& base,
 }
 
 analysis::LintReport lint_hardened(const HardenedCircuit& variant) {
-  analysis::LintOptions options;
-  options.allow_voter_replicas = true;
-  return analysis::lint_circuit(variant.circuit, options);
+  return analysis::lint_errors(variant.circuit);
 }
 
 }  // namespace enb::harden

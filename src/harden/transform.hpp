@@ -73,9 +73,10 @@ struct HardenedCircuit {
     const netlist::Circuit& base, const HardenedCircuit& variant,
     const analysis::CecOptions& options = {});
 
-// Lints the variant with voter-replica duplication allowed (TMR replicas
-// are structurally identical by construction). Hardened variants must come
-// back clean() — zero errors.
+// The variant's lint errors (analysis::lint_errors). Hardened variants must
+// come back clean() — zero errors. Warnings are not computed: the sweep
+// reads only clean() and errors(), and a TMR variant would only warn about
+// its deliberate replicas anyway; `enbound_cli lint` gives the full report.
 [[nodiscard]] analysis::LintReport lint_hardened(
     const HardenedCircuit& variant);
 

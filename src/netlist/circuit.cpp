@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <utility>
 
 namespace enb::netlist {
 
@@ -36,6 +37,24 @@ Circuit& Circuit::operator=(const Circuit& other) {
     node_names_ = other.node_names_;
     gate_count_ = other.gate_count_;
     g_circuit_copies.fetch_add(1, std::memory_order_relaxed);
+  }
+  return *this;
+}
+
+Circuit::Circuit(Circuit&& other) noexcept { *this = std::move(other); }
+
+Circuit& Circuit::operator=(Circuit&& other) noexcept {
+  if (this != &other) {
+    name_ = std::exchange(other.name_, {});
+    types_ = std::exchange(other.types_, {});
+    fanin_begin_ = std::exchange(other.fanin_begin_, {});
+    fanin_ids_ = std::exchange(other.fanin_ids_, {});
+    input_slot_ = std::exchange(other.input_slot_, {});
+    inputs_ = std::exchange(other.inputs_, {});
+    outputs_ = std::exchange(other.outputs_, {});
+    output_names_ = std::exchange(other.output_names_, {});
+    node_names_ = std::exchange(other.node_names_, {});
+    gate_count_ = std::exchange(other.gate_count_, 0);
   }
   return *this;
 }

@@ -36,8 +36,10 @@ class Circuit {
   // the batch engine — can assert that hot paths never clone a netlist.
   Circuit(const Circuit& other);
   Circuit& operator=(const Circuit& other);
-  Circuit(Circuit&&) = default;
-  Circuit& operator=(Circuit&&) = default;
+  // A move leaves the source an empty circuit (no nodes, gates, ports or
+  // names; the name too), ready to be built again.
+  Circuit(Circuit&& other) noexcept;
+  Circuit& operator=(Circuit&& other) noexcept;
 
   // Process-wide monotonic count of Circuit copies; tests measure deltas.
   [[nodiscard]] static std::uint64_t copies_made() noexcept;

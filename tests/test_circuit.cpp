@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace enb::netlist {
 namespace {
 
@@ -123,6 +125,39 @@ TEST(Circuit, GateCountTracksTypes) {
   const NodeId g2 = c.add_gate(GateType::kNand, g1, b);
   c.add_gate(GateType::kMaj, a, b, g2);
   EXPECT_EQ(c.gate_count(), 3u);  // buf + nand + maj; input/const excluded
+}
+
+// A moved-from circuit is empty, so it can be built again from scratch.
+TEST(Circuit, MovedFromIsEmpty) {
+  const auto build_one_gate = [](Circuit& c) {
+    const NodeId a = c.add_input("a");
+    c.add_output(c.add_gate(GateType::kNot, a), "y");
+  };
+  Circuit source("src");
+  const NodeId a = source.add_input("a");
+  const NodeId b = source.add_input("b");
+  source.add_output(source.add_gate(GateType::kAnd, a, b), "y");
+  source.add_output(source.add_gate(GateType::kOr, a, b), "z");
+
+  const Circuit moved = std::move(source);
+  EXPECT_EQ(moved.gate_count(), 2u);
+  EXPECT_EQ(source.node_count(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(source.gate_count(), 0u);
+  EXPECT_EQ(source.num_inputs(), 0u);
+  EXPECT_EQ(source.num_outputs(), 0u);
+  EXPECT_TRUE(source.name().empty());
+  build_one_gate(source);
+  EXPECT_EQ(source.gate_count(), 1u);
+  EXPECT_EQ(source.node_count(), 2u);
+  EXPECT_EQ(source.node_name(0), "a");
+
+  Circuit target;
+  target = std::move(source);
+  EXPECT_EQ(target.gate_count(), 1u);
+  EXPECT_EQ(source.gate_count(), 0u);  // NOLINT(bugprone-use-after-move)
+  build_one_gate(source);
+  EXPECT_EQ(source.gate_count(), 1u);
+  EXPECT_EQ(source.num_outputs(), 1u);
 }
 
 }  // namespace
