@@ -39,17 +39,6 @@ ProfileMetrics& profile_metrics() {
 
 }  // namespace
 
-ProfileKey profile_key(const core::ProfileOptions& options) noexcept {
-  ProfileKey key;
-  key.activity_pairs = options.activity_pairs;
-  key.prefer_exact_activity = options.prefer_exact_activity;
-  key.exact_activity_max_inputs = options.exact_activity_max_inputs;
-  key.sensitivity_exact_max_inputs = options.sensitivity_exact_max_inputs;
-  key.sensitivity_sample_words = options.sensitivity_sample_words;
-  key.seed = options.seed;
-  return key;
-}
-
 // All cached artifacts live behind one mutex. Computation happens under the
 // lock: first-use costs serialize, but every artifact is computed exactly
 // once and the lock is never contended on the hot (cache-hit) path for more
@@ -64,7 +53,7 @@ struct CompiledCircuit::Impl {
   mutable std::optional<netlist::CircuitStats> stats ENB_GUARDED_BY(mutex);
   mutable std::optional<std::vector<int>> levels ENB_GUARDED_BY(mutex);
   mutable std::optional<std::vector<int>> fanout_counts ENB_GUARDED_BY(mutex);
-  mutable std::vector<std::pair<ProfileKey,
+  mutable std::vector<std::pair<core::ProfileOptions,
                                 std::shared_ptr<const core::ProfileExtraction>>>
       profiles ENB_GUARDED_BY(mutex);
   mutable std::vector<std::pair<int, CompiledCircuit>> mapped
@@ -123,15 +112,14 @@ const core::CircuitProfile& CompiledCircuit::profile(
 const core::ProfileExtraction& CompiledCircuit::extraction(
     const core::ProfileOptions& options, exec::Parallelism how) const {
   Impl& impl = checked();
-  const ProfileKey key = profile_key(options);
   const util::LockGuard lock(impl.mutex);
-  for (const auto& [cached_key, cached] : impl.profiles) {
-    if (cached_key == key) {
+  for (const auto& [cached_options, cached] : impl.profiles) {
+    if (cached_options == options) {
       profile_metrics().hits.add(1);
       return *cached;
     }
   }
-  // A miss extracts under the lock: concurrent callers with the same key
+  // A miss extracts under the lock: concurrent callers with equal options
   // block here and hit the cache instead of re-extracting.
   const obs::Span span("profile-extraction", {}, impl.circuit.name());
   const auto start = std::chrono::steady_clock::now();
@@ -142,21 +130,21 @@ const core::ProfileExtraction& CompiledCircuit::extraction(
           .count());
   profile_metrics().extractions.add(1);
   impl.extractions.fetch_add(1, std::memory_order_relaxed);
-  impl.profiles.emplace_back(key, extracted);
+  impl.profiles.emplace_back(options, extracted);
   return *impl.profiles.back().second;
 }
 
 void CompiledCircuit::store_profile(const core::ProfileOptions& options,
                                     core::ProfileExtraction extraction) const {
   Impl& impl = checked();
-  const ProfileKey key = profile_key(options);
   const util::LockGuard lock(impl.mutex);
   profile_metrics().derived.add(1);
-  for (const auto& [cached_key, cached] : impl.profiles) {
-    if (cached_key == key) return;  // existing entry wins (values equal)
+  for (const auto& [cached_options, cached] : impl.profiles) {
+    // An existing entry wins (the values are equal by contract).
+    if (cached_options == options) return;
   }
   impl.profiles.emplace_back(
-      key,
+      options,
       std::make_shared<const core::ProfileExtraction>(std::move(extraction)));
 }
 

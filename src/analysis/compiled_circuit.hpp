@@ -16,11 +16,9 @@
 //     artifacts are therefore valid forever.
 //   - All accessors are thread-safe; concurrent first calls compute an
 //     artifact exactly once.
-//   - Profiles are cached per ProfileKey (the value-relevant fields of
-//     core::ProfileOptions).
+//   - Profiles are cached per core::ProfileOptions value.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -32,23 +30,6 @@
 #include "netlist/stats.hpp"
 
 namespace enb::analysis {
-
-// The fields of core::ProfileOptions that determine the extracted profile's
-// value. Two option sets with equal keys share one cached extraction per
-// CompiledCircuit.
-struct ProfileKey {
-  std::size_t activity_pairs = 0;
-  bool prefer_exact_activity = false;
-  int exact_activity_max_inputs = 0;
-  int sensitivity_exact_max_inputs = 0;
-  std::uint64_t sensitivity_sample_words = 0;
-  std::uint64_t seed = 0;
-
-  friend bool operator==(const ProfileKey&, const ProfileKey&) = default;
-};
-
-[[nodiscard]] ProfileKey profile_key(
-    const core::ProfileOptions& options) noexcept;
 
 class CompiledCircuit {
  public:
@@ -71,7 +52,7 @@ class CompiledCircuit {
   [[nodiscard]] const std::vector<int>& fanout_counts() const;
 
   // The (s, S0, sw0, k, d0) profile, extracted on first use and cached per
-  // ProfileKey. `how` only controls the parallelism of a cache miss; the
+  // options value. `how` only controls the parallelism of a cache miss; the
   // cached value is bit-identical for any choice. The reference stays valid
   // for the life of the handle.
   [[nodiscard]] const core::CircuitProfile& profile(
@@ -91,7 +72,8 @@ class CompiledCircuit {
   // core::profile_job would produce for `options`; every other caller uses
   // profile(). A fill counts as one derivation
   // (analysis-profile-derived-total), never as an extraction. A
-  // pre-existing entry for the key wins (the values are equal by contract).
+  // pre-existing entry for equal options wins (the values are equal by
+  // contract).
   void store_profile(const core::ProfileOptions& options,
                      core::ProfileExtraction extraction) const;
 

@@ -1,9 +1,10 @@
 #include "analysis/lint.hpp"
 
 #include <algorithm>
-#include <map>
 #include <ostream>
 #include <set>
+#include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -101,8 +102,9 @@ LintReport lint_errors(const netlist::Circuit& circuit) {
   // Duplicate names: explicit names can collide with each other or with a
   // synthesized "n<id>", making .bench round-trips and fault-site reports
   // ambiguous.
-  std::map<std::string, netlist::NodeId> first_by_name;
-  std::set<std::string> reported_names;
+  std::unordered_map<std::string, netlist::NodeId> first_by_name;
+  first_by_name.reserve(circuit.node_count());
+  std::unordered_set<std::string> reported_names;
   for (netlist::NodeId id = 0; id < circuit.node_count(); ++id) {
     const std::string name = circuit.node_name(id);
     const auto [it, inserted] = first_by_name.emplace(name, id);

@@ -37,6 +37,11 @@ struct ProfileOptions {
   int sensitivity_exact_max_inputs = 20;
   std::uint64_t sensitivity_sample_words = 256;
   std::uint64_t seed = 17;
+
+  // Every field determines the extracted value, so equal options share one
+  // cached extraction per analysis::CompiledCircuit.
+  friend bool operator==(const ProfileOptions&,
+                         const ProfileOptions&) = default;
 };
 
 // One extraction: the profile plus the per-node activity its sw0 averages.

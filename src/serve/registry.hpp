@@ -80,7 +80,8 @@ class HandleRegistry {
 
   [[nodiscard]] RegistryStats stats() const;
 
-  // Registered names, most recently used first (the `stats` verb's listing).
+  // Registered names, most recently used first. No serve verb prints this
+  // listing: the `stats` verb reports only the stats() counters.
   [[nodiscard]] std::vector<HandleInfo> snapshot() const;
 
  private:

@@ -1,6 +1,7 @@
 // CompiledCircuit contract tests: cheap shared handles, lazily cached
 // derived artifacts (stats, levels, fanouts, profiles, mapped variants),
-// exactly-once extraction per profile key, and zero netlist copies.
+// exactly-once extraction per profile options value, and zero netlist
+// copies.
 #include "analysis/compiled_circuit.hpp"
 
 #include <gtest/gtest.h>
@@ -173,10 +174,19 @@ TEST(CompiledCircuit, MappedVariantIsCachedAndEquivalent) {
 
 TEST(ProfileKeyTest, SeedEntersTheKey) {
   core::ProfileOptions a;
-  core::ProfileOptions b;
-  EXPECT_EQ(profile_key(a), profile_key(b));
+  a.activity_pairs = 64;
+  core::ProfileOptions b = a;
   b.seed = a.seed + 1;
-  EXPECT_FALSE(profile_key(a) == profile_key(b));
+
+  // Options that differ only in the seed are two cache entries; repeating
+  // either one is a hit.
+  const CompiledCircuit handle = compile(gen::c17());
+  (void)handle.profile(a, exec::Parallelism::serial());
+  (void)handle.profile(b, exec::Parallelism::serial());
+  EXPECT_EQ(handle.profile_extractions(), 2u);
+  (void)handle.profile(a, exec::Parallelism::serial());
+  (void)handle.profile(b, exec::Parallelism::serial());
+  EXPECT_EQ(handle.profile_extractions(), 2u);
 }
 
 }  // namespace

@@ -188,6 +188,26 @@ TEST(Lint, DuplicateNodeNameIsAnError) {
   EXPECT_EQ(d->severity, LintSeverity::kError);
 }
 
+TEST(Lint, DuplicateNamesReportOncePerNameInNodeOrder) {
+  // Node 3 is unnamed, so its synthesized "n3" collides with input 1's
+  // explicit name; "a" names three nodes and is reported once.
+  Circuit c("dups");
+  const auto a = c.add_input("a");
+  const auto n3 = c.add_input("n3");
+  const auto a2 = c.add_input("a");
+  const auto g = c.add_gate(GateType::kAnd, a, n3);
+  const auto h = c.add_gate(GateType::kOr, a2, g);
+  c.set_node_name(h, "a");
+  c.add_output(h, "y");
+  const std::vector<LintDiagnostic> expected = {
+      {LintSeverity::kError, LintRule::kDuplicateName, "a",
+       "net name 'a' refers to both node 0 and node 2"},
+      {LintSeverity::kError, LintRule::kDuplicateName, "n3",
+       "net name 'n3' refers to both node 1 and node 3"},
+  };
+  EXPECT_EQ(lint_errors(c).diagnostics, expected);
+}
+
 TEST(Lint, VoterWithDuplicatedDriverIsASuppressibleWarning) {
   // Not an error: multiplex restorative stages legitimately route one bundle
   // wire into several voter slots, so structure alone cannot prove a defect.

@@ -167,24 +167,23 @@ bool open_input_file(const std::string& path, const char* what,
   return false;
 }
 
-// Missing-circuit-file check for commands whose positional is a .bench
-// path; suite names never hit the filesystem.
-bool circuit_file_missing(const std::string& spec) {
-  std::error_code ec;
-  return gen::spec_is_path(spec) && !std::filesystem::exists(spec, ec);
-}
-
-// Thrown by the batch resolver so a manifest naming a nonexistent .bench
-// routes to kExitMissingInput like a missing positional path does (the
-// documented missing-vs-malformed contract covers both).
+// Thrown by load_compiled for a .bench path that does not exist, whether
+// it came from the command line or a manifest; main maps it to
+// kExitMissingInput (the documented missing-vs-malformed contract).
 struct MissingInputError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-// Compiles (and optionally maps) a circuit spec. The mapped variant is
-// cached on the base handle, so repeated specs share everything.
+// Compiles (and optionally maps) a circuit spec; `what` names the input in
+// the missing-file error. Suite names never hit the filesystem. The mapped
+// variant is cached on the base handle, so repeated specs share everything.
 analysis::CompiledCircuit load_compiled(const Args& args,
-                                        const std::string& spec) {
+                                        const std::string& spec,
+                                        const std::string& what = "circuit") {
+  std::error_code ec;
+  if (gen::spec_is_path(spec) && !std::filesystem::exists(spec, ec)) {
+    throw MissingInputError(what + " file not found: " + spec);
+  }
   analysis::CompiledCircuit compiled =
       analysis::compile(gen::build_circuit_spec(spec));
   if (args.map_fanin > 0) compiled = compiled.mapped(args.map_fanin);
@@ -216,11 +215,6 @@ void write_json_file(const std::string& path,
 }
 
 int cmd_profile(const Args& args) {
-  if (circuit_file_missing(args.positional[1])) {
-    std::cerr << "error: circuit file not found: " << args.positional[1]
-              << "\n";
-    return kExitMissingInput;
-  }
   const analysis::CompiledCircuit compiled =
       load_compiled(args, args.positional[1]);
   print_profile(compiled.profile());
@@ -228,11 +222,6 @@ int cmd_profile(const Args& args) {
 }
 
 int cmd_analyze(const Args& args) {
-  if (circuit_file_missing(args.positional[1])) {
-    std::cerr << "error: circuit file not found: " << args.positional[1]
-              << "\n";
-    return kExitMissingInput;
-  }
   const analysis::CompiledCircuit compiled =
       load_compiled(args, args.positional[1]);
   const core::CircuitProfile& profile = compiled.profile();
@@ -274,11 +263,6 @@ int cmd_analyze(const Args& args) {
 }
 
 int cmd_sweep(const Args& args) {
-  if (circuit_file_missing(args.positional[1])) {
-    std::cerr << "error: circuit file not found: " << args.positional[1]
-              << "\n";
-    return kExitMissingInput;
-  }
   const analysis::CompiledCircuit compiled =
       load_compiled(args, args.positional[1]);
   const std::vector<double> grid =
@@ -343,23 +327,15 @@ int cmd_batch(const Args& args) {
     return error_exit;
   }
   // Handles are memoized per spec: jobs naming the same circuit share one
-  // compiled handle — and therefore one profile extraction per profile key.
+  // compiled handle — and therefore one profile extraction per profile
+  // options value.
   std::map<std::string, analysis::CompiledCircuit> handles;
-  std::vector<analysis::AnalysisRequest> requests;
-  try {
-    requests = exec::parse_manifest_requests(
-        manifest, [&](const std::string& spec) {
-          const auto it = handles.find(spec);
-          if (it != handles.end()) return it->second;
-          if (circuit_file_missing(spec)) {
-            throw MissingInputError("circuit file not found: " + spec);
-          }
-          return handles.emplace(spec, load_compiled(args, spec)).first->second;
-        });
-  } catch (const MissingInputError& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return kExitMissingInput;
-  }
+  std::vector<analysis::AnalysisRequest> requests =
+      exec::parse_manifest_requests(manifest, [&](const std::string& spec) {
+        const auto it = handles.find(spec);
+        if (it != handles.end()) return it->second;
+        return handles.emplace(spec, load_compiled(args, spec)).first->second;
+      });
   if (requests.empty()) {
     std::cerr << "error: manifest " << manifest_path << " holds no jobs\n";
     return 2;
@@ -478,19 +454,12 @@ analysis::RequestOptions options_from_flags(analysis::AnalysisKind kind,
 }
 
 int cmd_faultsim(const Args& args) {
-  const std::string& spec = args.positional[1];
-  if (circuit_file_missing(spec)) {
-    std::cerr << "error: circuit file not found: " << spec << "\n";
-    return kExitMissingInput;
-  }
-  if (!args.golden.empty() && circuit_file_missing(args.golden)) {
-    std::cerr << "error: golden circuit file not found: " << args.golden
-              << "\n";
-    return kExitMissingInput;
-  }
-  const analysis::CompiledCircuit compiled = load_compiled(args, spec);
+  const analysis::CompiledCircuit compiled =
+      load_compiled(args, args.positional[1]);
   std::optional<analysis::CompiledCircuit> golden;
-  if (!args.golden.empty()) golden = load_compiled(args, args.golden);
+  if (!args.golden.empty()) {
+    golden = load_compiled(args, args.golden, "golden circuit");
+  }
 
   analysis::RequestOptions request =
       options_from_flags(analysis::AnalysisKind::kFaultCampaign, args);
@@ -631,18 +600,15 @@ std::string emit_filename(const std::string& label) {
 }
 
 int cmd_harden(const Args& args) {
-  const std::string& spec = args.positional[1];
-  if (circuit_file_missing(spec)) {
-    std::cerr << "error: circuit file not found: " << spec << "\n";
-    return kExitMissingInput;
-  }
-
+  // Loaded before the flags are read, so a missing file wins over a bad
+  // --style.
+  const analysis::CompiledCircuit compiled =
+      load_compiled(args, args.positional[1]);
   const analysis::RequestOptions request =
       options_from_flags(analysis::AnalysisKind::kHarden, args);
   const harden::SweepOptions& options =
       std::get<analysis::HardenRequest>(request).options;
 
-  const analysis::CompiledCircuit compiled = load_compiled(args, spec);
   const exec::Parallelism how{args.threads};
   const harden::ParetoResult result =
       harden::pareto_sweep(compiled, options, how);
@@ -709,13 +675,6 @@ int cmd_cec(const Args& args) {
   if (args.positional.size() < 3) {
     std::cerr << "error: cec needs two circuits to compare\n";
     return 1;
-  }
-  for (std::size_t p = 1; p <= 2; ++p) {
-    if (circuit_file_missing(args.positional[p])) {
-      std::cerr << "error: circuit file not found: " << args.positional[p]
-                << "\n";
-      return kExitMissingInput;
-    }
   }
   const analysis::CompiledCircuit a = load_compiled(args, args.positional[1]);
   const analysis::CompiledCircuit b = load_compiled(args, args.positional[2]);
@@ -1018,6 +977,9 @@ int main(int argc, char** argv) {
   int code = 0;
   try {
     code = run_command(command, args);
+  } catch (const MissingInputError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    code = kExitMissingInput;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     code = kExitProcessing;
