@@ -5,9 +5,9 @@
 #include <optional>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "netlist/bench_io.hpp"
-#include "netlist/topo.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "synth/mapper.hpp"
@@ -51,8 +51,6 @@ struct CompiledCircuit::Impl {
 
   mutable util::Mutex mutex;
   mutable std::optional<netlist::CircuitStats> stats ENB_GUARDED_BY(mutex);
-  mutable std::optional<std::vector<int>> levels ENB_GUARDED_BY(mutex);
-  mutable std::optional<std::vector<int>> fanout_counts ENB_GUARDED_BY(mutex);
   mutable std::vector<std::pair<core::ProfileOptions,
                                 std::shared_ptr<const core::ProfileExtraction>>>
       profiles ENB_GUARDED_BY(mutex);
@@ -84,24 +82,6 @@ const netlist::CircuitStats& CompiledCircuit::stats() const {
     impl.stats = netlist::compute_stats(impl.circuit);
   }
   return *impl.stats;
-}
-
-const std::vector<int>& CompiledCircuit::levels() const {
-  Impl& impl = checked();
-  const util::LockGuard lock(impl.mutex);
-  if (!impl.levels.has_value()) {
-    impl.levels = netlist::levels(impl.circuit);
-  }
-  return *impl.levels;
-}
-
-const std::vector<int>& CompiledCircuit::fanout_counts() const {
-  Impl& impl = checked();
-  const util::LockGuard lock(impl.mutex);
-  if (!impl.fanout_counts.has_value()) {
-    impl.fanout_counts = netlist::fanout_counts(impl.circuit);
-  }
-  return *impl.fanout_counts;
 }
 
 const core::CircuitProfile& CompiledCircuit::profile(

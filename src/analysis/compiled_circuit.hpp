@@ -6,8 +6,8 @@
 // points, its stats feed reports, and the mapped variant feeds the Section 6
 // benchmark flow. CompiledCircuit amortizes the design-derived artifacts
 // once: it wraps a netlist::Circuit (taken by move — compiling never copies)
-// behind a shared_ptr and computes stats, levels, fanout counts, extracted
-// profiles and mapped variants lazily, caching each on first use.
+// behind a shared_ptr and computes stats, extracted profiles and mapped
+// variants lazily, caching each on first use.
 //
 // Contract:
 //   - Handles are cheap value types (one shared_ptr); copying a handle never
@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/profile.hpp"
 #include "exec/thread_pool.hpp"
@@ -46,10 +45,6 @@ class CompiledCircuit {
   // ---- cached derived artifacts ----
 
   [[nodiscard]] const netlist::CircuitStats& stats() const;
-  // Per-node logic level (netlist::levels).
-  [[nodiscard]] const std::vector<int>& levels() const;
-  // Per-node fanout edge count (netlist::fanout_counts).
-  [[nodiscard]] const std::vector<int>& fanout_counts() const;
 
   // The (s, S0, sw0, k, d0) profile, extracted on first use and cached per
   // options value. `how` only controls the parallelism of a cache miss; the
@@ -90,7 +85,7 @@ class CompiledCircuit {
   // ---- identity ----
 
   // 64-bit FNV-1a over the circuit's canonical .bench serialization: a
-  // *content* identity, unlike key(), so it survives dropping and
+  // *content* identity, unlike same_handle(), so it survives dropping and
   // recompiling the handle (the server's result cache stays warm across
   // registry evictions). Computed on first use and cached.
   [[nodiscard]] std::uint64_t content_fingerprint() const;
@@ -100,9 +95,6 @@ class CompiledCircuit {
   [[nodiscard]] bool same_handle(const CompiledCircuit& other) const noexcept {
     return impl_ == other.impl_;
   }
-  // Stable identity token (the engines' grouping key); null for an empty
-  // handle.
-  [[nodiscard]] const void* key() const noexcept { return impl_.get(); }
 
  private:
   struct Impl;

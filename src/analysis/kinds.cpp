@@ -42,9 +42,9 @@ T require(std::optional<T> parsed, const char* message) {
 }
 
 // Parses `value` into `field` by the field's type: doubles are numbers,
-// bools 0|1 flags, the lane width one of its four widths, the harden axes
-// their names, and every other field a non-negative count that fits the
-// field (a wider value is rejected, never wrapped).
+// bools 0|1 flags, the harden axes their names, and every other field a
+// non-negative count that fits the field (a wider value is rejected, never
+// wrapped).
 template <typename T>
 void parse_into(T& field, Str key, Str value) {
   if constexpr (std::is_same_v<T, double>) {
@@ -53,9 +53,6 @@ void parse_into(T& field, Str key, Str value) {
     const std::uint64_t parsed = count(key, value);
     if (parsed > 1) throw std::invalid_argument(key + " must be 0 or 1");
     field = parsed != 0;
-  } else if constexpr (std::is_same_v<T, fault::LaneWidth>) {
-    field = require(fault::parse_lane_width(count(key, value)),
-                    "lanes must be 64, 128, 256, or 512");
   } else if constexpr (std::is_same_v<T, std::optional<harden::Style>>) {
     field = require(harden::parse_style(value),
                     "style must be tmr, dwc, or selective");
@@ -112,8 +109,6 @@ std::vector<KindKey> campaign_keys(std::vector<KindKey> keys = {}) {
         }},
        key<Request>("drop",
                     [](Request& r) -> auto& { return campaign(r).drop; }),
-       key<Request>("lanes",
-                    [](Request& r) -> auto& { return campaign(r).lanes; }),
        key<Request>("sample",
                     [](Request& r) -> auto& { return campaign(r).sample; }),
        key<Request>("prune", [](Request& r) -> auto& {

@@ -12,7 +12,7 @@
 // the request rather than to a kind; the front ends handle them. Every kind
 // accepts eps=, delta=, leakage= (numbers) and budget=, seed= (counts): a
 // kind with no use for one still validates the value, then ignores it. The
-// campaign keys mode=, drop=, lanes=, sample=, prune= belong to
+// campaign keys mode=, drop=, sample=, prune= belong to
 // fault-campaign and harden (one shared applier); style=, granularity=,
 // top_k= to harden alone.
 //

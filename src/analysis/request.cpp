@@ -217,11 +217,9 @@ class SpecWriter {
   std::ostringstream out_;
 };
 
-// options.lanes is deliberately absent: lane width is execution policy
-// (results are normalized to be width-independent), so requests differing
-// only in lanes share one cache entry. drop and sample ARE value-relevant
-// (sim_passes and the simulated set change). Shared by fault-campaign and
-// harden, whose grading campaign is spelled the same way.
+// drop and sample are value-relevant (sim_passes and the simulated set
+// change). Shared by fault-campaign and harden, whose grading campaign is
+// spelled the same way.
 SpecWriter& write_campaign_options(SpecWriter& w,
                                    const fault::CampaignOptions& c) {
   return w.field("patterns", c.patterns)
@@ -335,9 +333,8 @@ std::string spec_of(const CecRequest& r) {
 }
 
 std::string spec_of(const HardenRequest& r) {
-  // Everything — sweep restriction, voter style, grading campaign (minus
-  // lanes, see write_campaign_options), CEC knobs, and the energy operating
-  // point — is value-relevant.
+  // Everything — sweep restriction, voter style, grading campaign, CEC
+  // knobs, and the energy operating point — is value-relevant.
   const harden::SweepOptions& o = r.options;
   SpecWriter w("harden");
   w.text("style",

@@ -176,9 +176,8 @@ struct AnalysisResult {
 // name followed by every field that can reach the result (Monte-Carlo
 // budgets, seeds, shard shapes — shard decomposition feeds the counter-based
 // streams — and model knobs), with doubles rendered in hexfloat so equal
-// values serialize identically and nothing is lost to rounding. Execution
-// policy (the fault-campaign lane width) is excluded: it never changes a
-// result. Two requests with equal canonical specs over the same circuit
+// values serialize identically and nothing is lost to rounding. Two
+// requests with equal canonical specs over the same circuit
 // (and golden) produce bit-identical results by the determinism contract,
 // which is what makes this string a safe cross-request cache-key component
 // (see serve::result_cache_key).

@@ -118,8 +118,6 @@ Args parse_args(const std::vector<std::string>& argv) {
       args.check_scalar = true;
     } else if (arg == "--drop") {
       args.drop = true;
-    } else if (arg == "--lanes") {
-      next_uint64(arg, args.lanes);
     } else if (arg == "--sample") {
       next_uint64(arg, args.sample);
     } else if (arg == "--prune-untestable") {

@@ -32,7 +32,6 @@ struct Args {
   bool no_collapse = false;      // disable equivalence collapsing
   bool check_scalar = false;     // diff vs the scalar reference simulator
   bool drop = false;             // fault dropping (retire detected classes)
-  std::uint64_t lanes = 64;      // SIMD fault lanes per sweep
   std::uint64_t sample = 0;      // sampled class count (0 = full universe)
   bool prune_untestable = false; // drop statically-untestable classes
   std::string golden;            // golden circuit spec (masking campaigns)

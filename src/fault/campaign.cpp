@@ -432,7 +432,7 @@ void write_ans(std::ostream& out, const Circuit& circuit,
     const std::vector<Word>& row = table.detected[p];
     for (netlist::NodeId net = 0; net < universe.num_nets(); ++net) {
       const std::size_t sa0 = site_index(net, StuckAt::kZero);
-      out << p << ' ' << circuit.node_name(universe.site(sa0).node) << ' '
+      out << p << ' ' << circuit.node_name(net) << ' '
           << (1 - detected_bit(row, sa0)) << ' '
           << (1 - detected_bit(row, site_index(net, StuckAt::kOne))) << '\n';
     }
@@ -450,9 +450,8 @@ void write_ans(std::ostream& out, const Circuit& circuit,
     }
   };
   for (netlist::NodeId net = 0; net < universe.num_nets(); ++net) {
-    const std::size_t sa0 = site_index(net, StuckAt::kZero);
-    out << "detect " << circuit.node_name(universe.site(sa0).node);
-    put_first(sa0);
+    out << "detect " << circuit.node_name(net);
+    put_first(site_index(net, StuckAt::kZero));
     put_first(site_index(net, StuckAt::kOne));
     out << '\n';
   }

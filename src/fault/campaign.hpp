@@ -26,12 +26,9 @@
 //           the pass count after the pattern that does. First detections
 //           are recorded before retirement and shard-local pattern order
 //           is sequential, so every output field is bit-identical to the
-//           no-drop path — only sim_passes shrinks.
-//   lanes   accepted (64/128/256/512) and validated, but it has no
-//           effect: the pattern-parallel kernel (fault_sim.hpp) has no
-//           fault lanes. It stays OUT of canonical analysis specs. Passes
-//           are a normalized work unit, one golden pass plus one per 64
-//           active classes per pattern, whatever the kernel does.
+//           no-drop path — only sim_passes shrinks. Passes are a
+//           normalized work unit, one golden pass plus one per 64 active
+//           classes per pattern, whatever the kernel does.
 //   sample  simulate only a deterministic sample of the classes (counter
 //           stream keyed by seed) and report coverage of the sample with a
 //           Wilson confidence interval. Changes what is simulated, so it
@@ -43,10 +40,8 @@
 //           to the unpruned run on every testable class. Spec-relevant.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <iosfwd>
-#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -58,43 +53,10 @@
 
 namespace enb::fault {
 
-// The values `lanes` accepts (see "Scale knobs" above: none changes what
-// runs).
-enum class LaneWidth : int { k64 = 64, k128 = 128, k256 = 256, k512 = 512 };
-
-[[nodiscard]] constexpr const char* to_string(LaneWidth width) noexcept {
-  switch (width) {
-    case LaneWidth::k64:
-      return "64";
-    case LaneWidth::k128:
-      return "128";
-    case LaneWidth::k256:
-      return "256";
-    case LaneWidth::k512:
-      return "512";
-  }
-  return "?";
-}
-
-[[nodiscard]] constexpr std::optional<LaneWidth> parse_lane_width(
-    std::uint64_t lanes) noexcept {
-  switch (lanes) {
-    case 64:
-      return LaneWidth::k64;
-    case 128:
-      return LaneWidth::k128;
-    case 256:
-      return LaneWidth::k256;
-    case 512:
-      return LaneWidth::k512;
-    default:
-      return std::nullopt;
-  }
-}
-
-[[nodiscard]] constexpr std::array<LaneWidth, 4> all_lane_widths() noexcept {
-  return {LaneWidth::k64, LaneWidth::k128, LaneWidth::k256, LaneWidth::k512};
-}
+// perfbench/src/fault_nodrop.cpp still assigns CampaignOptions::lanes;
+// nothing reads it. ROADMAP item 3's benchmark-lane change deletes the
+// field, this enum and that assignment together.
+enum class LaneWidth : int { k64 = 64 };
 
 struct CampaignOptions {
   // Random-pattern budget (logical input assignments); ignored when
@@ -127,7 +89,7 @@ struct CampaignOptions {
   // so pruned results are bit-identical to unpruned ones restricted to
   // the testable classes. Changes what is simulated: spec-relevant.
   bool prune_untestable = false;
-  // Accepted and validated; no effect (see "Scale knobs"). Not spec.
+  // Read by nothing; see LaneWidth above.
   LaneWidth lanes = LaneWidth::k64;
 };
 

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "fault/untestable.hpp"
-#include "netlist/nets.hpp"
 #include "netlist/topo.hpp"
 
 namespace enb::fault {
@@ -53,14 +52,8 @@ constexpr StuckAt stuck_at(bool value) noexcept {
 FaultUniverse FaultUniverse::build(const Circuit& circuit, bool collapse,
                                    bool prune_untestable) {
   FaultUniverse universe;
-  const std::vector<netlist::NetInfo> nets = netlist::enumerate_nets(circuit);
-  universe.sites_.reserve(nets.size() * 2);
-  for (const netlist::NetInfo& net : nets) {
-    universe.sites_.push_back({net.node, StuckAt::kZero});
-    universe.sites_.push_back({net.node, StuckAt::kOne});
-  }
-
-  UnionFind classes(universe.sites_.size());
+  const std::size_t num_sites = 2 * circuit.node_count();
+  UnionFind classes(num_sites);
   if (collapse) {
     // A fanin fault may only collapse into its gate when the fanin net is
     // observed *nowhere else*: exactly one fanout edge and no primary-output
@@ -101,10 +94,10 @@ FaultUniverse FaultUniverse::build(const Circuit& circuit, bool collapse,
 
   // Number the classes in order of their lowest site index (== their root,
   // by the union-find's smaller-index-wins policy).
-  universe.class_of_.assign(universe.sites_.size(), 0);
-  std::vector<std::size_t> class_of_root(universe.sites_.size(),
+  universe.class_of_.assign(num_sites, 0);
+  std::vector<std::size_t> class_of_root(num_sites,
                                          static_cast<std::size_t>(-1));
-  for (std::size_t s = 0; s < universe.sites_.size(); ++s) {
+  for (std::size_t s = 0; s < num_sites; ++s) {
     const std::size_t root = classes.find(s);
     if (class_of_root[root] == static_cast<std::size_t>(-1)) {
       class_of_root[root] = universe.rep_site_.size();

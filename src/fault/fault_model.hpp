@@ -1,8 +1,8 @@
 // Structural stuck-at fault model: the fault universe of a circuit.
 //
 // The universe is the classic single-stuck-at set — every net (node output)
-// stuck at 0 and stuck at 1, in the canonical net order of
-// netlist::enumerate_nets — collapsed by *structural equivalence*: two
+// stuck at 0 and stuck at 1, in node-id order (which is construction and
+// therefore topological order) — collapsed by *structural equivalence*: two
 // faults are equivalent when they produce identical faulty functions at
 // every primary output, which the textbook gate rules certify locally
 // (e.g. any input of an AND stuck at 0 is equivalent to its output stuck
@@ -14,7 +14,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "netlist/circuit.hpp"
@@ -39,9 +40,9 @@ struct FaultSite {
   friend bool operator==(const FaultSite&, const FaultSite&) = default;
 };
 
-// Site index convention: net i (enumerate_nets order == node-id order)
-// contributes sites 2i (stuck-at-0) and 2i+1 (stuck-at-1). The convention is
-// part of the reproducibility contract — campaign outputs are keyed by it.
+// Site index convention: net i (the net driven by node i) contributes sites
+// 2i (stuck-at-0) and 2i+1 (stuck-at-1). The convention is part of the
+// reproducibility contract — campaign outputs are keyed by it.
 [[nodiscard]] constexpr std::size_t site_index(netlist::NodeId net,
                                                StuckAt value) noexcept {
   return 2 * static_cast<std::size_t>(net) + (value == StuckAt::kOne ? 1 : 0);
@@ -61,16 +62,21 @@ class FaultUniverse {
                                            bool prune_untestable = false);
 
   [[nodiscard]] std::size_t num_nets() const noexcept {
-    return sites_.size() / 2;
+    return class_of_.size() / 2;
   }
   [[nodiscard]] std::size_t num_sites() const noexcept {
-    return sites_.size();
+    return class_of_.size();
   }
-  [[nodiscard]] const FaultSite& site(std::size_t site_index) const {
-    return sites_.at(site_index);
-  }
-  [[nodiscard]] std::span<const FaultSite> sites() const noexcept {
-    return sites_;
+  // The site at `site_index`, by the convention above; throws
+  // std::out_of_range past num_sites().
+  [[nodiscard]] FaultSite site(std::size_t site_index) const {
+    if (site_index >= num_sites()) {
+      throw std::out_of_range("fault: site " + std::to_string(site_index) +
+                              " outside universe of " +
+                              std::to_string(num_sites()));
+    }
+    return {static_cast<netlist::NodeId>(site_index / 2),
+            (site_index & 1) != 0 ? StuckAt::kOne : StuckAt::kZero};
   }
 
   // Equivalence classes, ordered by their lowest member site index. The
@@ -84,8 +90,8 @@ class FaultUniverse {
   [[nodiscard]] std::size_t representative_site(std::size_t class_index) const {
     return rep_site_.at(class_index);
   }
-  [[nodiscard]] const FaultSite& representative(std::size_t class_index) const {
-    return sites_[rep_site_.at(class_index)];
+  [[nodiscard]] FaultSite representative(std::size_t class_index) const {
+    return site(rep_site_.at(class_index));
   }
 
   // Untestability annotations; all-false (and num_untestable() == 0) when
@@ -99,7 +105,6 @@ class FaultUniverse {
   }
 
  private:
-  std::vector<FaultSite> sites_;       // 2 per net, canonical order
   std::vector<std::size_t> class_of_;  // site index -> class index
   std::vector<std::size_t> rep_site_;  // class index -> lowest site index
   std::vector<bool> untestable_;       // class index -> proved untestable

@@ -95,7 +95,7 @@ void PatternFaultSim::set_active(const std::vector<std::uint32_t>& classes) {
                                   " outside universe of " +
                                   std::to_string(universe_->num_classes()));
     }
-    const FaultSite& site = universe_->representative(cls);
+    const FaultSite site = universe_->representative(cls);
     sites.push_back({stem_of_[site.node], site.node,
                      site.value == StuckAt::kOne ? sim::kAllOnes : Word{0},
                      cls});
@@ -273,7 +273,7 @@ bool ScalarFaultSim::detect(std::size_t class_index,
   if (expected.size() * width != circuit.num_outputs()) {
     throw std::invalid_argument("fault: expected-output size mismatch");
   }
-  const FaultSite& site = universe_->representative(class_index);
+  const FaultSite site = universe_->representative(class_index);
 
   // Values are sim::Word, 0 or all-ones, so the one gate rule applies to
   // any fanin count; the pattern drives the inputs.

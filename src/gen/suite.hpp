@@ -27,8 +27,8 @@ struct BenchmarkSpec {
 [[nodiscard]] std::vector<BenchmarkSpec> small_suite();
 
 // Larger instances (c432, rca256, csel64, mult16, alu64) for fault
-// campaigns at scale — universes where dropping, wide lanes, and sampling
-// earn their keep. c432 rides here (not in standard_suite()) because its
+// campaigns at scale — universes where dropping and sampling earn their
+// keep. c432 rides here (not in standard_suite()) because its
 // n-ary OR gates sit outside the standard suite's max-fanin-2 property
 // tests. Kept out of standard_suite() so the Figure 7/8 sweeps and scalar
 // cross-checks stay fast.

@@ -3,8 +3,6 @@
 #include <ostream>
 #include <sstream>
 
-#include "netlist/nets.hpp"
-
 namespace enb::netlist {
 namespace {
 
@@ -26,14 +24,12 @@ const char* shape_for(GateType type) {
 void write_dot(const Circuit& circuit, std::ostream& out) {
   out << "digraph \"" << (circuit.name().empty() ? "circuit" : circuit.name())
       << "\" {\n  rankdir=LR;\n";
-  // One node statement per net, in the canonical net order (shared with the
-  // fault engine's site enumeration, so diagrams and campaign reports agree
-  // on naming and sequence).
-  for (const NetInfo& net : enumerate_nets(circuit)) {
-    const auto type = circuit.type(net.node);
-    out << "  n" << net.node << " [label=\"" << net.name << "\\n"
-        << to_string(type) << "\" shape=" << shape_for(type)
-        << "];\n";
+  // One node statement per net, in node-id order (the fault engine's site
+  // order, so diagrams and campaign reports agree on naming and sequence).
+  for (NodeId id = 0; id < circuit.node_count(); ++id) {
+    const auto type = circuit.type(id);
+    out << "  n" << id << " [label=\"" << circuit.node_name(id) << "\\n"
+        << to_string(type) << "\" shape=" << shape_for(type) << "];\n";
   }
   for (NodeId id = 0; id < circuit.node_count(); ++id) {
     for (NodeId f : circuit.fanins(id)) {

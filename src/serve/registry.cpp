@@ -118,14 +118,6 @@ RegistryStats HandleRegistry::stats() const {
   return s;
 }
 
-std::vector<HandleInfo> HandleRegistry::snapshot() const {
-  const util::LockGuard lock(mutex_);
-  std::vector<HandleInfo> handles;
-  handles.reserve(lru_.size());
-  for (const Entry& entry : lru_) handles.push_back(entry.info);
-  return handles;
-}
-
 // ---- result cache --------------------------------------------------------
 
 std::string result_cache_key(const analysis::AnalysisRequest& request) {

@@ -24,7 +24,6 @@
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
-#include <vector>
 
 #include "analysis/compiled_circuit.hpp"
 #include "analysis/request.hpp"
@@ -79,10 +78,6 @@ class HandleRegistry {
   std::size_t clear();
 
   [[nodiscard]] RegistryStats stats() const;
-
-  // Registered names, most recently used first. No serve verb prints this
-  // listing: the `stats` verb reports only the stats() counters.
-  [[nodiscard]] std::vector<HandleInfo> snapshot() const;
 
  private:
   struct Entry {

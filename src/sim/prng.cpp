@@ -51,8 +51,6 @@ std::uint64_t Xoshiro256::next_below(std::uint64_t bound) noexcept {
   return draw % bound;
 }
 
-bool Xoshiro256::bernoulli(double p) noexcept { return next_real() < p; }
-
 std::uint64_t bernoulli_word(Xoshiro256& rng, double p,
                              int precision_bits) noexcept {
   if (p <= 0.0) return 0;

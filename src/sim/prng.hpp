@@ -26,9 +26,6 @@ class Xoshiro256 {
   // Uniform integer in [0, bound) (bound > 0), bias-free rejection sampling.
   [[nodiscard]] std::uint64_t next_below(std::uint64_t bound) noexcept;
 
-  // One Bernoulli(p) draw.
-  [[nodiscard]] bool bernoulli(double p) noexcept;
-
  private:
   std::array<std::uint64_t, 4> state_;
 };

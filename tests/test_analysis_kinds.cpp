@@ -105,18 +105,6 @@ TEST(KindSpecPins, EnergyBoundWithProfileOverride) {
             "override_s=0x1p+2 override_exact=1");
 }
 
-TEST(KindSpecPins, FaultCampaignLaneWidthIsNotPartOfTheSpec) {
-  FaultCampaignRequest wide;
-  wide.options.lanes = fault::LaneWidth::k256;
-  FaultCampaignRequest narrow;
-  narrow.options.lanes = fault::LaneWidth::k64;
-  EXPECT_EQ(canonical_spec(wide), canonical_spec(narrow));
-  EXPECT_EQ(canonical_spec(wide),
-            "fault-campaign patterns=256 exhaustive=0 seed=64023 "
-            "shard_patterns=64 bundle_width=1 collapse=1 drop=0 sample=0 "
-            "prune=0");
-}
-
 // ---- manifest grammar ----------------------------------------------------
 
 const std::vector<std::string>& all_kinds() {
@@ -165,8 +153,6 @@ TEST(ManifestKeyMatrix, EveryKeyTimesEveryKind) {
       {"mode=random", kCampaignKinds},
       {"drop=1", kCampaignKinds},
       {"drop=0", kCampaignKinds},
-      {"lanes=128", kCampaignKinds},
-      {"lanes=512", kCampaignKinds},
       {"sample=12", kCampaignKinds},
       {"prune=1", kCampaignKinds},
       {"prune=0", kCampaignKinds},
@@ -179,7 +165,7 @@ TEST(ManifestKeyMatrix, EveryKeyTimesEveryKind) {
       // Not a key for any kind.
       {"frobnicate=1", {"(none)"}},
       {"name=x", {"(none)"}},
-      {"lanes_=64", {"(none)"}},
+      {"lanes=64", {"(none)"}},
   };
   for (const std::string& kind : all_kinds()) {
     const std::string head = "job kind=" + kind + " circuit=c17";
@@ -195,16 +181,31 @@ TEST(ManifestKeyMatrix, EveryKeyTimesEveryKind) {
 
 TEST(ManifestKeyMatrix, MalformedValuesAreRejectedForEveryKind) {
   const std::vector<std::string> bad = {
-      "eps=abc",     "delta=0.1x",    "leakage=",        "budget=12x",
-      "budget=-1",   "seed=-7",       "lanes=100",       "lanes=wide",
-      "drop=2",      "prune=2",       "mode=sometimes",  "sample=-3",
-      "style=quad",  "granularity=net", "top_k=-1",      "top_k=two",
-      "noequals",    "=5",
+      "eps=abc",        "delta=0.1x", "leakage=",        "budget=12x",
+      "budget=-1",      "seed=-7",    "drop=2",          "prune=2",
+      "mode=sometimes", "sample=-3",  "style=quad",      "granularity=net",
+      "top_k=-1",       "top_k=two",  "noequals",        "=5",
   };
   for (const std::string& kind : all_kinds()) {
     for (const std::string& token : bad) {
       const std::string line = "job kind=" + kind + " circuit=c17 " + token;
       EXPECT_FALSE(accepts(line)) << line;
+    }
+  }
+}
+
+// lanes= (a retired campaign knob) is an unknown key, with the same
+// message for every kind.
+TEST(ManifestKeyMatrix, LanesIsAnUnknownKeyForEveryKind) {
+  for (const std::string& kind : all_kinds()) {
+    const std::string line = "job kind=" + kind + " circuit=c17 lanes=64";
+    try {
+      (void)parse(line);
+      ADD_FAILURE() << line << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown key 'lanes'"),
+                std::string::npos)
+          << line << ": " << e.what();
     }
   }
 }
@@ -237,7 +238,7 @@ TEST(ManifestKeyMatrix, EveryKeyReachesItsField) {
   const std::string numeric = " eps=0.05 delta=0.2 budget=96 seed=7 "
                               "leakage=0.25";
   const std::string campaign =
-      " mode=exhaustive drop=1 lanes=256 sample=12 prune=0";
+      " mode=exhaustive drop=1 sample=12 prune=0";
   const std::map<std::string, std::string> expected = {
       {"reliability",
        "reliability eps=0x1.999999999999ap-5 trials=96 seed=7 p1=0x1p-1 "
@@ -343,8 +344,8 @@ TEST(KindTable, KeyErrorsNameTheKindsThatTakeTheKey) {
             "key 'top_k' does not apply to kind=fault-campaign (only "
             "kind=harden)");
   EXPECT_EQ(error(LintRequest{}, "bogus", "1"), "unknown key 'bogus'");
-  EXPECT_EQ(error(FaultCampaignRequest{}, "lanes", "100"),
-            "lanes must be 64, 128, 256, or 512");
+  EXPECT_EQ(error(FaultCampaignRequest{}, "lanes", "64"),
+            "unknown key 'lanes'");
 }
 
 TEST(KindTable, IgnoredKeysAreStillValidated) {

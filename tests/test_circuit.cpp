@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
+#include <vector>
+
+#include "gen/iscas.hpp"
 
 namespace enb::netlist {
 namespace {
@@ -158,6 +162,44 @@ TEST(Circuit, MovedFromIsEmpty) {
   build_one_gate(source);
   EXPECT_EQ(source.gate_count(), 1u);
   EXPECT_EQ(source.num_outputs(), 1u);
+}
+
+// The nets of a circuit are its nodes in id order (every node drives one
+// net), named by node_name. The fault universe's site order, the .ans rows
+// and the DOT writer all use this enumeration, so campaign outputs stay
+// reproducible only while it stays fixed.
+TEST(EnumerateNets, OrdersByNodeIdWithCanonicalNames) {
+  Circuit c("pin");
+  const NodeId a = c.add_input("a");
+  const NodeId b = c.add_input("b");
+  const NodeId g = c.add_gate(GateType::kAnd, a, b);
+  c.set_node_name(g, "g");
+  const NodeId h = c.add_gate(GateType::kNot, g);  // unnamed -> "n3"
+  c.add_output(h, "y");
+
+  EXPECT_EQ(c.node_count(), 4u);
+  EXPECT_EQ(a, 0u);
+  EXPECT_EQ(b, 1u);
+  EXPECT_EQ(g, 2u);
+  EXPECT_EQ(h, 3u);
+  EXPECT_EQ(c.node_name(a), "a");
+  EXPECT_EQ(c.node_name(b), "b");
+  EXPECT_EQ(c.node_name(g), "g");
+  EXPECT_EQ(c.node_name(h), "n3");
+}
+
+TEST(EnumerateNets, PinsC17Order) {
+  const Circuit c17 = gen::c17();
+  // The published c17 structure: 5 inputs then the 6 NAND2 gates in the
+  // bench parser's construction order (output cones resolved depth-first:
+  // 22's cone completes before 19). A change here silently re-keys every
+  // c17 campaign output.
+  const std::vector<std::string> expected = {"1",  "2",  "3",  "6",  "7", "10",
+                                             "11", "16", "22", "19", "23"};
+  ASSERT_EQ(c17.node_count(), expected.size());
+  for (NodeId id = 0; id < c17.node_count(); ++id) {
+    EXPECT_EQ(c17.node_name(id), expected[id]) << "net " << id;
+  }
 }
 
 }  // namespace

@@ -57,21 +57,24 @@ TEST(CliArgs, FaultCampaignScaleFlagsParse) {
   const Args defaults = parse_args({"faultsim", "rca8"});
   ASSERT_TRUE(defaults.ok()) << defaults.error;
   EXPECT_FALSE(defaults.drop);
-  EXPECT_EQ(defaults.lanes, 64u);
   EXPECT_EQ(defaults.sample, 0u);
 
-  const Args args = parse_args(
-      {"faultsim", "rca8", "--drop", "--lanes", "256", "--sample", "100"});
+  const Args args =
+      parse_args({"faultsim", "rca8", "--drop", "--sample", "100"});
   ASSERT_TRUE(args.ok()) << args.error;
   EXPECT_TRUE(args.drop);
-  EXPECT_EQ(args.lanes, 256u);
   EXPECT_EQ(args.sample, 100u);
 
-  // Value validation (64/128/256/512) is the command's job; the parser only
-  // rejects non-numeric input.
-  const Args bad = parse_args({"faultsim", "rca8", "--lanes", "wide"});
+  const Args bad = parse_args({"faultsim", "rca8", "--sample", "many"});
   EXPECT_FALSE(bad.ok());
-  EXPECT_NE(bad.error.find("--lanes"), std::string::npos);
+  EXPECT_NE(bad.error.find("--sample"), std::string::npos);
+}
+
+// --lanes (a retired campaign knob) is an unknown option.
+TEST(CliArgs, LanesIsAnUnknownOption) {
+  const Args args = parse_args({"faultsim", "rca8", "--lanes", "64"});
+  EXPECT_FALSE(args.ok());
+  EXPECT_EQ(args.error, "unknown option: --lanes");
 }
 
 TEST(CliArgs, TrailingValueFlagReportsInsteadOfOverreading) {

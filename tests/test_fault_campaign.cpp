@@ -39,14 +39,13 @@ TEST(FaultCampaign, BitIdenticalForAnyThreadCount) {
 }
 
 TEST(FaultCampaign, ScaledOptionsBitIdenticalForAnyThreadCount) {
-  // The thread-count contract survives every scale axis at once: dropping,
-  // wide lanes, and a sampled universe.
+  // The thread-count contract survives every scale axis at once: dropping
+  // and a sampled universe.
   const Circuit circuit = gen::find_benchmark("rca8").build();
   CampaignOptions options;
   options.patterns = 160;
   options.shard_patterns = 32;
   options.drop = true;
-  options.lanes = LaneWidth::k256;
   options.sample = 50;
   const FaultCampaignResult serial =
       run_campaign(circuit, nullptr, options, exec::Parallelism::serial());
@@ -141,7 +140,6 @@ TEST(FaultCampaign, BatchMatchesDirectEvaluate) {
   spec.options.shard_patterns = 16;
   spec.options.seed = 123;
   spec.options.drop = true;
-  spec.options.lanes = LaneWidth::k512;
   spec.options.sample = 80;
   request.options = spec;
 
@@ -196,8 +194,7 @@ TEST(FaultCampaign, ManifestParsesFaultCampaignLines) {
       "fc1 kind=fault-campaign circuit=c17 budget=64 seed=9\n"
       "fc2 kind=fault-campaign circuit=c17 mode=exhaustive\n"
       "fc3 kind=fault-campaign circuit=c17 mode=random budget=12\n"
-      "fc4 kind=fault-campaign circuit=c17 budget=32 drop=1 lanes=256 "
-      "sample=10\n");
+      "fc4 kind=fault-campaign circuit=c17 budget=32 drop=1 sample=10\n");
   const std::vector<analysis::AnalysisRequest> requests =
       exec::parse_manifest_requests(manifest,
                                     [&](const std::string&) { return c17; });
@@ -217,7 +214,6 @@ TEST(FaultCampaign, ManifestParsesFaultCampaignLines) {
   const auto& fc4 =
       std::get<analysis::FaultCampaignRequest>(requests[3].options);
   EXPECT_TRUE(fc4.options.drop);
-  EXPECT_EQ(fc4.options.lanes, LaneWidth::k256);
   EXPECT_EQ(fc4.options.sample, 10u);
 }
 
@@ -231,10 +227,6 @@ TEST(FaultCampaign, ManifestRejectsBadModes) {
                std::invalid_argument);
   std::istringstream wrong_kind("p kind=profile circuit=c17 mode=random\n");
   EXPECT_THROW((void)exec::parse_manifest_requests(wrong_kind, resolve),
-               std::invalid_argument);
-  std::istringstream bad_lanes(
-      "fc kind=fault-campaign circuit=c17 budget=8 lanes=100\n");
-  EXPECT_THROW((void)exec::parse_manifest_requests(bad_lanes, resolve),
                std::invalid_argument);
   std::istringstream bad_drop(
       "fc kind=fault-campaign circuit=c17 budget=8 drop=2\n");
@@ -274,11 +266,6 @@ TEST(FaultCampaign, CanonicalSpecIsValueComplete) {
   analysis::FaultCampaignRequest h = a;
   h.options.sample = 16;
   EXPECT_NE(analysis::canonical_spec(h), base);
-  // Lane width is execution policy, not part of the result's identity: a
-  // cached result computed at any width answers a request at any other.
-  analysis::FaultCampaignRequest i = a;
-  i.options.lanes = LaneWidth::k512;
-  EXPECT_EQ(analysis::canonical_spec(i), base);
 }
 
 TEST(FaultCampaign, DetectionTableAgreesWithAggregateCounts) {

@@ -1,5 +1,5 @@
 // Property tests for the campaign scale axes: fault dropping must be
-// invisible in results, every SIMD lane width must agree with the scalar
+// invisible in results, the detection table must agree with the scalar
 // reference, and sampled coverage must be an honest estimate of the
 // universe it sampled from.
 #include <gtest/gtest.h>
@@ -52,9 +52,8 @@ TEST(FaultScaleProperty, DropCutsPassesAtLeast5xOnScaleCircuit) {
   EXPECT_GE(no_drop.sim_passes, 5 * dropped.sim_passes);
 }
 
-// Every lane width's detection table must equal the scalar reference bit
-// for bit — and therefore each other.
-TEST(FaultScaleProperty, EveryLaneWidthBitIdenticalToScalar) {
+// The detection table must equal the scalar reference bit for bit.
+TEST(FaultScaleProperty, DetectionTableBitIdenticalToScalar) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     gen::RandomCircuitOptions circuit_options;
     circuit_options.num_inputs = 10;
@@ -69,42 +68,19 @@ TEST(FaultScaleProperty, EveryLaneWidthBitIdenticalToScalar) {
     options.seed = seed * 1337;
 
     ScalarFaultSim scalar(circuit, universe);
-    for (const LaneWidth width : all_lane_widths()) {
-      options.lanes = width;
-      const DetectionTable table =
-          build_detection_table(circuit, circuit, universe, options);
-      for (std::size_t p = 0; p < table.patterns.size(); ++p) {
-        const std::vector<bool> expected =
-            sim::eval_single(circuit, table.patterns[p]);
-        for (std::size_t c = 0; c < universe.num_classes(); ++c) {
-          const bool lane_bit = ((table.detected[p][c / sim::kWordBits] >>
-                                  (c % sim::kWordBits)) &
-                                 1) != 0;
-          EXPECT_EQ(scalar.detect(c, table.patterns[p], expected), lane_bit)
-              << "seed " << seed << " lanes " << to_string(width)
-              << " pattern " << p << " class " << c;
-        }
+    const DetectionTable table =
+        build_detection_table(circuit, circuit, universe, options);
+    for (std::size_t p = 0; p < table.patterns.size(); ++p) {
+      const std::vector<bool> expected =
+          sim::eval_single(circuit, table.patterns[p]);
+      for (std::size_t c = 0; c < universe.num_classes(); ++c) {
+        const bool table_bit = ((table.detected[p][c / sim::kWordBits] >>
+                                 (c % sim::kWordBits)) &
+                                1) != 0;
+        EXPECT_EQ(scalar.detect(c, table.patterns[p], expected), table_bit)
+            << "seed " << seed << " pattern " << p << " class " << c;
       }
     }
-  }
-}
-
-// Whole-campaign results are lane-width independent (normalized passes
-// included) — the property that justifies keeping lanes= out of canonical
-// specs and the serve result cache key.
-TEST(FaultScaleProperty, CampaignResultIndependentOfLaneWidth) {
-  const Circuit circuit = gen::find_benchmark("rca16").build();
-  CampaignOptions options;
-  options.patterns = 96;
-  options.shard_patterns = 32;
-  options.drop = true;
-  options.sample = 100;
-  options.lanes = LaneWidth::k64;
-  const FaultCampaignResult baseline = run_campaign(circuit, nullptr, options);
-  for (const LaneWidth width : all_lane_widths()) {
-    options.lanes = width;
-    EXPECT_EQ(run_campaign(circuit, nullptr, options), baseline)
-        << to_string(width);
   }
 }
 

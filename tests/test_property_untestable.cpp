@@ -11,7 +11,7 @@
 //
 // The second half pins the campaign-layer contract: pruning shrinks the
 // active set and the coverage denominator but leaves every per-class record
-// bit-identical, for any thread count and lane width.
+// bit-identical, for any thread count.
 #include "fault/untestable.hpp"
 
 #include <gtest/gtest.h>
@@ -199,16 +199,9 @@ TEST(UntestableProperty, PrunedCampaignIndependentOfExecutionPolicy) {
   options.prune_untestable = true;
   const FaultCampaignResult baseline = run_campaign(circuit, nullptr, options);
   EXPECT_GT(baseline.untestable, 0u);
-  for (const LaneWidth width : all_lane_widths()) {
-    CampaignOptions variant = options;
-    variant.lanes = width;
-    EXPECT_EQ(run_campaign(circuit, nullptr, variant), baseline)
-        << "lanes=" << to_string(width);
-    EXPECT_EQ(run_campaign(circuit, nullptr, variant,
-                           exec::Parallelism::dedicated(8)),
-              baseline)
-        << "lanes=" << to_string(width) << " threads=8";
-  }
+  EXPECT_EQ(run_campaign(circuit, nullptr, options,
+                         exec::Parallelism::dedicated(8)),
+            baseline);
   EXPECT_EQ(run_campaign(circuit, nullptr, options,
                          exec::Parallelism::serial()),
             baseline);

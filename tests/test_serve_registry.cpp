@@ -202,17 +202,6 @@ TEST(HandleRegistry, ExplicitEvictAndClear) {
   EXPECT_EQ(registry.stats().handles, 0u);
 }
 
-TEST(HandleRegistry, SnapshotListsMostRecentlyUsedFirst) {
-  HandleRegistry registry(8);
-  registry.put("a", compile_suite("c17"));
-  registry.put("b", compile_suite("parity8"));
-  EXPECT_TRUE(registry.find("a").has_value());
-  const std::vector<HandleInfo> handles = registry.snapshot();
-  ASSERT_EQ(handles.size(), 2u);
-  EXPECT_EQ(handles[0].name, "a");
-  EXPECT_EQ(handles[1].name, "b");
-}
-
 TEST(HandleRegistry, ReplacingANameKeepsOneEntry) {
   HandleRegistry registry(8);
   registry.put("a", compile_suite("c17"));

@@ -189,23 +189,16 @@ TEST_F(ServeServerTest, FaultCampaignRidesBatchServeAndResultCache) {
   EXPECT_EQ(analyzed.cached, 1u);
 }
 
-TEST_F(ServeServerTest, FaultCampaignCacheKeysSeparateSpecFromPolicy) {
+TEST_F(ServeServerTest, FaultCampaignCacheKeysIncludeDropAndSample) {
   // drop= and sample= change what a campaign computes, so each is its own
-  // cache entry; lanes= is pure execution policy, so a result computed at
-  // one width answers a request at any other.
+  // cache entry, and a repeated request is a hit.
   start();
   Client client(path());
   const QueryOutcome cold = client.analyze(
-      "rca8", "fault-campaign", {"budget=48", "lanes=64", "name=fc"});
+      "rca8", "fault-campaign", {"budget=48", "name=fc"});
   ASSERT_EQ(cold.results.size(), 1u);
   ASSERT_TRUE(cold.results[0].ok);
   EXPECT_EQ(cold.cached, 0u);
-
-  const QueryOutcome wide = client.analyze(
-      "rca8", "fault-campaign", {"budget=48", "lanes=512", "name=fc"});
-  ASSERT_TRUE(wide.results[0].ok);
-  EXPECT_EQ(wide.cached, 1u);  // lane width is not part of the key
-  EXPECT_EQ(served_json(wide), served_json(cold));
 
   const QueryOutcome dropped = client.analyze(
       "rca8", "fault-campaign", {"budget=48", "drop=1", "name=fc"});
@@ -316,8 +309,15 @@ TEST_F(ServeServerTest, AnalyzeRejectsKeysTheKindDoesNotTake) {
   start();
   Client client(path());
   EXPECT_THROW((void)client.analyze("c17", "lint", {"bogus=1"}), ServerError);
-  EXPECT_THROW((void)client.analyze("c17", "lint", {"lanes=64"}),
-               ServerError);
+  EXPECT_THROW((void)client.analyze("c17", "lint", {"drop=1"}), ServerError);
+  try {
+    (void)client.analyze("c17", "fault-campaign", {"lanes=64"});
+    ADD_FAILURE() << "lanes=64 was accepted";
+  } catch (const ServerError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown key 'lanes'"),
+              std::string::npos)
+        << e.what();
+  }
   EXPECT_THROW((void)client.analyze("c17", "lint", {"circuit=c17"}),
                ServerError);
   EXPECT_THROW((void)client.analyze("c17", "harden", {"style=quad"}),

@@ -9,8 +9,9 @@
 //                   [--trace trace.json] [--csv out.csv] [--json out.json]
 //   enbound faultsim <file.bench> [--golden spec] [--patterns N]
 //                   [--exhaustive] [--seed S] [--bundle-width B]
-//                   [--no-collapse] [--check-scalar] [--map K]
-//                   [--prune-untestable] [--threads N] [--ans out.ans]
+//                   [--no-collapse] [--check-scalar] [--drop]
+//                   [--sample N] [--map K] [--prune-untestable]
+//                   [--threads N] [--ans out.ans]
 //                   [--trace trace.json] [--json out.json]
 //   enbound cec     <a.bench> <b.bench> [--map K] [--json out.json]
 //   enbound lint    <file.bench or suite name> [--allow-voter-replicas]
@@ -99,8 +100,8 @@ int usage() {
          "  faultsim <file.bench> [--golden spec] [--patterns N]\n"
          "          [--exhaustive] [--seed S] [--bundle-width B]\n"
          "          [--no-collapse] [--check-scalar] [--drop]\n"
-         "          [--lanes 64|128|256|512] [--sample N] [--map K]\n"
-         "          [--prune-untestable] [--threads N] [--ans out.ans]\n"
+         "          [--sample N] [--map K] [--prune-untestable]\n"
+         "          [--threads N] [--ans out.ans]\n"
          "          [--trace trace.json] [--json out.json]\n"
          "  cec     <a.bench> <b.bench> [--map K] [--json out.json]\n"
          "  lint    <file.bench or suite name> [--allow-voter-replicas]\n"
@@ -422,14 +423,13 @@ std::string exact_text(double value) {
 
 // faultsim/harden flags in the manifest key=value vocabulary, applied
 // through the kind's table row: flags and manifest keys share one parser
-// and one validation (a bad --lanes/--style/--granularity is rejected
-// there). CLI-only knobs (--bundle-width, --no-collapse, ...) stay direct.
+// and one validation (a bad --style/--granularity is rejected there).
+// CLI-only knobs (--bundle-width, --no-collapse, ...) stay direct.
 analysis::RequestOptions options_from_flags(analysis::AnalysisKind kind,
                                             const Args& args) {
   std::vector<std::pair<std::string, std::string>> keys = {
       {"budget", std::to_string(args.patterns)},
       {"seed", std::to_string(args.seed)},
-      {"lanes", std::to_string(args.lanes)},
       {"sample", std::to_string(args.sample)},
       {"eps", exact_text(args.eps)},
       {"delta", exact_text(args.delta)},
@@ -514,8 +514,6 @@ int cmd_faultsim(const Args& args) {
   t.add_row({std::string("first-detect outputs"),
              std::to_string(result.detect_outputs)});
   t.add_row({std::string("sim passes"), std::to_string(result.sim_passes)});
-  t.add_row({std::string("lane width"),
-             std::string(fault::to_string(options.lanes))});
   t.add_row({std::string("fault dropping"),
              std::string(options.drop ? "on" : "off")});
   t.add_row({std::string("gate overhead"),
