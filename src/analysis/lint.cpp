@@ -1,10 +1,11 @@
 #include "analysis/lint.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <ostream>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -99,21 +100,48 @@ LintReport lint_errors(const netlist::Circuit& circuit) {
         "circuit has no primary outputs; every analysis cone is empty");
   }
 
-  // Duplicate names: explicit names can collide with each other or with a
-  // synthesized "n<id>", making .bench round-trips and fault-site reports
-  // ambiguous.
-  std::unordered_map<std::string, netlist::NodeId> first_by_name;
-  first_by_name.reserve(circuit.node_count());
-  std::unordered_set<std::string> reported_names;
-  for (netlist::NodeId id = 0; id < circuit.node_count(); ++id) {
-    const std::string name = circuit.node_name(id);
-    const auto [it, inserted] = first_by_name.emplace(name, id);
-    if (!inserted && reported_names.insert(name).second) {
-      add(report.diagnostics, LintSeverity::kError, LintRule::kDuplicateName,
-          name,
-          "net name '" + name + "' refers to both node " +
-              std::to_string(it->second) + " and node " + std::to_string(id));
+  // Duplicate names: explicit names can collide with each other or with the
+  // synthesized "n<id>" of an unnamed node, making .bench round-trips and
+  // fault-site reports ambiguous. Only explicit names are compared; an
+  // unnamed node takes part only when an explicit name has its "n<id>"
+  // form. Each name is reported once, at its second-lowest node id, in
+  // node-id order.
+  const auto& names = circuit.node_names();
+  std::vector<std::pair<std::string_view, netlist::NodeId>> holders;
+  for (const auto& [id, name] : names) {
+    holders.emplace_back(name, id);
+    // "n<k>" without a leading zero also names node k when k is unnamed.
+    if (name.size() < 2 || name[0] != 'n' ||
+        (name[1] == '0' && name.size() > 2)) {
+      continue;
     }
+    std::uint64_t k = 0;
+    const char* end = name.data() + name.size();
+    const auto [ptr, ec] = std::from_chars(name.data() + 1, end, k);
+    if (ec == std::errc() && ptr == end && k < circuit.node_count() &&
+        !names.contains(static_cast<netlist::NodeId>(k))) {
+      holders.emplace_back(name, static_cast<netlist::NodeId>(k));
+    }
+  }
+  // Sorted by (name, id) with repeats removed, a name's holders are
+  // adjacent and its lowest two ids come first.
+  std::sort(holders.begin(), holders.end());
+  holders.erase(std::unique(holders.begin(), holders.end()), holders.end());
+  std::vector<std::pair<netlist::NodeId, std::size_t>> duplicates;
+  for (std::size_t i = 0; i + 1 < holders.size(); ++i) {
+    if (holders[i].first == holders[i + 1].first &&
+        (i == 0 || holders[i - 1].first != holders[i].first)) {
+      duplicates.emplace_back(holders[i + 1].second, i);
+    }
+  }
+  std::sort(duplicates.begin(), duplicates.end());
+  for (const auto& [id, first] : duplicates) {
+    const std::string name(holders[first].first);
+    add(report.diagnostics, LintSeverity::kError, LintRule::kDuplicateName,
+        name,
+        "net name '" + name + "' refers to both node " +
+            std::to_string(holders[first].second) + " and node " +
+            std::to_string(id));
   }
   return report;
 }

@@ -6,6 +6,7 @@
 #include <optional>
 #include <ostream>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -25,10 +26,11 @@ using netlist::Circuit;
 using sim::Word;
 
 // Campaign observability: simulation passes (the normalized work unit
-// dropping and sampling exist to shrink), node evaluations spent
-// propagating flipped stems (the kernel's real faulty-machine work), classes
-// retired by fault dropping, and lane occupancy in 64-class units (active
-// class slots vs provisioned ones; dense until dropping thins the
+// dropping and sampling exist to shrink), block evaluations spent
+// propagating flipped stems (the kernel's real faulty-machine work; one
+// evaluation covers a whole block of up to 512 patterns), shards graded,
+// classes retired by fault dropping, and lane occupancy in 64-class units
+// (active class slots vs provisioned ones; dense until dropping thins the
 // survivors). Counters only — CampaignCounts and the result path are
 // untouched.
 struct FaultMetrics {
@@ -63,86 +65,141 @@ std::uint64_t pattern_total(const Circuit& golden,
   return options.patterns;
 }
 
-// The per-shard body shared by the aggregate counts and the detection
-// table, so the two views are bit-identical by construction rather than by
-// parallel maintenance. The shard's patterns run through the pattern-
-// parallel kernel 64 at a time; the golden circuit is simulated once per
-// word for the expected outputs, unless it is the circuit itself, whose good
-// machine the kernel already has.
+// Campaign tasks: consecutive shards graded together. Shards of at most one
+// block go 512 / shard_patterns to a task, so one block holds them all;
+// a longer shard is a task of its own, graded a block at a time.
+std::size_t shards_per_task(const exec::ShardPlan& plan) {
+  return plan.shard_size() <= sim::kBlockPatterns
+             ? sim::kBlockPatterns / plan.shard_size()
+             : 1;
+}
+
+std::size_t task_count(const exec::ShardPlan& plan) {
+  const std::size_t per_task = shards_per_task(plan);
+  return (plan.num_shards() + per_task - 1) / per_task;
+}
+
+// The shards of task `task`.
+std::vector<exec::Shard> task_shards(const exec::ShardPlan& plan,
+                                     std::size_t task) {
+  const std::size_t per_task = shards_per_task(plan);
+  const std::size_t end = std::min(plan.num_shards(), (task + 1) * per_task);
+  std::vector<exec::Shard> shards;
+  for (std::size_t s = task * per_task; s < end; ++s) {
+    shards.push_back(plan.shard(s));
+  }
+  return shards;
+}
+
+// The body shared by the aggregate counts and the detection table, so the
+// two views are bit-identical by construction rather than by parallel
+// maintenance. It grades consecutive `shards` over the `sampled` classes;
+// each shard keeps its own pattern stream. The task's patterns run through
+// the pattern-parallel kernel a block (up to 512 patterns) at a time, with
+// each shard a segment of the block; the golden circuit is simulated once
+// per word for the expected outputs, unless it is the circuit itself, whose
+// good machine the kernel already has.
 //
-// First detections are recorded per class the moment they happen (shard
-// patterns are sequential and a word reports each class's lowest detecting
-// pattern, so the first hit within the shard is the shard's minimum;
-// cross-shard minima are taken by CampaignCounts::merge). Fault dropping —
-// aggregate path only, the table needs complete rows — then retires the
-// detected classes, so every recorded field is identical with dropping on
-// or off.
+// First detections are per shard: the kernel reports each class's lowest
+// detecting pattern and output in every shard's own bit range of the
+// block, which is the shard's first detection (a shard longer than one
+// block counts only its earliest block's). The task keeps the lowest as
+// its record; CampaignCounts::merge takes cross-task minima. Fault
+// dropping — aggregate path only, the table needs complete rows — retires
+// detected classes between the blocks of a long shard, so every recorded
+// field is identical with dropping on or off.
 //
 // Passes stay in the 64-class-sweep unit the contract is written in: per
 // pattern, one golden pass plus one per 64 classes still active at that
 // pattern, where under dropping a class stops being active after its
-// shard-local first detection. They are counted from the first detections,
-// not from the kernel's work, so they are the same for any kernel.
-CampaignCounts sweep_shard(const Circuit& circuit, const Circuit& golden,
-                           const FaultUniverse& universe,
-                           const CampaignOptions& options,
-                           const exec::Shard& shard, DetectionTable* table) {
+// shard-local first detection. They are counted per shard from the first
+// detections, not from the kernel's work, so they are the same for any
+// kernel and any task grouping.
+CampaignCounts sweep_task(const Circuit& circuit, const Circuit& golden,
+                          const FaultUniverse& universe,
+                          const std::vector<std::uint32_t>& sampled,
+                          const CampaignOptions& options,
+                          std::span<const exec::Shard> shards,
+                          DetectionTable* table) {
   CampaignCounts counts(universe.num_classes());
-  std::vector<std::vector<bool>> patterns =
-      shard_pattern_bits(golden.num_inputs(), options, shard);
+  const std::size_t task_begin = shards.front().begin;
+  std::vector<std::vector<bool>> patterns;
+  patterns.reserve(shards.back().end - task_begin);
+  for (const exec::Shard& shard : shards) {
+    for (std::vector<bool>& row :
+         shard_pattern_bits(golden.num_inputs(), options, shard)) {
+      patterns.push_back(std::move(row));
+    }
+  }
   PatternFaultSim sim(circuit, universe, options.bundle_width);
-  std::vector<std::uint32_t> active = sampled_classes(universe, options);
-  const std::uint64_t sampled = active.size();
+  std::vector<std::uint32_t> active = sampled;
   sim.set_active(active);
   const bool drop = options.drop && table == nullptr;
   std::optional<sim::LogicSim> golden_sim;
   if (&golden != &circuit) golden_sim.emplace(golden);
-  std::vector<Word> inputs(golden.num_inputs());
-  std::vector<Word> expected(golden_sim.has_value() ? golden.num_outputs() : 0);
+  const std::size_t num_inputs = golden.num_inputs();
+  const std::size_t num_outputs = golden.num_outputs();
+  std::vector<Word> inputs;
+  std::vector<Word> expected;
   const std::size_t row_words =
       (universe.num_classes() + sim::kWordBits - 1) / sim::kWordBits;
-  // first_hits[i]: classes whose shard-local first detection is pattern i.
+  const int segment = static_cast<int>(
+      std::min<std::uint64_t>(options.shard_patterns, sim::kBlockPatterns));
+  // first_hits[i]: classes whose shard-local first detection is task
+  // pattern i.
   std::vector<std::uint64_t> first_hits(patterns.size(), 0);
 
   for (std::size_t begin = 0; begin < patterns.size();
-       begin += sim::kWordBits) {
+       begin += sim::kBlockPatterns) {
     const int count = static_cast<int>(std::min<std::size_t>(
-        sim::kWordBits, patterns.size() - begin));
-    std::fill(inputs.begin(), inputs.end(), 0);
+        sim::kBlockPatterns, patterns.size() - begin));
+    const auto words = static_cast<std::size_t>(sim::words_for(count));
+    inputs.assign(words * num_inputs, 0);
     for (int p = 0; p < count; ++p) {
       const std::vector<bool>& pattern = patterns[begin + p];
+      Word* word = inputs.data() + (p / sim::kWordBits) * num_inputs;
       for (std::size_t b = 0; b < pattern.size(); ++b) {
-        if (pattern[b]) inputs[b] |= Word{1} << p;
+        if (pattern[b]) word[b] |= Word{1} << (p % sim::kWordBits);
       }
     }
+    expected.clear();
     if (golden_sim.has_value()) {
-      golden_sim->eval(inputs);
-      for (std::size_t o = 0; o < expected.size(); ++o) {
-        expected[o] = golden_sim->value(golden.outputs()[o]);
+      for (std::size_t k = 0; k < words; ++k) {
+        golden_sim->eval(
+            std::span<const Word>(inputs).subspan(k * num_inputs, num_inputs));
+        for (std::size_t o = 0; o < num_outputs; ++o) {
+          expected.push_back(golden_sim->value(golden.outputs()[o]));
+        }
       }
     }
     if (table != nullptr) {
       for (int p = 0; p < count; ++p) {
-        table->detected[shard.begin + begin + p].assign(row_words, 0);
+        table->detected[task_begin + begin + p].assign(row_words, 0);
       }
     }
     bool retired = false;
     for (const PatternFaultSim::Detection& hit :
-         sim.detect_word(inputs, count, expected)) {
+         sim.detect_block(inputs, count, expected, segment)) {
       if (table != nullptr) {
-        for (Word bits = hit.patterns; bits != 0; bits &= bits - 1) {
-          table->detected[shard.begin + begin + std::countr_zero(bits)]
-                         [hit.cls / sim::kWordBits] |=
+        for (int p = hit.patterns.find_first(0); p < count;
+             p = hit.patterns.find_first(p + 1)) {
+          table->detected[task_begin + begin + p][hit.cls / sim::kWordBits] |=
               Word{1} << (hit.cls % sim::kWordBits);
         }
       }
-      if (counts.first_pattern[hit.cls] != kNotDetected) continue;
-      const std::size_t local =
-          begin + static_cast<std::size_t>(std::countr_zero(hit.patterns));
-      counts.first_pattern[hit.cls] = shard.begin + local;
-      counts.first_output[hit.cls] = hit.first_output;
-      ++first_hits[local];
-      retired = drop;
+      for (const PatternFaultSim::FirstHit& first : sim.first_hits(hit)) {
+        const bool seen = counts.first_pattern[hit.cls] != kNotDetected;
+        // In a later block of one long shard, a class seen in an earlier
+        // block has had its shard-local first detection already.
+        if (seen && begin > 0) continue;
+        const std::size_t local = begin + first.pattern;
+        if (!seen) {
+          counts.first_pattern[hit.cls] = task_begin + local;
+          counts.first_output[hit.cls] = first.output;
+        }
+        ++first_hits[local];
+        retired = drop;
+      }
     }
     if (retired) {
       std::erase_if(active, [&](std::uint32_t cls) {
@@ -153,35 +210,106 @@ CampaignCounts sweep_shard(const Circuit& circuit, const Circuit& golden,
   }
   if (table != nullptr) {
     for (std::size_t i = 0; i < patterns.size(); ++i) {
-      table->patterns[shard.begin + i] = std::move(patterns[i]);
+      table->patterns[task_begin + i] = std::move(patterns[i]);
     }
   }
 
-  // Passes and lane slots per pattern, as described above; the metrics are
-  // published once per shard.
-  std::uint64_t still_active = sampled;
+  // Passes and lane slots per pattern of each shard, as described above;
+  // the metrics are published once per task.
   std::uint64_t obs_slots = 0;
   std::uint64_t obs_slots_active = 0;
   std::uint64_t obs_dropped = 0;
-  for (const std::uint64_t hits : first_hits) {
-    const std::uint64_t blocks =
-        (still_active + sim::kWordBits - 1) / sim::kWordBits;
-    counts.passes += 1 + blocks;
-    obs_slots += blocks * sim::kWordBits;
-    obs_slots_active += still_active;
-    if (drop) {
-      still_active -= hits;
-      obs_dropped += hits;
+  for (const exec::Shard& shard : shards) {
+    std::uint64_t still_active = sampled.size();
+    for (std::size_t p = shard.begin; p < shard.end; ++p) {
+      const std::uint64_t blocks =
+          (still_active + sim::kWordBits - 1) / sim::kWordBits;
+      counts.passes += 1 + blocks;
+      obs_slots += blocks * sim::kWordBits;
+      obs_slots_active += still_active;
+      if (drop) {
+        const std::uint64_t hits = first_hits[p - task_begin];
+        still_active -= hits;
+        obs_dropped += hits;
+      }
     }
   }
   FaultMetrics& metrics = fault_metrics();
-  metrics.shards.add(1);
+  metrics.shards.add(shards.size());
   metrics.passes.add(counts.passes);
   metrics.events.add(sim.events());
   metrics.lane_slots.add(obs_slots);
   metrics.lane_slots_active.add(obs_slots_active);
   if (obs_dropped > 0) metrics.dropped.add(obs_dropped);
   return counts;
+}
+
+// One campaign task, traced as one fault-sweep-shard span.
+CampaignCounts task_counts(const Circuit& circuit, const Circuit& golden,
+                           const FaultUniverse& universe,
+                           const std::vector<std::uint32_t>& sampled,
+                           const CampaignOptions& options,
+                           std::span<const exec::Shard> shards) {
+  const obs::Span span("fault-sweep-shard", {},
+                       "shards=" + std::to_string(shards.front().index) +
+                           ".." + std::to_string(shards.back().index));
+  return sweep_task(circuit, golden, universe, sampled, options, shards,
+                    nullptr);
+}
+
+// finalize_campaign, given the number of sampled classes.
+FaultCampaignResult finalize(const Circuit& circuit, const Circuit& golden,
+                             const FaultUniverse& universe,
+                             const CampaignOptions& options,
+                             std::uint64_t sampled,
+                             const CampaignCounts& counts) {
+  FaultCampaignResult result;
+  result.nets = universe.num_nets();
+  result.sites = universe.num_sites();
+  result.classes = universe.num_classes();
+  result.untestable = universe.num_untestable();
+  result.sampled = sampled;
+  result.patterns = pattern_total(golden, options);
+  result.sim_passes = counts.passes;
+  result.first_detect_pattern = counts.first_pattern;
+  result.first_detect_output = counts.first_output;
+  result.detection_counts.assign(result.classes, 0);
+  std::set<std::uint32_t> first_detectors;
+  for (std::size_t c = 0; c < counts.first_pattern.size(); ++c) {
+    if (counts.first_pattern[c] != kNotDetected) {
+      result.detection_counts[c] = 1;
+      ++result.detected;
+      first_detectors.insert(counts.first_output[c]);
+    }
+  }
+  result.detect_outputs = first_detectors.size();
+  result.coverage = result.sampled == 0
+                        ? 0.0
+                        : static_cast<double>(result.detected) /
+                              static_cast<double>(result.sampled);
+  // A pruned full run still grades every *testable* class exactly; only a
+  // genuine sample (fewer than the testable universe) earns an interval.
+  if (result.sampled < result.classes - result.untestable) {
+    // The sample is a deterministic subset, graded exactly; the Wilson
+    // interval prices what it says about the rest of the universe.
+    const sim::ReliabilityResult wilson =
+        sim::wilson_interval(result.detected, result.sampled);
+    result.coverage_ci_low = wilson.ci_low;
+    result.coverage_ci_high = wilson.ci_high;
+  } else {
+    result.coverage_ci_low = result.coverage;
+    result.coverage_ci_high = result.coverage;
+  }
+  result.masked_fraction = 1.0 - result.coverage;
+  result.gates = circuit.gate_count();
+  result.golden_gates = golden.gate_count();
+  result.gate_overhead = result.golden_gates == 0
+                             ? 1.0
+                             : static_cast<double>(result.gates) /
+                                   static_cast<double>(result.golden_gates);
+  // Cost of masking: infinite when nothing is masked (renders as JSON null).
+  result.overhead_per_masked = result.gate_overhead / result.masked_fraction;
+  return result;
 }
 
 }  // namespace
@@ -306,9 +434,8 @@ CampaignCounts campaign_shard_counts(const Circuit& circuit,
                                      const FaultUniverse& universe,
                                      const CampaignOptions& options,
                                      const exec::Shard& shard) {
-  const obs::Span span("fault-sweep-shard", {},
-                       "shard=" + std::to_string(shard.index));
-  return sweep_shard(circuit, golden, universe, options, shard, nullptr);
+  return task_counts(circuit, golden, universe,
+                     sampled_classes(universe, options), options, {&shard, 1});
 }
 
 FaultCampaignResult finalize_campaign(const Circuit& circuit,
@@ -316,53 +443,8 @@ FaultCampaignResult finalize_campaign(const Circuit& circuit,
                                       const FaultUniverse& universe,
                                       const CampaignOptions& options,
                                       const CampaignCounts& counts) {
-  FaultCampaignResult result;
-  result.nets = universe.num_nets();
-  result.sites = universe.num_sites();
-  result.classes = universe.num_classes();
-  result.untestable = universe.num_untestable();
-  result.sampled = sampled_classes(universe, options).size();
-  result.patterns = pattern_total(golden, options);
-  result.sim_passes = counts.passes;
-  result.first_detect_pattern = counts.first_pattern;
-  result.first_detect_output = counts.first_output;
-  result.detection_counts.assign(result.classes, 0);
-  std::set<std::uint32_t> first_detectors;
-  for (std::size_t c = 0; c < counts.first_pattern.size(); ++c) {
-    if (counts.first_pattern[c] != kNotDetected) {
-      result.detection_counts[c] = 1;
-      ++result.detected;
-      first_detectors.insert(counts.first_output[c]);
-    }
-  }
-  result.detect_outputs = first_detectors.size();
-  result.coverage = result.sampled == 0
-                        ? 0.0
-                        : static_cast<double>(result.detected) /
-                              static_cast<double>(result.sampled);
-  // A pruned full run still grades every *testable* class exactly; only a
-  // genuine sample (fewer than the testable universe) earns an interval.
-  if (result.sampled < result.classes - result.untestable) {
-    // The sample is a deterministic subset, graded exactly; the Wilson
-    // interval prices what it says about the rest of the universe.
-    const sim::ReliabilityResult wilson =
-        sim::wilson_interval(result.detected, result.sampled);
-    result.coverage_ci_low = wilson.ci_low;
-    result.coverage_ci_high = wilson.ci_high;
-  } else {
-    result.coverage_ci_low = result.coverage;
-    result.coverage_ci_high = result.coverage;
-  }
-  result.masked_fraction = 1.0 - result.coverage;
-  result.gates = circuit.gate_count();
-  result.golden_gates = golden.gate_count();
-  result.gate_overhead = result.golden_gates == 0
-                             ? 1.0
-                             : static_cast<double>(result.gates) /
-                                   static_cast<double>(result.golden_gates);
-  // Cost of masking: infinite when nothing is masked (renders as JSON null).
-  result.overhead_per_masked = result.gate_overhead / result.masked_fraction;
-  return result;
+  return finalize(circuit, golden, universe, options,
+                  sampled_classes(universe, options).size(), counts);
 }
 
 exec::ShardedJob<FaultCampaignResult> campaign_job(
@@ -371,15 +453,19 @@ exec::ShardedJob<FaultCampaignResult> campaign_job(
   validate_campaign_inputs(circuit, golden, options);
   auto universe = std::make_shared<const FaultUniverse>(FaultUniverse::build(
       circuit, options.collapse, options.prune_untestable));
+  auto sampled = std::make_shared<const std::vector<std::uint32_t>>(
+      sampled_classes(*universe, options));
   const exec::ShardPlan plan = campaign_shard_plan(golden, options);
   return exec::merging_job(
-      plan.num_shards(), CampaignCounts(universe->num_classes()),
-      [&circuit, &golden, universe, options, plan](std::size_t i) {
-        return campaign_shard_counts(circuit, golden, *universe, options,
-                                     plan.shard(i));
+      task_count(plan), CampaignCounts(universe->num_classes()),
+      [&circuit, &golden, universe, sampled, options, plan](std::size_t t) {
+        return task_counts(circuit, golden, *universe, *sampled, options,
+                           task_shards(plan, t));
       },
-      [&circuit, &golden, universe, options](const CampaignCounts& total) {
-        return finalize_campaign(circuit, golden, *universe, options, total);
+      [&circuit, &golden, universe, sampled,
+       options](const CampaignCounts& total) {
+        return finalize(circuit, golden, *universe, options, sampled->size(),
+                        total);
       });
 }
 
@@ -407,13 +493,15 @@ DetectionTable build_detection_table(const Circuit& circuit,
   table.detected.resize(plan.total());
   exec::LockedTotal<CampaignCounts> counts(
       CampaignCounts(universe.num_classes()));
-  exec::for_each_shard(
-      plan,
-      [&](const exec::Shard& shard) {
+  const std::vector<std::uint32_t> sampled =
+      sampled_classes(universe, options);
+  exec::for_each_index(
+      task_count(plan),
+      [&](std::size_t t) {
         // Slot-per-pattern row writes are race-free (disjoint slots); only
         // the counts merge needs the lock.
-        counts.merge(
-            sweep_shard(circuit, golden, universe, options, shard, &table));
+        counts.merge(sweep_task(circuit, golden, universe, sampled, options,
+                                task_shards(plan, t), &table));
       },
       how);
   table.counts = counts.take();

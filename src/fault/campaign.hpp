@@ -20,15 +20,28 @@
 // co-scheduled work, which is what lets FaultCampaignRequest ride the
 // batch evaluator and the serve daemon's result cache unchanged.
 //
+// Tasks: the unit of scheduling is a task of consecutive shards, sized to
+// the kernel's 512-pattern block (fault_sim.hpp). When shard_patterns <=
+// 512 a task holds 512 / shard_patterns whole shards, graded together in
+// one block with each shard a segment of it; a longer shard is a task of
+// its own, graded a block at a time. Tasks change only how much work one
+// kernel call carries: every shard keeps its pattern stream, and its first
+// detections, first outputs and passes are computed from its own bit range
+// of the block, so every result field is the same as grading the shards
+// one by one. One `fault-sweep-shard` span is traced per task, and
+// `fault-sweep-events-total` counts block evaluations (each covers up to
+// 512 patterns).
+//
 // Scale knobs (all preserve that contract exactly):
 //   drop    retire detected classes *within a shard*: a class leaves the
-//           kernel's active set after the word that first detects it, and
-//           the pass count after the pattern that does. First detections
-//           are recorded before retirement and shard-local pattern order
-//           is sequential, so every output field is bit-identical to the
-//           no-drop path — only sim_passes shrinks. Passes are a
-//           normalized work unit, one golden pass plus one per 64 active
-//           classes per pattern, whatever the kernel does.
+//           pass count after the pattern that first detects it in the
+//           shard, and the kernel's active set between the blocks of a
+//           shard longer than one block. First detections are recorded
+//           before retirement and shard-local pattern order is sequential,
+//           so every output field is bit-identical to the no-drop path —
+//           only sim_passes shrinks. Passes are a normalized work unit, one
+//           golden pass plus one per 64 active classes per pattern, counted
+//           per shard, whatever the kernel and the task grouping do.
 //   sample  simulate only a deterministic sample of the classes (counter
 //           stream keyed by seed) and report coverage of the sample with a
 //           Wilson confidence interval. Changes what is simulated, so it
@@ -152,9 +165,10 @@ struct FaultCampaignResult {
 
 // ---- shard-level building blocks -----------------------------------------
 //
-// campaign_job is *defined* as the merge of these shard bodies; run_campaign
-// and the batch engine both drive that job, so batched campaigns are
-// bit-identical to direct calls by construction.
+// campaign_job is *defined* as the merge of the task body behind
+// campaign_shard_counts; run_campaign and the batch engine both drive that
+// job, so batched campaigns are bit-identical to direct calls by
+// construction.
 
 // Validation run_campaign applies before sharding: bundle-divisible
 // interfaces, golden/circuit agreement on the logical interface, positive
@@ -200,8 +214,9 @@ struct CampaignCounts {
   void merge(const CampaignCounts& other);
 };
 
-// Counts contributed by one shard of the plan. Precondition: inputs
-// validated and `universe` built for `circuit` with options.collapse.
+// Counts contributed by one shard of the plan, graded as a task of its
+// own. Precondition: inputs validated and `universe` built for `circuit`
+// with options.collapse.
 [[nodiscard]] CampaignCounts campaign_shard_counts(
     const netlist::Circuit& circuit, const netlist::Circuit& golden,
     const FaultUniverse& universe, const CampaignOptions& options,
@@ -213,9 +228,10 @@ struct CampaignCounts {
     const FaultUniverse& universe, const CampaignOptions& options,
     const CampaignCounts& counts);
 
-// A whole campaign as one sharded job (see exec::ShardedJob): validates,
-// builds the fault universe once (shared read-only by every shard), and
-// merges each pattern shard's counts under the job's lock. `golden` is the
+// A whole campaign as one sharded job (see exec::ShardedJob) with one job
+// shard per task (see "Tasks" above): validates, builds the fault universe
+// and the sampled class list once (shared read-only by every task), and
+// merges each task's counts under the job's lock. `golden` is the
 // reference whose outputs detection compares against.
 [[nodiscard]] exec::ShardedJob<FaultCampaignResult> campaign_job(
     const netlist::Circuit& circuit, const netlist::Circuit& golden,
@@ -232,10 +248,10 @@ struct CampaignCounts {
 // Everything the row-level output needs: the patterns actually simulated
 // (global pattern-index order), per pattern one detection word per 64-class
 // block (bit c = class c detected — universe class indexing), and the
-// merged first-detection counts. Built with slot-per-pattern writes, so the
-// table is bit-identical for any thread count. The table path never drops
-// (rows must be complete),
-// so its counts.passes match the no-drop campaign.
+// merged first-detection counts. Built by the campaign's tasks with
+// slot-per-pattern writes, so the table is bit-identical for any thread
+// count. The table path never drops (rows must be complete), so its
+// counts.passes match the no-drop campaign.
 struct DetectionTable {
   std::vector<std::vector<bool>> patterns;        // [pattern][logical input]
   std::vector<std::vector<sim::Word>> detected;   // [pattern][class / 64]

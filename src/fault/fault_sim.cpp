@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <variant>
 
 #include "netlist/gate_type.hpp"
 
@@ -60,18 +61,12 @@ PatternFaultSim::PatternFaultSim(const Circuit& circuit,
       outputs_(circuit.outputs()),
       bundle_width_(bundle_width),
       stem_of_(circuit.node_count(), ~NodeId{0}),
-      values_(circuit.node_count(), 0),
-      obs_(circuit.node_count(), 0),
       pending_(circuit.node_count() / sim::kWordBits + 1, 0),
       bundle_counter_(bundle_width > 0 ? bundle_width : 1) {
   validate_bundle_interface(circuit, bundle_width);
-  logical_inputs_ =
-      circuit.num_inputs() / static_cast<std::size_t>(bundle_width);
-  const std::size_t logical_outputs =
-      outputs_.size() / static_cast<std::size_t>(bundle_width);
-  expected_.assign(logical_outputs, 0);
-  base_diff_.assign(logical_outputs, 0);
-  stem_diff_.assign(logical_outputs, 0);
+  const auto width = static_cast<std::size_t>(bundle_width);
+  logical_inputs_ = circuit.num_inputs() / width;
+  logical_outputs_ = outputs_.size() / width;
   // Stems: primary outputs, then every node whose fanout count is not 1.
   // Any other node belongs to the FFR of its one consumer, which has a
   // larger id, so a descending scan sees the consumer's stem first.
@@ -97,10 +92,9 @@ void PatternFaultSim::set_active(const std::vector<std::uint32_t>& classes) {
     }
     const FaultSite site = universe_->representative(cls);
     sites.push_back({stem_of_[site.node], site.node,
-                     site.value == StuckAt::kOne ? sim::kAllOnes : Word{0},
-                     cls});
+                     site.value == StuckAt::kOne, cls});
   }
-  // Grouped by stem, so detect_word flips each stem at most once.
+  // Grouped by stem, so a block flips each stem at most once.
   std::stable_sort(sites.begin(), sites.end(),
                    [](const ActiveSite& a, const ActiveSite& b) {
                      return a.stem < b.stem;
@@ -108,20 +102,29 @@ void PatternFaultSim::set_active(const std::vector<std::uint32_t>& classes) {
   active_ = std::move(sites);
 }
 
-Word PatternFaultSim::decode_output(std::size_t o) {
-  if (bundle_width_ == 1) return values_[outputs_[o]];
+template <int W>
+sim::Block<W> PatternFaultSim::decode_output(const Scratch<W>& s,
+                                             std::size_t o) {
+  if (bundle_width_ == 1) return s.values[outputs_[o]];
+  // Majority decode, one word at a time.
   const auto width = static_cast<std::size_t>(bundle_width_);
-  bundle_counter_.reset();
-  for (std::size_t w = 0; w < width; ++w) {
-    bundle_counter_.add(values_[outputs_[o * width + w]]);
+  sim::Block<W> decoded;
+  for (int k = 0; k < W; ++k) {
+    bundle_counter_.reset();
+    for (std::size_t w = 0; w < width; ++w) {
+      bundle_counter_.add(s.values[outputs_[o * width + w]].words[k]);
+    }
+    decoded.words[k] = bundle_counter_.greater_than(bundle_width_ / 2);
   }
-  return bundle_counter_.greater_than(bundle_width_ / 2);
+  return decoded;
 }
 
-Word PatternFaultSim::flip_stem(NodeId stem) {
-  touched_.clear();
-  touched_.emplace_back(stem, values_[stem]);
-  values_[stem] = ~values_[stem];
+template <int W>
+sim::Block<W> PatternFaultSim::flip_stem(Scratch<W>& s, NodeId stem) {
+  std::vector<sim::Block<W>>& values = s.values;
+  s.touched.clear();
+  s.touched.emplace_back(stem, values[stem]);
+  values[stem] = ~values[stem];
   const std::span<const NodeId> stem_fanouts = fanouts_.of(stem);
   if (!stem_fanouts.empty()) {
     for (const NodeId fanout : stem_fanouts) {
@@ -129,9 +132,9 @@ Word PatternFaultSim::flip_stem(NodeId stem) {
     }
     // Event-driven sweep: ids are topological and every fanout has a larger
     // id than its driver, so scanning the pending bitset upward evaluates
-    // each queued node once, after all of its fanins. A node that still
-    // equals the good machine stops there; one that differs queues its
-    // fanouts (fanouts ascend, so the last one bounds the scan).
+    // each queued node once, after all of its fanins. A node whose whole
+    // block still equals the good machine stops there; one that differs
+    // queues its fanouts (fanouts ascend, so the last one bounds the scan).
     std::size_t last = word_of(stem_fanouts.back());
     for (std::size_t w = word_of(stem_fanouts.front()); w <= last; ++w) {
       while (pending_[w] != 0) {
@@ -139,12 +142,12 @@ Word PatternFaultSim::flip_stem(NodeId stem) {
         pending_[w] = bits & (bits - 1);
         const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
         const auto id = static_cast<NodeId>(w * sim::kWordBits + bit);
-        const Word value = netlist::eval_gate<Word>(
-            circuit_->type(id), values_, circuit_->fanins(id));
+        const sim::Block<W> value = netlist::eval_gate<sim::Block<W>>(
+            circuit_->type(id), values, circuit_->fanins(id));
         ++events_;
-        if (value == values_[id]) continue;
-        touched_.emplace_back(id, values_[id]);
-        values_[id] = value;
+        if (value == values[id]) continue;
+        s.touched.emplace_back(id, values[id]);
+        values[id] = value;
         const std::span<const NodeId> fanouts = fanouts_.of(id);
         for (const NodeId fanout : fanouts) {
           pending_[word_of(fanout)] |= bit_of(fanout);
@@ -153,102 +156,155 @@ Word PatternFaultSim::flip_stem(NodeId stem) {
       }
     }
   }
-  Word detected = 0;
-  for (std::size_t o = 0; o < stem_diff_.size(); ++o) {
-    stem_diff_[o] = decode_output(o) ^ expected_[o];
-    detected |= stem_diff_[o];
+  sim::Block<W> detected;
+  for (std::size_t o = 0; o < logical_outputs_; ++o) {
+    s.stem_diff[o] = decode_output(s, o) ^ s.expected[o];
+    detected |= s.stem_diff[o];
   }
-  for (const auto& [id, good] : touched_) values_[id] = good;
+  for (const auto& [id, good] : s.touched) values[id] = good;
   return detected;
 }
 
-const std::vector<PatternFaultSim::Detection>& PatternFaultSim::detect_word(
-    std::span<const Word> inputs, int count, std::span<const Word> expected) {
-  const auto width = static_cast<std::size_t>(bundle_width_);
-  if (inputs.size() != logical_inputs_) {
+const std::vector<PatternFaultSim::Detection>& PatternFaultSim::detect_block(
+    std::span<const Word> inputs, int count, std::span<const Word> expected,
+    int segment) {
+  if (count < 1 || count > sim::kBlockPatterns) {
+    throw std::invalid_argument("fault: a block holds 1 to " +
+                                std::to_string(sim::kBlockPatterns) +
+                                " patterns, got " + std::to_string(count));
+  }
+  const auto words = static_cast<std::size_t>(sim::words_for(count));
+  if (inputs.size() != logical_inputs_ * words) {
     throw std::invalid_argument("fault: pattern size mismatch");
   }
-  if (!expected.empty() && expected.size() != expected_.size()) {
+  if (!expected.empty() && expected.size() != logical_outputs_ * words) {
     throw std::invalid_argument("fault: expected-output size mismatch");
   }
-  if (count < 1 || count > sim::kWordBits) {
-    throw std::invalid_argument("fault: a word holds 1 to 64 patterns, got " +
-                                std::to_string(count));
+  if (segment < 1) {
+    throw std::invalid_argument("fault: segments hold at least 1 pattern");
   }
-  const Word valid = sim::low_mask(count);
+  segment = std::min(segment, count);
+  // The narrowest width that holds the block.
+  if (words == 1) {
+    detect<1>(inputs, count, expected, segment);
+  } else if (words == 2) {
+    detect<2>(inputs, count, expected, segment);
+  } else if (words <= 4) {
+    detect<4>(inputs, count, expected, segment);
+  } else {
+    detect<8>(inputs, count, expected, segment);
+  }
+  return detections_;
+}
+
+template <int W>
+void PatternFaultSim::detect(std::span<const Word> inputs, int count,
+                             std::span<const Word> expected, int segment) {
+  using Block = sim::Block<W>;
+  const Circuit& circuit = *circuit_;
+  auto* scratch = std::get_if<Scratch<W>>(&scratch_);
+  if (scratch == nullptr) {
+    scratch = &scratch_.template emplace<Scratch<W>>(circuit.node_count(),
+                                                     logical_outputs_);
+  }
+  Scratch<W>& s = *scratch;
+  std::vector<Block>& values = s.values;
+  const auto words = static_cast<std::size_t>(sim::words_for(count));
+  const auto width = static_cast<std::size_t>(bundle_width_);
+  const Block valid = Block::low_mask(count);
+  // Word k of the caller's i-th of `n` signals; words past the block's are
+  // zero.
+  const auto load = [&](std::span<const Word> packed, std::size_t n,
+                        std::size_t i) {
+    Block block;
+    for (std::size_t k = 0; k < words; ++k) block.words[k] = packed[k * n + i];
+    return block;
+  };
 
   // The good machine, with each logical input broadcast to its bundle.
-  const Circuit& circuit = *circuit_;
   for (NodeId id = 0; id < circuit.node_count(); ++id) {
     const int slot = circuit.input_index(id);
-    values_[id] = slot >= 0 ? inputs[static_cast<std::size_t>(slot) / width]
-                            : netlist::eval_gate<Word>(circuit.type(id), values_,
+    values[id] = slot >= 0 ? load(inputs, logical_inputs_,
+                                  static_cast<std::size_t>(slot) / width)
+                           : netlist::eval_gate<Block>(circuit.type(id), values,
                                                        circuit.fanins(id));
   }
   // Where the good machine already misses `expected` (never, when it is
   // the reference itself): a fault that does not reach its stem leaves the
   // outputs exactly there.
-  Word base_mismatch = 0;
-  for (std::size_t o = 0; o < expected_.size(); ++o) {
-    const Word good = decode_output(o);
-    expected_[o] = expected.empty() ? good : expected[o];
-    base_diff_[o] = (good ^ expected_[o]) & valid;
-    base_mismatch |= base_diff_[o];
+  Block base_mismatch;
+  for (std::size_t o = 0; o < logical_outputs_; ++o) {
+    const Block good = decode_output(s, o);
+    s.expected[o] =
+        expected.empty() ? good : load(expected, logical_outputs_, o);
+    s.base_diff[o] = (good ^ s.expected[o]) & valid;
+    base_mismatch |= s.base_diff[o];
   }
   // Observability at the stem, consumers before their fanins: a stem sees
   // itself; a non-stem node is seen where its one consumer is sensitized
   // to it (that consumer forced-1 XOR forced-0) and the consumer is seen.
   for (NodeId id = circuit.node_count(); id-- > 0;) {
     if (stem_of_[id] == id) {
-      obs_[id] = sim::kAllOnes;
+      s.obs[id] = ~Block{};
       continue;
     }
     const NodeId consumer = fanouts_.of(id)[0];
-    Word obs = obs_[consumer];
-    if (obs != 0) {
-      const Word good = values_[id];
-      values_[id] = sim::kAllOnes;
-      const Word high = netlist::eval_gate<Word>(
-          circuit.type(consumer), values_, circuit.fanins(consumer));
-      values_[id] = 0;
-      const Word low = netlist::eval_gate<Word>(
-          circuit.type(consumer), values_, circuit.fanins(consumer));
-      values_[id] = good;
+    Block obs = s.obs[consumer];
+    if (obs.any()) {
+      const Block good = values[id];
+      values[id] = ~Block{};
+      const Block high = netlist::eval_gate<Block>(
+          circuit.type(consumer), values, circuit.fanins(consumer));
+      values[id] = Block{};
+      const Block low = netlist::eval_gate<Block>(
+          circuit.type(consumer), values, circuit.fanins(consumer));
+      values[id] = good;
       obs &= high ^ low;
     }
-    obs_[id] = obs;
+    s.obs[id] = obs;
   }
 
   // Classes stem by stem: flip a stem only when some active fault reaches
   // it, then resolve each of its classes in O(1).
   const auto reach_of = [&](const ActiveSite& site) {
-    return (values_[site.node] ^ site.stuck) & obs_[site.node] & valid;
+    const Block& good = values[site.node];
+    return (site.stuck_one ? ~good : good) & s.obs[site.node] & valid;
   };
   detections_.clear();
+  first_hits_.clear();
   for (std::size_t begin = 0; begin < active_.size();) {
     const NodeId stem = active_[begin].stem;
     std::size_t end = begin;
-    Word any_reach = 0;
+    Block any_reach;
     for (; end < active_.size() && active_[end].stem == stem; ++end) {
       any_reach |= reach_of(active_[end]);
     }
-    const Word stem_detected = any_reach != 0 ? flip_stem(stem) : 0;
+    const Block stem_detected = any_reach.any() ? flip_stem(s, stem) : Block{};
     for (std::size_t i = begin; i < end; ++i) {
-      const Word reach = reach_of(active_[i]);
-      const Word detected = (reach & stem_detected) | (~reach & base_mismatch);
-      if (detected == 0) continue;
-      // The lowest detecting pattern sees the flipped stem's outputs where
-      // the fault reaches the stem and the good machine's elsewhere.
-      const Word first = detected & (~detected + 1);
-      const std::vector<Word>& diffs =
-          (reach & first) != 0 ? stem_diff_ : base_diff_;
-      std::uint32_t output = 0;
-      while (output < diffs.size() && (diffs[output] & first) == 0) ++output;
-      detections_.push_back({active_[i].cls, detected, output});
+      const Block reach = reach_of(active_[i]);
+      const Block detected = (reach & stem_detected) | (~reach & base_mismatch);
+      if (!detected.any()) continue;
+      Detection& hit = detections_.emplace_back();
+      hit.cls = active_[i].cls;
+      std::copy(detected.words.begin(), detected.words.end(),
+                hit.patterns.words.begin());
+      hit.first_begin = static_cast<std::uint32_t>(first_hits_.size());
+      // Each segment's lowest detecting pattern sees the flipped stem's
+      // outputs where the fault reaches the stem and the good machine's
+      // elsewhere.
+      for (int p = detected.find_first(0); p < count;) {
+        const std::vector<Block>& diffs =
+            reach.test(p) ? s.stem_diff : s.base_diff;
+        std::uint32_t output = 0;
+        while (output < diffs.size() && !diffs[output].test(p)) ++output;
+        first_hits_.push_back({static_cast<std::uint32_t>(p), output});
+        const int next = (p / segment + 1) * segment;
+        p = next < count ? detected.find_first(next) : count;
+      }
+      hit.first_end = static_cast<std::uint32_t>(first_hits_.size());
     }
     begin = end;
   }
-  return detections_;
 }
 
 // ---- ScalarFaultSim --------------------------------------------------------

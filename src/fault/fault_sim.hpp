@@ -3,35 +3,41 @@
 // Two implementations of the same question — "which faults does this input
 // pattern detect?" — with opposite packings:
 //
-//   PatternFaultSim   packs one *pattern* per bit of a 64-bit word and
-//                     answers the question for up to 64 patterns at once,
-//                     one fault class at a time, in the style of
-//                     pattern-parallel single-fault propagation. Per word
-//                     it simulates the good machine once, then computes in
-//                     one backward pass each node's observability to the
-//                     stem of its fanout-free region (FFR): a node is a
-//                     *stem* when its fanout count (with multiplicity) is
-//                     not 1 or it is a primary output; any other node's one
-//                     consumer is sensitized to it on the patterns where
-//                     forcing the node to 1 and to 0 gives different gate
-//                     values, and its observability is that sensitivity
-//                     ANDed with the consumer's own. A fault then *reaches*
-//                     its stem exactly on
+//   PatternFaultSim   packs one *pattern* per bit of a block of up to 8
+//                     64-bit words (sim::Block) and answers the question
+//                     for up to 512 patterns at once, one fault class at a
+//                     time, in the style of pattern-parallel single-fault
+//                     propagation. Per block it simulates the good machine
+//                     once, then computes in one backward pass each node's
+//                     observability to the stem of its fanout-free region
+//                     (FFR): a node is a *stem* when its fanout count (with
+//                     multiplicity) is not 1 or it is a primary output; any
+//                     other node's one consumer is sensitized to it on the
+//                     patterns where forcing the node to 1 and to 0 gives
+//                     different gate values, and its observability is that
+//                     sensitivity ANDed with the consumer's own. A fault
+//                     then *reaches* its stem exactly on
 //                         reach = (good ^ stuck) & obs & valid,
 //                     because inside an FFR the effect has a single path
 //                     whose side inputs the fault cannot touch. Everything
 //                     past the stem is the circuit with the stem flipped,
 //                     so each stem some active fault reaches is flipped
-//                     once per word and propagated event-driven over the
-//                     fanout inverse (netlist::Fanouts); that records its
-//                     decoded per-output difference words against
-//                     `expected`. A class is then O(1):
+//                     once per block and propagated event-driven over the
+//                     fanout inverse (netlist::Fanouts); a node stops the
+//                     propagation when its whole block equals the good
+//                     machine. That records the stem's decoded per-output
+//                     difference blocks against `expected`. A class is then
+//                     O(1) in the block:
 //                         det = (reach & stem_det) | (~reach & base_mismatch)
 //                     where base_mismatch is where the good machine itself
 //                     differs from `expected` (a non-equivalent golden).
-//                     The simulated set is an explicit *active list* of
-//                     class indices (default: the whole universe), which is
-//                     what fault dropping and sampled campaigns shrink.
+//                     A flip changes nearly the same nodes whatever number
+//                     of patterns it carries, so one event grades up to 512
+//                     patterns; each call runs at the narrowest of 1, 2, 4
+//                     or 8 words that holds its patterns. The simulated set
+//                     is an explicit *active list* of class indices
+//                     (default: the whole universe), which is what fault
+//                     dropping and sampled campaigns shrink.
 //
 //   ScalarFaultSim    injects one fault at a time and evaluates one pattern
 //                     gate by gate, in a full sweep of its own over the
@@ -60,6 +66,7 @@
 #include <cstdint>
 #include <span>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "fault/fault_model.hpp"
@@ -71,13 +78,20 @@ namespace enb::fault {
 
 class PatternFaultSim {
  public:
-  // One detected class of a word: bit p of `patterns` is set iff pattern p
-  // detects it, and `first_output` is the lowest logical output whose
-  // decoded value differs from expected on the lowest such pattern.
+  // The lowest detecting pattern of one segment of a block, and the lowest
+  // logical output whose decoded value differs from expected on it.
+  struct FirstHit {
+    std::uint32_t pattern = 0;  // block-local pattern index
+    std::uint32_t output = kNoOutput;
+  };
+  // One detected class of a block: bit p of `patterns` is set iff pattern p
+  // detects it. first_hits() lists its FirstHit per segment that holds a
+  // detecting pattern, in pattern order.
   struct Detection {
     std::uint32_t cls = 0;
-    sim::Word patterns = 0;
-    std::uint32_t first_output = kNoOutput;
+    sim::Block<sim::kBlockWords> patterns;
+    std::uint32_t first_begin = 0;  // range in first_hits()
+    std::uint32_t first_end = 0;
   };
 
   // Throws std::invalid_argument when the interface is not bundle-divisible
@@ -90,17 +104,30 @@ class PatternFaultSim {
   // Throws std::invalid_argument on an out-of-range index.
   void set_active(const std::vector<std::uint32_t>& classes);
 
-  // Simulates `count` patterns (1..64) at once. inputs[i] holds logical
-  // input i, bit p for pattern p; bits at and above `count` are ignored.
-  // expected[o] holds the reference value of logical output o the same
-  // way, or `expected` is empty to compare against the circuit's own
-  // fault-free outputs. Returns the active classes that at least one of the
-  // patterns detects, valid until the next call.
-  [[nodiscard]] const std::vector<Detection>& detect_word(
+  // Simulates `count` patterns (1..512) at once, in sim::words_for(count)
+  // words: inputs[k * L + i] holds logical input i of patterns 64k..64k+63,
+  // bit p for pattern 64k + p, where L is the logical input count; bits at
+  // and above `count` are ignored. expected[k * O + o] holds the reference
+  // value of logical output o the same way (O logical outputs), or
+  // `expected` is empty to compare against the circuit's own fault-free
+  // outputs. The block splits into consecutive segments of `segment`
+  // patterns (the last may be short; a campaign's shards), and each
+  // Detection records the first hit of every segment it is detected in.
+  // Returns the active classes that at least one of the patterns detects,
+  // valid until the next call. Throws std::invalid_argument when count is
+  // outside 1..512, segment < 1, or a span has the wrong size.
+  [[nodiscard]] const std::vector<Detection>& detect_block(
       std::span<const sim::Word> inputs, int count,
-      std::span<const sim::Word> expected);
+      std::span<const sim::Word> expected, int segment = sim::kBlockPatterns);
 
-  // Node evaluations spent propagating flipped stems so far (the good
+  // The per-segment first hits of a Detection from the last detect_block.
+  [[nodiscard]] std::span<const FirstHit> first_hits(
+      const Detection& hit) const noexcept {
+    return std::span<const FirstHit>(first_hits_)
+        .subspan(hit.first_begin, hit.first_end - hit.first_begin);
+  }
+
+  // Block evaluations spent propagating flipped stems so far (the good
   // machine and the backward pass excluded).
   [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
 
@@ -108,15 +135,35 @@ class PatternFaultSim {
   struct ActiveSite {
     netlist::NodeId stem;
     netlist::NodeId node;
-    sim::Word stuck;  // all-ones for stuck-at-1
+    bool stuck_one;
     std::uint32_t cls;
   };
+  // Per-node and per-output blocks at one width.
+  template <int W>
+  struct Scratch {
+    Scratch(std::size_t nodes, std::size_t logical_outputs)
+        : values(nodes), obs(nodes), expected(logical_outputs),
+          base_diff(logical_outputs), stem_diff(logical_outputs) {}
+    // Per node: the good machine, except while flip_stem runs.
+    std::vector<sim::Block<W>> values;
+    std::vector<sim::Block<W>> obs;  // per node: observability at its stem
+    std::vector<std::pair<netlist::NodeId, sim::Block<W>>> touched;
+    std::vector<sim::Block<W>> expected;   // per logical output
+    std::vector<sim::Block<W>> base_diff;  // good machine ^ expected, valid
+    std::vector<sim::Block<W>> stem_diff;  // last flipped stem ^ expected
+  };
 
-  // Decoded value of logical output `o` in values_.
-  [[nodiscard]] sim::Word decode_output(std::size_t o);
-  // Flips `stem` on every pattern, propagates the flip, fills stem_diff_
-  // and restores values_ to the good machine; returns the detection word.
-  sim::Word flip_stem(netlist::NodeId stem);
+  template <int W>
+  void detect(std::span<const sim::Word> inputs, int count,
+              std::span<const sim::Word> expected, int segment);
+  // Decoded value of logical output `o` in `s.values`.
+  template <int W>
+  [[nodiscard]] sim::Block<W> decode_output(const Scratch<W>& s,
+                                            std::size_t o);
+  // Flips `stem` on every pattern, propagates the flip, fills s.stem_diff
+  // and restores s.values to the good machine; returns the detection block.
+  template <int W>
+  sim::Block<W> flip_stem(Scratch<W>& s, netlist::NodeId stem);
 
   const netlist::Circuit* circuit_;
   netlist::Fanouts fanouts_;
@@ -124,17 +171,15 @@ class PatternFaultSim {
   std::span<const netlist::NodeId> outputs_;
   int bundle_width_;
   std::size_t logical_inputs_ = 0;
+  std::size_t logical_outputs_ = 0;
   std::vector<netlist::NodeId> stem_of_;  // per node: its FFR's stem
   std::vector<ActiveSite> active_;        // grouped by stem
-  // Per node: the good machine, except while flip_stem runs.
-  std::vector<sim::Word> values_;
-  std::vector<sim::Word> obs_;       // per node: observability at its stem
-  std::vector<sim::Word> pending_;   // bitset over node ids to evaluate
-  std::vector<std::pair<netlist::NodeId, sim::Word>> touched_;
-  std::vector<sim::Word> expected_;   // per logical output
-  std::vector<sim::Word> base_diff_;  // good machine ^ expected, valid bits
-  std::vector<sim::Word> stem_diff_;  // last flipped stem ^ expected
+  std::vector<sim::Word> pending_;        // bitset over node ids to evaluate
+  std::variant<std::monostate, Scratch<1>, Scratch<2>, Scratch<4>,
+               Scratch<8>>
+      scratch_;  // at the width of the last block
   std::vector<Detection> detections_;
+  std::vector<FirstHit> first_hits_;
   sim::LaneCounter bundle_counter_;
   std::uint64_t events_ = 0;
 };

@@ -102,6 +102,12 @@ class Circuit {
 
   // Node name; synthesizes "n<id>" when no name was assigned.
   [[nodiscard]] std::string node_name(NodeId id) const;
+  // The names that were assigned, by node id; node_name synthesizes the
+  // rest.
+  [[nodiscard]] const std::unordered_map<NodeId, std::string>& node_names()
+      const noexcept {
+    return node_names_;
+  }
   // Name of output port `pos` (falls back to the driving node's name).
   [[nodiscard]] std::string output_name(std::size_t pos) const;
 

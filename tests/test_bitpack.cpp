@@ -82,5 +82,27 @@ TEST(LaneCounter, ResetClears) {
   EXPECT_EQ(counter.max_lane(), 0);
 }
 
+TEST(Block, MaskTestAndFindFirstAcrossWords) {
+  using B = Block<4>;
+  const B mask = B::low_mask(130);
+  EXPECT_EQ(mask.words, (std::array<Word, 4>{~0ULL, ~0ULL, 0b11ULL, 0}));
+  EXPECT_FALSE(B::low_mask(0).any());
+  EXPECT_EQ(B::low_mask(B::kBits), ~B{});
+  EXPECT_TRUE(mask.test(129));
+  EXPECT_FALSE(mask.test(130));
+  B bits;
+  bits.words[1] = Word{1} << 5;
+  bits.words[3] = Word{1} << 63;
+  EXPECT_EQ(bits.find_first(0), 69);
+  EXPECT_EQ(bits.find_first(69), 69);
+  EXPECT_EQ(bits.find_first(70), 255);
+  EXPECT_EQ(bits.find_first(255), 255);
+  EXPECT_EQ((bits & mask).find_first(70), B::kBits);
+  EXPECT_EQ(words_for(1), 1);
+  EXPECT_EQ(words_for(64), 1);
+  EXPECT_EQ(words_for(65), 2);
+  EXPECT_EQ(words_for(kBlockPatterns), kBlockWords);
+}
+
 }  // namespace
 }  // namespace enb::sim

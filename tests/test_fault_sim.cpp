@@ -32,36 +32,42 @@ std::vector<std::vector<bool>> random_patterns(std::size_t count,
 }
 
 // Detection bits [pattern][class] from the pattern-parallel kernel: the
-// patterns are packed 64 to a word (the last word partial), each compared
-// against its own fault-free response.
+// patterns are packed 512 to a block (the last block partial), each
+// compared against its own fault-free response.
 std::vector<std::vector<bool>> kernel_bits(
     const Circuit& circuit, const FaultUniverse& universe,
     const std::vector<std::vector<bool>>& patterns) {
   PatternFaultSim sim(circuit, universe);
   std::vector<std::vector<bool>> bits(
       patterns.size(), std::vector<bool>(universe.num_classes(), false));
+  const std::size_t num_inputs = circuit.num_inputs();
+  const std::size_t num_outputs = circuit.num_outputs();
   for (std::size_t begin = 0; begin < patterns.size();
-       begin += sim::kWordBits) {
+       begin += sim::kBlockPatterns) {
     const int count = static_cast<int>(
-        std::min<std::size_t>(sim::kWordBits, patterns.size() - begin));
-    std::vector<sim::Word> inputs(circuit.num_inputs(), 0);
-    std::vector<sim::Word> expected(circuit.num_outputs(), 0);
+        std::min<std::size_t>(sim::kBlockPatterns, patterns.size() - begin));
+    const auto words = static_cast<std::size_t>(sim::words_for(count));
+    std::vector<sim::Word> inputs(words * num_inputs, 0);
+    std::vector<sim::Word> expected(words * num_outputs, 0);
     for (int p = 0; p < count; ++p) {
       const std::vector<bool>& pattern = patterns[begin + p];
       const std::vector<bool> good = sim::eval_single(circuit, pattern);
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        if (pattern[i]) inputs[i] |= sim::Word{1} << p;
+      const std::size_t word = static_cast<std::size_t>(p) / sim::kWordBits;
+      const sim::Word bit = sim::Word{1} << (p % sim::kWordBits);
+      for (std::size_t i = 0; i < num_inputs; ++i) {
+        if (pattern[i]) inputs[word * num_inputs + i] |= bit;
       }
-      for (std::size_t o = 0; o < expected.size(); ++o) {
-        if (good[o]) expected[o] |= sim::Word{1} << p;
+      for (std::size_t o = 0; o < num_outputs; ++o) {
+        if (good[o]) expected[word * num_outputs + o] |= bit;
       }
     }
     for (const PatternFaultSim::Detection& hit :
-         sim.detect_word(inputs, count, expected)) {
-      EXPECT_EQ(hit.patterns & ~sim::low_mask(count), 0u)
+         sim.detect_block(inputs, count, expected)) {
+      EXPECT_FALSE(
+          (hit.patterns & ~sim::Block<sim::kBlockWords>::low_mask(count)).any())
           << circuit.name() << " class " << hit.cls << " padding bits";
       for (int p = 0; p < count; ++p) {
-        bits[begin + p][hit.cls] = ((hit.patterns >> p) & 1) != 0;
+        bits[begin + p][hit.cls] = hit.patterns.test(p);
       }
     }
   }
@@ -163,14 +169,15 @@ TEST(FaultSim, DetectsInjectedFaultOnObservablePath) {
   const std::vector<sim::Word> expected{0b10};
   sim::Word seen = 0;
   for (const PatternFaultSim::Detection& hit :
-       sim.detect_word(inputs, 2, expected)) {
-    if (hit.cls == g_sa1) seen = hit.patterns;
+       sim.detect_block(inputs, 2, expected)) {
+    if (hit.cls == g_sa1) seen = hit.patterns.words[0];
   }
   EXPECT_EQ(seen, 0b01u);
   // The circuit's own response as the reference gives the same answer.
   seen = 0;
-  for (const PatternFaultSim::Detection& hit : sim.detect_word(inputs, 2, {})) {
-    if (hit.cls == g_sa1) seen = hit.patterns;
+  for (const PatternFaultSim::Detection& hit :
+       sim.detect_block(inputs, 2, {})) {
+    if (hit.cls == g_sa1) seen = hit.patterns.words[0];
   }
   EXPECT_EQ(seen, 0b01u);
 }
@@ -194,10 +201,12 @@ TEST(FaultSim, PassCountingAndBlockMask) {
   std::vector<sim::Word> inputs(circuit.num_inputs(), 0);
   inputs[0] = 1;  // pattern 0 sets input 0; patterns 1..63 are all-zero
   const std::size_t zero_detects =
-      sim.detect_word(inputs, sim::kWordBits, {}).size();
+      sim.detect_block(inputs, sim::kWordBits, {}).size();
   ASSERT_GT(zero_detects, 0u);
-  for (const PatternFaultSim::Detection& hit : sim.detect_word(inputs, 1, {})) {
-    EXPECT_EQ(hit.patterns, 1u) << "class " << hit.cls;
+  for (const PatternFaultSim::Detection& hit :
+       sim.detect_block(inputs, 1, {})) {
+    EXPECT_EQ(hit.patterns.words[0], 1u) << "class " << hit.cls;
+    EXPECT_FALSE((hit.patterns & ~sim::Block<8>::low_mask(1)).any());
   }
 }
 
@@ -291,6 +300,56 @@ TEST(FaultSim, MultiWordShardsMatchOneWordShards) {
   }
 }
 
+// detect_block takes 1 to 512 patterns. c17's 32 assignments tiled over
+// every count must detect exactly what the one 32-pattern block detects at
+// the same assignment, and nothing on padding; 0 and 513 are rejected.
+TEST(FaultSim, DetectBlockAcceptsOneTo512Patterns) {
+  const Circuit c17 = gen::find_benchmark("c17").build();
+  const FaultUniverse universe = FaultUniverse::build(c17);
+  PatternFaultSim sim(c17, universe);
+  const std::size_t num_inputs = c17.num_inputs();
+  const auto packed = [&](int count) {
+    std::vector<sim::Word> inputs(
+        static_cast<std::size_t>(sim::words_for(count)) * num_inputs, 0);
+    for (int p = 0; p < count; ++p) {
+      for (std::size_t i = 0; i < num_inputs; ++i) {
+        if (((p % 32) >> i) & 1) {
+          inputs[static_cast<std::size_t>(p / sim::kWordBits) * num_inputs +
+                 i] |= sim::Word{1} << (p % sim::kWordBits);
+        }
+      }
+    }
+    return inputs;
+  };
+  std::vector<sim::Word> exhaustive(universe.num_classes(), 0);
+  for (const PatternFaultSim::Detection& hit :
+       sim.detect_block(packed(32), 32, {})) {
+    exhaustive[hit.cls] = hit.patterns.words[0];
+  }
+  for (int count = 1; count <= sim::kBlockPatterns; ++count) {
+    std::vector<sim::Block<sim::kBlockWords>> want(universe.num_classes());
+    for (std::size_t c = 0; c < want.size(); ++c) {
+      for (int p = 0; p < count; ++p) {
+        if ((exhaustive[c] >> (p % 32)) & 1) {
+          want[c].words[p / sim::kWordBits] |= sim::Word{1}
+                                               << (p % sim::kWordBits);
+        }
+      }
+    }
+    std::vector<sim::Block<sim::kBlockWords>> got(universe.num_classes());
+    for (const PatternFaultSim::Detection& hit :
+         sim.detect_block(packed(count), count, {})) {
+      got[hit.cls] = hit.patterns;
+    }
+    ASSERT_EQ(got, want) << count << " patterns";
+  }
+  EXPECT_THROW((void)sim.detect_block(packed(1), 0, {}),
+               std::invalid_argument);
+  EXPECT_THROW((void)sim.detect_block(
+                   std::vector<sim::Word>(9 * num_inputs, 0), 513, {}),
+               std::invalid_argument);
+}
+
 TEST(FaultSim, RejectsMalformedBundles) {
   const Circuit c17 = gen::find_benchmark("c17").build();
   const FaultUniverse universe = FaultUniverse::build(c17);
@@ -300,12 +359,13 @@ TEST(FaultSim, RejectsMalformedBundles) {
   PatternFaultSim sim(c17, universe, 1);
   const std::vector<sim::Word> five(5, 0);
   const std::vector<sim::Word> two(2, 0);
-  EXPECT_THROW((void)sim.detect_word(std::vector<sim::Word>(1, 0), 1, two),
+  EXPECT_THROW((void)sim.detect_block(std::vector<sim::Word>(1, 0), 1, two),
                std::invalid_argument);
-  EXPECT_THROW((void)sim.detect_word(five, 1, std::vector<sim::Word>(1, 0)),
+  EXPECT_THROW((void)sim.detect_block(five, 1, std::vector<sim::Word>(1, 0)),
                std::invalid_argument);
-  EXPECT_THROW((void)sim.detect_word(five, 0, two), std::invalid_argument);
-  EXPECT_THROW((void)sim.detect_word(five, 65, two), std::invalid_argument);
+  // A block of 65 patterns spans two words per signal.
+  EXPECT_THROW((void)sim.detect_block(five, 65, two), std::invalid_argument);
+  EXPECT_THROW((void)sim.detect_block(five, 1, two, 0), std::invalid_argument);
   EXPECT_THROW(sim.set_active({static_cast<std::uint32_t>(
                    universe.num_classes())}),
                std::invalid_argument);

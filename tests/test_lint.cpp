@@ -208,6 +208,28 @@ TEST(Lint, DuplicateNamesReportOncePerNameInNodeOrder) {
   EXPECT_EQ(lint_errors(c).diagnostics, expected);
 }
 
+TEST(Lint, ExplicitNameCollidesWithALaterUnnamedNodesSynthesizedName) {
+  // Unnamed node 3 is "n3", and so is node 5 by assignment; "n03" and "n9"
+  // (no such node) collide with nothing, nor does node 4 naming itself.
+  Circuit c("synth");
+  const auto a = c.add_input("a");
+  const auto b = c.add_input("b");
+  const auto x = c.add_input("n03");
+  const auto g = c.add_gate(GateType::kAnd, a, b);
+  const auto h = c.add_gate(GateType::kOr, g, x);
+  c.set_node_name(h, "n4");
+  const auto y = c.add_gate(GateType::kXor, h, a);
+  c.set_node_name(y, "n3");
+  const auto z = c.add_gate(GateType::kNot, y);
+  c.set_node_name(z, "n9");
+  c.add_output(z, "z");
+  const std::vector<LintDiagnostic> expected = {
+      {LintSeverity::kError, LintRule::kDuplicateName, "n3",
+       "net name 'n3' refers to both node 3 and node 5"},
+  };
+  EXPECT_EQ(lint_errors(c).diagnostics, expected);
+}
+
 TEST(Lint, VoterWithDuplicatedDriverIsASuppressibleWarning) {
   // Not an error: multiplex restorative stages legitimately route one bundle
   // wire into several voter slots, so structure alone cannot prove a defect.

@@ -2,17 +2,19 @@
 // reference, on the paths where it can go wrong: an `expected` that is not
 // the circuit's own fault-free response (so a fault that never reaches its
 // stem is still detected where the good machine misses), patterns revisited
-// on one instance, both polarities of one node in one word, faults on
+// on one instance, both polarities of one node in one block, faults on
 // inputs, constants, dangling nodes and repeated outputs, majority-decoded
 // bundles, and the fanout-free-region logic itself: outputs that also feed
 // one gate, nodes read twice by one gate, non-stem faults under MAJ, XOR
-// and a 17-input AND, and partial words. Detection bits and first outputs
-// are checked per pattern, both one pattern per word and packed.
+// and a 17-input AND, and partial blocks. Detection bits and first outputs
+// are checked per pattern, one pattern per block, packed, and tiled into
+// blocks of up to 512 patterns cut into segments.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -108,80 +110,114 @@ struct Step {
   std::vector<std::uint32_t> reference;  // per class, from ScalarReference
 };
 
-// Packs steps[begin, begin + count) into one word: bit p of inputs[i] is
-// input i of step begin + p, and likewise for expected.
-void pack_steps(const std::vector<Step>& steps, std::size_t begin, int count,
+// Packs the steps listed in `order` into one block: bit p of word p / 64
+// of input i is input i of step order[p], and likewise for expected.
+void pack_steps(const std::vector<Step>& steps,
+                const std::vector<std::size_t>& order,
                 std::vector<sim::Word>& inputs,
                 std::vector<sim::Word>& expected) {
-  inputs.assign(steps[begin].pattern.size(), 0);
-  expected.assign(steps[begin].expected.size(), 0);
-  for (int p = 0; p < count; ++p) {
-    const Step& step = steps[begin + static_cast<std::size_t>(p)];
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      if (step.pattern[i]) inputs[i] |= sim::Word{1} << p;
+  const std::size_t num_inputs = steps[0].pattern.size();
+  const std::size_t num_outputs = steps[0].expected.size();
+  const auto words =
+      static_cast<std::size_t>(sim::words_for(static_cast<int>(order.size())));
+  inputs.assign(words * num_inputs, 0);
+  expected.assign(words * num_outputs, 0);
+  for (std::size_t p = 0; p < order.size(); ++p) {
+    const Step& step = steps[order[p]];
+    const std::size_t word = p / sim::kWordBits;
+    const sim::Word bit = sim::Word{1} << (p % sim::kWordBits);
+    for (std::size_t i = 0; i < num_inputs; ++i) {
+      if (step.pattern[i]) inputs[word * num_inputs + i] |= bit;
     }
-    for (std::size_t o = 0; o < expected.size(); ++o) {
-      if (step.expected[o]) expected[o] |= sim::Word{1} << p;
+    for (std::size_t o = 0; o < num_outputs; ++o) {
+      if (step.expected[o]) expected[word * num_outputs + o] |= bit;
     }
   }
 }
 
 // Runs `steps` on one PatternFaultSim instance over `active`: first each
-// step alone as a one-pattern word, then all of them packed 64 to a word
-// (a short last word), then each step alone again. Every active class's
-// detection bit must match the reference at every pattern, its first
-// output at its lowest detecting pattern, and no padding pattern or
-// inactive class may report anything.
+// step alone as a one-pattern block, then all of them packed into one
+// block, then tiled cyclically into wider blocks cut into segments (130
+// patterns in segments of 100, 300 in segments of 7, 512 in one segment),
+// then each step alone again. Every active class's detection bit must
+// match the reference at every pattern, its first hits must be each
+// segment's lowest detecting pattern with that pattern's first output, and
+// no padding pattern or inactive class may report anything.
 void expect_kernel_matches(const Circuit& circuit,
                            const FaultUniverse& universe, int bundle_width,
                            const std::vector<std::uint32_t>& active,
                            const std::vector<Step>& steps) {
+  using Block = sim::Block<sim::kBlockWords>;
   PatternFaultSim sim(circuit, universe, bundle_width);
   sim.set_active(active);
   std::vector<bool> is_active(universe.num_classes(), false);
   for (const std::uint32_t cls : active) is_active[cls] = true;
   std::vector<sim::Word> inputs;
   std::vector<sim::Word> expected;
-  const auto run_word = [&](std::size_t begin, int count, const char* how) {
-    pack_steps(steps, begin, count, inputs, expected);
-    std::vector<sim::Word> want(universe.num_classes(), 0);
+  const auto run_block = [&](const std::vector<std::size_t>& order,
+                             int segment, const char* how) {
+    const int count = static_cast<int>(order.size());
+    pack_steps(steps, order, inputs, expected);
+    std::vector<Block> want(universe.num_classes());
     for (int p = 0; p < count; ++p) {
-      const Step& step = steps[begin + static_cast<std::size_t>(p)];
+      const Step& step = steps[order[static_cast<std::size_t>(p)]];
       for (const std::uint32_t cls : active) {
-        if (step.reference[cls] != kNoOutput) want[cls] |= sim::Word{1} << p;
+        if (step.reference[cls] != kNoOutput) {
+          want[cls].words[p / sim::kWordBits] |= sim::Word{1}
+                                                 << (p % sim::kWordBits);
+        }
       }
     }
-    std::vector<sim::Word> got(universe.num_classes(), 0);
+    std::vector<Block> got(universe.num_classes());
     for (const PatternFaultSim::Detection& hit :
-         sim.detect_word(inputs, count, expected)) {
+         sim.detect_block(inputs, count, expected, segment)) {
       ASSERT_LT(hit.cls, universe.num_classes());
-      ASSERT_EQ(hit.patterns & ~sim::low_mask(count), 0u)
+      ASSERT_FALSE((hit.patterns & ~Block::low_mask(count)).any())
           << circuit.name() << " " << how << " class " << hit.cls
           << " detected on a padding pattern";
       EXPECT_TRUE(is_active[hit.cls]) << "inactive class " << hit.cls;
-      EXPECT_EQ(got[hit.cls], 0u) << "class " << hit.cls << " reported twice";
+      EXPECT_FALSE(got[hit.cls].any())
+          << "class " << hit.cls << " reported twice";
       got[hit.cls] = hit.patterns;
-      ASSERT_NE(hit.patterns, 0u);
-      const std::size_t first =
-          begin + static_cast<std::size_t>(std::countr_zero(hit.patterns));
-      EXPECT_EQ(hit.first_output, steps[first].reference[hit.cls])
-          << circuit.name() << " " << how << " step " << first << " class "
-          << hit.cls;
+      ASSERT_TRUE(hit.patterns.any());
+      std::vector<PatternFaultSim::FirstHit> firsts;
+      for (int from = 0; from < count; from += segment) {
+        const int p = hit.patterns.find_first(from);
+        if (p >= std::min(count, from + segment)) continue;
+        firsts.push_back(
+            {static_cast<std::uint32_t>(p),
+             steps[order[static_cast<std::size_t>(p)]].reference[hit.cls]});
+      }
+      const std::span<const PatternFaultSim::FirstHit> reported =
+          sim.first_hits(hit);
+      ASSERT_EQ(reported.size(), firsts.size())
+          << circuit.name() << " " << how << " class " << hit.cls;
+      for (std::size_t i = 0; i < firsts.size(); ++i) {
+        EXPECT_EQ(reported[i].pattern, firsts[i].pattern)
+            << circuit.name() << " " << how << " class " << hit.cls;
+        EXPECT_EQ(reported[i].output, firsts[i].output)
+            << circuit.name() << " " << how << " pattern "
+            << firsts[i].pattern << " class " << hit.cls;
+      }
     }
     for (const std::uint32_t cls : active) {
       EXPECT_EQ(got[cls], want[cls])
-          << circuit.name() << " " << how << " steps " << begin << "+"
-          << count << " class " << cls;
+          << circuit.name() << " " << how << " " << count
+          << " patterns, class " << cls;
     }
   };
-  for (std::size_t s = 0; s < steps.size(); ++s) run_word(s, 1, "alone");
-  for (std::size_t begin = 0; begin < steps.size(); begin += sim::kWordBits) {
-    run_word(begin,
-             static_cast<int>(std::min<std::size_t>(sim::kWordBits,
-                                                    steps.size() - begin)),
-             "packed");
-  }
-  for (std::size_t s = steps.size(); s-- > 0;) run_word(s, 1, "again");
+  const auto tiled = [&](std::size_t count) {
+    std::vector<std::size_t> order(count);
+    for (std::size_t p = 0; p < count; ++p) order[p] = p % steps.size();
+    return order;
+  };
+  for (std::size_t s = 0; s < steps.size(); ++s) run_block({s}, 1, "alone");
+  const int all = static_cast<int>(steps.size());
+  run_block(tiled(steps.size()), all, "packed");
+  run_block(tiled(130), 100, "tiled");
+  run_block(tiled(300), 7, "tiled");
+  run_block(tiled(sim::kBlockPatterns), sim::kBlockPatterns, "tiled");
+  for (std::size_t s = steps.size(); s-- > 0;) run_block({s}, 1, "again");
 }
 
 // Fills each step's reference, then checks the kernel.
@@ -448,7 +484,7 @@ TEST(FaultKernel, NonStemFaultsUnderMajXorAndA17InputAnd) {
     if (p % 7 == 3) expected[0].flip();
     steps.push_back({patterns[p], expected, {}});
   }
-  ASSERT_GT(steps.size(), 64u);  // one full word and one partial
+  ASSERT_GT(steps.size(), 64u);  // two words, the second partial
   for (const bool collapse : {true, false}) {
     const FaultUniverse universe = FaultUniverse::build(c, collapse);
     expect_matches_reference(c, universe, 1, all_classes(universe), steps);

@@ -1,16 +1,19 @@
 // Property tests for the campaign scale axes: fault dropping must be
 // invisible in results, the detection table must agree with the scalar
-// reference, and sampled coverage must be an honest estimate of the
-// universe it sampled from.
+// reference, campaigns must grade every shard exactly across the kernel's
+// 64-bit words and 512-pattern blocks, and sampled coverage must be an
+// honest estimate of the universe it sampled from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "fault/campaign.hpp"
 #include "fault/fault_sim.hpp"
+#include "ft/multiplex.hpp"
 #include "gen/random_circuit.hpp"
 #include "gen/suite.hpp"
 #include "sim/logic_sim.hpp"
@@ -168,6 +171,185 @@ TEST(FaultScaleProperty, DetectabilityMapMatchesScalarFirstDetections) {
       EXPECT_EQ(result.first_detect_output[c], kNoOutput) << c;
     } else {
       EXPECT_LT(result.first_detect_output[c], circuit.num_outputs()) << c;
+    }
+  }
+}
+
+// ---- block boundaries ------------------------------------------------------
+
+// `circuit` with only its first `ports` output ports.
+Circuit with_output_prefix(const Circuit& circuit, std::size_t ports) {
+  Circuit out(circuit.name());
+  for (netlist::NodeId id = 0; id < circuit.node_count(); ++id) {
+    const netlist::GateType type = circuit.type(id);
+    if (type == netlist::GateType::kInput) {
+      out.add_input();
+    } else if (netlist::is_constant(type)) {
+      out.add_const(type == netlist::GateType::kConst1);
+    } else {
+      const auto fanins = circuit.fanins(id);
+      out.add_gate(type,
+                   std::vector<netlist::NodeId>(fanins.begin(), fanins.end()));
+    }
+  }
+  for (std::size_t p = 0; p < ports; ++p) out.add_output(circuit.outputs()[p]);
+  return out;
+}
+
+// What a campaign must report, graded one shard, one pattern and one class
+// at a time by ScalarFaultSim: first detections and the detection bits, the
+// first output (the lowest logical output o whose cut-down circuit with
+// outputs 0..o already detects the class), and passes from the contract
+// formula, per shard, with and without dropping.
+struct ShardReference {
+  std::vector<std::vector<bool>> patterns;  // [pattern][logical input]
+  std::vector<std::vector<bool>> bits;      // [pattern][class]
+  std::vector<std::uint64_t> first_pattern;
+  std::vector<std::uint32_t> first_output;
+  std::uint64_t passes = 0;
+  std::uint64_t drop_passes = 0;
+};
+
+ShardReference shard_reference(const Circuit& circuit, const Circuit& golden,
+                               const FaultUniverse& universe,
+                               const CampaignOptions& options) {
+  const auto width = static_cast<std::size_t>(options.bundle_width);
+  const std::size_t logical_outputs = golden.num_outputs();
+  ScalarFaultSim scalar(circuit, universe, options.bundle_width);
+  std::vector<Circuit> prefixes;
+  for (std::size_t o = 1; o <= logical_outputs; ++o) {
+    prefixes.push_back(with_output_prefix(circuit, o * width));
+  }
+  std::vector<ScalarFaultSim> prefix_sims;
+  for (const Circuit& prefix : prefixes) {
+    prefix_sims.emplace_back(prefix, universe, options.bundle_width);
+  }
+  const std::vector<std::uint32_t> sampled =
+      sampled_classes(universe, options);
+  const auto blocks = [](std::uint64_t active) {
+    return (active + sim::kWordBits - 1) / sim::kWordBits;
+  };
+  ShardReference ref;
+  ref.first_pattern.assign(universe.num_classes(), kNotDetected);
+  ref.first_output.assign(universe.num_classes(), kNoOutput);
+  const exec::ShardPlan plan = campaign_shard_plan(golden, options);
+  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
+    const exec::Shard shard = plan.shard(s);
+    std::vector<bool> seen(universe.num_classes(), false);
+    std::uint64_t still_active = sampled.size();
+    for (std::vector<bool>& pattern :
+         shard_pattern_bits(golden.num_inputs(), options, shard)) {
+      const std::uint64_t index = ref.patterns.size();
+      const std::vector<bool> expected = sim::eval_single(golden, pattern);
+      std::vector<bool> row(universe.num_classes(), false);
+      std::uint64_t firsts = 0;
+      for (const std::uint32_t c : sampled) {
+        row[c] = scalar.detect(c, pattern, expected);
+        if (!row[c] || seen[c]) continue;
+        seen[c] = true;
+        ++firsts;
+        if (ref.first_pattern[c] != kNotDetected) continue;
+        ref.first_pattern[c] = index;
+        for (std::size_t o = 0; o < logical_outputs; ++o) {
+          const std::vector<bool> prefix(expected.begin(),
+                                         expected.begin() + o + 1);
+          if (prefix_sims[o].detect(c, pattern, prefix)) {
+            ref.first_output[c] = static_cast<std::uint32_t>(o);
+            break;
+          }
+        }
+      }
+      ref.passes += 1 + blocks(sampled.size());
+      ref.drop_passes += 1 + blocks(still_active);
+      still_active -= firsts;
+      ref.patterns.push_back(std::move(pattern));
+      ref.bits.push_back(std::move(row));
+    }
+  }
+  return ref;
+}
+
+// Pattern budgets on both sides of every word and block boundary, against
+// shard sizes below, at and above one word and one block (8, 64 and 512
+// shards to a task; 100 and 200 leave a task's block short; 600 spans two
+// blocks per shard). Each must grade exactly like the per-shard scalar
+// reference, through run_campaign with and without dropping and through
+// build_detection_table: against a golden that differs from the circuit,
+// pruned and sampled, and on a 3-wire multiplexed bundle.
+TEST(FaultScaleProperty, BlockBoundariesMatchPerShardScalarReference) {
+  gen::RandomCircuitOptions shape;
+  shape.num_inputs = 8;
+  shape.num_gates = 40;
+  shape.num_outputs = 4;
+  shape.seed = 7;
+  const Circuit dag = gen::random_circuit(shape);
+  shape.seed = 8;
+  const Circuit other = gen::random_circuit(shape);
+  const Circuit c17 = gen::find_benchmark("c17").build();
+  ft::MultiplexOptions mux;
+  mux.bundle_width = 3;
+  const Circuit bundled = ft::multiplex_transform(c17, mux).circuit;
+
+  struct Variant {
+    const char* name;
+    const Circuit* circuit;
+    const Circuit* golden;
+    CampaignOptions options;
+  };
+  std::vector<Variant> variants(3);
+  variants[0] = {"differing golden", &dag, &other, {}};
+  variants[1] = {"pruned and sampled", &dag, &dag, {}};
+  variants[1].options.prune_untestable = true;
+  variants[1].options.sample = 20;
+  variants[2] = {"bundle of 3", &bundled, &c17, {}};
+  variants[2].options.bundle_width = 3;
+
+  for (Variant& variant : variants) {
+    const Circuit& circuit = *variant.circuit;
+    const Circuit& golden = *variant.golden;
+    const FaultUniverse universe = FaultUniverse::build(
+        circuit, true, variant.options.prune_untestable);
+    ASSERT_GT(universe.num_classes(), 20u) << variant.name;
+    for (const std::uint64_t patterns :
+         {1u, 63u, 64u, 65u, 511u, 512u, 513u, 1100u}) {
+      for (const std::uint64_t shard : {8u, 64u, 100u, 200u, 512u, 600u}) {
+        CampaignOptions options = variant.options;
+        options.patterns = patterns;
+        options.shard_patterns = shard;
+        const ShardReference ref =
+            shard_reference(circuit, golden, universe, options);
+        const std::string where = std::string(variant.name) + ", " +
+                                  std::to_string(patterns) + " patterns, " +
+                                  std::to_string(shard) + " per shard";
+        for (const bool drop : {false, true}) {
+          options.drop = drop;
+          const FaultCampaignResult result = run_campaign(
+              circuit, &golden, options, exec::Parallelism::global_pool());
+          EXPECT_EQ(result.first_detect_pattern, ref.first_pattern) << where;
+          EXPECT_EQ(result.first_detect_output, ref.first_output) << where;
+          EXPECT_EQ(result.sim_passes, drop ? ref.drop_passes : ref.passes)
+              << where << ", drop " << drop;
+          EXPECT_EQ(result.patterns, patterns) << where;
+        }
+        options.drop = false;
+        const DetectionTable table = build_detection_table(
+            circuit, golden, universe, options,
+            exec::Parallelism::global_pool());
+        EXPECT_EQ(table.patterns, ref.patterns) << where;
+        EXPECT_EQ(table.counts.first_pattern, ref.first_pattern) << where;
+        EXPECT_EQ(table.counts.first_output, ref.first_output) << where;
+        EXPECT_EQ(table.counts.passes, ref.passes) << where;
+        ASSERT_EQ(table.detected.size(), ref.bits.size()) << where;
+        for (std::size_t p = 0; p < ref.bits.size(); ++p) {
+          for (std::size_t c = 0; c < universe.num_classes(); ++c) {
+            const bool bit = ((table.detected[p][c / sim::kWordBits] >>
+                               (c % sim::kWordBits)) &
+                              1) != 0;
+            ASSERT_EQ(bit, ref.bits[p][c])
+                << where << ", pattern " << p << ", class " << c;
+          }
+        }
+      }
     }
   }
 }

@@ -41,8 +41,9 @@
 // chrome://tracing or Perfetto. Purely observational: results and output
 // bytes are identical with tracing on or off.
 //
-// Exit codes: 0 ok, 1 usage error, 2 processing error (malformed input or
-// any failed batch job), 3 input file missing/unreadable.
+// Exit codes: 0 ok, 1 usage (no command or too few arguments), 2 bad
+// option, processing/parse error or failed job, 3 input file
+// missing/unreadable.
 #include <atomic>
 #include <csignal>
 #include <filesystem>
