@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <set>
 #include <span>
@@ -65,13 +64,10 @@ std::uint64_t pattern_total(const Circuit& golden,
   return options.patterns;
 }
 
-// Campaign tasks: consecutive shards graded together. Shards of at most one
-// block go 512 / shard_patterns to a task, so one block holds them all;
-// a longer shard is a task of its own, graded a block at a time.
+// Campaign tasks: consecutive shards graded together, 512 / shard_patterns
+// to a task, so one block holds them all.
 std::size_t shards_per_task(const exec::ShardPlan& plan) {
-  return plan.shard_size() <= sim::kBlockPatterns
-             ? sim::kBlockPatterns / plan.shard_size()
-             : 1;
+  return sim::kBlockPatterns / plan.shard_size();
 }
 
 std::size_t task_count(const exec::ShardPlan& plan) {
@@ -93,142 +89,109 @@ std::vector<exec::Shard> task_shards(const exec::ShardPlan& plan,
 
 // The body shared by the aggregate counts and the detection table, so the
 // two views are bit-identical by construction rather than by parallel
-// maintenance. It grades consecutive `shards` over the `sampled` classes;
-// each shard keeps its own pattern stream. The task's patterns run through
-// the pattern-parallel kernel a block (up to 512 patterns) at a time, with
-// each shard a segment of the block; the golden circuit is simulated once
-// per word for the expected outputs, unless it is the circuit itself, whose
-// good machine the kernel already has.
+// maintenance. It grades consecutive `shards` over the kernel's active
+// (sampled) classes; each shard keeps its own pattern stream. The task's
+// patterns run through the campaign's shared kernel as one block (at most
+// 512 patterns), with each shard a segment of the block; the golden circuit
+// is simulated once per word for the expected outputs, unless it is the
+// circuit itself, whose good machine the kernel already has.
 //
 // First detections are per shard: the kernel reports each class's lowest
 // detecting pattern and output in every shard's own bit range of the
-// block, which is the shard's first detection (a shard longer than one
-// block counts only its earliest block's). The task keeps the lowest as
-// its record; CampaignCounts::merge takes cross-task minima. Fault
-// dropping — aggregate path only, the table needs complete rows — retires
-// detected classes between the blocks of a long shard, so every recorded
-// field is identical with dropping on or off.
+// block. The task keeps the lowest as its record; CampaignCounts::merge
+// takes cross-task minima.
 //
 // Passes stay in the 64-class-sweep unit the contract is written in: per
 // pattern, one golden pass plus one per 64 classes still active at that
-// pattern, where under dropping a class stops being active after its
-// shard-local first detection. They are counted per shard from the first
-// detections, not from the kernel's work, so they are the same for any
-// kernel and any task grouping.
+// pattern, where under fault dropping (aggregate path only, the table needs
+// complete rows) a class stops being active after its shard-local first
+// detection. They are counted per shard from the first detections, not
+// from the kernel's work, so they are the same for any kernel and any task
+// grouping, and dropping changes nothing else.
 CampaignCounts sweep_task(const Circuit& circuit, const Circuit& golden,
                           const FaultUniverse& universe,
-                          const std::vector<std::uint32_t>& sampled,
+                          const PatternFaultSim& kernel,
                           const CampaignOptions& options,
                           std::span<const exec::Shard> shards,
                           DetectionTable* table) {
   CampaignCounts counts(universe.num_classes());
   const std::size_t task_begin = shards.front().begin;
-  std::vector<std::vector<bool>> patterns;
-  patterns.reserve(shards.back().end - task_begin);
-  for (const exec::Shard& shard : shards) {
-    for (std::vector<bool>& row :
-         shard_pattern_bits(golden.num_inputs(), options, shard)) {
-      patterns.push_back(std::move(row));
-    }
-  }
-  PatternFaultSim sim(circuit, universe, options.bundle_width);
-  std::vector<std::uint32_t> active = sampled;
-  sim.set_active(active);
-  const bool drop = options.drop && table == nullptr;
-  std::optional<sim::LogicSim> golden_sim;
-  if (&golden != &circuit) golden_sim.emplace(golden);
+  const int count = static_cast<int>(shards.back().end - task_begin);
+  const auto words = static_cast<std::size_t>(sim::words_for(count));
   const std::size_t num_inputs = golden.num_inputs();
   const std::size_t num_outputs = golden.num_outputs();
-  std::vector<Word> inputs;
-  std::vector<Word> expected;
-  const std::size_t row_words =
-      (universe.num_classes() + sim::kWordBits - 1) / sim::kWordBits;
-  const int segment = static_cast<int>(
-      std::min<std::uint64_t>(options.shard_patterns, sim::kBlockPatterns));
-  // first_hits[i]: classes whose shard-local first detection is task
-  // pattern i.
-  std::vector<std::uint64_t> first_hits(patterns.size(), 0);
-
-  for (std::size_t begin = 0; begin < patterns.size();
-       begin += sim::kBlockPatterns) {
-    const int count = static_cast<int>(std::min<std::size_t>(
-        sim::kBlockPatterns, patterns.size() - begin));
-    const auto words = static_cast<std::size_t>(sim::words_for(count));
-    inputs.assign(words * num_inputs, 0);
-    for (int p = 0; p < count; ++p) {
-      const std::vector<bool>& pattern = patterns[begin + p];
+  std::vector<Word> inputs(words * num_inputs, 0);
+  int p = 0;
+  for (const exec::Shard& shard : shards) {
+    for (std::vector<bool>& pattern :
+         shard_pattern_bits(num_inputs, options, shard)) {
       Word* word = inputs.data() + (p / sim::kWordBits) * num_inputs;
       for (std::size_t b = 0; b < pattern.size(); ++b) {
         if (pattern[b]) word[b] |= Word{1} << (p % sim::kWordBits);
       }
-    }
-    expected.clear();
-    if (golden_sim.has_value()) {
-      for (std::size_t k = 0; k < words; ++k) {
-        golden_sim->eval(
-            std::span<const Word>(inputs).subspan(k * num_inputs, num_inputs));
-        for (std::size_t o = 0; o < num_outputs; ++o) {
-          expected.push_back(golden_sim->value(golden.outputs()[o]));
-        }
-      }
-    }
-    if (table != nullptr) {
-      for (int p = 0; p < count; ++p) {
-        table->detected[task_begin + begin + p].assign(row_words, 0);
-      }
-    }
-    bool retired = false;
-    for (const PatternFaultSim::Detection& hit :
-         sim.detect_block(inputs, count, expected, segment)) {
       if (table != nullptr) {
-        for (int p = hit.patterns.find_first(0); p < count;
-             p = hit.patterns.find_first(p + 1)) {
-          table->detected[task_begin + begin + p][hit.cls / sim::kWordBits] |=
-              Word{1} << (hit.cls % sim::kWordBits);
-        }
+        table->patterns[task_begin + p] = std::move(pattern);
       }
-      for (const PatternFaultSim::FirstHit& first : sim.first_hits(hit)) {
-        const bool seen = counts.first_pattern[hit.cls] != kNotDetected;
-        // In a later block of one long shard, a class seen in an earlier
-        // block has had its shard-local first detection already.
-        if (seen && begin > 0) continue;
-        const std::size_t local = begin + first.pattern;
-        if (!seen) {
-          counts.first_pattern[hit.cls] = task_begin + local;
-          counts.first_output[hit.cls] = first.output;
-        }
-        ++first_hits[local];
-        retired = drop;
-      }
-    }
-    if (retired) {
-      std::erase_if(active, [&](std::uint32_t cls) {
-        return counts.first_pattern[cls] != kNotDetected;
-      });
-      sim.set_active(active);
+      ++p;
     }
   }
+  std::vector<Word> expected;
+  if (&golden != &circuit) {
+    sim::LogicSim golden_sim(golden);
+    for (std::size_t k = 0; k < words; ++k) {
+      golden_sim.eval(
+          std::span<const Word>(inputs).subspan(k * num_inputs, num_inputs));
+      for (std::size_t o = 0; o < num_outputs; ++o) {
+        expected.push_back(golden_sim.value(golden.outputs()[o]));
+      }
+    }
+  }
+  const PatternFaultSim::BlockResult block = kernel.detect_block(
+      inputs, count, expected, static_cast<int>(options.shard_patterns));
+
+  const std::size_t row_words =
+      (universe.num_classes() + sim::kWordBits - 1) / sim::kWordBits;
   if (table != nullptr) {
-    for (std::size_t i = 0; i < patterns.size(); ++i) {
-      table->patterns[task_begin + i] = std::move(patterns[i]);
+    for (int q = 0; q < count; ++q) {
+      table->detected[task_begin + q].assign(row_words, 0);
+    }
+  }
+  // first_hits[i]: classes whose shard-local first detection is task
+  // pattern i.
+  std::vector<std::uint64_t> first_hits(static_cast<std::size_t>(count), 0);
+  for (const PatternFaultSim::Detection& hit : block.detections) {
+    if (table != nullptr) {
+      for (int q = hit.patterns.find_first(0); q < count;
+           q = hit.patterns.find_first(q + 1)) {
+        table->detected[task_begin + q][hit.cls / sim::kWordBits] |=
+            Word{1} << (hit.cls % sim::kWordBits);
+      }
+    }
+    const std::span<const PatternFaultSim::FirstHit> firsts =
+        block.first_hits_of(hit);
+    counts.first_pattern[hit.cls] = task_begin + firsts.front().pattern;
+    counts.first_output[hit.cls] = firsts.front().output;
+    for (const PatternFaultSim::FirstHit& first : firsts) {
+      ++first_hits[first.pattern];
     }
   }
 
   // Passes and lane slots per pattern of each shard, as described above;
   // the metrics are published once per task.
+  const bool drop = options.drop && table == nullptr;
   std::uint64_t obs_slots = 0;
   std::uint64_t obs_slots_active = 0;
   std::uint64_t obs_dropped = 0;
   for (const exec::Shard& shard : shards) {
-    std::uint64_t still_active = sampled.size();
-    for (std::size_t p = shard.begin; p < shard.end; ++p) {
+    std::uint64_t still_active = kernel.num_active();
+    for (std::size_t q = shard.begin; q < shard.end; ++q) {
       const std::uint64_t blocks =
           (still_active + sim::kWordBits - 1) / sim::kWordBits;
       counts.passes += 1 + blocks;
       obs_slots += blocks * sim::kWordBits;
       obs_slots_active += still_active;
       if (drop) {
-        const std::uint64_t hits = first_hits[p - task_begin];
+        const std::uint64_t hits = first_hits[q - task_begin];
         still_active -= hits;
         obs_dropped += hits;
       }
@@ -237,7 +200,7 @@ CampaignCounts sweep_task(const Circuit& circuit, const Circuit& golden,
   FaultMetrics& metrics = fault_metrics();
   metrics.shards.add(shards.size());
   metrics.passes.add(counts.passes);
-  metrics.events.add(sim.events());
+  metrics.events.add(block.events);
   metrics.lane_slots.add(obs_slots);
   metrics.lane_slots_active.add(obs_slots_active);
   if (obs_dropped > 0) metrics.dropped.add(obs_dropped);
@@ -247,13 +210,13 @@ CampaignCounts sweep_task(const Circuit& circuit, const Circuit& golden,
 // One campaign task, traced as one fault-sweep-shard span.
 CampaignCounts task_counts(const Circuit& circuit, const Circuit& golden,
                            const FaultUniverse& universe,
-                           const std::vector<std::uint32_t>& sampled,
+                           const PatternFaultSim& kernel,
                            const CampaignOptions& options,
                            std::span<const exec::Shard> shards) {
   const obs::Span span("fault-sweep-shard", {},
                        "shards=" + std::to_string(shards.front().index) +
                            ".." + std::to_string(shards.back().index));
-  return sweep_task(circuit, golden, universe, sampled, options, shards,
+  return sweep_task(circuit, golden, universe, kernel, options, shards,
                     nullptr);
 }
 
@@ -273,11 +236,9 @@ FaultCampaignResult finalize(const Circuit& circuit, const Circuit& golden,
   result.sim_passes = counts.passes;
   result.first_detect_pattern = counts.first_pattern;
   result.first_detect_output = counts.first_output;
-  result.detection_counts.assign(result.classes, 0);
   std::set<std::uint32_t> first_detectors;
   for (std::size_t c = 0; c < counts.first_pattern.size(); ++c) {
     if (counts.first_pattern[c] != kNotDetected) {
-      result.detection_counts[c] = 1;
       ++result.detected;
       first_detectors.insert(counts.first_output[c]);
     }
@@ -343,8 +304,12 @@ void validate_campaign_inputs(const Circuit& circuit, const Circuit& golden,
   } else if (options.patterns == 0) {
     throw std::invalid_argument("fault campaign: patterns must be > 0");
   }
-  if (options.shard_patterns == 0) {
-    throw std::invalid_argument("fault campaign: shard_patterns must be > 0");
+  constexpr auto kMaxShard = static_cast<std::uint64_t>(sim::kBlockPatterns);
+  if (options.shard_patterns == 0 || options.shard_patterns > kMaxShard) {
+    throw std::invalid_argument(
+        "fault campaign: shard_patterns must be 1 to " +
+        std::to_string(sim::kBlockPatterns) + ", got " +
+        std::to_string(options.shard_patterns));
   }
 }
 
@@ -434,8 +399,9 @@ CampaignCounts campaign_shard_counts(const Circuit& circuit,
                                      const FaultUniverse& universe,
                                      const CampaignOptions& options,
                                      const exec::Shard& shard) {
-  return task_counts(circuit, golden, universe,
-                     sampled_classes(universe, options), options, {&shard, 1});
+  const PatternFaultSim kernel(circuit, universe, options.bundle_width,
+                               sampled_classes(universe, options));
+  return task_counts(circuit, golden, universe, kernel, options, {&shard, 1});
 }
 
 FaultCampaignResult finalize_campaign(const Circuit& circuit,
@@ -453,19 +419,20 @@ exec::ShardedJob<FaultCampaignResult> campaign_job(
   validate_campaign_inputs(circuit, golden, options);
   auto universe = std::make_shared<const FaultUniverse>(FaultUniverse::build(
       circuit, options.collapse, options.prune_untestable));
-  auto sampled = std::make_shared<const std::vector<std::uint32_t>>(
+  auto kernel = std::make_shared<const PatternFaultSim>(
+      circuit, *universe, options.bundle_width,
       sampled_classes(*universe, options));
   const exec::ShardPlan plan = campaign_shard_plan(golden, options);
   return exec::merging_job(
       task_count(plan), CampaignCounts(universe->num_classes()),
-      [&circuit, &golden, universe, sampled, options, plan](std::size_t t) {
-        return task_counts(circuit, golden, *universe, *sampled, options,
+      [&circuit, &golden, universe, kernel, options, plan](std::size_t t) {
+        return task_counts(circuit, golden, *universe, *kernel, options,
                            task_shards(plan, t));
       },
-      [&circuit, &golden, universe, sampled,
+      [&circuit, &golden, universe, kernel,
        options](const CampaignCounts& total) {
-        return finalize(circuit, golden, *universe, options, sampled->size(),
-                        total);
+        return finalize(circuit, golden, *universe, options,
+                        kernel->num_active(), total);
       });
 }
 
@@ -493,14 +460,14 @@ DetectionTable build_detection_table(const Circuit& circuit,
   table.detected.resize(plan.total());
   exec::LockedTotal<CampaignCounts> counts(
       CampaignCounts(universe.num_classes()));
-  const std::vector<std::uint32_t> sampled =
-      sampled_classes(universe, options);
+  const PatternFaultSim kernel(circuit, universe, options.bundle_width,
+                               sampled_classes(universe, options));
   exec::for_each_index(
       task_count(plan),
       [&](std::size_t t) {
         // Slot-per-pattern row writes are race-free (disjoint slots); only
         // the counts merge needs the lock.
-        counts.merge(sweep_task(circuit, golden, universe, sampled, options,
+        counts.merge(sweep_task(circuit, golden, universe, kernel, options,
                                 task_shards(plan, t), &table));
       },
       how);

@@ -21,27 +21,27 @@
 // batch evaluator and the serve daemon's result cache unchanged.
 //
 // Tasks: the unit of scheduling is a task of consecutive shards, sized to
-// the kernel's 512-pattern block (fault_sim.hpp). When shard_patterns <=
-// 512 a task holds 512 / shard_patterns whole shards, graded together in
-// one block with each shard a segment of it; a longer shard is a task of
-// its own, graded a block at a time. Tasks change only how much work one
-// kernel call carries: every shard keeps its pattern stream, and its first
-// detections, first outputs and passes are computed from its own bit range
-// of the block, so every result field is the same as grading the shards
-// one by one. One `fault-sweep-shard` span is traced per task, and
+// the kernel's 512-pattern block (fault_sim.hpp): shard_patterns is 1..512
+// and a task holds 512 / shard_patterns whole shards, graded together in
+// one block with each shard a segment of it. One kernel, built with the
+// fault universe and shared read-only by every task, grades every task.
+// Tasks change only how much work one kernel call carries: every shard
+// keeps its pattern stream, and its first detections, first outputs and
+// passes are computed from its own bit range of the block, so every result
+// field is the same as grading the shards one by one. One
+// `fault-sweep-shard` span is traced per task, and
 // `fault-sweep-events-total` counts block evaluations (each covers up to
 // 512 patterns).
 //
 // Scale knobs (all preserve that contract exactly):
-//   drop    retire detected classes *within a shard*: a class leaves the
-//           pass count after the pattern that first detects it in the
-//           shard, and the kernel's active set between the blocks of a
-//           shard longer than one block. First detections are recorded
-//           before retirement and shard-local pattern order is sequential,
-//           so every output field is bit-identical to the no-drop path —
-//           only sim_passes shrinks. Passes are a normalized work unit, one
-//           golden pass plus one per 64 active classes per pattern, counted
-//           per shard, whatever the kernel and the task grouping do.
+//   drop    count a detected class out of the passes *within a shard*: a
+//           class leaves the pass count after the pattern that first
+//           detects it in the shard. The kernel still grades every active
+//           class on all of a task's patterns, so every output field is
+//           bit-identical to the no-drop path — only sim_passes shrinks.
+//           Passes are a normalized work unit, one golden pass plus one per
+//           64 active classes per pattern, counted per shard, whatever the
+//           kernel and the task grouping do.
 //   sample  simulate only a deterministic sample of the classes (counter
 //           stream keyed by seed) and report coverage of the sample with a
 //           Wilson confidence interval. Changes what is simulated, so it
@@ -78,9 +78,9 @@ struct CampaignOptions {
   // Enumerate all 2^n logical assignments instead (n <= kMaxExhaustiveCampaignInputs).
   bool exhaustive = false;
   std::uint64_t seed = 0xFA17;
-  // Patterns per shard. Part of the seed contract: changing it re-partitions
-  // the stream space and (deterministically) changes which random patterns
-  // are drawn.
+  // Patterns per shard, 1..512 (one kernel block). Part of the seed
+  // contract: changing it re-partitions the stream space and
+  // (deterministically) changes which random patterns are drawn.
   std::uint64_t shard_patterns = 64;
   // ft/ bundle convention: inputs/outputs are consecutive bundles of this
   // many wires per logical signal, majority-decoded before comparison
@@ -89,8 +89,8 @@ struct CampaignOptions {
   // Structural equivalence collapsing (fault_model.hpp). Off simulates every
   // site as its own class — slower, same coverage, used for cross-checks.
   bool collapse = true;
-  // Fault dropping: stop simulating a class once detected (see file
-  // comment). Identical results, fewer sim_passes.
+  // Fault dropping: stop counting a class's passes once detected in a
+  // shard (see file comment). Identical results, fewer sim_passes.
   bool drop = false;
   // Simulate only this many classes, chosen by a deterministic counter
   // stream of the seed (0 = the whole universe). Spec-relevant.
@@ -150,9 +150,6 @@ struct FaultCampaignResult {
   // Distinct logical outputs that are the first detector of some class —
   // the scalar summary of the detectability map below.
   std::uint64_t detect_outputs = 0;
-  // Per-class detection indicator (0/1), in class order. Unsampled classes
-  // are 0.
-  std::vector<std::uint64_t> detection_counts;
   // Detectability map, in class order: the global index of the earliest
   // detecting pattern (kNotDetected when undetected or unsampled) and the
   // lowest logical output index that detects at that pattern (kNoOutput).
@@ -172,7 +169,8 @@ struct FaultCampaignResult {
 
 // Validation run_campaign applies before sharding: bundle-divisible
 // interfaces, golden/circuit agreement on the logical interface, positive
-// budgets, and the exhaustive input cap (ExhaustiveCapError).
+// budgets, shard_patterns in 1..512, and the exhaustive input cap
+// (ExhaustiveCapError).
 void validate_campaign_inputs(const netlist::Circuit& circuit,
                               const netlist::Circuit& golden,
                               const CampaignOptions& options);
@@ -215,8 +213,8 @@ struct CampaignCounts {
 };
 
 // Counts contributed by one shard of the plan, graded as a task of its
-// own. Precondition: inputs validated and `universe` built for `circuit`
-// with options.collapse.
+// own by a kernel built for this call. Precondition: inputs validated and
+// `universe` built for `circuit` with options.collapse.
 [[nodiscard]] CampaignCounts campaign_shard_counts(
     const netlist::Circuit& circuit, const netlist::Circuit& golden,
     const FaultUniverse& universe, const CampaignOptions& options,
@@ -230,9 +228,9 @@ struct CampaignCounts {
 
 // A whole campaign as one sharded job (see exec::ShardedJob) with one job
 // shard per task (see "Tasks" above): validates, builds the fault universe
-// and the sampled class list once (shared read-only by every task), and
-// merges each task's counts under the job's lock. `golden` is the
-// reference whose outputs detection compares against.
+// and the kernel over the sampled classes once (shared read-only by every
+// task), and merges each task's counts under the job's lock. `golden` is
+// the reference whose outputs detection compares against.
 [[nodiscard]] exec::ShardedJob<FaultCampaignResult> campaign_job(
     const netlist::Circuit& circuit, const netlist::Circuit& golden,
     const CampaignOptions& options);

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <variant>
 
 #include "netlist/gate_type.hpp"
 
@@ -52,17 +50,33 @@ void validate_bundle_interface(const Circuit& circuit, int bundle_width) {
 
 // ---- PatternFaultSim -------------------------------------------------------
 
+template <int W>
+struct PatternFaultSim::Scratch {
+  Scratch(std::size_t nodes, std::size_t logical_outputs, int bundle_width)
+      : values(nodes), obs(nodes), expected(logical_outputs),
+        base_diff(logical_outputs), stem_diff(logical_outputs),
+        pending(nodes / sim::kWordBits + 1, 0), bundle_counter(bundle_width) {}
+  // Per node: the good machine, except while flip_stem runs.
+  std::vector<sim::Block<W>> values;
+  std::vector<sim::Block<W>> obs;  // per node: observability at its stem
+  std::vector<std::pair<NodeId, sim::Block<W>>> touched;
+  std::vector<sim::Block<W>> expected;   // per logical output
+  std::vector<sim::Block<W>> base_diff;  // good machine ^ expected, valid
+  std::vector<sim::Block<W>> stem_diff;  // last flipped stem ^ expected
+  std::vector<Word> pending;             // bitset over node ids to evaluate
+  sim::LaneCounter bundle_counter;
+  std::uint64_t events = 0;
+};
+
 PatternFaultSim::PatternFaultSim(const Circuit& circuit,
                                  const FaultUniverse& universe,
-                                 int bundle_width)
+                                 int bundle_width,
+                                 std::span<const std::uint32_t> active)
     : circuit_(&circuit),
       fanouts_(circuit),
-      universe_(&universe),
       outputs_(circuit.outputs()),
       bundle_width_(bundle_width),
-      stem_of_(circuit.node_count(), ~NodeId{0}),
-      pending_(circuit.node_count() / sim::kWordBits + 1, 0),
-      bundle_counter_(bundle_width > 0 ? bundle_width : 1) {
+      stem_of_(circuit.node_count(), ~NodeId{0}) {
   validate_bundle_interface(circuit, bundle_width);
   const auto width = static_cast<std::size_t>(bundle_width);
   logical_inputs_ = circuit.num_inputs() / width;
@@ -76,59 +90,52 @@ PatternFaultSim::PatternFaultSim(const Circuit& circuit,
     const std::span<const NodeId> fanouts = fanouts_.of(id);
     stem_of_[id] = fanouts.size() == 1 ? stem_of_[fanouts[0]] : id;
   }
-  std::vector<std::uint32_t> all(universe.num_classes());
-  std::iota(all.begin(), all.end(), 0u);
-  set_active(all);
-}
-
-void PatternFaultSim::set_active(const std::vector<std::uint32_t>& classes) {
-  std::vector<ActiveSite> sites;
-  sites.reserve(classes.size());
-  for (const std::uint32_t cls : classes) {
-    if (cls >= universe_->num_classes()) {
+  active_.reserve(active.size());
+  for (const std::uint32_t cls : active) {
+    if (cls >= universe.num_classes()) {
       throw std::invalid_argument("fault: active class " + std::to_string(cls) +
                                   " outside universe of " +
-                                  std::to_string(universe_->num_classes()));
+                                  std::to_string(universe.num_classes()));
     }
-    const FaultSite site = universe_->representative(cls);
-    sites.push_back({stem_of_[site.node], site.node,
-                     site.value == StuckAt::kOne, cls});
+    const FaultSite site = universe.representative(cls);
+    active_.push_back({stem_of_[site.node], site.node,
+                       site.value == StuckAt::kOne, cls});
   }
   // Grouped by stem, so a block flips each stem at most once.
-  std::stable_sort(sites.begin(), sites.end(),
+  std::stable_sort(active_.begin(), active_.end(),
                    [](const ActiveSite& a, const ActiveSite& b) {
                      return a.stem < b.stem;
                    });
-  active_ = std::move(sites);
 }
 
 template <int W>
-sim::Block<W> PatternFaultSim::decode_output(const Scratch<W>& s,
-                                             std::size_t o) {
+sim::Block<W> PatternFaultSim::decode_output(Scratch<W>& s,
+                                             std::size_t o) const {
   if (bundle_width_ == 1) return s.values[outputs_[o]];
   // Majority decode, one word at a time.
   const auto width = static_cast<std::size_t>(bundle_width_);
   sim::Block<W> decoded;
   for (int k = 0; k < W; ++k) {
-    bundle_counter_.reset();
+    s.bundle_counter.reset();
     for (std::size_t w = 0; w < width; ++w) {
-      bundle_counter_.add(s.values[outputs_[o * width + w]].words[k]);
+      s.bundle_counter.add(s.values[outputs_[o * width + w]].words[k]);
     }
-    decoded.words[k] = bundle_counter_.greater_than(bundle_width_ / 2);
+    decoded.words[k] = s.bundle_counter.greater_than(bundle_width_ / 2);
   }
   return decoded;
 }
 
 template <int W>
-sim::Block<W> PatternFaultSim::flip_stem(Scratch<W>& s, NodeId stem) {
+sim::Block<W> PatternFaultSim::flip_stem(Scratch<W>& s, NodeId stem) const {
   std::vector<sim::Block<W>>& values = s.values;
+  std::vector<Word>& pending = s.pending;
   s.touched.clear();
   s.touched.emplace_back(stem, values[stem]);
   values[stem] = ~values[stem];
   const std::span<const NodeId> stem_fanouts = fanouts_.of(stem);
   if (!stem_fanouts.empty()) {
     for (const NodeId fanout : stem_fanouts) {
-      pending_[word_of(fanout)] |= bit_of(fanout);
+      pending[word_of(fanout)] |= bit_of(fanout);
     }
     // Event-driven sweep: ids are topological and every fanout has a larger
     // id than its driver, so scanning the pending bitset upward evaluates
@@ -137,20 +144,20 @@ sim::Block<W> PatternFaultSim::flip_stem(Scratch<W>& s, NodeId stem) {
     // queues its fanouts (fanouts ascend, so the last one bounds the scan).
     std::size_t last = word_of(stem_fanouts.back());
     for (std::size_t w = word_of(stem_fanouts.front()); w <= last; ++w) {
-      while (pending_[w] != 0) {
-        const Word bits = pending_[w];
-        pending_[w] = bits & (bits - 1);
+      while (pending[w] != 0) {
+        const Word bits = pending[w];
+        pending[w] = bits & (bits - 1);
         const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
         const auto id = static_cast<NodeId>(w * sim::kWordBits + bit);
         const sim::Block<W> value = netlist::eval_gate<sim::Block<W>>(
             circuit_->type(id), values, circuit_->fanins(id));
-        ++events_;
+        ++s.events;
         if (value == values[id]) continue;
         s.touched.emplace_back(id, values[id]);
         values[id] = value;
         const std::span<const NodeId> fanouts = fanouts_.of(id);
         for (const NodeId fanout : fanouts) {
-          pending_[word_of(fanout)] |= bit_of(fanout);
+          pending[word_of(fanout)] |= bit_of(fanout);
         }
         if (!fanouts.empty()) last = std::max(last, word_of(fanouts.back()));
       }
@@ -165,9 +172,9 @@ sim::Block<W> PatternFaultSim::flip_stem(Scratch<W>& s, NodeId stem) {
   return detected;
 }
 
-const std::vector<PatternFaultSim::Detection>& PatternFaultSim::detect_block(
+PatternFaultSim::BlockResult PatternFaultSim::detect_block(
     std::span<const Word> inputs, int count, std::span<const Word> expected,
-    int segment) {
+    int segment) const {
   if (count < 1 || count > sim::kBlockPatterns) {
     throw std::invalid_argument("fault: a block holds 1 to " +
                                 std::to_string(sim::kBlockPatterns) +
@@ -184,30 +191,27 @@ const std::vector<PatternFaultSim::Detection>& PatternFaultSim::detect_block(
     throw std::invalid_argument("fault: segments hold at least 1 pattern");
   }
   segment = std::min(segment, count);
+  BlockResult result;
   // The narrowest width that holds the block.
   if (words == 1) {
-    detect<1>(inputs, count, expected, segment);
+    detect<1>(inputs, count, expected, segment, result);
   } else if (words == 2) {
-    detect<2>(inputs, count, expected, segment);
+    detect<2>(inputs, count, expected, segment, result);
   } else if (words <= 4) {
-    detect<4>(inputs, count, expected, segment);
+    detect<4>(inputs, count, expected, segment, result);
   } else {
-    detect<8>(inputs, count, expected, segment);
+    detect<8>(inputs, count, expected, segment, result);
   }
-  return detections_;
+  return result;
 }
 
 template <int W>
 void PatternFaultSim::detect(std::span<const Word> inputs, int count,
-                             std::span<const Word> expected, int segment) {
+                             std::span<const Word> expected, int segment,
+                             BlockResult& result) const {
   using Block = sim::Block<W>;
   const Circuit& circuit = *circuit_;
-  auto* scratch = std::get_if<Scratch<W>>(&scratch_);
-  if (scratch == nullptr) {
-    scratch = &scratch_.template emplace<Scratch<W>>(circuit.node_count(),
-                                                     logical_outputs_);
-  }
-  Scratch<W>& s = *scratch;
+  Scratch<W> s(circuit.node_count(), logical_outputs_, bundle_width_);
   std::vector<Block>& values = s.values;
   const auto words = static_cast<std::size_t>(sim::words_for(count));
   const auto width = static_cast<std::size_t>(bundle_width_);
@@ -270,8 +274,7 @@ void PatternFaultSim::detect(std::span<const Word> inputs, int count,
     const Block& good = values[site.node];
     return (site.stuck_one ? ~good : good) & s.obs[site.node] & valid;
   };
-  detections_.clear();
-  first_hits_.clear();
+  std::vector<FirstHit>& first_hits = result.first_hits;
   for (std::size_t begin = 0; begin < active_.size();) {
     const NodeId stem = active_[begin].stem;
     std::size_t end = begin;
@@ -284,11 +287,11 @@ void PatternFaultSim::detect(std::span<const Word> inputs, int count,
       const Block reach = reach_of(active_[i]);
       const Block detected = (reach & stem_detected) | (~reach & base_mismatch);
       if (!detected.any()) continue;
-      Detection& hit = detections_.emplace_back();
+      Detection& hit = result.detections.emplace_back();
       hit.cls = active_[i].cls;
       std::copy(detected.words.begin(), detected.words.end(),
                 hit.patterns.words.begin());
-      hit.first_begin = static_cast<std::uint32_t>(first_hits_.size());
+      hit.first_begin = static_cast<std::uint32_t>(first_hits.size());
       // Each segment's lowest detecting pattern sees the flipped stem's
       // outputs where the fault reaches the stem and the good machine's
       // elsewhere.
@@ -297,14 +300,15 @@ void PatternFaultSim::detect(std::span<const Word> inputs, int count,
             reach.test(p) ? s.stem_diff : s.base_diff;
         std::uint32_t output = 0;
         while (output < diffs.size() && !diffs[output].test(p)) ++output;
-        first_hits_.push_back({static_cast<std::uint32_t>(p), output});
+        first_hits.push_back({static_cast<std::uint32_t>(p), output});
         const int next = (p / segment + 1) * segment;
         p = next < count ? detected.find_first(next) : count;
       }
-      hit.first_end = static_cast<std::uint32_t>(first_hits_.size());
+      hit.first_end = static_cast<std::uint32_t>(first_hits.size());
     }
     begin = end;
   }
+  result.events = s.events;
 }
 
 // ---- ScalarFaultSim --------------------------------------------------------

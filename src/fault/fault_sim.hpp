@@ -35,9 +35,12 @@
 //                     of patterns it carries, so one event grades up to 512
 //                     patterns; each call runs at the narrowest of 1, 2, 4
 //                     or 8 words that holds its patterns. The simulated set
-//                     is an explicit *active list* of class indices
-//                     (default: the whole universe), which is what fault
-//                     dropping and sampled campaigns shrink.
+//                     is an explicit *active list* of class indices, fixed
+//                     at construction, which sampled and pruned campaigns
+//                     shrink. The simulator is immutable once built:
+//                     detect_block is const and keeps its scratch in the
+//                     call, so a campaign builds one and shares it
+//                     read-only with every task.
 //
 //   ScalarFaultSim    injects one fault at a time and evaluates one pattern
 //                     gate by gate, in a full sweep of its own over the
@@ -65,8 +68,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
-#include <variant>
 #include <vector>
 
 #include "fault/fault_model.hpp"
@@ -83,26 +84,44 @@ class PatternFaultSim {
   struct FirstHit {
     std::uint32_t pattern = 0;  // block-local pattern index
     std::uint32_t output = kNoOutput;
+
+    friend bool operator==(const FirstHit&, const FirstHit&) = default;
   };
   // One detected class of a block: bit p of `patterns` is set iff pattern p
-  // detects it. first_hits() lists its FirstHit per segment that holds a
-  // detecting pattern, in pattern order.
+  // detects it. first_begin..first_end is its range of the block's
+  // first_hits: its FirstHit per segment that holds a detecting pattern, in
+  // pattern order.
   struct Detection {
     std::uint32_t cls = 0;
     sim::Block<sim::kBlockWords> patterns;
-    std::uint32_t first_begin = 0;  // range in first_hits()
+    std::uint32_t first_begin = 0;
     std::uint32_t first_end = 0;
+
+    friend bool operator==(const Detection&, const Detection&) = default;
+  };
+  // Everything one detect_block call found.
+  struct BlockResult {
+    std::vector<Detection> detections;
+    std::vector<FirstHit> first_hits;
+    // Block evaluations spent propagating flipped stems (the good machine
+    // and the backward pass excluded).
+    std::uint64_t events = 0;
+
+    [[nodiscard]] std::span<const FirstHit> first_hits_of(
+        const Detection& hit) const noexcept {
+      return std::span<const FirstHit>(first_hits)
+          .subspan(hit.first_begin, hit.first_end - hit.first_begin);
+    }
+    friend bool operator==(const BlockResult&, const BlockResult&) = default;
   };
 
-  // Throws std::invalid_argument when the interface is not bundle-divisible
-  // or bundle_width is not 1 or odd >= 3. Starts with every class active.
-  // `circuit` and `universe` must outlive the simulator.
+  // Grades the `active` universe class indices (any order). Throws
+  // std::invalid_argument on an out-of-range index, or when the interface
+  // is not bundle-divisible or bundle_width is not 1 or odd >= 3.
+  // `circuit` must outlive the simulator.
   PatternFaultSim(const netlist::Circuit& circuit,
-                  const FaultUniverse& universe, int bundle_width = 1);
-
-  // Replaces the active list with universe class indices (any order).
-  // Throws std::invalid_argument on an out-of-range index.
-  void set_active(const std::vector<std::uint32_t>& classes);
+                  const FaultUniverse& universe, int bundle_width,
+                  std::span<const std::uint32_t> active);
 
   // Simulates `count` patterns (1..512) at once, in sim::words_for(count)
   // words: inputs[k * L + i] holds logical input i of patterns 64k..64k+63,
@@ -113,23 +132,18 @@ class PatternFaultSim {
   // outputs. The block splits into consecutive segments of `segment`
   // patterns (the last may be short; a campaign's shards), and each
   // Detection records the first hit of every segment it is detected in.
-  // Returns the active classes that at least one of the patterns detects,
-  // valid until the next call. Throws std::invalid_argument when count is
-  // outside 1..512, segment < 1, or a span has the wrong size.
-  [[nodiscard]] const std::vector<Detection>& detect_block(
+  // Returns the active classes that at least one of the patterns detects.
+  // Const and self-contained: any number of threads may call it at once.
+  // Throws std::invalid_argument when count is outside 1..512, segment < 1,
+  // or a span has the wrong size.
+  [[nodiscard]] BlockResult detect_block(
       std::span<const sim::Word> inputs, int count,
-      std::span<const sim::Word> expected, int segment = sim::kBlockPatterns);
+      std::span<const sim::Word> expected,
+      int segment = sim::kBlockPatterns) const;
 
-  // The per-segment first hits of a Detection from the last detect_block.
-  [[nodiscard]] std::span<const FirstHit> first_hits(
-      const Detection& hit) const noexcept {
-    return std::span<const FirstHit>(first_hits_)
-        .subspan(hit.first_begin, hit.first_end - hit.first_begin);
+  [[nodiscard]] std::size_t num_active() const noexcept {
+    return active_.size();
   }
-
-  // Block evaluations spent propagating flipped stems so far (the good
-  // machine and the backward pass excluded).
-  [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
 
  private:
   struct ActiveSite {
@@ -138,50 +152,31 @@ class PatternFaultSim {
     bool stuck_one;
     std::uint32_t cls;
   };
-  // Per-node and per-output blocks at one width.
+  // One call's per-node and per-output blocks at one width (fault_sim.cpp).
   template <int W>
-  struct Scratch {
-    Scratch(std::size_t nodes, std::size_t logical_outputs)
-        : values(nodes), obs(nodes), expected(logical_outputs),
-          base_diff(logical_outputs), stem_diff(logical_outputs) {}
-    // Per node: the good machine, except while flip_stem runs.
-    std::vector<sim::Block<W>> values;
-    std::vector<sim::Block<W>> obs;  // per node: observability at its stem
-    std::vector<std::pair<netlist::NodeId, sim::Block<W>>> touched;
-    std::vector<sim::Block<W>> expected;   // per logical output
-    std::vector<sim::Block<W>> base_diff;  // good machine ^ expected, valid
-    std::vector<sim::Block<W>> stem_diff;  // last flipped stem ^ expected
-  };
+  struct Scratch;
 
   template <int W>
   void detect(std::span<const sim::Word> inputs, int count,
-              std::span<const sim::Word> expected, int segment);
+              std::span<const sim::Word> expected, int segment,
+              BlockResult& result) const;
   // Decoded value of logical output `o` in `s.values`.
   template <int W>
-  [[nodiscard]] sim::Block<W> decode_output(const Scratch<W>& s,
-                                            std::size_t o);
+  [[nodiscard]] sim::Block<W> decode_output(Scratch<W>& s,
+                                            std::size_t o) const;
   // Flips `stem` on every pattern, propagates the flip, fills s.stem_diff
   // and restores s.values to the good machine; returns the detection block.
   template <int W>
-  sim::Block<W> flip_stem(Scratch<W>& s, netlist::NodeId stem);
+  sim::Block<W> flip_stem(Scratch<W>& s, netlist::NodeId stem) const;
 
   const netlist::Circuit* circuit_;
   netlist::Fanouts fanouts_;
-  const FaultUniverse* universe_;
   std::span<const netlist::NodeId> outputs_;
   int bundle_width_;
   std::size_t logical_inputs_ = 0;
   std::size_t logical_outputs_ = 0;
   std::vector<netlist::NodeId> stem_of_;  // per node: its FFR's stem
   std::vector<ActiveSite> active_;        // grouped by stem
-  std::vector<sim::Word> pending_;        // bitset over node ids to evaluate
-  std::variant<std::monostate, Scratch<1>, Scratch<2>, Scratch<4>,
-               Scratch<8>>
-      scratch_;  // at the width of the last block
-  std::vector<Detection> detections_;
-  std::vector<FirstHit> first_hits_;
-  sim::LaneCounter bundle_counter_;
-  std::uint64_t events_ = 0;
 };
 
 class ScalarFaultSim {

@@ -125,10 +125,10 @@ double protection_of(const fault::FaultCampaignResult& campaign,
                      std::size_t primary_outputs) {
   if (campaign.sampled == 0) return 1.0;
   std::uint64_t silent = 0;
-  const std::size_t classes = std::min(campaign.detection_counts.size(),
+  const std::size_t classes = std::min(campaign.first_detect_pattern.size(),
                                        campaign.first_detect_output.size());
   for (std::size_t cls = 0; cls < classes; ++cls) {
-    if (campaign.detection_counts[cls] != 0 &&
+    if (campaign.first_detect_pattern[cls] != fault::kNotDetected &&
         campaign.first_detect_output[cls] < primary_outputs) {
       ++silent;
     }

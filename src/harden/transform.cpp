@@ -279,11 +279,14 @@ std::vector<std::size_t> rank_output_cones(
   std::vector<std::uint64_t> score(outputs, 0);
   const std::size_t classes =
       std::min(campaign.first_detect_output.size(),
-               campaign.detection_counts.size());
+               campaign.first_detect_pattern.size());
   for (std::size_t cls = 0; cls < classes; ++cls) {
     const std::uint32_t output = campaign.first_detect_output[cls];
-    if (campaign.detection_counts[cls] == 0 || output >= outputs) continue;
-    score[output] += campaign.detection_counts[cls];
+    if (campaign.first_detect_pattern[cls] == fault::kNotDetected ||
+        output >= outputs) {
+      continue;
+    }
+    ++score[output];
   }
   std::vector<std::size_t> order(outputs);
   std::iota(order.begin(), order.end(), std::size_t{0});

@@ -50,8 +50,8 @@ struct HardenedCircuit {
 };
 
 // Ranks base output positions by campaign evidence: an output's score is the
-// total detection count of the fault classes first detected at it, so the
-// cones that expose the most fault traffic sort first. Ties break toward the
+// number of detected fault classes first detected at it, so the cones that
+// expose the most fault traffic sort first. Ties break toward the
 // lower output position; outputs with no first detections rank last. The
 // campaign must come from a run over `base` (vs itself).
 [[nodiscard]] std::vector<std::size_t> rank_output_cones(

@@ -332,6 +332,20 @@ TEST(FaultCampaign, ValidatesInterfaceAndBudgets) {
   zero_shard.shard_patterns = 0;
   EXPECT_THROW(validate_campaign_inputs(c17, c17, zero_shard),
                std::invalid_argument);
+  // A shard fits one 512-pattern kernel block.
+  CampaignOptions wide_shard;
+  wide_shard.shard_patterns = sim::kBlockPatterns + 1;
+  EXPECT_THROW(validate_campaign_inputs(c17, c17, wide_shard),
+               std::invalid_argument);
+  EXPECT_THROW((void)run_campaign(c17, nullptr, wide_shard),
+               std::invalid_argument);
+  wide_shard.shard_patterns = sim::kBlockPatterns;
+  wide_shard.patterns = 600;
+  EXPECT_NO_THROW(validate_campaign_inputs(c17, c17, wide_shard));
+  const FaultCampaignResult whole_block =
+      run_campaign(c17, nullptr, wide_shard);
+  EXPECT_EQ(whole_block.patterns, 600u);
+  EXPECT_EQ(whole_block.detected, whole_block.classes);
   CampaignOptions exhaustive;
   exhaustive.exhaustive = true;
   const Circuit wide = gen::find_benchmark("rca32").build();

@@ -6,9 +6,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "exec/thread_pool.hpp"
 #include "fault/campaign.hpp"
+#include "ft/multiplex.hpp"
 #include "gen/random_circuit.hpp"
 #include "gen/suite.hpp"
 #include "sim/logic_sim.hpp"
@@ -31,13 +34,18 @@ std::vector<std::vector<bool>> random_patterns(std::size_t count,
   return rows;
 }
 
+// Every class of the universe: the active list of an unsampled campaign.
+std::vector<std::uint32_t> every_class(const FaultUniverse& universe) {
+  return sampled_classes(universe, CampaignOptions{});
+}
+
 // Detection bits [pattern][class] from the pattern-parallel kernel: the
 // patterns are packed 512 to a block (the last block partial), each
 // compared against its own fault-free response.
 std::vector<std::vector<bool>> kernel_bits(
     const Circuit& circuit, const FaultUniverse& universe,
     const std::vector<std::vector<bool>>& patterns) {
-  PatternFaultSim sim(circuit, universe);
+  const PatternFaultSim sim(circuit, universe, 1, every_class(universe));
   std::vector<std::vector<bool>> bits(
       patterns.size(), std::vector<bool>(universe.num_classes(), false));
   const std::size_t num_inputs = circuit.num_inputs();
@@ -62,7 +70,7 @@ std::vector<std::vector<bool>> kernel_bits(
       }
     }
     for (const PatternFaultSim::Detection& hit :
-         sim.detect_block(inputs, count, expected)) {
+         sim.detect_block(inputs, count, expected).detections) {
       EXPECT_FALSE(
           (hit.patterns & ~sim::Block<sim::kBlockWords>::low_mask(count)).any())
           << circuit.name() << " class " << hit.cls << " padding bits";
@@ -162,21 +170,21 @@ TEST(FaultSim, DetectsInjectedFaultOnObservablePath) {
   const netlist::NodeId g = c.add_gate(netlist::GateType::kAnd, a, b);
   c.add_output(g);
   const FaultUniverse universe = FaultUniverse::build(c, /*collapse=*/false);
-  PatternFaultSim sim(c, universe);
+  const PatternFaultSim sim(c, universe, 1, every_class(universe));
   const std::size_t g_sa1 = universe.class_of(2 * g + 1);
 
   const std::vector<sim::Word> inputs{0b10, 0b10};
   const std::vector<sim::Word> expected{0b10};
   sim::Word seen = 0;
   for (const PatternFaultSim::Detection& hit :
-       sim.detect_block(inputs, 2, expected)) {
+       sim.detect_block(inputs, 2, expected).detections) {
     if (hit.cls == g_sa1) seen = hit.patterns.words[0];
   }
   EXPECT_EQ(seen, 0b01u);
   // The circuit's own response as the reference gives the same answer.
   seen = 0;
   for (const PatternFaultSim::Detection& hit :
-       sim.detect_block(inputs, 2, {})) {
+       sim.detect_block(inputs, 2, {}).detections) {
     if (hit.cls == g_sa1) seen = hit.patterns.words[0];
   }
   EXPECT_EQ(seen, 0b01u);
@@ -197,14 +205,14 @@ TEST(FaultSim, PassCountingAndBlockMask) {
       circuit, circuit, universe, options, exec::Parallelism::serial());
   EXPECT_EQ(table.counts.passes, options.patterns * (1 + blocks));
 
-  PatternFaultSim sim(circuit, universe);
+  const PatternFaultSim sim(circuit, universe, 1, every_class(universe));
   std::vector<sim::Word> inputs(circuit.num_inputs(), 0);
   inputs[0] = 1;  // pattern 0 sets input 0; patterns 1..63 are all-zero
   const std::size_t zero_detects =
-      sim.detect_block(inputs, sim::kWordBits, {}).size();
+      sim.detect_block(inputs, sim::kWordBits, {}).detections.size();
   ASSERT_GT(zero_detects, 0u);
   for (const PatternFaultSim::Detection& hit :
-       sim.detect_block(inputs, 1, {})) {
+       sim.detect_block(inputs, 1, {}).detections) {
     EXPECT_EQ(hit.patterns.words[0], 1u) << "class " << hit.cls;
     EXPECT_FALSE((hit.patterns & ~sim::Block<8>::low_mask(1)).any());
   }
@@ -306,7 +314,7 @@ TEST(FaultSim, MultiWordShardsMatchOneWordShards) {
 TEST(FaultSim, DetectBlockAcceptsOneTo512Patterns) {
   const Circuit c17 = gen::find_benchmark("c17").build();
   const FaultUniverse universe = FaultUniverse::build(c17);
-  PatternFaultSim sim(c17, universe);
+  const PatternFaultSim sim(c17, universe, 1, every_class(universe));
   const std::size_t num_inputs = c17.num_inputs();
   const auto packed = [&](int count) {
     std::vector<sim::Word> inputs(
@@ -323,7 +331,7 @@ TEST(FaultSim, DetectBlockAcceptsOneTo512Patterns) {
   };
   std::vector<sim::Word> exhaustive(universe.num_classes(), 0);
   for (const PatternFaultSim::Detection& hit :
-       sim.detect_block(packed(32), 32, {})) {
+       sim.detect_block(packed(32), 32, {}).detections) {
     exhaustive[hit.cls] = hit.patterns.words[0];
   }
   for (int count = 1; count <= sim::kBlockPatterns; ++count) {
@@ -338,7 +346,7 @@ TEST(FaultSim, DetectBlockAcceptsOneTo512Patterns) {
     }
     std::vector<sim::Block<sim::kBlockWords>> got(universe.num_classes());
     for (const PatternFaultSim::Detection& hit :
-         sim.detect_block(packed(count), count, {})) {
+         sim.detect_block(packed(count), count, {}).detections) {
       got[hit.cls] = hit.patterns;
     }
     ASSERT_EQ(got, want) << count << " patterns";
@@ -350,13 +358,58 @@ TEST(FaultSim, DetectBlockAcceptsOneTo512Patterns) {
                std::invalid_argument);
 }
 
+// One kernel serves many threads at once: detect_block is const and keeps
+// its scratch in the call. Blocks of every width, cut into segments of 7
+// and 64, graded concurrently on a dedicated pool of 4 over c432 and over
+// a 3-wire multiplexed c17, must each equal the same call made serially.
+TEST(FaultSim, SharedKernelMatchesSerialCalls) {
+  const Circuit c432 = gen::find_benchmark("c432").build();
+  const Circuit c17 = gen::find_benchmark("c17").build();
+  ft::MultiplexOptions mux;
+  mux.bundle_width = 3;
+  const Circuit bundled = ft::multiplex_transform(c17, mux).circuit;
+  const std::vector<int> counts{1, 64, 100, 300, 512, 37, 200, 450, 129, 5};
+  sim::Xoshiro256 rng(30);
+  for (const auto& [circuit, width] :
+       {std::pair{&c432, 1}, std::pair{&bundled, 3}}) {
+    const FaultUniverse universe = FaultUniverse::build(*circuit);
+    const PatternFaultSim sim(*circuit, universe, width, every_class(universe));
+    const std::size_t num_inputs =
+        circuit->num_inputs() / static_cast<std::size_t>(width);
+    std::vector<std::vector<sim::Word>> inputs(counts.size());
+    std::vector<PatternFaultSim::BlockResult> serial;
+    const auto segment = [](std::size_t i) { return i % 2 == 0 ? 7 : 64; };
+    std::size_t detections = 0;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      inputs[i].resize(
+          static_cast<std::size_t>(sim::words_for(counts[i])) * num_inputs);
+      for (sim::Word& word : inputs[i]) word = rng.next();
+      serial.push_back(sim.detect_block(inputs[i], counts[i], {}, segment(i)));
+      detections += serial.back().detections.size();
+    }
+    EXPECT_GT(detections, 0u) << circuit->name();
+    std::vector<PatternFaultSim::BlockResult> shared(counts.size());
+    exec::for_each_index(
+        counts.size(),
+        [&](std::size_t i) {
+          shared[i] = sim.detect_block(inputs[i], counts[i], {}, segment(i));
+        },
+        exec::Parallelism::dedicated(4));
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+      EXPECT_EQ(shared[i], serial[i])
+          << circuit->name() << ", " << counts[i] << " patterns";
+    }
+  }
+}
+
 TEST(FaultSim, RejectsMalformedBundles) {
   const Circuit c17 = gen::find_benchmark("c17").build();
   const FaultUniverse universe = FaultUniverse::build(c17);
-  EXPECT_THROW(PatternFaultSim(c17, universe, 2), std::invalid_argument);
-  EXPECT_THROW(PatternFaultSim(c17, universe, 3), std::invalid_argument);
+  const std::vector<std::uint32_t> all = every_class(universe);
+  EXPECT_THROW(PatternFaultSim(c17, universe, 2, all), std::invalid_argument);
+  EXPECT_THROW(PatternFaultSim(c17, universe, 3, all), std::invalid_argument);
   EXPECT_THROW(ScalarFaultSim(c17, universe, -1), std::invalid_argument);
-  PatternFaultSim sim(c17, universe, 1);
+  const PatternFaultSim sim(c17, universe, 1, all);
   const std::vector<sim::Word> five(5, 0);
   const std::vector<sim::Word> two(2, 0);
   EXPECT_THROW((void)sim.detect_block(std::vector<sim::Word>(1, 0), 1, two),
@@ -366,8 +419,9 @@ TEST(FaultSim, RejectsMalformedBundles) {
   // A block of 65 patterns spans two words per signal.
   EXPECT_THROW((void)sim.detect_block(five, 65, two), std::invalid_argument);
   EXPECT_THROW((void)sim.detect_block(five, 1, two, 0), std::invalid_argument);
-  EXPECT_THROW(sim.set_active({static_cast<std::uint32_t>(
-                   universe.num_classes())}),
+  const std::vector<std::uint32_t> outside{
+      static_cast<std::uint32_t>(universe.num_classes())};
+  EXPECT_THROW(PatternFaultSim(c17, universe, 1, outside),
                std::invalid_argument);
 }
 

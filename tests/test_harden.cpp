@@ -164,7 +164,7 @@ TEST(Harden, DwcComparatorFlagsEveryDuplicatedRegionFault) {
       fault::FaultUniverse::build(variant.circuit, campaign.collapse);
   const fault::FaultCampaignResult result =
       fault::run_campaign(variant.circuit, nullptr, campaign);
-  ASSERT_EQ(result.detection_counts.size(), universe.num_classes());
+  ASSERT_EQ(result.first_detect_pattern.size(), universe.num_classes());
 
   std::size_t duplicate_sites = 0;
   for (std::size_t s = 0; s < universe.num_sites(); ++s) {
@@ -172,7 +172,7 @@ TEST(Harden, DwcComparatorFlagsEveryDuplicatedRegionFault) {
     if (site.node < duplicate_begin || site.node >= duplicate_end) continue;
     ++duplicate_sites;
     const std::uint32_t cls = universe.class_of(s);
-    EXPECT_NE(result.detection_counts[cls], 0u)
+    EXPECT_NE(result.first_detect_pattern[cls], fault::kNotDetected)
         << "duplicate fault " << to_string(site.value) << " on node "
         << site.node << " was never flagged";
     EXPECT_GE(result.first_detect_output[cls], variant.base_outputs)

@@ -135,7 +135,7 @@ void pack_steps(const std::vector<Step>& steps,
   }
 }
 
-// Runs `steps` on one PatternFaultSim instance over `active`: first each
+// Runs `steps` on one PatternFaultSim built over `active`: first each
 // step alone as a one-pattern block, then all of them packed into one
 // block, then tiled cyclically into wider blocks cut into segments (130
 // patterns in segments of 100, 300 in segments of 7, 512 in one segment),
@@ -148,8 +148,7 @@ void expect_kernel_matches(const Circuit& circuit,
                            const std::vector<std::uint32_t>& active,
                            const std::vector<Step>& steps) {
   using Block = sim::Block<sim::kBlockWords>;
-  PatternFaultSim sim(circuit, universe, bundle_width);
-  sim.set_active(active);
+  const PatternFaultSim sim(circuit, universe, bundle_width, active);
   std::vector<bool> is_active(universe.num_classes(), false);
   for (const std::uint32_t cls : active) is_active[cls] = true;
   std::vector<sim::Word> inputs;
@@ -169,8 +168,9 @@ void expect_kernel_matches(const Circuit& circuit,
       }
     }
     std::vector<Block> got(universe.num_classes());
-    for (const PatternFaultSim::Detection& hit :
-         sim.detect_block(inputs, count, expected, segment)) {
+    const PatternFaultSim::BlockResult block =
+        sim.detect_block(inputs, count, expected, segment);
+    for (const PatternFaultSim::Detection& hit : block.detections) {
       ASSERT_LT(hit.cls, universe.num_classes());
       ASSERT_FALSE((hit.patterns & ~Block::low_mask(count)).any())
           << circuit.name() << " " << how << " class " << hit.cls
@@ -189,7 +189,7 @@ void expect_kernel_matches(const Circuit& circuit,
              steps[order[static_cast<std::size_t>(p)]].reference[hit.cls]});
       }
       const std::span<const PatternFaultSim::FirstHit> reported =
-          sim.first_hits(hit);
+          block.first_hits_of(hit);
       ASSERT_EQ(reported.size(), firsts.size())
           << circuit.name() << " " << how << " class " << hit.cls;
       for (std::size_t i = 0; i < firsts.size(); ++i) {

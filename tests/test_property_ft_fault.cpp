@@ -98,7 +98,7 @@ TEST(FtFaultProperties, NmrMasksEverySingleReplicaFault) {
       nmr.circuit, options.collapse);
   const fault::FaultCampaignResult result =
       fault::run_campaign(nmr.circuit, &base, options);
-  ASSERT_EQ(result.detection_counts.size(), universe.num_classes());
+  ASSERT_EQ(result.first_detect_pattern.size(), universe.num_classes());
 
   std::size_t replica_sites = 0;
   for (std::size_t s = 0; s < universe.num_sites(); ++s) {
@@ -107,7 +107,8 @@ TEST(FtFaultProperties, NmrMasksEverySingleReplicaFault) {
       continue;
     }
     ++replica_sites;
-    EXPECT_EQ(result.detection_counts[universe.class_of(s)], 0u)
+    EXPECT_EQ(result.first_detect_pattern[universe.class_of(s)],
+              fault::kNotDetected)
         << "replica fault " << to_string(site.value) << " on node "
         << site.node << " escaped the voters";
   }
