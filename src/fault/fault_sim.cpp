@@ -1,31 +1,18 @@
 #include "fault/fault_sim.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <string>
-#include <utility>
 
 #include "netlist/gate_type.hpp"
+#include "sim/block_sim.hpp"
 
 namespace enb::fault {
-
-namespace {
 
 using netlist::Circuit;
 using netlist::GateType;
 using netlist::NodeId;
 using sim::Word;
-
-// Bit `id` of a node-id bitset.
-constexpr std::size_t word_of(NodeId id) noexcept {
-  return id / sim::kWordBits;
-}
-constexpr Word bit_of(NodeId id) noexcept {
-  return Word{1} << (id % sim::kWordBits);
-}
-
-}  // namespace
 
 void validate_bundle_interface(const Circuit& circuit, int bundle_width) {
   if (bundle_width != 1 && (bundle_width < 3 || bundle_width % 2 == 0)) {
@@ -52,20 +39,19 @@ void validate_bundle_interface(const Circuit& circuit, int bundle_width) {
 
 template <int W>
 struct PatternFaultSim::Scratch {
-  Scratch(std::size_t nodes, std::size_t logical_outputs, int bundle_width)
-      : values(nodes), obs(nodes), expected(logical_outputs),
-        base_diff(logical_outputs), stem_diff(logical_outputs),
-        pending(nodes / sim::kWordBits + 1, 0), bundle_counter(bundle_width) {}
-  // Per node: the good machine, except while flip_stem runs.
-  std::vector<sim::Block<W>> values;
-  std::vector<sim::Block<W>> obs;  // per node: observability at its stem
-  std::vector<std::pair<NodeId, sim::Block<W>>> touched;
+  explicit Scratch(const PatternFaultSim& kernel)
+      : sim(*kernel.circuit_, kernel.fanouts_),
+        obs(kernel.circuit_->node_count()),
+        expected(kernel.logical_outputs_),
+        base_diff(kernel.logical_outputs_),
+        stem_diff(kernel.logical_outputs_),
+        bundle_counter(kernel.bundle_width_) {}
+  sim::BlockSim<W> sim;  // the good machine, except while a stem is flipped
+  std::vector<sim::Block<W>> obs;        // per node: observability at stem
   std::vector<sim::Block<W>> expected;   // per logical output
   std::vector<sim::Block<W>> base_diff;  // good machine ^ expected, valid
   std::vector<sim::Block<W>> stem_diff;  // last flipped stem ^ expected
-  std::vector<Word> pending;             // bitset over node ids to evaluate
   sim::LaneCounter bundle_counter;
-  std::uint64_t events = 0;
 };
 
 PatternFaultSim::PatternFaultSim(const Circuit& circuit,
@@ -111,65 +97,18 @@ PatternFaultSim::PatternFaultSim(const Circuit& circuit,
 template <int W>
 sim::Block<W> PatternFaultSim::decode_output(Scratch<W>& s,
                                              std::size_t o) const {
-  if (bundle_width_ == 1) return s.values[outputs_[o]];
+  if (bundle_width_ == 1) return s.sim.value(outputs_[o]);
   // Majority decode, one word at a time.
   const auto width = static_cast<std::size_t>(bundle_width_);
   sim::Block<W> decoded;
   for (int k = 0; k < W; ++k) {
     s.bundle_counter.reset();
     for (std::size_t w = 0; w < width; ++w) {
-      s.bundle_counter.add(s.values[outputs_[o * width + w]].words[k]);
+      s.bundle_counter.add(s.sim.value(outputs_[o * width + w]).words[k]);
     }
     decoded.words[k] = s.bundle_counter.greater_than(bundle_width_ / 2);
   }
   return decoded;
-}
-
-template <int W>
-sim::Block<W> PatternFaultSim::flip_stem(Scratch<W>& s, NodeId stem) const {
-  std::vector<sim::Block<W>>& values = s.values;
-  std::vector<Word>& pending = s.pending;
-  s.touched.clear();
-  s.touched.emplace_back(stem, values[stem]);
-  values[stem] = ~values[stem];
-  const std::span<const NodeId> stem_fanouts = fanouts_.of(stem);
-  if (!stem_fanouts.empty()) {
-    for (const NodeId fanout : stem_fanouts) {
-      pending[word_of(fanout)] |= bit_of(fanout);
-    }
-    // Event-driven sweep: ids are topological and every fanout has a larger
-    // id than its driver, so scanning the pending bitset upward evaluates
-    // each queued node once, after all of its fanins. A node whose whole
-    // block still equals the good machine stops there; one that differs
-    // queues its fanouts (fanouts ascend, so the last one bounds the scan).
-    std::size_t last = word_of(stem_fanouts.back());
-    for (std::size_t w = word_of(stem_fanouts.front()); w <= last; ++w) {
-      while (pending[w] != 0) {
-        const Word bits = pending[w];
-        pending[w] = bits & (bits - 1);
-        const auto bit = static_cast<std::size_t>(std::countr_zero(bits));
-        const auto id = static_cast<NodeId>(w * sim::kWordBits + bit);
-        const sim::Block<W> value = netlist::eval_gate<sim::Block<W>>(
-            circuit_->type(id), values, circuit_->fanins(id));
-        ++s.events;
-        if (value == values[id]) continue;
-        s.touched.emplace_back(id, values[id]);
-        values[id] = value;
-        const std::span<const NodeId> fanouts = fanouts_.of(id);
-        for (const NodeId fanout : fanouts) {
-          pending[word_of(fanout)] |= bit_of(fanout);
-        }
-        if (!fanouts.empty()) last = std::max(last, word_of(fanouts.back()));
-      }
-    }
-  }
-  sim::Block<W> detected;
-  for (std::size_t o = 0; o < logical_outputs_; ++o) {
-    s.stem_diff[o] = decode_output(s, o) ^ s.expected[o];
-    detected |= s.stem_diff[o];
-  }
-  for (const auto& [id, good] : s.touched) values[id] = good;
-  return detected;
 }
 
 PatternFaultSim::BlockResult PatternFaultSim::detect_block(
@@ -192,16 +131,9 @@ PatternFaultSim::BlockResult PatternFaultSim::detect_block(
   }
   segment = std::min(segment, count);
   BlockResult result;
-  // The narrowest width that holds the block.
-  if (words == 1) {
-    detect<1>(inputs, count, expected, segment, result);
-  } else if (words == 2) {
-    detect<2>(inputs, count, expected, segment, result);
-  } else if (words <= 4) {
-    detect<4>(inputs, count, expected, segment, result);
-  } else {
-    detect<8>(inputs, count, expected, segment, result);
-  }
+  sim::with_block_width(static_cast<int>(words), [&](auto width) {
+    detect<decltype(width)::value>(inputs, count, expected, segment, result);
+  });
   return result;
 }
 
@@ -211,8 +143,7 @@ void PatternFaultSim::detect(std::span<const Word> inputs, int count,
                              BlockResult& result) const {
   using Block = sim::Block<W>;
   const Circuit& circuit = *circuit_;
-  Scratch<W> s(circuit.node_count(), logical_outputs_, bundle_width_);
-  std::vector<Block>& values = s.values;
+  Scratch<W> s(*this);
   const auto words = static_cast<std::size_t>(sim::words_for(count));
   const auto width = static_cast<std::size_t>(bundle_width_);
   const Block valid = Block::low_mask(count);
@@ -226,13 +157,11 @@ void PatternFaultSim::detect(std::span<const Word> inputs, int count,
   };
 
   // The good machine, with each logical input broadcast to its bundle.
-  for (NodeId id = 0; id < circuit.node_count(); ++id) {
-    const int slot = circuit.input_index(id);
-    values[id] = slot >= 0 ? load(inputs, logical_inputs_,
-                                  static_cast<std::size_t>(slot) / width)
-                           : netlist::eval_gate<Block>(circuit.type(id), values,
-                                                       circuit.fanins(id));
+  std::vector<Block> input_blocks(circuit.num_inputs());
+  for (std::size_t slot = 0; slot < input_blocks.size(); ++slot) {
+    input_blocks[slot] = load(inputs, logical_inputs_, slot / width);
   }
+  s.sim.eval(input_blocks);
   // Where the good machine already misses `expected` (never, when it is
   // the reference itself): a fault that does not reach its stem leaves the
   // outputs exactly there.
@@ -254,24 +183,14 @@ void PatternFaultSim::detect(std::span<const Word> inputs, int count,
     }
     const NodeId consumer = fanouts_.of(id)[0];
     Block obs = s.obs[consumer];
-    if (obs.any()) {
-      const Block good = values[id];
-      values[id] = ~Block{};
-      const Block high = netlist::eval_gate<Block>(
-          circuit.type(consumer), values, circuit.fanins(consumer));
-      values[id] = Block{};
-      const Block low = netlist::eval_gate<Block>(
-          circuit.type(consumer), values, circuit.fanins(consumer));
-      values[id] = good;
-      obs &= high ^ low;
-    }
+    if (obs.any()) obs &= s.sim.gate_difference(consumer, id);
     s.obs[id] = obs;
   }
 
   // Classes stem by stem: flip a stem only when some active fault reaches
   // it, then resolve each of its classes in O(1).
   const auto reach_of = [&](const ActiveSite& site) {
-    const Block& good = values[site.node];
+    const Block& good = s.sim.value(site.node);
     return (site.stuck_one ? ~good : good) & s.obs[site.node] & valid;
   };
   std::vector<FirstHit>& first_hits = result.first_hits;
@@ -282,7 +201,16 @@ void PatternFaultSim::detect(std::span<const Word> inputs, int count,
     for (; end < active_.size() && active_[end].stem == stem; ++end) {
       any_reach |= reach_of(active_[end]);
     }
-    const Block stem_detected = any_reach.any() ? flip_stem(s, stem) : Block{};
+    // The decoded outputs with the stem flipped on every pattern.
+    Block stem_detected;
+    if (any_reach.any()) {
+      result.events += s.sim.flip(stem);
+      for (std::size_t o = 0; o < logical_outputs_; ++o) {
+        s.stem_diff[o] = decode_output(s, o) ^ s.expected[o];
+        stem_detected |= s.stem_diff[o];
+      }
+      s.sim.restore();
+    }
     for (std::size_t i = begin; i < end; ++i) {
       const Block reach = reach_of(active_[i]);
       const Block detected = (reach & stem_detected) | (~reach & base_mismatch);
@@ -308,7 +236,6 @@ void PatternFaultSim::detect(std::span<const Word> inputs, int count,
     }
     begin = end;
   }
-  result.events = s.events;
 }
 
 // ---- ScalarFaultSim --------------------------------------------------------

@@ -22,19 +22,15 @@
 //                     whose side inputs the fault cannot touch. Everything
 //                     past the stem is the circuit with the stem flipped,
 //                     so each stem some active fault reaches is flipped
-//                     once per block and propagated event-driven over the
-//                     fanout inverse (netlist::Fanouts); a node stops the
-//                     propagation when its whole block equals the good
-//                     machine. That records the stem's decoded per-output
-//                     difference blocks against `expected`. A class is then
-//                     O(1) in the block:
+//                     once per block on sim::BlockSim (the event-driven
+//                     flip, sim/block_sim.hpp), which records the stem's
+//                     decoded per-output difference blocks against
+//                     `expected`. A class is then O(1) in the block:
 //                         det = (reach & stem_det) | (~reach & base_mismatch)
 //                     where base_mismatch is where the good machine itself
 //                     differs from `expected` (a non-equivalent golden).
-//                     A flip changes nearly the same nodes whatever number
-//                     of patterns it carries, so one event grades up to 512
-//                     patterns; each call runs at the narrowest of 1, 2, 4
-//                     or 8 words that holds its patterns. The simulated set
+//                     Each call runs at the narrowest of 1, 2, 4 or 8
+//                     words that holds its patterns. The simulated set
 //                     is an explicit *active list* of class indices, fixed
 //                     at construction, which sampled and pruned campaigns
 //                     shrink. The simulator is immutable once built:
@@ -160,14 +156,10 @@ class PatternFaultSim {
   void detect(std::span<const sim::Word> inputs, int count,
               std::span<const sim::Word> expected, int segment,
               BlockResult& result) const;
-  // Decoded value of logical output `o` in `s.values`.
+  // Decoded value of logical output `o` in `s.sim`.
   template <int W>
   [[nodiscard]] sim::Block<W> decode_output(Scratch<W>& s,
                                             std::size_t o) const;
-  // Flips `stem` on every pattern, propagates the flip, fills s.stem_diff
-  // and restores s.values to the good machine; returns the detection block.
-  template <int W>
-  sim::Block<W> flip_stem(Scratch<W>& s, netlist::NodeId stem) const;
 
   const netlist::Circuit* circuit_;
   netlist::Fanouts fanouts_;

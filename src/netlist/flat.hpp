@@ -4,16 +4,16 @@
 // Circuit stores gate types, CSR fanins and input slots itself (see
 // circuit.hpp). Fanouts is the one structure derived from it: the exact
 // inverse of Circuit::fanins in CSR form, built in one O(n) pass by the
-// engines that walk forward from a node (pattern-parallel fault
-// simulation, the implication engine, the untestability prover). Node ids
-// are the Circuit's, so id order is a topological order, and a fanout
-// always has a larger id than its driver.
+// engines that walk forward from a node (sim::BlockSim's flips for fault
+// and sensitivity sweeps, the implication engine, the untestability
+// prover). Node ids are the Circuit's, so id order is a topological order,
+// and a fanout always has a larger id than its driver.
 //
 // eval_gate<V> is the bit-parallel gate rule: V is sim::Word (or any type
 // with the bitwise operators), and every bit is an independent evaluation.
-// Every simulator evaluates gates through it: logic, noise and
-// pattern-parallel fault simulation, and the scalar fault reference (on
-// words that are 0 or all-ones). netlist::eval_word checks arity and
+// Every simulator evaluates gates through it: logic, noise and block
+// (sim::BlockSim) simulation, and the scalar fault reference (on words
+// that are 0 or all-ones). netlist::eval_word checks arity and
 // delegates to it. It switches on the gate type directly instead of reading
 // the operator-plus-inversion table in gate_type.hpp, because it is the
 // inner loop of every sweep; the gate-type tests check the two agree.

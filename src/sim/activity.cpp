@@ -186,11 +186,11 @@ ActivityResult estimate_noisy_activity(const Circuit& circuit, double epsilon,
 
 ActivityResult exact_activity(const Circuit& circuit) {
   const int n = static_cast<int>(circuit.num_inputs());
-  const std::uint64_t total = std::uint64_t{1} << n;  // guarded below
   if (n > kMaxExhaustiveInputs) {
     throw std::invalid_argument(
         "exact_activity: too many inputs for exhaustive evaluation");
   }
+  const std::uint64_t total = std::uint64_t{1} << n;
   std::vector<std::uint64_t> ones(circuit.node_count(), 0);
   LogicSim sim(circuit);
   for_each_exhaustive_block(

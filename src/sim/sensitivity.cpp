@@ -1,13 +1,15 @@
 #include "sim/sensitivity.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
-#include <utility>
+#include <vector>
 
 #include "exec/thread_pool.hpp"
+#include "netlist/flat.hpp"
 #include "sim/bitpack.hpp"
+#include "sim/block_sim.hpp"
 #include "sim/exhaustive.hpp"
-#include "sim/logic_sim.hpp"
 #include "sim/prng.hpp"
 
 namespace enb::sim {
@@ -15,22 +17,6 @@ namespace enb::sim {
 using netlist::Circuit;
 
 namespace {
-
-// OR over outputs of (f(x) != f(x ^ e_i)), lane-parallel. Flipping input i in
-// every lane is simply complementing its input word, regardless of how lanes
-// map to assignments.
-Word flip_difference(LogicSim& sim, std::vector<Word>& inputs,
-                     std::span<const Word> base_outputs, std::size_t i,
-                     const Circuit& circuit) {
-  inputs[i] = ~inputs[i];
-  sim.eval(inputs);
-  inputs[i] = ~inputs[i];
-  Word diff = 0;
-  for (std::size_t o = 0; o < circuit.num_outputs(); ++o) {
-    diff |= sim.value(circuit.outputs()[o]) ^ base_outputs[o];
-  }
-  return diff;
-}
 
 bool degenerate(const Circuit& circuit) {
   return circuit.num_inputs() == 0 || circuit.num_outputs() == 0;
@@ -53,41 +39,6 @@ struct SensitivityCounts {
   }
 };
 
-// Per-shard worker state: its own simulator, buffers and accumulators.
-struct ShardState {
-  LogicSim sim;
-  std::vector<Word> inputs;
-  std::vector<Word> base_outputs;
-  SensitivityCounts counts;
-  LaneCounter counter;
-
-  ShardState(const Circuit& circuit, int n)
-      : sim(circuit),
-        inputs(static_cast<std::size_t>(n)),
-        base_outputs(circuit.num_outputs()),
-        counts(static_cast<std::size_t>(n)),
-        counter(n) {}
-};
-
-void process_block(const Circuit& circuit, ShardState& state, Word valid) {
-  state.sim.eval(state.inputs);
-  for (std::size_t o = 0; o < circuit.num_outputs(); ++o) {
-    state.base_outputs[o] = state.sim.value(circuit.outputs()[o]);
-  }
-  state.counter.reset();
-  for (std::size_t i = 0; i < state.inputs.size(); ++i) {
-    const Word diff = flip_difference(state.sim, state.inputs,
-                                      state.base_outputs, i, circuit) &
-                      valid;
-    state.counts.influence_counts[i] +=
-        static_cast<std::uint64_t>(popcount(diff));
-    state.counter.add(diff);
-  }
-  state.counts.sensitivity =
-      std::max(state.counts.sensitivity, state.counter.max_lane(valid));
-  state.counts.lane_total += static_cast<std::uint64_t>(popcount(valid));
-}
-
 bool sensitivity_is_exact(const Circuit& circuit,
                           const SensitivityOptions& options) {
   const int n = static_cast<int>(circuit.num_inputs());
@@ -108,30 +59,68 @@ exec::ShardPlan sensitivity_shard_plan(const Circuit& circuit,
   return exec::ShardPlan(total, static_cast<std::size_t>(options.shard_words));
 }
 
-// Counts contributed by one shard; deterministic for exact sweeps, a pure
-// function of (options.seed, shard.index) for sampled ones.
+// Counts contributed by one shard, W words per block: the good machine
+// once, then each primary input flipped on its own. The valid patterns on
+// which any output moved count toward that input's influence and, per word,
+// toward each lane's sensitivity.
+template <int W>
 SensitivityCounts sensitivity_shard_counts(const Circuit& circuit,
+                                           const netlist::Fanouts& fanouts,
                                            const SensitivityOptions& options,
                                            const exec::Shard& shard) {
   const int n = static_cast<int>(circuit.num_inputs());
-  ShardState state(circuit, n);
-  if (sensitivity_is_exact(circuit, options)) {
-    // Blocks are pure functions of their index, so the exhaustive sweep
-    // shards over block ranges with no randomness involved.
-    const Word valid = exhaustive_valid_mask(n);
-    for (std::size_t block = shard.begin; block < shard.end; ++block) {
-      fill_exhaustive_block(n, static_cast<std::uint64_t>(block),
-                            state.inputs);
-      process_block(circuit, state, valid);
+  const bool exact = sensitivity_is_exact(circuit, options);
+  const Word word_valid = exact ? exhaustive_valid_mask(n) : kAllOnes;
+  // Exhaustive blocks are pure functions of their index; sampled words are
+  // a pure function of (options.seed, shard.index).
+  Xoshiro256 rng(exec::stream_seed(options.seed, shard.index));
+  SensitivityCounts counts(circuit.num_inputs());
+  std::vector<Word> words(circuit.num_inputs());  // one word's inputs
+  BlockSim<W> sim(circuit, fanouts);
+  std::vector<Block<W>> inputs(circuit.num_inputs());
+  std::vector<Block<W>> good(circuit.num_outputs());
+  std::vector<LaneCounter> lanes(W, LaneCounter(n));  // one per word
+  for (std::size_t first = shard.begin; first < shard.end; first += W) {
+    const std::size_t used = std::min<std::size_t>(W, shard.end - first);
+    std::fill(inputs.begin(), inputs.end(), Block<W>{});
+    Block<W> valid;
+    for (std::size_t k = 0; k < used; ++k) {
+      if (exact) {
+        fill_exhaustive_block(n, first + k, words);
+      } else {
+        for (Word& w : words) w = rng.next();
+      }
+      for (std::size_t i = 0; i < words.size(); ++i) {
+        inputs[i].words[k] = words[i];
+      }
+      valid.words[k] = word_valid;
     }
-  } else {
-    Xoshiro256 rng(exec::stream_seed(options.seed, shard.index));
-    for (std::size_t pass = shard.begin; pass < shard.end; ++pass) {
-      for (Word& w : state.inputs) w = rng.next();
-      process_block(circuit, state, kAllOnes);
+    sim.eval(inputs);
+    for (std::size_t o = 0; o < good.size(); ++o) {
+      good[o] = sim.value(circuit.outputs()[o]);
+    }
+    for (LaneCounter& counter : lanes) counter.reset();
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      sim.flip(circuit.inputs()[i]);
+      Block<W> diff;
+      for (std::size_t o = 0; o < good.size(); ++o) {
+        diff |= sim.value(circuit.outputs()[o]) ^ good[o];
+      }
+      sim.restore();
+      diff &= valid;
+      for (std::size_t k = 0; k < W; ++k) {
+        counts.influence_counts[i] +=
+            static_cast<std::uint64_t>(popcount(diff.words[k]));
+        lanes[k].add(diff.words[k]);
+      }
+    }
+    for (std::size_t k = 0; k < used; ++k) {
+      counts.sensitivity =
+          std::max(counts.sensitivity, lanes[k].max_lane(word_valid));
+      counts.lane_total += static_cast<std::uint64_t>(popcount(word_valid));
     }
   }
-  return std::move(state.counts);
+  return counts;
 }
 
 SensitivityResult finalize_sensitivity(const Circuit& circuit,
@@ -168,10 +157,19 @@ exec::ShardedJob<SensitivityResult> sensitivity_job(
         "compute_sensitivity: sample_words must be > 0 for the sampled sweep");
   }
   const exec::ShardPlan plan = sensitivity_shard_plan(circuit, options);
+  // One fanout inverse per job, read by every shard.
+  auto fanouts = std::make_shared<const netlist::Fanouts>(circuit);
   return exec::merging_job(
       plan.num_shards(), SensitivityCounts(circuit.num_inputs()),
-      [&circuit, options, plan](std::size_t i) {
-        return sensitivity_shard_counts(circuit, options, plan.shard(i));
+      [&circuit, fanouts, options, plan](std::size_t i) {
+        const exec::Shard shard = plan.shard(i);
+        // The narrowest block that holds up to 8 of the shard's words.
+        const auto words =
+            static_cast<int>(std::min<std::size_t>(shard.size(), kBlockWords));
+        return with_block_width(words, [&](auto width) {
+          return sensitivity_shard_counts<decltype(width)::value>(
+              circuit, *fanouts, options, shard);
+        });
       },
       [&circuit, options](const SensitivityCounts& counts) {
         return finalize_sensitivity(circuit, options, counts);

@@ -9,6 +9,8 @@
 // default); beyond that, random sampling yields a lower bound — conservative
 // in the right direction for a lower-bound theorem. Per-input influences
 // P_x[f(x) != f(x ^ e_i)] come out of the same sweep for free.
+// The sweep is event-driven input flips (sim::BlockSim) on blocks of up to
+// 512 patterns: 8 consecutive 64-assignment words of a shard.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "gen/suite.hpp"
+
 namespace enb::sim {
 namespace {
 
@@ -98,6 +102,19 @@ TEST(Activity, ZeroSamplePairsRejected) {
   options.sample_pairs = 0;
   EXPECT_THROW((void)estimate_activity(and2(), options),
                std::invalid_argument);
+}
+
+TEST(Activity, ExactRejectsTooManyInputs) {
+  // 27 inputs is one past the exhaustive cap; rca32 has 65, where a 2^n
+  // assignment count would not fit the shift.
+  Circuit wide;
+  std::vector<NodeId> inputs;
+  for (int i = 0; i < 27; ++i) inputs.push_back(wide.add_input());
+  wide.add_output(wide.add_gate(GateType::kAnd, inputs));
+  EXPECT_THROW((void)exact_activity(wide), std::invalid_argument);
+  const Circuit rca32 = gen::find_benchmark("rca32").build();
+  ASSERT_EQ(rca32.num_inputs(), 65U);
+  EXPECT_THROW((void)exact_activity(rca32), std::invalid_argument);
 }
 
 }  // namespace
