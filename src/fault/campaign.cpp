@@ -56,9 +56,17 @@ FaultMetrics& fault_metrics() {
 // correlate with the pattern streams drawn from the same seed.
 constexpr std::uint64_t kSampleSalt = 0x5A3D1EB70C4FA551ull;
 
+// Every path that shifts by the logical input count checks it here first.
+void check_exhaustive_cap(std::size_t logical_inputs) {
+  if (logical_inputs > static_cast<std::size_t>(kMaxExhaustiveCampaignInputs)) {
+    throw ExhaustiveCapError(logical_inputs);
+  }
+}
+
 std::uint64_t pattern_total(const Circuit& golden,
                             const CampaignOptions& options) {
   if (options.exhaustive) {
+    check_exhaustive_cap(golden.num_inputs());
     return std::uint64_t{1} << golden.num_inputs();
   }
   return options.patterns;
@@ -297,10 +305,7 @@ void validate_campaign_inputs(const Circuit& circuit, const Circuit& golden,
         std::to_string(options.bundle_width) + ")");
   }
   if (options.exhaustive) {
-    if (golden.num_inputs() >
-        static_cast<std::size_t>(kMaxExhaustiveCampaignInputs)) {
-      throw ExhaustiveCapError(golden.num_inputs());
-    }
+    check_exhaustive_cap(golden.num_inputs());
   } else if (options.patterns == 0) {
     throw std::invalid_argument("fault campaign: patterns must be > 0");
   }
@@ -325,6 +330,7 @@ std::vector<std::vector<bool>> shard_pattern_bits(
     const exec::Shard& shard) {
   std::vector<std::vector<bool>> rows(shard.size());
   if (options.exhaustive) {
+    check_exhaustive_cap(num_logical_inputs);
     for (std::size_t i = 0; i < shard.size(); ++i) {
       const std::uint64_t assignment = shard.begin + i;
       std::vector<bool>& row = rows[i];

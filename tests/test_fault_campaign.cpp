@@ -7,6 +7,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/compiled_circuit.hpp"
@@ -368,6 +369,47 @@ TEST(FaultCampaign, ExhaustiveCapIsATypedError) {
     EXPECT_NE(std::string(error.what()).find("exhaustive"),
               std::string::npos);
   }
+}
+
+// Every public path that shifts by the logical input count refuses an
+// exhaustive request over the cap before shifting: the shard plan (rca32's
+// 65 inputs would shift a 64-bit word out of range) and the pattern stream.
+// 21 inputs is the first count over the cap; 20 still plans 2^20 patterns.
+TEST(FaultCampaign, ExhaustiveCapGuardsThePlanAndThePatternStream) {
+  CampaignOptions exhaustive;
+  exhaustive.exhaustive = true;
+  const exec::Shard shard{0, 0, 4};
+  for (const std::size_t width : {21u, 65u}) {
+    Circuit wide("and" + std::to_string(width));
+    std::vector<netlist::NodeId> ins;
+    for (std::size_t i = 0; i < width; ++i) ins.push_back(wide.add_input());
+    wide.add_output(wide.add_gate(netlist::GateType::kAnd, ins));
+    EXPECT_THROW((void)campaign_shard_plan(wide, exhaustive),
+                 ExhaustiveCapError)
+        << width;
+    EXPECT_THROW((void)shard_pattern_bits(width, exhaustive, shard),
+                 ExhaustiveCapError)
+        << width;
+  }
+  const Circuit rca32 = gen::find_benchmark("rca32").build();
+  try {
+    (void)campaign_shard_plan(rca32, exhaustive);
+    FAIL() << "expected ExhaustiveCapError";
+  } catch (const ExhaustiveCapError& error) {
+    EXPECT_EQ(error.logical_inputs(), rca32.num_inputs());
+  }
+  EXPECT_THROW((void)run_campaign(rca32, nullptr, exhaustive),
+               ExhaustiveCapError);
+
+  Circuit at_cap("and20");
+  std::vector<netlist::NodeId> ins;
+  for (int i = 0; i < kMaxExhaustiveCampaignInputs; ++i) {
+    ins.push_back(at_cap.add_input());
+  }
+  at_cap.add_output(at_cap.add_gate(netlist::GateType::kAnd, ins));
+  EXPECT_EQ(campaign_shard_plan(at_cap, exhaustive).total(),
+            std::size_t{1} << kMaxExhaustiveCampaignInputs);
+  EXPECT_EQ(shard_pattern_bits(ins.size(), exhaustive, shard).size(), 4u);
 }
 
 TEST(FaultCampaign, BatchIsolatesExhaustiveCapError) {
