@@ -325,6 +325,29 @@ exec::ShardPlan campaign_shard_plan(const Circuit& golden,
       static_cast<std::size_t>(options.shard_patterns));
 }
 
+void pack_shard_patterns(std::size_t num_logical_inputs,
+                         const CampaignOptions& options,
+                         const exec::Shard& shard, std::span<Word> inputs,
+                         int first) {
+  if (options.exhaustive) check_exhaustive_cap(num_logical_inputs);
+  const std::size_t end = static_cast<std::size_t>(first) + shard.size();
+  if (first < 0 || inputs.size() < (end + sim::kWordBits - 1) /
+                                        sim::kWordBits * num_logical_inputs) {
+    throw std::invalid_argument("pack_shard_patterns: block too short");
+  }
+  sim::Xoshiro256 rng(exec::stream_seed(options.seed, shard.index));
+  for (std::size_t p = static_cast<std::size_t>(first); p < end; ++p) {
+    const std::uint64_t assignment = shard.begin + (p - first);
+    const int bit = static_cast<int>(p % sim::kWordBits);
+    Word* word = inputs.data() + (p / sim::kWordBits) * num_logical_inputs;
+    for (std::size_t i = 0; i < num_logical_inputs; ++i) {
+      const Word value =
+          options.exhaustive ? (assignment >> i) & 1 : rng.next() >> 63;
+      word[i] = (word[i] & ~(Word{1} << bit)) | (value << bit);
+    }
+  }
+}
+
 std::vector<std::vector<bool>> shard_pattern_bits(
     std::size_t num_logical_inputs, const CampaignOptions& options,
     const exec::Shard& shard) {

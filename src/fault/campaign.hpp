@@ -55,6 +55,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -189,6 +190,21 @@ void validate_campaign_inputs(const netlist::Circuit& circuit,
 [[nodiscard]] std::vector<std::vector<bool>> shard_pattern_bits(
     std::size_t num_logical_inputs, const CampaignOptions& options,
     const exec::Shard& shard);
+
+// Writes the logical input patterns of `shard` into a task's word-major
+// block, shard pattern j as block pattern p = first + j: logical input i of
+// it is bit p % 64 of inputs[(p / 64) * num_logical_inputs + i]. The bits
+// are the campaign's one pattern stream, a pure function of (options,
+// shard): assignment bits of the pattern index when exhaustive, else one
+// `next() >> 63` draw per (pattern, input), pattern-major, from the
+// counter-based stream of (seed, shard.index). Only the shard's own bits
+// change. Throws ExhaustiveCapError when exhaustive over
+// kMaxExhaustiveCampaignInputs inputs, and std::invalid_argument when
+// `first` is negative or `inputs` ends before the shard's last word.
+void pack_shard_patterns(std::size_t num_logical_inputs,
+                         const CampaignOptions& options,
+                         const exec::Shard& shard, std::span<sim::Word> inputs,
+                         int first);
 
 // The classes a campaign with `options` simulates, ascending: all of them,
 // or a `sample`-sized subset keyed by the counter stream of the seed — a

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign_pattern_reference.hpp"
 #include "fault/campaign.hpp"
 #include "fault/fault_sim.hpp"
 #include "ft/multiplex.hpp"
@@ -148,14 +149,9 @@ TEST(FaultScaleProperty, DetectabilityMapMatchesScalarFirstDetections) {
   const FaultCampaignResult result = run_campaign(circuit, nullptr, options);
 
   // Re-derive the patterns the campaign drew.
-  std::vector<std::vector<bool>> patterns;
-  const exec::ShardPlan plan = campaign_shard_plan(circuit, options);
-  for (std::size_t s = 0; s < plan.num_shards(); ++s) {
-    for (auto& row :
-         shard_pattern_bits(circuit.num_inputs(), options, plan.shard(s))) {
-      patterns.push_back(std::move(row));
-    }
-  }
+  const std::vector<std::vector<bool>> patterns =
+      testing::reference_campaign_rows(
+          circuit.num_inputs(), options, campaign_shard_plan(circuit, options));
   ScalarFaultSim scalar(circuit, universe);
   for (std::size_t c = 0; c < result.classes; ++c) {
     std::uint64_t scalar_first = kNotDetected;
@@ -237,7 +233,7 @@ ShardReference shard_reference(const Circuit& circuit, const Circuit& golden,
     std::vector<bool> seen(universe.num_classes(), false);
     std::uint64_t still_active = sampled.size();
     for (std::vector<bool>& pattern :
-         shard_pattern_bits(golden.num_inputs(), options, shard)) {
+         testing::reference_shard_rows(golden.num_inputs(), options, shard)) {
       const std::uint64_t index = ref.patterns.size();
       const std::vector<bool> expected = sim::eval_single(golden, pattern);
       std::vector<bool> row(universe.num_classes(), false);
