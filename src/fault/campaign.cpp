@@ -72,6 +72,17 @@ std::uint64_t pattern_total(const Circuit& golden,
   return options.patterns;
 }
 
+// Logical input bits of pattern `p` of a word-major block.
+std::vector<bool> unpack_pattern(std::span<const Word> inputs,
+                                 std::size_t num_inputs, std::size_t p) {
+  std::vector<bool> row(num_inputs);
+  const Word* word = inputs.data() + (p / sim::kWordBits) * num_inputs;
+  for (std::size_t i = 0; i < num_inputs; ++i) {
+    row[i] = ((word[i] >> (p % sim::kWordBits)) & 1) != 0;
+  }
+  return row;
+}
+
 // Campaign tasks: consecutive shards graded together, 512 / shard_patterns
 // to a task, so one block holds them all.
 std::size_t shards_per_task(const exec::ShardPlan& plan) {
@@ -129,19 +140,9 @@ CampaignCounts sweep_task(const Circuit& circuit, const Circuit& golden,
   const std::size_t num_inputs = golden.num_inputs();
   const std::size_t num_outputs = golden.num_outputs();
   std::vector<Word> inputs(words * num_inputs, 0);
-  int p = 0;
   for (const exec::Shard& shard : shards) {
-    for (std::vector<bool>& pattern :
-         shard_pattern_bits(num_inputs, options, shard)) {
-      Word* word = inputs.data() + (p / sim::kWordBits) * num_inputs;
-      for (std::size_t b = 0; b < pattern.size(); ++b) {
-        if (pattern[b]) word[b] |= Word{1} << (p % sim::kWordBits);
-      }
-      if (table != nullptr) {
-        table->patterns[task_begin + p] = std::move(pattern);
-      }
-      ++p;
-    }
+    pack_shard_patterns(num_inputs, options, shard, inputs,
+                        shard.begin - task_begin);
   }
   std::vector<Word> expected;
   if (&golden != &circuit) {
@@ -161,6 +162,7 @@ CampaignCounts sweep_task(const Circuit& circuit, const Circuit& golden,
       (universe.num_classes() + sim::kWordBits - 1) / sim::kWordBits;
   if (table != nullptr) {
     for (int q = 0; q < count; ++q) {
+      table->patterns[task_begin + q] = unpack_pattern(inputs, num_inputs, q);
       table->detected[task_begin + q].assign(row_words, 0);
     }
   }
@@ -328,22 +330,21 @@ exec::ShardPlan campaign_shard_plan(const Circuit& golden,
 void pack_shard_patterns(std::size_t num_logical_inputs,
                          const CampaignOptions& options,
                          const exec::Shard& shard, std::span<Word> inputs,
-                         int first) {
+                         std::size_t first) {
   if (options.exhaustive) check_exhaustive_cap(num_logical_inputs);
-  const std::size_t end = static_cast<std::size_t>(first) + shard.size();
-  if (first < 0 || inputs.size() < (end + sim::kWordBits - 1) /
-                                        sim::kWordBits * num_logical_inputs) {
+  const std::size_t end = first + shard.size();
+  if (inputs.size() <
+      (end + sim::kWordBits - 1) / sim::kWordBits * num_logical_inputs) {
     throw std::invalid_argument("pack_shard_patterns: block too short");
   }
   sim::Xoshiro256 rng(exec::stream_seed(options.seed, shard.index));
-  for (std::size_t p = static_cast<std::size_t>(first); p < end; ++p) {
-    const std::uint64_t assignment = shard.begin + (p - first);
-    const int bit = static_cast<int>(p % sim::kWordBits);
+  for (std::size_t p = first; p < end; ++p) {
+    const std::uint64_t pattern = shard.begin + (p - first);
+    const Word bit = Word{1} << (p % sim::kWordBits);
     Word* word = inputs.data() + (p / sim::kWordBits) * num_logical_inputs;
     for (std::size_t i = 0; i < num_logical_inputs; ++i) {
-      const Word value =
-          options.exhaustive ? (assignment >> i) & 1 : rng.next() >> 63;
-      word[i] = (word[i] & ~(Word{1} << bit)) | (value << bit);
+      const Word v = options.exhaustive ? (pattern >> i) & 1 : rng.next() >> 63;
+      word[i] = (word[i] & ~bit) | (v * bit);
     }
   }
 }
@@ -351,26 +352,12 @@ void pack_shard_patterns(std::size_t num_logical_inputs,
 std::vector<std::vector<bool>> shard_pattern_bits(
     std::size_t num_logical_inputs, const CampaignOptions& options,
     const exec::Shard& shard) {
+  std::vector<Word> words((shard.size() + sim::kWordBits - 1) /
+                          sim::kWordBits * num_logical_inputs);
+  pack_shard_patterns(num_logical_inputs, options, shard, words, 0);
   std::vector<std::vector<bool>> rows(shard.size());
-  if (options.exhaustive) {
-    check_exhaustive_cap(num_logical_inputs);
-    for (std::size_t i = 0; i < shard.size(); ++i) {
-      const std::uint64_t assignment = shard.begin + i;
-      std::vector<bool>& row = rows[i];
-      row.resize(num_logical_inputs);
-      for (std::size_t bit = 0; bit < num_logical_inputs; ++bit) {
-        row[bit] = ((assignment >> bit) & 1) != 0;
-      }
-    }
-    return rows;
-  }
-  sim::Xoshiro256 rng(exec::stream_seed(options.seed, shard.index));
-  for (std::size_t i = 0; i < shard.size(); ++i) {
-    std::vector<bool>& row = rows[i];
-    row.resize(num_logical_inputs);
-    for (std::size_t bit = 0; bit < num_logical_inputs; ++bit) {
-      row[bit] = (rng.next() >> 63) != 0;
-    }
+  for (std::size_t j = 0; j < rows.size(); ++j) {
+    rows[j] = unpack_pattern(words, num_logical_inputs, j);
   }
   return rows;
 }

@@ -182,29 +182,23 @@ void validate_campaign_inputs(const netlist::Circuit& circuit,
 [[nodiscard]] exec::ShardPlan campaign_shard_plan(
     const netlist::Circuit& golden, const CampaignOptions& options);
 
-// The logical input patterns of one shard — a pure function of
-// (options, shard): assignment bits of the pattern index when exhaustive,
-// else draws from the counter-based stream of (seed, shard.index). Shared
-// by the campaign shards and the per-pattern detection table so `.ans` rows
-// and aggregate coverage always describe the same patterns.
-[[nodiscard]] std::vector<std::vector<bool>> shard_pattern_bits(
-    std::size_t num_logical_inputs, const CampaignOptions& options,
-    const exec::Shard& shard);
-
-// Writes the logical input patterns of `shard` into a task's word-major
-// block, shard pattern j as block pattern p = first + j: logical input i of
-// it is bit p % 64 of inputs[(p / 64) * num_logical_inputs + i]. The bits
-// are the campaign's one pattern stream, a pure function of (options,
-// shard): assignment bits of the pattern index when exhaustive, else one
+// The campaign's one pattern stream, a pure function of (options, shard):
+// the assignment bits of the pattern index when exhaustive, else one
 // `next() >> 63` draw per (pattern, input), pattern-major, from the
-// counter-based stream of (seed, shard.index). Only the shard's own bits
-// change. Throws ExhaustiveCapError when exhaustive over
-// kMaxExhaustiveCampaignInputs inputs, and std::invalid_argument when
-// `first` is negative or `inputs` ends before the shard's last word.
+// counter-based stream of (seed, shard.index). Writes shard pattern j as
+// pattern p = first + j of a task's word-major block (logical input i in
+// bit p % 64 of inputs[p / 64 * num_logical_inputs + i]) and no other bit.
+// Throws ExhaustiveCapError over the cap, invalid_argument on a short block.
 void pack_shard_patterns(std::size_t num_logical_inputs,
                          const CampaignOptions& options,
                          const exec::Shard& shard, std::span<sim::Word> inputs,
-                         int first);
+                         std::size_t first);
+
+// One shard's patterns as rows, [pattern][logical input]: an unpacked view
+// of pack_shard_patterns, kept for callers that want rows.
+[[nodiscard]] std::vector<std::vector<bool>> shard_pattern_bits(
+    std::size_t num_logical_inputs, const CampaignOptions& options,
+    const exec::Shard& shard);
 
 // The classes a campaign with `options` simulates, ascending: all of them,
 // or a `sample`-sized subset keyed by the counter stream of the seed — a

@@ -48,7 +48,7 @@ void expect_tasks_match_reference(std::size_t num_inputs,
         block_words(shards.back().end - task_begin, num_inputs), 0);
     for (const exec::Shard& shard : shards) {
       pack_shard_patterns(num_inputs, options, shard, words,
-                          static_cast<int>(shard.begin - task_begin));
+                          shard.begin - task_begin);
     }
     ASSERT_EQ(words, testing::reference_block_words(num_inputs, options,
                                                     shards))
@@ -143,8 +143,7 @@ TEST(CampaignPatternsProperty, OffsetShardsWriteOnlyTheirOwnBits) {
           testing::reference_pack(num_inputs, options, shard, expected,
                                   first);
           std::vector<Word> words(size, sim::kAllOnes);
-          pack_shard_patterns(num_inputs, options, shard, words,
-                              static_cast<int>(first));
+          pack_shard_patterns(num_inputs, options, shard, words, first);
           ASSERT_EQ(words, expected)
               << (exhaustive ? "exhaustive, " : "random, ") << num_inputs
               << " inputs, " << shard_size << " per shard, at " << first;
@@ -160,8 +159,6 @@ TEST(CampaignPatternsProperty, ShortBlockIsRejected) {
   std::vector<Word> words(block_words(64, 5), 0);
   EXPECT_NO_THROW(pack_shard_patterns(5, options, shard, words, 54));
   EXPECT_THROW(pack_shard_patterns(5, options, shard, words, 55),
-               std::invalid_argument);
-  EXPECT_THROW(pack_shard_patterns(5, options, shard, words, -1),
                std::invalid_argument);
 }
 
