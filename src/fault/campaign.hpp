@@ -23,7 +23,9 @@
 // Tasks: the unit of scheduling is a task of consecutive shards, sized to
 // the kernel's 512-pattern block (fault_sim.hpp): shard_patterns is 1..512
 // and a task holds 512 / shard_patterns whole shards, graded together in
-// one block with each shard a segment of it. One kernel, built with the
+// one block with each shard a segment of it. A task draws its shards'
+// patterns straight into the block's words (pack_shard_patterns), with no
+// per-pattern rows on the way. One kernel, built with the
 // fault universe and shared read-only by every task, grades every task.
 // Tasks change only how much work one kernel call carries: every shard
 // keeps its pattern stream, and its first detections, first outputs and
@@ -261,7 +263,9 @@ struct CampaignCounts {
 // count. The table path never drops (rows must be complete), so its
 // counts.passes match the no-drop campaign.
 struct DetectionTable {
-  std::vector<std::vector<bool>> patterns;        // [pattern][logical input]
+  // [pattern][logical input], unpacked from the task's block words: the
+  // bits the kernel graded.
+  std::vector<std::vector<bool>> patterns;
   std::vector<std::vector<sim::Word>> detected;   // [pattern][class / 64]
   CampaignCounts counts;
 };

@@ -2,12 +2,12 @@
 // src/fault/campaign.cpp so tests that re-derive a campaign's patterns never
 // compare the library's packer with itself.
 //
-// reference_shard_rows is the stream as first written: one row per pattern,
+// reference_shard_rows draws the stream row by row: one row per pattern,
 // the assignment bits of the pattern index when exhaustive, else one
 // `next() >> 63` draw per (pattern, input), pattern-major, from the
-// counter-based stream of (seed, shard.index). reference_block_words is the
-// per-bit packing of those rows into a task's word-major block that campaign
-// tasks used before they drew straight into their words.
+// counter-based stream of (seed, shard.index). reference_block_words packs
+// those rows bit by bit into a task's word-major block (pattern p in bit
+// p % 64 of word p / 64 of each logical input).
 #pragma once
 
 #include <cstddef>
