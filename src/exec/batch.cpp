@@ -162,11 +162,12 @@ void prepare(const AnalysisRequest& request, JobState& state,
         } else {
           static_assert(std::is_same_v<Spec, analysis::HardenRequest>);
           (void)circuit();
-          // The sweep drives its own nested batch, which runs inline on this
-          // worker (pool reentrancy contract).
-          adopt(state, single_job([&request, &spec] {
+          // The sweep drives its own nested batches under the evaluator's
+          // `how`: serial stays on the calling thread, and on the global
+          // pool a nested loop from one of its workers runs inline.
+          adopt(state, single_job([&request, &spec, how] {
                   return harden::pareto_sweep(request.circuit, spec.options,
-                                              Parallelism{});
+                                              how);
                 }));
         }
       },

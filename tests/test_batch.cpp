@@ -460,6 +460,30 @@ TEST(Batch, ZeroSampledSensitivityBudgetFailsTheRequest) {
       << results[0].error;
 }
 
+// A harden request's nested sweep runs under the evaluator's Parallelism:
+// a serial batch submits no parallel job to any pool, and its result JSON
+// is the default pool's.
+TEST(Batch, SerialHardenRequestSubmitsNoPoolJob) {
+  const auto harden_json = [](Parallelism how, bool count_jobs) {
+    std::istringstream in("h kind=harden circuit=c17 budget=64 style=tmr\n");
+    std::map<std::string, CompiledCircuit> handles;
+    auto requests = parse_manifest_requests(in, memoized_resolver(handles));
+    obs::Counter& jobs =
+        obs::Registry::global().counter("exec-parallel-jobs-total");
+    const std::uint64_t before = jobs.value();
+    const auto results = evaluate_requests(std::move(requests), how);
+    if (count_jobs) {
+      EXPECT_EQ(jobs.value(), before);
+    }
+    EXPECT_TRUE(results.at(0).ok) << results.at(0).error;
+    std::ostringstream out;
+    write_result_json(out, results.at(0));
+    return out.str();
+  };
+  EXPECT_EQ(harden_json(Parallelism::serial(), true),
+            harden_json(Parallelism{}, false));
+}
+
 TEST(Batch, ExtractionSecondsExcludeQueueing) {
   // A serial batch holding a long reliability job and a c17 profile. The
   // extraction histogram must record the profile's own extraction time, not
