@@ -131,43 +131,31 @@ R run(const ShardedJob<R>& job, const Parallelism& how = {}) {
   return job.finish();
 }
 
-// A running total that shards merge into under one lock. Counts needs a
-// merge(const Counts&) member that is commutative, so shard completion
-// order never reaches the total.
-template <typename Counts>
-class LockedTotal {
- public:
-  explicit LockedTotal(Counts zero) : total_(std::move(zero)) {}
-
-  void merge(const Counts& local) {
-    const util::LockGuard lock(mutex_);
-    total_.merge(local);
-  }
-
-  [[nodiscard]] Counts take() {
-    const util::LockGuard lock(mutex_);
-    return std::move(total_);
-  }
-
- private:
-  util::Mutex mutex_;
-  Counts total_ ENB_GUARDED_BY(mutex_);
-};
-
 // The common job shape: shard(i) returns its Counts, which merge into a
-// LockedTotal started from `zero`; finish(total) turns the merged counts
-// into the result.
+// running total started from `zero` under one lock; finish(total) turns the
+// merged counts into the result. Counts needs a merge(const Counts&) member
+// that is commutative, so shard completion order never reaches the total.
 template <typename Counts, typename ShardFn, typename FinishFn>
 auto merging_job(std::size_t num_shards, Counts zero, ShardFn shard,
                  FinishFn finish)
     -> ShardedJob<std::invoke_result_t<FinishFn&, Counts>> {
-  auto total = std::make_shared<LockedTotal<Counts>>(std::move(zero));
+  struct Total {
+    explicit Total(Counts start) : counts(std::move(start)) {}
+    util::Mutex mutex;
+    Counts counts ENB_GUARDED_BY(mutex);
+  };
+  auto total = std::make_shared<Total>(std::move(zero));
   return {num_shards,
           [total, shard = std::move(shard)](std::size_t i) {
-            total->merge(shard(i));
+            const Counts local = shard(i);
+            const util::LockGuard lock(total->mutex);
+            total->counts.merge(local);
           },
           [total, finish = std::move(finish)] {
-            return finish(total->take());
+            util::UniqueLock lock(total->mutex);
+            Counts merged = std::move(total->counts);
+            lock.unlock();
+            return finish(std::move(merged));
           }};
 }
 

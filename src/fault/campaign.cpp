@@ -106,14 +106,13 @@ std::vector<exec::Shard> task_shards(const exec::ShardPlan& plan,
   return shards;
 }
 
-// The body shared by the aggregate counts and the detection table, so the
-// two views are bit-identical by construction rather than by parallel
-// maintenance. It grades consecutive `shards` over the kernel's active
-// (sampled) classes; each shard keeps its own pattern stream. The task's
-// patterns run through the campaign's shared kernel as one block (at most
-// 512 patterns), with each shard a segment of the block; the golden circuit
-// is simulated once per word for the expected outputs, unless it is the
-// circuit itself, whose good machine the kernel already has.
+// One campaign task, traced as one fault-sweep-shard span. It grades
+// consecutive `shards` over the kernel's active (sampled) classes; each
+// shard keeps its own pattern stream. The task's patterns run through the
+// campaign's shared kernel as one block (at most 512 patterns), with each
+// shard a segment of the block; the golden circuit is simulated once per
+// word for the expected outputs, unless it is the circuit itself, whose
+// good machine the kernel already has.
 //
 // First detections are per shard: the kernel reports each class's lowest
 // detecting pattern and output in every shard's own bit range of the
@@ -122,17 +121,21 @@ std::vector<exec::Shard> task_shards(const exec::ShardPlan& plan,
 //
 // Passes stay in the 64-class-sweep unit the contract is written in: per
 // pattern, one golden pass plus one per 64 classes still active at that
-// pattern, where under fault dropping (aggregate path only, the table needs
-// complete rows) a class stops being active after its shard-local first
-// detection. They are counted per shard from the first detections, not
-// from the kernel's work, so they are the same for any kernel and any task
-// grouping, and dropping changes nothing else.
+// pattern, where under fault dropping a class stops being active after its
+// shard-local first detection. They are counted per shard from the first
+// detections, not from the kernel's work, so they are the same for any
+// kernel and any task grouping, and dropping changes nothing else.
+//
+// A non-null `rows` gets this task's pattern and detection rows.
 CampaignCounts sweep_task(const Circuit& circuit, const Circuit& golden,
                           const FaultUniverse& universe,
                           const PatternFaultSim& kernel,
                           const CampaignOptions& options,
                           std::span<const exec::Shard> shards,
-                          DetectionTable* table) {
+                          DetectionTable* rows) {
+  const obs::Span span("fault-sweep-shard", {},
+                       "shards=" + std::to_string(shards.front().index) +
+                           ".." + std::to_string(shards.back().index));
   CampaignCounts counts(universe.num_classes());
   const std::size_t task_begin = shards.front().begin;
   const int count = static_cast<int>(shards.back().end - task_begin);
@@ -160,20 +163,20 @@ CampaignCounts sweep_task(const Circuit& circuit, const Circuit& golden,
 
   const std::size_t row_words =
       (universe.num_classes() + sim::kWordBits - 1) / sim::kWordBits;
-  if (table != nullptr) {
+  if (rows != nullptr) {
     for (int q = 0; q < count; ++q) {
-      table->patterns[task_begin + q] = unpack_pattern(inputs, num_inputs, q);
-      table->detected[task_begin + q].assign(row_words, 0);
+      rows->patterns[task_begin + q] = unpack_pattern(inputs, num_inputs, q);
+      rows->detected[task_begin + q].assign(row_words, 0);
     }
   }
   // first_hits[i]: classes whose shard-local first detection is task
   // pattern i.
   std::vector<std::uint64_t> first_hits(static_cast<std::size_t>(count), 0);
   for (const PatternFaultSim::Detection& hit : block.detections) {
-    if (table != nullptr) {
+    if (rows != nullptr) {
       for (int q = hit.patterns.find_first(0); q < count;
            q = hit.patterns.find_first(q + 1)) {
-        table->detected[task_begin + q][hit.cls / sim::kWordBits] |=
+        rows->detected[task_begin + q][hit.cls / sim::kWordBits] |=
             Word{1} << (hit.cls % sim::kWordBits);
       }
     }
@@ -188,7 +191,6 @@ CampaignCounts sweep_task(const Circuit& circuit, const Circuit& golden,
 
   // Passes and lane slots per pattern of each shard, as described above;
   // the metrics are published once per task.
-  const bool drop = options.drop && table == nullptr;
   std::uint64_t obs_slots = 0;
   std::uint64_t obs_slots_active = 0;
   std::uint64_t obs_dropped = 0;
@@ -200,7 +202,7 @@ CampaignCounts sweep_task(const Circuit& circuit, const Circuit& golden,
       counts.passes += 1 + blocks;
       obs_slots += blocks * sim::kWordBits;
       obs_slots_active += still_active;
-      if (drop) {
+      if (options.drop) {
         const std::uint64_t hits = first_hits[q - task_begin];
         still_active -= hits;
         obs_dropped += hits;
@@ -215,19 +217,6 @@ CampaignCounts sweep_task(const Circuit& circuit, const Circuit& golden,
   metrics.lane_slots_active.add(obs_slots_active);
   if (obs_dropped > 0) metrics.dropped.add(obs_dropped);
   return counts;
-}
-
-// One campaign task, traced as one fault-sweep-shard span.
-CampaignCounts task_counts(const Circuit& circuit, const Circuit& golden,
-                           const FaultUniverse& universe,
-                           const PatternFaultSim& kernel,
-                           const CampaignOptions& options,
-                           std::span<const exec::Shard> shards) {
-  const obs::Span span("fault-sweep-shard", {},
-                       "shards=" + std::to_string(shards.front().index) +
-                           ".." + std::to_string(shards.back().index));
-  return sweep_task(circuit, golden, universe, kernel, options, shards,
-                    nullptr);
 }
 
 // finalize_campaign, given the number of sampled classes.
@@ -417,7 +406,8 @@ CampaignCounts campaign_shard_counts(const Circuit& circuit,
                                      const exec::Shard& shard) {
   const PatternFaultSim kernel(circuit, universe, options.bundle_width,
                                sampled_classes(universe, options));
-  return task_counts(circuit, golden, universe, kernel, options, {&shard, 1});
+  return sweep_task(circuit, golden, universe, kernel, options, {&shard, 1},
+                    nullptr);
 }
 
 FaultCampaignResult finalize_campaign(const Circuit& circuit,
@@ -431,7 +421,7 @@ FaultCampaignResult finalize_campaign(const Circuit& circuit,
 
 exec::ShardedJob<FaultCampaignResult> campaign_job(
     const Circuit& circuit, const Circuit& golden,
-    const CampaignOptions& options) {
+    const CampaignOptions& options, DetectionTable* rows) {
   validate_campaign_inputs(circuit, golden, options);
   auto universe = std::make_shared<const FaultUniverse>(FaultUniverse::build(
       circuit, options.collapse, options.prune_untestable));
@@ -439,11 +429,17 @@ exec::ShardedJob<FaultCampaignResult> campaign_job(
       circuit, *universe, options.bundle_width,
       sampled_classes(*universe, options));
   const exec::ShardPlan plan = campaign_shard_plan(golden, options);
+  if (rows != nullptr) {
+    rows->universe = universe;
+    rows->patterns.assign(plan.total(), {});
+    rows->detected.assign(plan.total(), {});
+  }
   return exec::merging_job(
       task_count(plan), CampaignCounts(universe->num_classes()),
-      [&circuit, &golden, universe, kernel, options, plan](std::size_t t) {
-        return task_counts(circuit, golden, *universe, *kernel, options,
-                           task_shards(plan, t));
+      [&circuit, &golden, universe, kernel, options, plan,
+       rows](std::size_t t) {
+        return sweep_task(circuit, golden, *universe, *kernel, options,
+                          task_shards(plan, t), rows);
       },
       [&circuit, &golden, universe, kernel,
        options](const CampaignCounts& total) {
@@ -454,45 +450,22 @@ exec::ShardedJob<FaultCampaignResult> campaign_job(
 
 FaultCampaignResult run_campaign(const Circuit& circuit, const Circuit* golden,
                                  const CampaignOptions& options,
-                                 exec::Parallelism how) {
+                                 exec::Parallelism how, DetectionTable* rows) {
   const obs::Span span("fault-campaign", {}, circuit.name());
-  return exec::run(
-      campaign_job(circuit, golden != nullptr ? *golden : circuit, options),
-      how);
+  return exec::run(campaign_job(circuit, golden != nullptr ? *golden : circuit,
+                                options, rows),
+                   how);
 }
 
-// ---- detection table / .ans ------------------------------------------------
-
-DetectionTable build_detection_table(const Circuit& circuit,
-                                     const Circuit& golden,
-                                     const FaultUniverse& universe,
-                                     const CampaignOptions& options,
-                                     exec::Parallelism how) {
-  validate_campaign_inputs(circuit, golden, options);
-  const exec::ShardPlan plan = campaign_shard_plan(golden, options);
-
-  DetectionTable table;
-  table.patterns.resize(plan.total());
-  table.detected.resize(plan.total());
-  exec::LockedTotal<CampaignCounts> counts(
-      CampaignCounts(universe.num_classes()));
-  const PatternFaultSim kernel(circuit, universe, options.bundle_width,
-                               sampled_classes(universe, options));
-  exec::for_each_index(
-      task_count(plan),
-      [&](std::size_t t) {
-        // Slot-per-pattern row writes are race-free (disjoint slots); only
-        // the counts merge needs the lock.
-        counts.merge(sweep_task(circuit, golden, universe, kernel, options,
-                                task_shards(plan, t), &table));
-      },
-      how);
-  table.counts = counts.take();
-  return table;
-}
+// ---- .ans -------------------------------------------------------------------
 
 void write_ans(std::ostream& out, const Circuit& circuit,
-               const FaultUniverse& universe, const DetectionTable& table) {
+               const FaultCampaignResult& result, const DetectionTable& table) {
+  if (result.sampled + result.untestable != result.classes) {
+    throw std::invalid_argument(
+        "write_ans: a sampled run has no rows for its unsampled classes");
+  }
+  const FaultUniverse& universe = *table.universe;
   out << "# pattern net sa0_eq sa1_eq\n";
   const auto detected_bit = [&](const std::vector<Word>& row,
                                 std::size_t site) {
@@ -513,11 +486,11 @@ void write_ans(std::ostream& out, const Circuit& circuit,
   out << "# detect net sa0_pattern sa0_output sa1_pattern sa1_output\n";
   const auto put_first = [&](std::size_t site) {
     const std::size_t cls = universe.class_of(site);
-    if (table.counts.first_pattern[cls] == kNotDetected) {
+    if (result.first_detect_pattern[cls] == kNotDetected) {
       out << " - -";
     } else {
-      out << ' ' << table.counts.first_pattern[cls] << ' '
-          << table.counts.first_output[cls];
+      out << ' ' << result.first_detect_pattern[cls] << ' '
+          << result.first_detect_output[cls];
     }
   };
   for (netlist::NodeId net = 0; net < universe.num_nets(); ++net) {

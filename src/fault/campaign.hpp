@@ -30,10 +30,12 @@
 // Tasks change only how much work one kernel call carries: every shard
 // keeps its pattern stream, and its first detections, first outputs and
 // passes are computed from its own bit range of the block, so every result
-// field is the same as grading the shards one by one. One
-// `fault-sweep-shard` span is traced per task, and
-// `fault-sweep-events-total` counts block evaluations (each covers up to
-// 512 patterns).
+// field is the same as grading the shards one by one. When the caller asks
+// for the per-pattern rows (DetectionTable, the `.ans` view), each task
+// also writes its patterns' row slots from the same block, so rows and
+// result come from one run. One `fault-sweep-shard` span is traced per
+// task, and `fault-sweep-events-total` counts block evaluations (each
+// covers up to 512 patterns).
 //
 // Scale knobs (all preserve that contract exactly):
 //   drop    count a detected class out of the passes *within a shard*: a
@@ -57,6 +59,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -168,7 +171,8 @@ struct FaultCampaignResult {
 // campaign_job is *defined* as the merge of the task body behind
 // campaign_shard_counts; run_campaign and the batch engine both drive that
 // job, so batched campaigns are bit-identical to direct calls by
-// construction.
+// construction. Only perfbench calls campaign_shard_counts and
+// finalize_campaign; no test reads them.
 
 // Validation run_campaign applies before sharding: bundle-divisible
 // interfaces, golden/circuit agreement on the logical interface, positive
@@ -238,42 +242,40 @@ struct CampaignCounts {
     const FaultUniverse& universe, const CampaignOptions& options,
     const CampaignCounts& counts);
 
+// The per-pattern rows of one campaign run (the `.ans` view): the fault
+// universe the run built, the patterns it graded (global pattern-index
+// order) and, per pattern, one detection word per 64-class block (bit c =
+// class c detected, universe class indexing; unsampled classes read 0).
+// The tasks fill it with slot-per-pattern writes from the blocks they
+// grade, so it is bit-identical for any thread count. The kernel grades
+// every active class on every pattern whatever `drop` says, so the rows
+// are complete with dropping on or off. First detections and passes are
+// the run's FaultCampaignResult.
+struct DetectionTable {
+  std::shared_ptr<const FaultUniverse> universe;
+  // [pattern][logical input], unpacked from the task's block words: the
+  // bits the kernel graded.
+  std::vector<std::vector<bool>> patterns;
+  std::vector<std::vector<sim::Word>> detected;   // [pattern][class / 64]
+};
+
 // A whole campaign as one sharded job (see exec::ShardedJob) with one job
 // shard per task (see "Tasks" above): validates, builds the fault universe
 // and the kernel over the sampled classes once (shared read-only by every
 // task), and merges each task's counts under the job's lock. `golden` is
-// the reference whose outputs detection compares against.
+// the reference whose outputs detection compares against. A non-null
+// `rows` is an output: the job resets it to the run's universe and sized
+// rows, and its tasks fill the rows; it must outlive the job.
 [[nodiscard]] exec::ShardedJob<FaultCampaignResult> campaign_job(
     const netlist::Circuit& circuit, const netlist::Circuit& golden,
-    const CampaignOptions& options);
+    const CampaignOptions& options, DetectionTable* rows = nullptr);
 
 // Runs campaign_job per `how`. golden == nullptr grades the circuit against
 // its own fault-free behaviour.
 [[nodiscard]] FaultCampaignResult run_campaign(
     const netlist::Circuit& circuit, const netlist::Circuit* golden,
-    const CampaignOptions& options = {}, exec::Parallelism how = {});
-
-// ---- per-pattern detection records (the `.ans` view) ----------------------
-
-// Everything the row-level output needs: the patterns actually simulated
-// (global pattern-index order), per pattern one detection word per 64-class
-// block (bit c = class c detected — universe class indexing), and the
-// merged first-detection counts. Built by the campaign's tasks with
-// slot-per-pattern writes, so the table is bit-identical for any thread
-// count. The table path never drops (rows must be complete), so its
-// counts.passes match the no-drop campaign.
-struct DetectionTable {
-  // [pattern][logical input], unpacked from the task's block words: the
-  // bits the kernel graded.
-  std::vector<std::vector<bool>> patterns;
-  std::vector<std::vector<sim::Word>> detected;   // [pattern][class / 64]
-  CampaignCounts counts;
-};
-
-[[nodiscard]] DetectionTable build_detection_table(
-    const netlist::Circuit& circuit, const netlist::Circuit& golden,
-    const FaultUniverse& universe, const CampaignOptions& options,
-    exec::Parallelism how = {});
+    const CampaignOptions& options = {}, exec::Parallelism how = {},
+    DetectionTable* rows = nullptr);
 
 // `.ans`-style rows (as6325400/Fault_Simulation): header
 //   # pattern net sa0_eq sa1_eq
@@ -285,8 +287,11 @@ struct DetectionTable {
 // A detectability-map section follows, header
 //   # detect net sa0_pattern sa0_output sa1_pattern sa1_output
 // then one row per net with the first detecting (pattern, logical output)
-// of each polarity, `-` for undetected. Requires a full-universe table.
+// of each polarity, `-` for undetected, from `result`'s detectability map.
+// `result` and `table` come from one run. A sampled run has no truthful
+// row for an unsampled class, so it throws std::invalid_argument unless
+// every testable class was graded (sampled + untestable == classes).
 void write_ans(std::ostream& out, const netlist::Circuit& circuit,
-               const FaultUniverse& universe, const DetectionTable& table);
+               const FaultCampaignResult& result, const DetectionTable& table);
 
 }  // namespace enb::fault

@@ -269,24 +269,38 @@ TEST(FaultCampaign, CanonicalSpecIsValueComplete) {
   EXPECT_NE(analysis::canonical_spec(h), base);
 }
 
-TEST(FaultCampaign, DetectionTableAgreesWithAggregateCounts) {
+// The rows ride the one campaign run: rows and result are identical at any
+// thread count and with dropping on or off (only sim_passes moves with
+// dropping), and the result equals the row-less run's.
+TEST(FaultCampaign, OneRunFeedsRowsAndResult) {
   const Circuit circuit = gen::find_benchmark("parity8").build();
   CampaignOptions options;
   options.patterns = 48;
   options.shard_patterns = 16;
-  const FaultUniverse universe = FaultUniverse::build(circuit);
-  const DetectionTable serial_table = build_detection_table(
-      circuit, circuit, universe, options, exec::Parallelism::serial());
-  const DetectionTable wide_table = build_detection_table(
-      circuit, circuit, universe, options, exec::Parallelism::dedicated(64));
-  EXPECT_EQ(serial_table.patterns, wide_table.patterns);
-  EXPECT_EQ(serial_table.detected, wide_table.detected);
-  EXPECT_EQ(serial_table.counts.passes, wide_table.counts.passes);
-
-  const FaultCampaignResult via_table = finalize_campaign(
-      circuit, circuit, universe, options, serial_table.counts);
-  const FaultCampaignResult direct = run_campaign(circuit, nullptr, options);
-  EXPECT_EQ(via_table, direct);
+  DetectionTable reference_rows;
+  const FaultCampaignResult reference = run_campaign(
+      circuit, nullptr, options, exec::Parallelism::serial(), &reference_rows);
+  ASSERT_EQ(reference_rows.patterns.size(), options.patterns);
+  ASSERT_EQ(reference_rows.detected.size(), options.patterns);
+  EXPECT_EQ(reference_rows.universe->num_classes(), reference.classes);
+  for (const bool drop : {false, true}) {
+    options.drop = drop;
+    const FaultCampaignResult rowless = run_campaign(circuit, nullptr, options);
+    for (const exec::Parallelism how :
+         {exec::Parallelism::serial(), exec::Parallelism::dedicated(64)}) {
+      DetectionTable rows;
+      FaultCampaignResult result =
+          run_campaign(circuit, nullptr, options, how, &rows);
+      EXPECT_EQ(result, rowless) << "drop " << drop;
+      EXPECT_EQ(rows.patterns, reference_rows.patterns) << "drop " << drop;
+      EXPECT_EQ(rows.detected, reference_rows.detected) << "drop " << drop;
+      if (drop) {
+        EXPECT_LT(result.sim_passes, reference.sim_passes);
+        result.sim_passes = reference.sim_passes;
+      }
+      EXPECT_EQ(result, reference) << "drop " << drop;
+    }
+  }
 }
 
 TEST(FaultCampaign, AnsRowsCoverEveryNetAndExpandClasses) {
@@ -294,11 +308,12 @@ TEST(FaultCampaign, AnsRowsCoverEveryNetAndExpandClasses) {
   CampaignOptions options;
   options.patterns = 2;
   options.shard_patterns = 2;
-  const FaultUniverse universe = FaultUniverse::build(c17);
-  const DetectionTable table =
-      build_detection_table(c17, c17, universe, options);
+  DetectionTable table;
+  const FaultCampaignResult result =
+      run_campaign(c17, nullptr, options, {}, &table);
+  const FaultUniverse& universe = *table.universe;
   std::ostringstream out;
-  write_ans(out, c17, universe, table);
+  write_ans(out, c17, result, table);
 
   std::istringstream in(out.str());
   std::string header;
@@ -321,6 +336,24 @@ TEST(FaultCampaign, AnsRowsCoverEveryNetAndExpandClasses) {
   const std::size_t site_in = 0;   // node 0 ("1") sa0
   const std::size_t site_out = 2 * 5 + 1;  // node 5 ("10") sa1
   ASSERT_EQ(universe.class_of(site_in), universe.class_of(site_out));
+}
+
+// A sampled run has no rows for its unsampled classes, so write_ans
+// refuses it rather than print them as masked and undetected. Collapsed,
+// c17 has exactly 16 classes; uncollapsed, each of its 22 sites is one.
+TEST(FaultCampaign, AnsRefusesASampledRun) {
+  const Circuit c17 = gen::find_benchmark("c17").build();
+  CampaignOptions options;
+  options.patterns = 8;
+  options.collapse = false;
+  options.sample = 16;
+  DetectionTable table;
+  const FaultCampaignResult result =
+      run_campaign(c17, nullptr, options, {}, &table);
+  ASSERT_EQ(result.sampled, 16u);
+  ASSERT_LT(result.sampled, result.classes);
+  std::ostringstream out;
+  EXPECT_THROW(write_ans(out, c17, result, table), std::invalid_argument);
 }
 
 TEST(FaultCampaign, ValidatesInterfaceAndBudgets) {

@@ -49,12 +49,11 @@ CampaignOptions judge_options() {
 std::string judge_ans(const std::string& name, const CampaignOptions& options,
                       exec::Parallelism how = {}) {
   const netlist::Circuit circuit = gen::find_benchmark(name).build();
-  const FaultUniverse universe =
-      FaultUniverse::build(circuit, options.collapse);
-  const DetectionTable table =
-      build_detection_table(circuit, circuit, universe, options, how);
+  DetectionTable table;
+  const FaultCampaignResult result =
+      run_campaign(circuit, nullptr, options, how, &table);
   std::ostringstream out;
-  write_ans(out, circuit, universe, table);
+  write_ans(out, circuit, result, table);
   return out.str();
 }
 
@@ -196,27 +195,13 @@ TEST(FaultJudge, CecJsonDigestIndependentOfThreads) {
 // Pruned-universe `.ans` bytes against the *unpruned* golden table: the
 // prover may only remove faults that never detect, so every row — including
 // the rows of the pruned classes — must come out byte-identical.
-std::string judge_pruned_ans(const std::string& name,
-                             const CampaignOptions& options,
-                             exec::Parallelism how = {}) {
-  const netlist::Circuit circuit = gen::find_benchmark(name).build();
-  const FaultUniverse universe = FaultUniverse::build(
-      circuit, options.collapse, /*prune_untestable=*/true);
-  const DetectionTable table =
-      build_detection_table(circuit, circuit, universe, options, how);
-  std::ostringstream out;
-  write_ans(out, circuit, universe, table);
-  return out.str();
-}
-
 TEST(FaultJudge, PrunedAnsBytesMatchUnprunedGoldenTable) {
   for (const gen::BenchmarkSpec& spec : gen::scale_suite()) {
     for (const JudgeEntry& entry : kJudgeTable) {
       if (spec.name != entry.name) continue;
       CampaignOptions options = judge_options();
       options.prune_untestable = true;
-      EXPECT_EQ(util::sha256_hex(judge_pruned_ans(entry.name, options)),
-                entry.sha256)
+      EXPECT_EQ(util::sha256_hex(judge_ans(entry.name, options)), entry.sha256)
           << entry.name;
     }
   }
@@ -233,11 +218,10 @@ TEST(FaultJudge, PrunedAnsDigestIndependentOfThreads) {
         FaultUniverse::build(circuit, pruning.collapse, true);
     EXPECT_GT(universe.num_untestable(), 0u);
   }
-  const std::string baseline =
-      util::sha256_hex(judge_pruned_ans(name, pruning));
+  const std::string baseline = util::sha256_hex(judge_ans(name, pruning));
   EXPECT_EQ(util::sha256_hex(judge_ans(name, judge_options())), baseline);
-  EXPECT_EQ(util::sha256_hex(judge_pruned_ans(
-                name, pruning, exec::Parallelism::dedicated(8))),
+  EXPECT_EQ(util::sha256_hex(
+                judge_ans(name, pruning, exec::Parallelism::dedicated(8))),
             baseline);
 }
 

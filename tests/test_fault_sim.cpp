@@ -201,9 +201,9 @@ TEST(FaultSim, PassCountingAndBlockMask) {
       (universe.num_classes() + sim::kWordBits - 1) / sim::kWordBits;
   CampaignOptions options;
   options.patterns = 100;
-  const DetectionTable table = build_detection_table(
-      circuit, circuit, universe, options, exec::Parallelism::serial());
-  EXPECT_EQ(table.counts.passes, options.patterns * (1 + blocks));
+  const FaultCampaignResult result =
+      run_campaign(circuit, nullptr, options, exec::Parallelism::serial());
+  EXPECT_EQ(result.sim_passes, options.patterns * (1 + blocks));
 
   const PatternFaultSim sim(circuit, universe, 1, every_class(universe));
   std::vector<sim::Word> inputs(circuit.num_inputs(), 0);
@@ -228,14 +228,14 @@ TEST(FaultSim, FaultPackingCutsPassesAtLeast32x) {
   const FaultUniverse universe = FaultUniverse::build(circuit);
   ASSERT_GE(universe.num_classes(), 64u);
 
-  const DetectionTable table = build_detection_table(
-      circuit, circuit, universe, options, exec::Parallelism::serial());
+  const FaultCampaignResult result =
+      run_campaign(circuit, nullptr, options, exec::Parallelism::serial());
   // Scalar flow: one golden pass plus one faulty pass per class, per
   // pattern.
   const std::uint64_t scalar_passes =
       options.patterns * (1 + universe.num_classes());
-  EXPECT_GE(scalar_passes, 32 * table.counts.passes)
-      << "bit-parallel passes " << table.counts.passes << ", scalar passes "
+  EXPECT_GE(scalar_passes, 32 * result.sim_passes)
+      << "bit-parallel passes " << result.sim_passes << ", scalar passes "
       << scalar_passes;
 }
 
@@ -259,11 +259,10 @@ TEST(FaultSim, MultiWordShardsMatchOneWordShards) {
     one_word.exhaustive = true;
     CampaignOptions four_words = one_word;
     four_words.shard_patterns = 200;
-    const FaultUniverse universe = FaultUniverse::build(circuit);
-    const DetectionTable table =
-        build_detection_table(circuit, *golden, universe, four_words,
-                              exec::Parallelism::serial());
-    const std::uint64_t classes = universe.num_classes();
+    DetectionTable table;
+    const FaultCampaignResult tabled = run_campaign(
+        circuit, golden, four_words, exec::Parallelism::serial(), &table);
+    const std::uint64_t classes = table.universe->num_classes();
     const std::uint64_t patterns = table.patterns.size();
     ASSERT_EQ(patterns, 1024u);
     for (const bool drop : {false, true}) {
@@ -273,8 +272,8 @@ TEST(FaultSim, MultiWordShardsMatchOneWordShards) {
       const FaultCampaignResult b = run_campaign(circuit, golden, four_words);
       EXPECT_EQ(a.first_detect_pattern, b.first_detect_pattern);
       EXPECT_EQ(a.first_detect_output, b.first_detect_output);
-      EXPECT_EQ(b.first_detect_pattern, table.counts.first_pattern);
-      EXPECT_EQ(b.first_detect_output, table.counts.first_output);
+      EXPECT_EQ(b.first_detect_pattern, tabled.first_detect_pattern);
+      EXPECT_EQ(b.first_detect_output, tabled.first_detect_output);
       EXPECT_GT(b.detected, 0u);
 
       // The pass formula, from the table's detection bits.
@@ -302,7 +301,7 @@ TEST(FaultSim, MultiWordShardsMatchOneWordShards) {
         EXPECT_EQ(want,
                   patterns * (1 + (classes + sim::kWordBits - 1) /
                                       sim::kWordBits));
-        EXPECT_EQ(table.counts.passes, want);
+        EXPECT_EQ(tabled.sim_passes, want);
       }
     }
   }

@@ -178,10 +178,9 @@ TEST(CampaignPatternsProperty, DetectionTableRowsMatchReferenceRows) {
   cases[1].options.shard_patterns = 100;
   for (const Case& c : cases) {
     const Circuit circuit = gen::find_benchmark(c.name).build();
-    const FaultUniverse universe = FaultUniverse::build(circuit);
-    const DetectionTable table = build_detection_table(
-        circuit, circuit, universe, c.options,
-        exec::Parallelism::global_pool());
+    DetectionTable table;
+    (void)run_campaign(circuit, nullptr, c.options,
+                       exec::Parallelism::global_pool(), &table);
     const std::vector<std::vector<bool>> rows =
         testing::reference_campaign_rows(
             circuit.num_inputs(), c.options,

@@ -65,15 +65,15 @@ TEST(FaultScaleProperty, DetectionTableBitIdenticalToScalar) {
     circuit_options.num_outputs = 6;
     circuit_options.seed = seed;
     const Circuit circuit = gen::random_circuit(circuit_options);
-    const FaultUniverse universe = FaultUniverse::build(circuit);
     CampaignOptions options;
     options.patterns = 12;
     options.shard_patterns = 4;
     options.seed = seed * 1337;
 
+    DetectionTable table;
+    (void)run_campaign(circuit, nullptr, options, {}, &table);
+    const FaultUniverse& universe = *table.universe;
     ScalarFaultSim scalar(circuit, universe);
-    const DetectionTable table =
-        build_detection_table(circuit, circuit, universe, options);
     for (std::size_t p = 0; p < table.patterns.size(); ++p) {
       const std::vector<bool> expected =
           sim::eval_single(circuit, table.patterns[p]);
@@ -268,7 +268,7 @@ ShardReference shard_reference(const Circuit& circuit, const Circuit& golden,
 // shard sizes from below one word up to one whole block (64, 8 and 1
 // shards to a task; 100 and 200 leave a task's block short). Each must
 // grade exactly like the per-shard scalar reference, through run_campaign
-// with and without dropping and through build_detection_table: against a
+// with and without dropping and through its `.ans` rows: against a
 // golden that differs from the circuit, pruned and sampled, and on a 3-wire
 // multiplexed bundle.
 TEST(FaultScaleProperty, BlockBoundariesMatchPerShardScalarReference) {
@@ -327,13 +327,14 @@ TEST(FaultScaleProperty, BlockBoundariesMatchPerShardScalarReference) {
           EXPECT_EQ(result.patterns, patterns) << where;
         }
         options.drop = false;
-        const DetectionTable table = build_detection_table(
-            circuit, golden, universe, options,
-            exec::Parallelism::global_pool());
+        DetectionTable table;
+        const FaultCampaignResult tabled = run_campaign(
+            circuit, &golden, options, exec::Parallelism::global_pool(),
+            &table);
         EXPECT_EQ(table.patterns, ref.patterns) << where;
-        EXPECT_EQ(table.counts.first_pattern, ref.first_pattern) << where;
-        EXPECT_EQ(table.counts.first_output, ref.first_output) << where;
-        EXPECT_EQ(table.counts.passes, ref.passes) << where;
+        EXPECT_EQ(tabled.first_detect_pattern, ref.first_pattern) << where;
+        EXPECT_EQ(tabled.first_detect_output, ref.first_output) << where;
+        EXPECT_EQ(tabled.sim_passes, ref.passes) << where;
         ASSERT_EQ(table.detected.size(), ref.bits.size()) << where;
         for (std::size_t p = 0; p < ref.bits.size(); ++p) {
           for (std::size_t c = 0; c < universe.num_classes(); ++c) {

@@ -477,24 +477,14 @@ int cmd_faultsim(const Args& args) {
   const netlist::Circuit& circuit = compiled.circuit();
   const netlist::Circuit& reference =
       golden.has_value() ? golden->circuit() : circuit;
-  fault::validate_campaign_inputs(circuit, reference, options);
-  const exec::Parallelism how{args.threads};
-  // The summary always comes from the aggregate campaign, so it reflects
-  // the requested dropping and sampling. The row-level consumers
-  // (--ans, --check-scalar) additionally build the per-pattern detection
-  // table, which never drops (rows must be complete) — its detection bits
-  // and first-detection records are bit-identical to the aggregate's by
-  // construction (pinned by tests/test_fault_campaign.cpp).
+  // One campaign run gives the summary, with the requested dropping and
+  // sampling, and, when --ans or --check-scalar asks for them, the
+  // per-pattern detection rows and the fault universe they index.
+  fault::DetectionTable table;
+  const bool want_rows = args.check_scalar || !args.ans.empty();
   const fault::FaultCampaignResult result = fault::run_campaign(
-      circuit, golden.has_value() ? &reference : nullptr, options, how);
-  std::optional<fault::FaultUniverse> universe;
-  std::optional<fault::DetectionTable> table;
-  if (args.check_scalar || !args.ans.empty()) {
-    universe = fault::FaultUniverse::build(circuit, options.collapse,
-                                           options.prune_untestable);
-    table = fault::build_detection_table(circuit, reference, *universe,
-                                         options, how);
-  }
+      circuit, golden.has_value() ? &reference : nullptr, options,
+      exec::Parallelism{args.threads}, want_rows ? &table : nullptr);
 
   report::Table t({"field", "value"});
   t.add_row({std::string("circuit"), compiled.name()});
@@ -538,21 +528,21 @@ int cmd_faultsim(const Args& args) {
     // one-fault-at-a-time reference — the two implementations share only
     // the gate rule, not the sweep, the fault injection or the stem
     // propagation, so agreement here is a real equivalence check.
-    fault::ScalarFaultSim scalar(circuit, *universe, options.bundle_width);
+    const fault::FaultUniverse& universe = *table.universe;
+    fault::ScalarFaultSim scalar(circuit, universe, options.bundle_width);
     const std::vector<std::uint32_t> sampled =
-        fault::sampled_classes(*universe, options);
+        fault::sampled_classes(universe, options);
     std::uint64_t scalar_passes = 0;
     std::uint64_t mismatches = 0;
-    for (std::size_t p = 0; p < table->patterns.size(); ++p) {
+    for (std::size_t p = 0; p < table.patterns.size(); ++p) {
       const std::vector<bool> expected =
-          sim::eval_single(reference, table->patterns[p]);
+          sim::eval_single(reference, table.patterns[p]);
       ++scalar_passes;
       for (const std::uint32_t c : sampled) {
         const bool parallel_bit =
-            ((table->detected[p][c / sim::kWordBits] >>
-              (c % sim::kWordBits)) &
+            ((table.detected[p][c / sim::kWordBits] >> (c % sim::kWordBits)) &
              1) != 0;
-        if (scalar.detect(c, table->patterns[p], expected) != parallel_bit) {
+        if (scalar.detect(c, table.patterns[p], expected) != parallel_bit) {
           ++mismatches;
         }
       }
@@ -563,7 +553,7 @@ int cmd_faultsim(const Args& args) {
                 << "on " << mismatches << " (pattern, fault) pairs\n";
       return kExitProcessing;
     }
-    const std::uint64_t passes = table->counts.passes;
+    const std::uint64_t passes = result.sim_passes;
     const double reduction = passes == 0 ? 0.0
                                          : static_cast<double>(scalar_passes) /
                                                static_cast<double>(passes);
@@ -574,7 +564,7 @@ int cmd_faultsim(const Args& args) {
 
   if (!args.ans.empty()) {
     std::ofstream out(args.ans);
-    fault::write_ans(out, circuit, *universe, *table);
+    fault::write_ans(out, circuit, result, table);
     std::cout << "wrote " << args.ans << "\n";
   }
   if (!args.json.empty()) {
