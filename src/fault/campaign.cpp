@@ -161,9 +161,9 @@ CampaignCounts sweep_task(const Circuit& circuit, const Circuit& golden,
   const PatternFaultSim::BlockResult block = kernel.detect_block(
       inputs, count, expected, static_cast<int>(options.shard_patterns));
 
-  const std::size_t row_words =
-      (universe.num_classes() + sim::kWordBits - 1) / sim::kWordBits;
   if (rows != nullptr) {
+    const std::size_t row_words =
+        (universe.num_classes() + sim::kWordBits - 1) / sim::kWordBits;
     for (int q = 0; q < count; ++q) {
       rows->patterns[task_begin + q] = unpack_pattern(inputs, num_inputs, q);
       rows->detected[task_begin + q].assign(row_words, 0);
