@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <memory>
+#include <numeric>
 #include <ostream>
 #include <set>
 #include <span>
@@ -83,69 +84,72 @@ std::vector<bool> unpack_pattern(std::span<const Word> inputs,
   return row;
 }
 
-// Campaign tasks: consecutive shards graded together, 512 / shard_patterns
-// to a task, so one block holds them all.
-std::size_t shards_per_task(const exec::ShardPlan& plan) {
+// Campaign blocks: consecutive shards graded together, 512 / shard_patterns
+// to a block, so one kernel call holds them all.
+std::size_t shards_per_block(const exec::ShardPlan& plan) {
   return sim::kBlockPatterns / plan.shard_size();
 }
 
-std::size_t task_count(const exec::ShardPlan& plan) {
-  const std::size_t per_task = shards_per_task(plan);
-  return (plan.num_shards() + per_task - 1) / per_task;
+std::size_t block_count(const exec::ShardPlan& plan) {
+  const std::size_t per_block = shards_per_block(plan);
+  return (plan.num_shards() + per_block - 1) / per_block;
 }
 
-// The shards of task `task`.
-std::vector<exec::Shard> task_shards(const exec::ShardPlan& plan,
-                                     std::size_t task) {
-  const std::size_t per_task = shards_per_task(plan);
-  const std::size_t end = std::min(plan.num_shards(), (task + 1) * per_task);
-  std::vector<exec::Shard> shards;
-  for (std::size_t s = task * per_task; s < end; ++s) {
-    shards.push_back(plan.shard(s));
+// A campaign that retires classes (campaign.hpp, "Tasks") cuts the
+// kernel's active list into at most this many slices. Each slice runs the
+// good machine again on every block it visits, so more slices pay only
+// where classes stay undetected for many blocks: on mapped mult8 TMR at
+// 16384 patterns, where almost no class is ever detected, 8 slices ran at
+// 0.98x and 16 at 0.83x the speed of one-block tasks.
+constexpr std::size_t kMaxRetiringSlices = 8;
+
+// What one task grades: the active-list positions [first, end) of slice
+// `slice`, over blocks [first_block, end_block) of `plan` (`per_block`
+// shards to a block) in ascending order. With `retire`, a class leaves the
+// slice after the first block that detects it, and the task stops once the
+// slice is empty. Slice 0 accounts the passes of every shard of its blocks.
+struct TaskScope {
+  const exec::ShardPlan* plan = nullptr;
+  std::size_t per_block = 1;
+  std::size_t first_block = 0;
+  std::size_t end_block = 0;
+  std::size_t slice = 0;
+  std::size_t first = 0;
+  std::size_t end = 0;
+  bool retire = false;
+
+  [[nodiscard]] std::vector<exec::Shard> shards_of(std::size_t block) const {
+    const std::size_t stop =
+        std::min(plan->num_shards(), (block + 1) * per_block);
+    std::vector<exec::Shard> shards;
+    for (std::size_t s = block * per_block; s < stop; ++s) {
+      shards.push_back(plan->shard(s));
+    }
+    return shards;
   }
-  return shards;
-}
+};
 
-// One campaign task, traced as one fault-sweep-shard span. It grades
-// consecutive `shards` over the kernel's active (sampled) classes; each
-// shard keeps its own pattern stream. The task's patterns run through the
-// campaign's shared kernel as one block (at most 512 patterns), with each
-// shard a segment of the block; the golden circuit is simulated once per
-// word for the expected outputs, unless it is the circuit itself, whose
-// good machine the kernel already has.
-//
-// First detections are per shard: the kernel reports each class's lowest
-// detecting pattern and output in every shard's own bit range of the
-// block. The task keeps the lowest as its record; CampaignCounts::merge
-// takes cross-task minima.
-//
-// Passes stay in the 64-class-sweep unit the contract is written in: per
-// pattern, one golden pass plus one per 64 classes still active at that
-// pattern, where under fault dropping a class stops being active after its
-// shard-local first detection. They are counted per shard from the first
-// detections, not from the kernel's work, so they are the same for any
-// kernel and any task grouping, and dropping changes nothing else.
-//
-// A non-null `rows` gets this task's pattern and detection rows.
-CampaignCounts sweep_task(const Circuit& circuit, const Circuit& golden,
-                          const FaultUniverse& universe,
-                          const PatternFaultSim& kernel,
-                          const CampaignOptions& options,
-                          std::span<const exec::Shard> shards,
-                          DetectionTable* rows) {
-  const obs::Span span("fault-sweep-shard", {},
-                       "shards=" + std::to_string(shards.front().index) +
-                           ".." + std::to_string(shards.back().index));
-  CampaignCounts counts(universe.num_classes());
-  const std::size_t task_begin = shards.front().begin;
-  const int count = static_cast<int>(shards.back().end - task_begin);
+// Grades the active-list `positions` on the patterns of consecutive
+// `shards`, through the campaign's shared kernel as one block (at most 512
+// patterns) with each shard a segment of it; each shard keeps its own
+// pattern stream. The golden circuit is simulated once per word for the
+// expected outputs, unless it is the circuit itself, whose good machine
+// the kernel already has. A non-null `rows` gets the block's pattern and
+// detection rows.
+PatternFaultSim::BlockResult grade_block(
+    const Circuit& circuit, const Circuit& golden,
+    const FaultUniverse& universe, const PatternFaultSim& kernel,
+    const CampaignOptions& options, std::span<const exec::Shard> shards,
+    std::span<const std::uint32_t> positions, DetectionTable* rows) {
+  const std::size_t block_begin = shards.front().begin;
+  const int count = static_cast<int>(shards.back().end - block_begin);
   const auto words = static_cast<std::size_t>(sim::words_for(count));
   const std::size_t num_inputs = golden.num_inputs();
   const std::size_t num_outputs = golden.num_outputs();
   std::vector<Word> inputs(words * num_inputs, 0);
   for (const exec::Shard& shard : shards) {
     pack_shard_patterns(num_inputs, options, shard, inputs,
-                        shard.begin - task_begin);
+                        shard.begin - block_begin);
   }
   std::vector<Word> expected;
   if (&golden != &circuit) {
@@ -158,61 +162,127 @@ CampaignCounts sweep_task(const Circuit& circuit, const Circuit& golden,
       }
     }
   }
-  const PatternFaultSim::BlockResult block = kernel.detect_block(
-      inputs, count, expected, static_cast<int>(options.shard_patterns));
-
+  PatternFaultSim::BlockResult block =
+      kernel.detect_block(inputs, count, expected,
+                          static_cast<int>(options.shard_patterns), positions);
   if (rows != nullptr) {
     const std::size_t row_words =
         (universe.num_classes() + sim::kWordBits - 1) / sim::kWordBits;
     for (int q = 0; q < count; ++q) {
-      rows->patterns[task_begin + q] = unpack_pattern(inputs, num_inputs, q);
-      rows->detected[task_begin + q].assign(row_words, 0);
+      rows->patterns[block_begin + q] = unpack_pattern(inputs, num_inputs, q);
+      rows->detected[block_begin + q].assign(row_words, 0);
     }
-  }
-  // first_hits[i]: classes whose shard-local first detection is task
-  // pattern i.
-  std::vector<std::uint64_t> first_hits(static_cast<std::size_t>(count), 0);
-  for (const PatternFaultSim::Detection& hit : block.detections) {
-    if (rows != nullptr) {
+    for (const PatternFaultSim::Detection& hit : block.detections) {
       for (int q = hit.patterns.find_first(0); q < count;
            q = hit.patterns.find_first(q + 1)) {
-        rows->detected[task_begin + q][hit.cls / sim::kWordBits] |=
+        rows->detected[block_begin + q][hit.cls / sim::kWordBits] |=
             Word{1} << (hit.cls % sim::kWordBits);
       }
     }
-    const std::span<const PatternFaultSim::FirstHit> firsts =
-        block.first_hits_of(hit);
-    counts.first_pattern[hit.cls] = task_begin + firsts.front().pattern;
-    counts.first_output[hit.cls] = firsts.front().output;
-    for (const PatternFaultSim::FirstHit& first : firsts) {
-      ++first_hits[first.pattern];
-    }
   }
+  return block;
+}
 
-  // Passes and lane slots per pattern of each shard, as described above;
-  // the metrics are published once per task.
+// Drops the positions `detections` name from `positions`; both ascend.
+void retire_detected(std::vector<std::uint32_t>& positions,
+                     std::span<const PatternFaultSim::Detection> detections) {
+  auto hit = detections.begin();
+  std::size_t kept = 0;
+  for (const std::uint32_t position : positions) {
+    if (hit != detections.end() && hit->position == position) {
+      ++hit;
+      continue;
+    }
+    positions[kept++] = position;
+  }
+  positions.resize(kept);
+}
+
+// One campaign task over `scope`, traced as one fault-sweep-shard span.
+//
+// First detections are per shard: the kernel reports each class's lowest
+// detecting pattern and output in every shard's own bit range of a block.
+// The task records a class's lowest hit in the first block that detects
+// it, so retiring the class after that block changes no record;
+// CampaignCounts::merge takes cross-task minima.
+//
+// Passes stay in the 64-class-sweep unit the contract is written in: per
+// pattern, one golden pass plus one per 64 classes still active at that
+// pattern, where under fault dropping a class stops being active after its
+// shard-local first detection. They are counted per shard from the first
+// detections, not from the kernel's work, so they are the same for any
+// kernel and any task grouping, and dropping changes nothing else.
+// Without dropping they need no detections, so slice 0 counts them for
+// every block, also those it no longer grades.
+CampaignCounts sweep_task(const Circuit& circuit, const Circuit& golden,
+                          const FaultUniverse& universe,
+                          const PatternFaultSim& kernel,
+                          const CampaignOptions& options,
+                          const TaskScope& scope, DetectionTable* rows) {
+  const obs::Span span(
+      "fault-sweep-shard", {},
+      "slice=" + std::to_string(scope.slice) + " blocks=" +
+          std::to_string(scope.first_block) + ".." +
+          std::to_string(scope.end_block - 1));
+  CampaignCounts counts(universe.num_classes());
+  std::vector<std::uint32_t> positions(scope.end - scope.first);
+  std::iota(positions.begin(), positions.end(),
+            static_cast<std::uint32_t>(scope.first));
+  std::uint64_t events = 0;
+  std::uint64_t obs_shards = 0;
   std::uint64_t obs_slots = 0;
   std::uint64_t obs_slots_active = 0;
   std::uint64_t obs_dropped = 0;
-  for (const exec::Shard& shard : shards) {
-    std::uint64_t still_active = kernel.num_active();
-    for (std::size_t q = shard.begin; q < shard.end; ++q) {
-      const std::uint64_t blocks =
-          (still_active + sim::kWordBits - 1) / sim::kWordBits;
-      counts.passes += 1 + blocks;
-      obs_slots += blocks * sim::kWordBits;
-      obs_slots_active += still_active;
-      if (options.drop) {
-        const std::uint64_t hits = first_hits[q - task_begin];
-        still_active -= hits;
-        obs_dropped += hits;
+  for (std::size_t b = scope.first_block; b < scope.end_block; ++b) {
+    const bool grade = !scope.retire || !positions.empty();
+    if (!grade && scope.slice != 0) break;
+    const std::vector<exec::Shard> shards = scope.shards_of(b);
+    const std::size_t block_begin = shards.front().begin;
+    // first_hits[i]: classes whose shard-local first detection is block
+    // pattern i.
+    std::vector<std::uint64_t> first_hits(shards.back().end - block_begin, 0);
+    if (grade) {
+      const PatternFaultSim::BlockResult block =
+          grade_block(circuit, golden, universe, kernel, options, shards,
+                      positions, rows);
+      events += block.events;
+      for (const PatternFaultSim::Detection& hit : block.detections) {
+        const std::span<const PatternFaultSim::FirstHit> firsts =
+            block.first_hits_of(hit);
+        if (counts.first_pattern[hit.cls] == kNotDetected) {
+          counts.first_pattern[hit.cls] = block_begin + firsts.front().pattern;
+          counts.first_output[hit.cls] = firsts.front().output;
+        }
+        for (const PatternFaultSim::FirstHit& first : firsts) {
+          ++first_hits[first.pattern];
+        }
+      }
+      if (scope.retire) retire_detected(positions, block.detections);
+    }
+    if (scope.slice != 0) continue;
+    // Passes and lane slots per pattern of each shard, as described above.
+    obs_shards += shards.size();
+    for (const exec::Shard& shard : shards) {
+      std::uint64_t still_active = kernel.num_active();
+      for (std::size_t q = shard.begin; q < shard.end; ++q) {
+        const std::uint64_t blocks =
+            (still_active + sim::kWordBits - 1) / sim::kWordBits;
+        counts.passes += 1 + blocks;
+        obs_slots += blocks * sim::kWordBits;
+        obs_slots_active += still_active;
+        if (options.drop) {
+          const std::uint64_t hits = first_hits[q - block_begin];
+          still_active -= hits;
+          obs_dropped += hits;
+        }
       }
     }
   }
+  // The metrics are published once per task.
   FaultMetrics& metrics = fault_metrics();
-  metrics.shards.add(shards.size());
+  metrics.shards.add(obs_shards);
   metrics.passes.add(counts.passes);
-  metrics.events.add(block.events);
+  metrics.events.add(events);
   metrics.lane_slots.add(obs_slots);
   metrics.lane_slots_active.add(obs_slots_active);
   if (obs_dropped > 0) metrics.dropped.add(obs_dropped);
@@ -404,9 +474,20 @@ CampaignCounts campaign_shard_counts(const Circuit& circuit,
                                      const FaultUniverse& universe,
                                      const CampaignOptions& options,
                                      const exec::Shard& shard) {
+  const exec::ShardPlan plan = campaign_shard_plan(golden, options);
+  const exec::Shard planned = plan.shard(shard.index);
+  if (shard.index >= plan.num_shards() || planned.begin != shard.begin ||
+      planned.end != shard.end) {
+    throw std::invalid_argument(
+        "campaign_shard_counts: not a shard of the campaign's plan");
+  }
   const PatternFaultSim kernel(circuit, universe, options.bundle_width,
                                sampled_classes(universe, options));
-  return sweep_task(circuit, golden, universe, kernel, options, {&shard, 1},
+  return sweep_task(circuit, golden, universe, kernel, options,
+                    {.plan = &plan,
+                     .first_block = shard.index,
+                     .end_block = shard.index + 1,
+                     .end = kernel.num_active()},
                     nullptr);
 }
 
@@ -434,12 +515,30 @@ exec::ShardedJob<FaultCampaignResult> campaign_job(
     rows->patterns.assign(plan.total(), {});
     rows->detected.assign(plan.total(), {});
   }
+  // Dropping counts passes from each shard's own detections, and rows need
+  // every class on every pattern: those runs grade one block per task. Any
+  // other run keeps only first detections, so it retires classes, one task
+  // per slice.
+  const std::size_t blocks = block_count(plan);
+  const bool retire = !options.drop && rows == nullptr;
+  const std::vector<std::size_t> cuts =
+      kernel->slice_cuts(retire ? std::min(blocks, kMaxRetiringSlices) : 1);
   return exec::merging_job(
-      task_count(plan), CampaignCounts(universe->num_classes()),
-      [&circuit, &golden, universe, kernel, options, plan,
-       rows](std::size_t t) {
+      retire ? cuts.size() - 1 : blocks,
+      CampaignCounts(universe->num_classes()),
+      [&circuit, &golden, universe, kernel, options, plan, cuts, blocks,
+       retire, rows](std::size_t t) {
+        const std::size_t slice = retire ? t : 0;
         return sweep_task(circuit, golden, *universe, *kernel, options,
-                          task_shards(plan, t), rows);
+                          {.plan = &plan,
+                           .per_block = shards_per_block(plan),
+                           .first_block = retire ? 0 : t,
+                           .end_block = retire ? blocks : t + 1,
+                           .slice = slice,
+                           .first = cuts[slice],
+                           .end = cuts[slice + 1],
+                           .retire = retire},
+                          rows);
       },
       [&circuit, &golden, universe, kernel,
        options](const CampaignCounts& total) {

@@ -20,32 +20,50 @@
 // co-scheduled work, which is what lets FaultCampaignRequest ride the
 // batch evaluator and the serve daemon's result cache unchanged.
 //
-// Tasks: the unit of scheduling is a task of consecutive shards, sized to
-// the kernel's 512-pattern block (fault_sim.hpp): shard_patterns is 1..512
-// and a task holds 512 / shard_patterns whole shards, graded together in
-// one block with each shard a segment of it. A task draws its shards'
-// patterns straight into the block's words (pack_shard_patterns), with no
-// per-pattern rows on the way. One kernel, built with the
-// fault universe and shared read-only by every task, grades every task.
-// Tasks change only how much work one kernel call carries: every shard
-// keeps its pattern stream, and its first detections, first outputs and
-// passes are computed from its own bit range of the block, so every result
-// field is the same as grading the shards one by one. When the caller asks
-// for the per-pattern rows (DetectionTable, the `.ans` view), each task
-// also writes its patterns' row slots from the same block, so rows and
-// result come from one run. One `fault-sweep-shard` span is traced per
-// task, and `fault-sweep-events-total` counts block evaluations (each
-// covers up to 512 patterns).
+// Blocks: shard_patterns is 1..512 and a *block* is 512 / shard_patterns
+// consecutive whole shards, graded in one call of the kernel's 512-pattern
+// block (fault_sim.hpp) with each shard a segment of it. A block's
+// patterns are drawn straight into its words (pack_shard_patterns), with
+// no per-pattern rows on the way. One kernel, built with the fault
+// universe and shared read-only by every task, grades every block. Every
+// shard keeps its pattern stream, and its first detections, first outputs
+// and passes are computed from its own bit range of the block, so every
+// result field is the same as grading the shards one by one.
+//
+// Tasks: how blocks and classes are grouped into the unit of scheduling
+// depends on what the run must report.
+//   - A dropping run counts each shard's passes from its own detections,
+//     and a run with per-pattern rows (DetectionTable, the `.ans` view)
+//     needs every class on every pattern. Both grade full blocks: one
+//     task per block, over every active class, and a rows task also
+//     writes its patterns' row slots from the same block, so rows and
+//     result come from one run.
+//   - Any other run keeps only each class's first detection, which the
+//     lowest detecting block fixes. It is cut by class: the kernel's
+//     active list splits into min(blocks, 8) slices of near-equal class
+//     count, cut only between stems (PatternFaultSim::slice_cuts), and one
+//     task per slice grades blocks 0, 1, ... in order, retiring each class
+//     after its first detecting block and stopping when its slice is
+//     empty. Slices own disjoint classes, depend only on the active list
+//     and the block count, and slice 0 accounts every block's passes
+//     (which, without dropping, need no detections), so the result is
+//     bit-identical to full grading for any thread count.
+// One `fault-sweep-shard` span is traced per task, and
+// `fault-sweep-events-total` counts block evaluations (each covers up to
+// 512 patterns); a retiring run spends fewer of them wherever early blocks
+// detect most classes.
 //
 // Scale knobs (all preserve that contract exactly):
 //   drop    count a detected class out of the passes *within a shard*: a
 //           class leaves the pass count after the pattern that first
-//           detects it in the shard. The kernel still grades every active
-//           class on all of a task's patterns, so every output field is
-//           bit-identical to the no-drop path — only sim_passes shrinks.
-//           Passes are a normalized work unit, one golden pass plus one per
-//           64 active classes per pattern, counted per shard, whatever the
-//           kernel and the task grouping do.
+//           detects it in the shard. Those counts need every shard's own
+//           detections, so a dropping run grades full blocks, while a
+//           non-dropping run without rows retires classes (see "Tasks");
+//           every output field is bit-identical either way, and only
+//           sim_passes differs. Passes are a normalized work unit, one
+//           golden pass plus one per 64 active classes per pattern,
+//           counted per shard, whatever the kernel and the task grouping
+//           do.
 //   sample  simulate only a deterministic sample of the classes (counter
 //           stream keyed by seed) and report coverage of the sample with a
 //           Wilson confidence interval. Changes what is simulated, so it
@@ -73,7 +91,7 @@
 namespace enb::fault {
 
 // perfbench/src/fault_nodrop.cpp still assigns CampaignOptions::lanes;
-// nothing reads it. ROADMAP item 3's benchmark-lane change deletes the
+// nothing reads it. ROADMAP item 4's benchmark-lane change deletes the
 // field, this enum and that assignment together.
 enum class LaneWidth : int { k64 = 64 };
 
@@ -96,7 +114,8 @@ struct CampaignOptions {
   // site as its own class — slower, same coverage, used for cross-checks.
   bool collapse = true;
   // Fault dropping: stop counting a class's passes once detected in a
-  // shard (see file comment). Identical results, fewer sim_passes.
+  // shard (see file comment). Identical results, fewer sim_passes; the
+  // run grades full blocks, where a non-dropping run retires classes.
   bool drop = false;
   // Simulate only this many classes, chosen by a deterministic counter
   // stream of the seed (0 = the whole universe). Spec-relevant.
@@ -228,9 +247,11 @@ struct CampaignCounts {
   void merge(const CampaignCounts& other);
 };
 
-// Counts contributed by one shard of the plan, graded as a task of its
-// own by a kernel built for this call. Precondition: inputs validated and
-// `universe` built for `circuit` with options.collapse.
+// Counts contributed by one shard of the plan, graded over every sampled
+// class as a block of its own by a kernel built for this call. Throws
+// std::invalid_argument when `shard` is not that shard of the plan.
+// Precondition: inputs validated and `universe` built for `circuit` with
+// options.collapse.
 [[nodiscard]] CampaignCounts campaign_shard_counts(
     const netlist::Circuit& circuit, const netlist::Circuit& golden,
     const FaultUniverse& universe, const CampaignOptions& options,

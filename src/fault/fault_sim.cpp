@@ -1,6 +1,7 @@
 #include "fault/fault_sim.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -111,9 +112,36 @@ sim::Block<W> PatternFaultSim::decode_output(Scratch<W>& s,
   return decoded;
 }
 
+std::vector<std::size_t> PatternFaultSim::slice_cuts(
+    std::size_t slices) const {
+  if (slices == 0) {
+    throw std::invalid_argument("fault: a cut needs at least 1 slice");
+  }
+  std::vector<std::size_t> cuts{0};
+  for (std::size_t k = 1; k < slices; ++k) {
+    // The first group start at or after this slice's share.
+    std::size_t cut = std::max(cuts.back(), k * active_.size() / slices);
+    while (cut > 0 && cut < active_.size() &&
+           active_[cut].stem == active_[cut - 1].stem) {
+      ++cut;
+    }
+    cuts.push_back(cut);
+  }
+  cuts.push_back(active_.size());
+  return cuts;
+}
+
 PatternFaultSim::BlockResult PatternFaultSim::detect_block(
     std::span<const Word> inputs, int count, std::span<const Word> expected,
     int segment) const {
+  std::vector<std::uint32_t> positions(active_.size());
+  std::iota(positions.begin(), positions.end(), std::uint32_t{0});
+  return detect_block(inputs, count, expected, segment, positions);
+}
+
+PatternFaultSim::BlockResult PatternFaultSim::detect_block(
+    std::span<const Word> inputs, int count, std::span<const Word> expected,
+    int segment, std::span<const std::uint32_t> positions) const {
   if (count < 1 || count > sim::kBlockPatterns) {
     throw std::invalid_argument("fault: a block holds 1 to " +
                                 std::to_string(sim::kBlockPatterns) +
@@ -129,10 +157,19 @@ PatternFaultSim::BlockResult PatternFaultSim::detect_block(
   if (segment < 1) {
     throw std::invalid_argument("fault: segments hold at least 1 pattern");
   }
+  for (std::size_t i = 0; i < positions.size(); ++i) {
+    if (positions[i] >= active_.size() ||
+        (i > 0 && positions[i] <= positions[i - 1])) {
+      throw std::invalid_argument(
+          "fault: active positions must ascend below " +
+          std::to_string(active_.size()));
+    }
+  }
   segment = std::min(segment, count);
   BlockResult result;
   sim::with_block_width(static_cast<int>(words), [&](auto width) {
-    detect<decltype(width)::value>(inputs, count, expected, segment, result);
+    detect<decltype(width)::value>(inputs, count, expected, segment, positions,
+                                   result);
   });
   return result;
 }
@@ -140,6 +177,7 @@ PatternFaultSim::BlockResult PatternFaultSim::detect_block(
 template <int W>
 void PatternFaultSim::detect(std::span<const Word> inputs, int count,
                              std::span<const Word> expected, int segment,
+                             std::span<const std::uint32_t> positions,
                              BlockResult& result) const {
   using Block = sim::Block<W>;
   const Circuit& circuit = *circuit_;
@@ -187,19 +225,22 @@ void PatternFaultSim::detect(std::span<const Word> inputs, int count,
     s.obs[id] = obs;
   }
 
-  // Classes stem by stem: flip a stem only when some active fault reaches
-  // it, then resolve each of its classes in O(1).
-  const auto reach_of = [&](const ActiveSite& site) {
+  // Classes stem by stem (an ascending subset of the active list stays
+  // grouped): flip a stem only when some graded fault reaches it, then
+  // resolve each of its classes in O(1).
+  const auto reach_of = [&](std::uint32_t position) {
+    const ActiveSite& site = active_[position];
     const Block& good = s.sim.value(site.node);
     return (site.stuck_one ? ~good : good) & s.obs[site.node] & valid;
   };
   std::vector<FirstHit>& first_hits = result.first_hits;
-  for (std::size_t begin = 0; begin < active_.size();) {
-    const NodeId stem = active_[begin].stem;
+  for (std::size_t begin = 0; begin < positions.size();) {
+    const NodeId stem = active_[positions[begin]].stem;
     std::size_t end = begin;
     Block any_reach;
-    for (; end < active_.size() && active_[end].stem == stem; ++end) {
-      any_reach |= reach_of(active_[end]);
+    for (; end < positions.size() && active_[positions[end]].stem == stem;
+         ++end) {
+      any_reach |= reach_of(positions[end]);
     }
     // The decoded outputs with the stem flipped on every pattern.
     Block stem_detected;
@@ -212,11 +253,12 @@ void PatternFaultSim::detect(std::span<const Word> inputs, int count,
       s.sim.restore();
     }
     for (std::size_t i = begin; i < end; ++i) {
-      const Block reach = reach_of(active_[i]);
+      const Block reach = reach_of(positions[i]);
       const Block detected = (reach & stem_detected) | (~reach & base_mismatch);
       if (!detected.any()) continue;
       Detection& hit = result.detections.emplace_back();
-      hit.cls = active_[i].cls;
+      hit.cls = active_[positions[i]].cls;
+      hit.position = positions[i];
       std::copy(detected.words.begin(), detected.words.end(),
                 hit.patterns.words.begin());
       hit.first_begin = static_cast<std::uint32_t>(first_hits.size());

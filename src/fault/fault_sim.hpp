@@ -33,10 +33,15 @@
 //                     words that holds its patterns. The simulated set
 //                     is an explicit *active list* of class indices, fixed
 //                     at construction, which sampled and pruned campaigns
-//                     shrink. The simulator is immutable once built:
-//                     detect_block is const and keeps its scratch in the
-//                     call, so a campaign builds one and shares it
-//                     read-only with every task.
+//                     shrink; it is held grouped by stem, and a call may
+//                     grade any ascending subset of its positions, which
+//                     is how a campaign slices it by class and retires a
+//                     class after its first detecting block (slice_cuts
+//                     names cuts that never split a stem's group). The
+//                     simulator is immutable once built: detect_block is
+//                     const and keeps its scratch in the call, so a
+//                     campaign builds one and shares it read-only with
+//                     every task.
 //
 //   ScalarFaultSim    injects one fault at a time and evaluates one pattern
 //                     gate by gate, in a full sweep of its own over the
@@ -83,19 +88,21 @@ class PatternFaultSim {
 
     friend bool operator==(const FirstHit&, const FirstHit&) = default;
   };
-  // One detected class of a block: bit p of `patterns` is set iff pattern p
-  // detects it. first_begin..first_end is its range of the block's
-  // first_hits: its FirstHit per segment that holds a detecting pattern, in
-  // pattern order.
+  // One detected class of a block, at `position` of the active list: bit p
+  // of `patterns` is set iff pattern p detects it. first_begin..first_end
+  // is its range of the block's first_hits: its FirstHit per segment that
+  // holds a detecting pattern, in pattern order.
   struct Detection {
     std::uint32_t cls = 0;
+    std::uint32_t position = 0;
     sim::Block<sim::kBlockWords> patterns;
     std::uint32_t first_begin = 0;
     std::uint32_t first_end = 0;
 
     friend bool operator==(const Detection&, const Detection&) = default;
   };
-  // Everything one detect_block call found.
+  // Everything one detect_block call found; detections in ascending
+  // position order.
   struct BlockResult {
     std::vector<Detection> detections;
     std::vector<FirstHit> first_hits;
@@ -136,6 +143,20 @@ class PatternFaultSim {
       std::span<const sim::Word> inputs, int count,
       std::span<const sim::Word> expected,
       int segment = sim::kBlockPatterns) const;
+  // The same, grading only the active list's `positions` (strictly
+  // ascending, each below num_active()); throws std::invalid_argument
+  // otherwise. Each class's bits are the same as in the full call.
+  [[nodiscard]] BlockResult detect_block(
+      std::span<const sim::Word> inputs, int count,
+      std::span<const sim::Word> expected, int segment,
+      std::span<const std::uint32_t> positions) const;
+
+  // `slices` + 1 ascending positions of the active list, from 0 to
+  // num_active(), each at the start of a stem's group: slice k is
+  // [cuts[k], cuts[k + 1]), about num_active() / slices classes, and no
+  // stem has classes in two slices. A slice is empty when a stem's group
+  // spans its share. Throws std::invalid_argument when slices is 0.
+  [[nodiscard]] std::vector<std::size_t> slice_cuts(std::size_t slices) const;
 
   [[nodiscard]] std::size_t num_active() const noexcept {
     return active_.size();
@@ -155,6 +176,7 @@ class PatternFaultSim {
   template <int W>
   void detect(std::span<const sim::Word> inputs, int count,
               std::span<const sim::Word> expected, int segment,
+              std::span<const std::uint32_t> positions,
               BlockResult& result) const;
   // Decoded value of logical output `o` in `s.sim`.
   template <int W>

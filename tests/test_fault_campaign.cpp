@@ -84,6 +84,71 @@ TEST(FaultCampaign, SweepEventsAreBoundedAndThreadCountIndependent) {
   EXPECT_EQ(run(exec::Parallelism::dedicated(8)), serial);
 }
 
+// The pass counter adds up to the result's sim_passes whatever the task
+// shape: class slices that retire detected classes (no dropping, no rows),
+// one-block tasks under dropping, and one-block tasks filling rows; no
+// slice counts the passes of another.
+TEST(FaultCampaign, PassCounterMatchesSimPasses) {
+  const Circuit c432 = gen::find_benchmark("c432").build();
+  obs::Counter& passes =
+      obs::Registry::global().counter("fault-sweep-passes-total");
+  CampaignOptions options;
+  options.patterns = 4096;
+  for (const bool drop : {false, true}) {
+    for (const bool with_rows : {false, true}) {
+      options.drop = drop;
+      DetectionTable rows;
+      const std::uint64_t before = passes.value();
+      const FaultCampaignResult result =
+          run_campaign(c432, nullptr, options, exec::Parallelism::global_pool(),
+                       with_rows ? &rows : nullptr);
+      EXPECT_EQ(passes.value() - before, result.sim_passes)
+          << "drop " << drop << ", rows " << with_rows;
+      // Without dropping, every pattern costs a golden pass plus one per
+      // 64 sampled classes, whoever grades them.
+      if (!drop) {
+        EXPECT_EQ(result.sim_passes,
+                  result.patterns * (1 + (result.sampled + 63) / 64))
+            << "rows " << with_rows;
+      }
+    }
+  }
+}
+
+// A retiring campaign's event count is fixed by its class slices, not by
+// the threads that grade them, and retiring saves most of full grading's
+// events where early blocks detect most classes.
+TEST(FaultCampaign, RetiringEventsAreThreadCountIndependentAndFewer) {
+  obs::Counter& events =
+      obs::Registry::global().counter("fault-sweep-events-total");
+  const auto events_of = [&](const Circuit& circuit,
+                             const CampaignOptions& options,
+                             exec::Parallelism how, DetectionTable* rows) {
+    const std::uint64_t before = events.value();
+    (void)run_campaign(circuit, nullptr, options, how, rows);
+    return events.value() - before;
+  };
+  CampaignOptions options;
+  options.patterns = 4096;
+  const Circuit c432 = gen::find_benchmark("c432").build();
+  const std::uint64_t serial =
+      events_of(c432, options, exec::Parallelism::serial(), nullptr);
+  EXPECT_GT(serial, 0u);
+  EXPECT_EQ(events_of(c432, options, exec::Parallelism::global_pool(), nullptr),
+            serial);
+  EXPECT_EQ(events_of(c432, options, exec::Parallelism::dedicated(64), nullptr),
+            serial);
+
+  const analysis::CompiledCircuit mult8 =
+      analysis::compile(gen::find_benchmark("mult8").build()).mapped(3);
+  DetectionTable rows;
+  const std::uint64_t full = events_of(mult8.circuit(), options,
+                                       exec::Parallelism::serial(), &rows);
+  const std::uint64_t retired = events_of(mult8.circuit(), options,
+                                          exec::Parallelism::serial(), nullptr);
+  EXPECT_LE(4 * retired, full) << retired << " vs " << full;
+}
+
 TEST(FaultCampaign, ExhaustiveC17SelfCoverageIsComplete) {
   // c17 is fully testable: every collapsed class is detected by some input
   // assignment, so exhaustive self-grading reports coverage 1.

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -401,6 +403,59 @@ TEST(FaultSim, SharedKernelMatchesSerialCalls) {
   }
 }
 
+// A campaign grades the active list in slices: slice_cuts(n) must cover
+// it in ascending runs that never split a stem's classes. Grading each
+// slice's positions on its own then finds exactly the full call's
+// detections, in order, and flips each stem once overall, so the slices'
+// events add up to the full call's. More slices than stems leave some
+// empty.
+TEST(FaultSim, SlicesPartitionTheActiveListAtStems) {
+  const Circuit c432 = gen::find_benchmark("c432").build();
+  const FaultUniverse universe = FaultUniverse::build(c432);
+  const PatternFaultSim sim(c432, universe, 1, every_class(universe));
+  sim::Xoshiro256 rng(34);
+  std::vector<sim::Word> inputs(8 * c432.num_inputs());
+  for (sim::Word& word : inputs) word = rng.next();
+  const PatternFaultSim::BlockResult full =
+      sim.detect_block(inputs, 512, {}, 64);
+  ASSERT_GT(full.detections.size(), 0u);
+  for (const std::size_t slices : {1u, 3u, 8u, 1000u}) {
+    const std::vector<std::size_t> cuts = sim.slice_cuts(slices);
+    ASSERT_EQ(cuts.size(), slices + 1);
+    EXPECT_EQ(cuts.front(), 0u);
+    EXPECT_EQ(cuts.back(), sim.num_active());
+    EXPECT_TRUE(std::is_sorted(cuts.begin(), cuts.end()));
+    // Each detection's class, position, bits and first hits, in order.
+    using Found = std::tuple<std::uint32_t, std::uint32_t,
+                             sim::Block<sim::kBlockWords>,
+                             std::vector<PatternFaultSim::FirstHit>>;
+    const auto found = [](const PatternFaultSim::BlockResult& block,
+                          std::vector<Found>& out) {
+      for (const PatternFaultSim::Detection& hit : block.detections) {
+        const auto firsts = block.first_hits_of(hit);
+        out.emplace_back(hit.cls, hit.position, hit.patterns,
+                         std::vector(firsts.begin(), firsts.end()));
+      }
+    };
+    std::vector<Found> expected;
+    found(full, expected);
+    std::vector<Found> sliced;
+    std::uint64_t events = 0;
+    for (std::size_t k = 0; k < slices; ++k) {
+      std::vector<std::uint32_t> positions(cuts[k + 1] - cuts[k]);
+      std::iota(positions.begin(), positions.end(),
+                static_cast<std::uint32_t>(cuts[k]));
+      const PatternFaultSim::BlockResult part =
+          sim.detect_block(inputs, 512, {}, 64, positions);
+      found(part, sliced);
+      events += part.events;
+    }
+    EXPECT_EQ(sliced, expected) << slices << " slices";
+    EXPECT_EQ(events, full.events) << slices;
+  }
+  EXPECT_THROW((void)sim.slice_cuts(0), std::invalid_argument);
+}
+
 TEST(FaultSim, RejectsMalformedBundles) {
   const Circuit c17 = gen::find_benchmark("c17").build();
   const FaultUniverse universe = FaultUniverse::build(c17);
@@ -418,6 +473,14 @@ TEST(FaultSim, RejectsMalformedBundles) {
   // A block of 65 patterns spans two words per signal.
   EXPECT_THROW((void)sim.detect_block(five, 65, two), std::invalid_argument);
   EXPECT_THROW((void)sim.detect_block(five, 1, two, 0), std::invalid_argument);
+  // Positions must ascend strictly and stay inside the active list.
+  for (const std::vector<std::uint32_t>& positions :
+       {std::vector<std::uint32_t>{2, 1}, std::vector<std::uint32_t>{3, 3},
+        std::vector<std::uint32_t>{
+            static_cast<std::uint32_t>(sim.num_active())}}) {
+    EXPECT_THROW((void)sim.detect_block(five, 1, two, 1, positions),
+                 std::invalid_argument);
+  }
   const std::vector<std::uint32_t> outside{
       static_cast<std::uint32_t>(universe.num_classes())};
   EXPECT_THROW(PatternFaultSim(c17, universe, 1, outside),

@@ -557,9 +557,11 @@ int cmd_faultsim(const Args& args) {
     const double reduction = passes == 0 ? 0.0
                                          : static_cast<double>(scalar_passes) /
                                                static_cast<double>(passes);
+    std::ostringstream ratio;  // one decimal at any size: 8.5x, 622.5x
+    ratio << std::fixed << std::setprecision(1) << reduction;
     std::cout << "scalar check ok: " << scalar_passes << " scalar vs "
-              << passes << " bit-parallel passes ("
-              << report::format_double(reduction, 2) << "x reduction)\n";
+              << passes << " bit-parallel passes (" << ratio.str()
+              << "x reduction)\n";
   }
 
   if (!args.ans.empty()) {
