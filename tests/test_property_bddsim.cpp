@@ -5,19 +5,30 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "bdd/bdd_analysis.hpp"
+#include "core/profile.hpp"
+#include "exec/thread_pool.hpp"
 #include "gen/adders.hpp"
 #include "gen/comparators.hpp"
 #include "gen/iscas.hpp"
 #include "gen/mux_decoder.hpp"
 #include "gen/parity.hpp"
 #include "gen/random_circuit.hpp"
+#include "gen/suite.hpp"
 #include "sim/activity.hpp"
 #include "sim/sensitivity.hpp"
+#include "synth/mapper.hpp"
 
 namespace enb {
 namespace {
+
+// Bit-for-bit double comparison: exact equality that also tells -0.0 from
+// 0.0.
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
 
 struct NamedCircuit {
   const char* name;
@@ -36,8 +47,9 @@ TEST_P(BddVsSimTest, ExactProbabilitiesMatchExhaustive) {
   const auto sim_result = sim::exact_activity(c);
   ASSERT_EQ(bdd_probs.size(), sim_result.one_probability.size());
   for (std::size_t id = 0; id < bdd_probs.size(); ++id) {
-    EXPECT_NEAR(bdd_probs[id], sim_result.one_probability[id], 1e-12)
-        << c.name() << " node " << id;
+    EXPECT_TRUE(same_bits(bdd_probs[id], sim_result.one_probability[id]))
+        << c.name() << " node " << id << ": " << bdd_probs[id] << " vs "
+        << sim_result.one_probability[id];
   }
 }
 
@@ -83,6 +95,77 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<NamedCircuit>& info) {
       return std::string(info.param.name);
     });
+
+// The exact activity route of a profile extraction against the BDD oracle:
+// per-node probabilities and toggle rates, the gate averages and the
+// profile's sw0 must match bit for bit on every circuit of the standard and
+// scale suites the route serves (at most exact_activity_max_inputs inputs),
+// unmapped and mapped to fanin 2 and 3. With uniform inputs every
+// probability is a dyadic rational of at most 16 fraction bits, which both
+// engines compute without rounding.
+TEST(BddVsSim, ProfileExactActivityMatchesBddOracle) {
+  const core::ProfileOptions options;
+  std::size_t checked = 0;
+  for (const auto& suite : {gen::standard_suite(), gen::scale_suite()}) {
+    for (const gen::BenchmarkSpec& spec : suite) {
+      const netlist::Circuit base = spec.build();
+      if (static_cast<int>(base.num_inputs()) >
+          options.exact_activity_max_inputs) {
+        continue;
+      }
+      for (const int k : {0, 2, 3}) {
+        const netlist::Circuit c =
+            k == 0 ? base : synth::map_to_library(base, k).circuit;
+        const std::string label = spec.name + " K=" + std::to_string(k);
+        const core::ProfileExtraction extraction =
+            exec::run(core::profile_job(c, options));
+
+        sim::ActivityResult oracle;
+        oracle.one_probability = bdd::exact_signal_probabilities(c);
+        for (const double p : oracle.one_probability) {
+          oracle.toggle_rate.push_back(sim::activity_from_probability(p));
+        }
+        sim::finalize_gate_averages(c, oracle);
+
+        const sim::ActivityResult& got = extraction.activity;
+        EXPECT_EQ(got.sample_pairs, 0u) << label;
+        ASSERT_EQ(got.one_probability.size(), c.node_count()) << label;
+        ASSERT_EQ(got.toggle_rate.size(), c.node_count()) << label;
+        for (netlist::NodeId id = 0; id < c.node_count(); ++id) {
+          EXPECT_TRUE(same_bits(got.one_probability[id],
+                                oracle.one_probability[id]))
+              << label << " node " << id;
+          EXPECT_TRUE(same_bits(got.toggle_rate[id], oracle.toggle_rate[id]))
+              << label << " node " << id;
+        }
+        EXPECT_TRUE(same_bits(got.avg_gate_one_probability,
+                              oracle.avg_gate_one_probability))
+            << label;
+        EXPECT_TRUE(same_bits(got.avg_gate_toggle_rate,
+                              oracle.avg_gate_toggle_rate))
+            << label;
+
+        const core::CircuitProfile want =
+            core::assemble_profile(c, oracle, extraction.profile.sensitivity_s,
+                                   extraction.profile.sensitivity_exact)
+                .profile;
+        const core::CircuitProfile& p = extraction.profile;
+        EXPECT_EQ(p.name, want.name) << label;
+        EXPECT_EQ(p.num_inputs, want.num_inputs) << label;
+        EXPECT_EQ(p.num_outputs, want.num_outputs) << label;
+        EXPECT_TRUE(same_bits(p.size_s0, want.size_s0)) << label;
+        EXPECT_EQ(p.depth_d0, want.depth_d0) << label;
+        EXPECT_TRUE(same_bits(p.avg_fanin_k, want.avg_fanin_k)) << label;
+        EXPECT_EQ(p.max_fanin, want.max_fanin) << label;
+        EXPECT_TRUE(same_bits(p.avg_activity_sw0, want.avg_activity_sw0))
+            << label;
+        ++checked;
+      }
+    }
+  }
+  // c17, parity8, parity16, mult4 and mult8, each at three mappings.
+  EXPECT_GE(checked, 15u);
+}
 
 TEST(BddVsSim, BiasedInputsAgree) {
   const auto c = gen::ripple_carry_adder(3);
