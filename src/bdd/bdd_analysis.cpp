@@ -20,20 +20,6 @@ std::vector<double> exact_signal_probabilities(
   return probabilities;
 }
 
-sim::ActivityResult exact_activity_bdd(const Circuit& circuit,
-                                       const BddAnalysisOptions& options) {
-  sim::ActivityResult result;
-  result.one_probability = exact_signal_probabilities(circuit, options);
-  result.toggle_rate.resize(result.one_probability.size());
-  for (NodeId id = 0; id < circuit.node_count(); ++id) {
-    result.toggle_rate[id] =
-        sim::activity_from_probability(result.one_probability[id]);
-  }
-  sim::finalize_gate_averages(circuit, result);
-  result.sample_pairs = 0;  // exact
-  return result;
-}
-
 std::vector<double> exact_influences(const Circuit& circuit,
                                      const BddAnalysisOptions& options) {
   Bdd manager(static_cast<unsigned>(circuit.num_inputs()), options.node_limit);

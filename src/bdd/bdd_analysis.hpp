@@ -1,14 +1,12 @@
 // Exact circuit analyses built on the BDD package: signal probabilities,
-// switching activity (temporal-independence model), input influences, and
-// formal equivalence — the exact cross-checks for the Monte-Carlo estimators
-// in src/sim.
+// input influences, and formal equivalence — independent oracles for the
+// simulation-based estimators in src/sim.
 #pragma once
 
 #include <vector>
 
 #include "bdd/bdd.hpp"  // node budgets; BddLimitExceeded is the error contract
 #include "netlist/circuit.hpp"
-#include "sim/activity.hpp"
 
 namespace enb::bdd {
 
@@ -19,10 +17,6 @@ struct BddAnalysisOptions {
 
 // Exact one-probability of every node.
 [[nodiscard]] std::vector<double> exact_signal_probabilities(
-    const netlist::Circuit& circuit, const BddAnalysisOptions& options = {});
-
-// Exact activity profile (sw = 2p(1-p) per node, averaged over gates).
-[[nodiscard]] sim::ActivityResult exact_activity_bdd(
     const netlist::Circuit& circuit, const BddAnalysisOptions& options = {});
 
 // Exact per-input influence P[f(x) != f(x ^ e_i)] (any output differs) under

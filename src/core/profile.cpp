@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
-#include "bdd/bdd_analysis.hpp"
 #include "netlist/stats.hpp"
 #include "sim/activity.hpp"
+#include "sim/exhaustive.hpp"
 #include "sim/sensitivity.hpp"
 
 namespace enb::core {
@@ -17,6 +18,12 @@ exec::ShardedJob<ProfileExtraction> profile_job(const netlist::Circuit& circuit,
     throw std::invalid_argument(
         "extract_profile: circuit has no gates to profile");
   }
+  if (options.prefer_exact_activity &&
+      options.exact_activity_max_inputs > sim::kMaxExhaustiveInputs) {
+    throw std::invalid_argument(
+        "extract_profile: exact_activity_max_inputs exceeds the exhaustive "
+        "limit of " + std::to_string(sim::kMaxExhaustiveInputs) + " inputs");
+  }
   sim::ActivityOptions activity_options;
   activity_options.sample_pairs = options.activity_pairs;
   activity_options.seed = options.seed;
@@ -25,27 +32,12 @@ exec::ShardedJob<ProfileExtraction> profile_job(const netlist::Circuit& circuit,
   sens_options.sample_words = options.sensitivity_sample_words;
   sens_options.seed = options.seed + 1;
 
-  // Exact (BDD) activity, when the input count allows it, is a job with no
-  // shards: finish() builds the BDD, falling back silently to the serial
-  // Monte-Carlo estimate if the BDD outgrows its budget. As a shard the
-  // build would hold a pool job (and grow a worker's heap) for its whole
-  // duration; in finish() the direct path runs it on the calling thread.
   const bool exact = options.prefer_exact_activity &&
                      static_cast<int>(circuit.num_inputs()) <=
                          options.exact_activity_max_inputs;
-  exec::ShardedJob<sim::ActivityResult> activity;
-  if (exact) {
-    activity.finish = [&circuit, activity_options] {
-      try {
-        return bdd::exact_activity_bdd(circuit);
-      } catch (const bdd::BddLimitExceeded&) {
-        return sim::estimate_activity(circuit, activity_options,
-                                      exec::Parallelism::serial());
-      }
-    };
-  } else {
-    activity = sim::activity_job(circuit, activity_options);
-  }
+  const exec::ShardedJob<sim::ActivityResult> activity =
+      exact ? sim::exact_activity_job(circuit)
+            : sim::activity_job(circuit, activity_options);
   const exec::ShardedJob<sim::SensitivityResult> sensitivity =
       sim::sensitivity_job(circuit, sens_options);
 

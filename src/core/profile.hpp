@@ -1,5 +1,5 @@
 // CircuitProfile: the (s, S0, sw0, k, n, d0) tuple the bounds consume,
-// extracted from a gate-level netlist with the simulation / BDD substrates.
+// extracted from a gate-level netlist with the simulation substrates.
 // This mirrors the paper's Section 6 flow: map the benchmark, measure average
 // switching activity under random inputs, take sensitivity and size from the
 // function/netlist, then plug into Theorems 1–4.
@@ -30,7 +30,9 @@ struct CircuitProfile {
 struct ProfileOptions {
   // Monte-Carlo activity estimation (pairs of 64-lane vectors).
   std::size_t activity_pairs = 1 << 12;
-  // Use the BDD engine for exact activity when the input count allows.
+  // Exact activity by exhaustive simulation when the input count is at
+  // most exact_activity_max_inputs (which may not exceed
+  // sim::kMaxExhaustiveInputs while this is set).
   bool prefer_exact_activity = true;
   int exact_activity_max_inputs = 16;
   // Sensitivity: exhaustive up to this many inputs, sampled beyond.
@@ -53,13 +55,12 @@ struct ProfileExtraction {
   sim::ActivityResult activity;
 };
 
-// Profile extraction as one sharded job (see exec::ShardedJob): Monte-Carlo
-// activity shards (sim::activity_job), then the sensitivity sweep's shards.
-// When prefer_exact_activity and the input count allow it, activity is exact
-// (BDD) instead and has no shards: finish() builds the BDD, falling back
-// silently to the serial Monte-Carlo estimate if the BDD outgrows its
-// budget. Throws std::invalid_argument on a circuit without gates or an
-// invalid budget.
+// Profile extraction as one sharded job (see exec::ShardedJob): activity
+// shards, then the sensitivity sweep's shards. Activity is exact
+// (sim::exact_activity_job) when prefer_exact_activity and the input count
+// allow it, Monte-Carlo (sim::activity_job) otherwise. Throws
+// std::invalid_argument on a circuit without gates, an invalid budget, or
+// an exact-activity cap above sim::kMaxExhaustiveInputs.
 [[nodiscard]] exec::ShardedJob<ProfileExtraction> profile_job(
     const netlist::Circuit& circuit, const ProfileOptions& options);
 

@@ -12,8 +12,9 @@
 // it in variant node order reproduces the variant's own extraction bit for
 // bit: the input count, input order, seed and shard plan are unchanged, so
 // every Monte-Carlo lane matches its origin's lane, and equal functions have
-// equal BDDs, so exact probabilities match too. The activity route (BDD or
-// Monte-Carlo) depends only on the input count, which is unchanged.
+// equal truth tables, so exhaustive one-counts match too. The activity route
+// (exhaustive or Monte-Carlo) depends only on the input count, which is
+// unchanged.
 #pragma once
 
 #include <cstddef>

@@ -132,6 +132,47 @@ ActivityCounts noisy_activity_shard_counts(const Circuit& circuit,
   return counts;
 }
 
+// Truth-table blocks per exact_activity_job shard (4096 assignments).
+constexpr std::size_t kExactShardBlocks = 64;
+
+// One-lane counts of one exhaustive shard's blocks (toggles stay 0: exact
+// toggle rates come from the identity, not from counting).
+ActivityCounts exact_shard_counts(const Circuit& circuit,
+                                  const exec::Shard& shard) {
+  const int n = static_cast<int>(circuit.num_inputs());
+  const Word valid = exhaustive_valid_mask(n);
+  LogicSim sim(circuit);
+  std::vector<Word> inputs;
+  ActivityCounts counts(circuit.node_count());
+  for (std::size_t block = shard.begin; block < shard.end; ++block) {
+    fill_exhaustive_block(n, block, inputs);
+    sim.eval(inputs);
+    for (std::size_t id = 0; id < counts.ones.size(); ++id) {
+      counts.ones[id] +=
+          static_cast<std::uint64_t>(popcount(sim.values()[id] & valid));
+    }
+  }
+  return counts;
+}
+
+// p = ones / 2^n per node, sw = 2 p (1-p), then the gate averages.
+ActivityResult finalize_exact_activity(const Circuit& circuit,
+                                       const ActivityCounts& counts) {
+  const double total =
+      static_cast<double>(std::uint64_t{1} << circuit.num_inputs());
+  ActivityResult result;
+  result.sample_pairs = 0;  // exact, not sampled
+  result.one_probability.resize(circuit.node_count());
+  result.toggle_rate.resize(circuit.node_count());
+  for (std::size_t id = 0; id < circuit.node_count(); ++id) {
+    const double p = static_cast<double>(counts.ones[id]) / total;
+    result.one_probability[id] = p;
+    result.toggle_rate[id] = activity_from_probability(p);
+  }
+  finalize_gate_averages(circuit, result);
+  return result;
+}
+
 }  // namespace
 
 // Each shard owns a counter-based PRNG stream and local accumulators; the
@@ -184,35 +225,26 @@ ActivityResult estimate_noisy_activity(const Circuit& circuit, double epsilon,
   return exec::run(noisy_activity_job(circuit, epsilon, options), how);
 }
 
-ActivityResult exact_activity(const Circuit& circuit) {
-  const int n = static_cast<int>(circuit.num_inputs());
-  if (n > kMaxExhaustiveInputs) {
-    throw std::invalid_argument(
-        "exact_activity: too many inputs for exhaustive evaluation");
-  }
-  const std::uint64_t total = std::uint64_t{1} << n;
-  std::vector<std::uint64_t> ones(circuit.node_count(), 0);
-  LogicSim sim(circuit);
-  for_each_exhaustive_block(
-      n, [&](std::uint64_t, std::span<const Word> inputs, Word valid) {
-        sim.eval(inputs);
-        for (std::size_t id = 0; id < circuit.node_count(); ++id) {
-          ones[id] += static_cast<std::uint64_t>(
-              popcount(sim.values()[id] & valid));
-        }
+// Shard i covers truth-table blocks [64 i, 64 i + 64): the partition is
+// fixed by the input count alone, and the integer merge makes the totals
+// independent of shard completion order. exhaustive_block_count rejects
+// more than kMaxExhaustiveInputs inputs before any 2^n is formed.
+exec::ShardedJob<ActivityResult> exact_activity_job(const Circuit& circuit) {
+  const exec::ShardPlan plan(
+      exhaustive_block_count(static_cast<int>(circuit.num_inputs())),
+      kExactShardBlocks);
+  return exec::merging_job(
+      plan.num_shards(), ActivityCounts(circuit.node_count()),
+      [&circuit, plan](std::size_t i) {
+        return exact_shard_counts(circuit, plan.shard(i));
+      },
+      [&circuit](const ActivityCounts& counts) {
+        return finalize_exact_activity(circuit, counts);
       });
+}
 
-  ActivityResult result;
-  result.sample_pairs = 0;  // exact, not sampled
-  result.one_probability.resize(circuit.node_count());
-  result.toggle_rate.resize(circuit.node_count());
-  for (std::size_t id = 0; id < circuit.node_count(); ++id) {
-    const double p = static_cast<double>(ones[id]) / static_cast<double>(total);
-    result.one_probability[id] = p;
-    result.toggle_rate[id] = activity_from_probability(p);
-  }
-  finalize_gate_averages(circuit, result);
-  return result;
+ActivityResult exact_activity(const Circuit& circuit, exec::Parallelism how) {
+  return exec::run(exact_activity_job(circuit), how);
 }
 
 }  // namespace enb::sim

@@ -5,8 +5,9 @@
 // generic gate ... obtained considering randomly generated inputs"). Under
 // temporally independent vectors, sw(x) = P(x_t != x_{t+1}) = 2 p (1-p);
 // the Monte-Carlo estimator below applies independent vector *pairs*, which
-// realizes that definition directly; the identity is also exposed so exact
-// probabilities (from the BDD package) can be converted.
+// realizes that definition directly. The exact route counts one-lanes over
+// the full truth table and converts the probabilities through the identity,
+// which is also exposed for other exact probabilities (the BDD package's).
 #pragma once
 
 #include <cstdint>
@@ -50,9 +51,17 @@ struct ActivityOptions {
     const netlist::Circuit& circuit, const ActivityOptions& options = {},
     exec::Parallelism how = {});
 
-// Exhaustive (exact) activity for small circuits: one-probabilities from the
-// full truth table, toggle rates via sw = 2 p (1-p) (temporal independence).
-[[nodiscard]] ActivityResult exact_activity(const netlist::Circuit& circuit);
+// Exhaustive (exact) activity as a sharded job: each shard counts per-node
+// one-lanes over a fixed run of truth-table blocks, the counts merge by sum
+// (bit-identical for any thread count), and finish() takes p = ones / 2^n
+// and sw = 2 p (1-p) (temporal independence). Throws std::invalid_argument
+// above kMaxExhaustiveInputs inputs.
+[[nodiscard]] exec::ShardedJob<ActivityResult> exact_activity_job(
+    const netlist::Circuit& circuit);
+
+// Runs exact_activity_job per `how`.
+[[nodiscard]] ActivityResult exact_activity(const netlist::Circuit& circuit,
+                                            exec::Parallelism how = {});
 
 // Fills the avg_gate_* fields from the per-node rates: plain sums over the
 // counts_as_gate nodes in node-id order, so equal per-node rates in equal

@@ -143,7 +143,7 @@ TEST(Analysis, ProfileMatchesFreshCircuitCall) {
   core::ProfileOptions options;
   options.activity_pairs = 256;
   options.sensitivity_exact_max_inputs = 8;
-  for (const char* name : {"rca8", "parity8"}) {  // sampled and BDD routes
+  for (const char* name : {"rca8", "parity8"}) {  // sampled and exact routes
     const CompiledCircuit handle = suite_handle(name);
     const core::CircuitProfile fresh = core::extract_profile(
         handle.circuit(), options, exec::Parallelism::serial());

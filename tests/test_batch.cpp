@@ -132,7 +132,7 @@ std::vector<AnalysisRequest> mixed_requests() {
         make_request("rca8/profile", compile_suite("rca8"), spec));
   }
   {
-    // 8 inputs: exact (BDD) activity route + exact sensitivity sweep.
+    // 8 inputs: exact (exhaustive) activity route + exact sensitivity sweep.
     requests.push_back(make_request("parity8/profile",
                                     compile_suite("parity8"),
                                     analysis::ProfileRequest{}));
@@ -243,7 +243,7 @@ TEST(Batch, ProfileRequestMatchesExtractProfile) {
   options.activity_pairs = 256;
   options.sensitivity_exact_max_inputs = 8;
 
-  for (const char* name : {"rca8", "parity8"}) {  // sampled and BDD routes
+  for (const char* name : {"rca8", "parity8"}) {  // sampled and exact routes
     const netlist::Circuit circuit = suite_circuit(name);
     const core::CircuitProfile direct =
         core::extract_profile(circuit, options, Parallelism::serial());
@@ -508,10 +508,11 @@ TEST(Batch, ExtractionSecondsExcludeQueueing) {
 }
 
 TEST(Batch, ShardlessProfileExtractionCompletes) {
-  // Without inputs, activity is exact (no shards) and the sensitivity sweep
-  // is degenerate (no shards): the extraction has no shards at all and must
-  // still finish and answer both requests exactly as core::extract_profile
-  // and core::analyze do (the bound fails: a constant circuit has sw0 = 0).
+  // Without inputs, exact activity is one shard over a single one-lane
+  // block and the sensitivity sweep is degenerate (no shards): the
+  // extraction must still finish and answer both requests exactly as
+  // core::extract_profile and core::analyze do (the bound fails: a constant
+  // circuit has sw0 = 0).
   netlist::Circuit circuit("no-inputs");
   circuit.add_output(
       circuit.add_gate(netlist::GateType::kNot, circuit.add_const(true)), "y");

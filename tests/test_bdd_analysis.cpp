@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/activity.hpp"
 #include "sim/sensitivity.hpp"
 
 namespace enb::bdd {
@@ -40,8 +41,14 @@ TEST(BddAnalysis, BiasedInputProbability) {
 }
 
 TEST(BddAnalysis, ActivityAgreesWithIdentity) {
+  // Exhaustive activity against sw = 2p(1-p) over the BDD's probabilities.
   const Circuit c = and_or_circuit();
-  const sim::ActivityResult r = exact_activity_bdd(c);
+  const sim::ActivityResult r = sim::exact_activity(c);
+  const std::vector<double> p = exact_signal_probabilities(c);
+  for (NodeId id = 0; id < c.node_count(); ++id) {
+    EXPECT_EQ(r.toggle_rate[id], sim::activity_from_probability(p[id]))
+        << "node " << id;
+  }
   EXPECT_NEAR(r.toggle_rate[3], 2 * 0.25 * 0.75, 1e-12);
   EXPECT_NEAR(r.toggle_rate[4], 2 * 0.625 * 0.375, 1e-12);
   EXPECT_NEAR(r.avg_gate_toggle_rate,

@@ -15,6 +15,7 @@
 #include "gen/adders.hpp"
 #include "gen/iscas.hpp"
 #include "gen/multipliers.hpp"
+#include "gen/parity.hpp"
 #include "sim/activity.hpp"
 #include "sim/noise.hpp"
 #include "sim/reliability.hpp"
@@ -155,6 +156,30 @@ TEST(ParallelDeterminism, SensitivityExactBitExactAcrossThreadCounts) {
         << "threads=" << how.threads;
     EXPECT_EQ(serial.assignments, parallel.assignments)
         << "threads=" << how.threads;
+  }
+}
+
+TEST(ParallelDeterminism, ExactActivityBitExactAcrossThreadCounts) {
+  // mult8 has 16 inputs (1024 blocks, 16 shards), parity16 the same count
+  // over a tree, c17 one partial block.
+  const netlist::Circuit circuits[] = {gen::array_multiplier(8),
+                                       gen::parity_tree(16), gen::c17()};
+  for (const netlist::Circuit& c : circuits) {
+    const ActivityResult serial =
+        exact_activity(c, exec::Parallelism::serial());
+    for (const exec::Parallelism how :
+         {exec::Parallelism::global_pool(), exec::Parallelism::dedicated(64)}) {
+      const ActivityResult parallel = exact_activity(c, how);
+      EXPECT_EQ(serial.one_probability, parallel.one_probability)
+          << c.name() << " threads=" << how.threads;
+      EXPECT_EQ(serial.toggle_rate, parallel.toggle_rate)
+          << c.name() << " threads=" << how.threads;
+      EXPECT_EQ(serial.avg_gate_one_probability,
+                parallel.avg_gate_one_probability)
+          << c.name() << " threads=" << how.threads;
+      EXPECT_EQ(serial.avg_gate_toggle_rate, parallel.avg_gate_toggle_rate)
+          << c.name() << " threads=" << how.threads;
+    }
   }
 }
 

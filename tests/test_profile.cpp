@@ -5,6 +5,7 @@
 #include "gen/adders.hpp"
 #include "gen/iscas.hpp"
 #include "gen/parity.hpp"
+#include "sim/exhaustive.hpp"
 
 namespace enb::core {
 namespace {
@@ -74,6 +75,20 @@ TEST(Profile, MakeProfileValidation) {
                std::invalid_argument);
   EXPECT_THROW((void)make_profile("bad", 10, 21, 1.5, 2, 10),
                std::invalid_argument);
+}
+
+TEST(Profile, RejectsExactCapBeyondExhaustiveLimit) {
+  // A cap the exhaustive route cannot serve is refused up front, even for a
+  // circuit small enough to fit under it.
+  ProfileOptions options;
+  options.exact_activity_max_inputs = sim::kMaxExhaustiveInputs + 1;
+  EXPECT_THROW((void)profile_job(gen::c17(), options), std::invalid_argument);
+  options.exact_activity_max_inputs = sim::kMaxExhaustiveInputs;
+  EXPECT_NO_THROW((void)profile_job(gen::c17(), options));
+  // Without the exact route the cap is never read.
+  options.exact_activity_max_inputs = sim::kMaxExhaustiveInputs + 1;
+  options.prefer_exact_activity = false;
+  EXPECT_NO_THROW((void)profile_job(gen::c17(), options));
 }
 
 TEST(Profile, RejectsGatelessCircuit) {

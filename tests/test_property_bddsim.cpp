@@ -55,7 +55,7 @@ TEST_P(BddVsSimTest, ExactProbabilitiesMatchExhaustive) {
 
 TEST_P(BddVsSimTest, MonteCarloWithinTolerance) {
   const netlist::Circuit c = GetParam().build();
-  const auto exact = bdd::exact_activity_bdd(c);
+  const auto exact = sim::exact_activity(c);
   sim::ActivityOptions options;
   options.sample_pairs = 1 << 12;
   const auto mc = sim::estimate_activity(c, options);

@@ -6,8 +6,8 @@
 // This suite checks that shortcut against core::profile_job run on the
 // candidate itself (core::extract_profile returns that job's profile), for
 // every style x granularity x K x voter style over the standard suite and
-// c432 — circuits on both activity routes (exact BDD up
-// to 16 inputs, Monte-Carlo beyond) and both sensitivity routes (exact up to
+// c432 — circuits on both activity routes (exhaustive
+// up to 16 inputs, Monte-Carlo beyond) and both sensitivity routes (exact up to
 // the cap, sampled beyond). It also asserts that every node of every
 // transform has an origin, so the extraction fallback can never hide a
 // derivation that silently stopped happening.
