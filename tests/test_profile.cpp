@@ -80,15 +80,16 @@ TEST(Profile, MakeProfileValidation) {
 TEST(Profile, RejectsExactCapBeyondExhaustiveLimit) {
   // A cap the exhaustive route cannot serve is refused up front, even for a
   // circuit small enough to fit under it.
+  const netlist::Circuit c17 = gen::c17();
   ProfileOptions options;
   options.exact_activity_max_inputs = sim::kMaxExhaustiveInputs + 1;
-  EXPECT_THROW((void)profile_job(gen::c17(), options), std::invalid_argument);
+  EXPECT_THROW((void)profile_job(c17, options), std::invalid_argument);
   options.exact_activity_max_inputs = sim::kMaxExhaustiveInputs;
-  EXPECT_NO_THROW((void)profile_job(gen::c17(), options));
+  EXPECT_NO_THROW((void)profile_job(c17, options));
   // Without the exact route the cap is never read.
   options.exact_activity_max_inputs = sim::kMaxExhaustiveInputs + 1;
   options.prefer_exact_activity = false;
-  EXPECT_NO_THROW((void)profile_job(gen::c17(), options));
+  EXPECT_NO_THROW((void)profile_job(c17, options));
 }
 
 TEST(Profile, RejectsGatelessCircuit) {
