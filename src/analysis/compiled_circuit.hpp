@@ -78,8 +78,9 @@ class CompiledCircuit {
   [[nodiscard]] std::uint64_t profile_extractions() const;
 
   // The circuit mapped to the generic max-fanin-K library, compiled and
-  // cached per K. Mapping verifies equivalence (map_to_library) on the first
-  // call only.
+  // cached per K. The first call per K maps and checks the mapping
+  // (synth::map_to_library: a structural-hashing proof, with simulation
+  // only when an output stays open); later calls return the cached handle.
   [[nodiscard]] CompiledCircuit mapped(int max_fanin = 3) const;
 
   // ---- identity ----

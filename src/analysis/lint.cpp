@@ -17,6 +17,9 @@
 
 namespace enb::analysis {
 
+using synth::LogicValue;
+using synth::StructuralHasher;
+
 const char* to_string(LintSeverity severity) noexcept {
   switch (severity) {
     case LintSeverity::kWarning:

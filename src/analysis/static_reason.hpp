@@ -5,7 +5,7 @@
 // and the correctness oracle the `harden` optimizer calls on every
 // candidate rewrite.
 //
-// Three provers live here:
+// Two provers live here, and a third is used from synth/:
 //
 //   analyze_constants  — a two-tier constant prover. Tier one is plain
 //       forward propagation from constant gates (a gate whose output is
@@ -25,14 +25,11 @@
 //       node count (a probe whose implication spans the circuit, as on a
 //       NOT chain, still costs O(n)).
 //
-//   StructuralHasher   — functional-flavored structural hashing. Every cone
-//       maps to a canonical value id; NAND/NOR/XNOR normalize to
-//       NOT(AND/OR/XOR), fanins sort and dedupe, constants fold,
-//       BUF(x) = x, NOT(NOT(x)) = x, XOR cancels equal pairs, and
-//       MAJ(r, r, x) = r. Two cones with equal ids compute the same
-//       function; hashing two circuits into one hasher makes the ids
-//       comparable across circuits, which is how CEC discharges
-//       TMR'd / strash-rewritten variants without touching a BDD.
+//   StructuralHasher   — canonical value ids per cone. It lives in
+//       synth/structural_hasher.hpp, next to strash, because the mapper
+//       proves every library mapping with it (synth::check_mapping); the
+//       three-valued LogicValue lattice its constant folding reads lives
+//       there too. CEC's stage two uses it from there.
 //
 //   check_equivalence  — three-stage CEC: (1) 64-bit random-simulation
 //       signatures refute inequivalent output pairs almost instantly and
@@ -48,24 +45,12 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "netlist/circuit.hpp"
+#include "synth/structural_hasher.hpp"
 
 namespace enb::analysis {
-
-// Three-valued lattice for per-net facts.
-enum class LogicValue : std::uint8_t { kUnknown = 0, kZero = 1, kOne = 2 };
-
-[[nodiscard]] constexpr LogicValue to_logic(bool value) noexcept {
-  return value ? LogicValue::kOne : LogicValue::kZero;
-}
-[[nodiscard]] constexpr LogicValue negate(LogicValue value) noexcept {
-  if (value == LogicValue::kZero) return LogicValue::kOne;
-  if (value == LogicValue::kOne) return LogicValue::kZero;
-  return LogicValue::kUnknown;
-}
 
 struct ConstantFacts {
   // Tier one: constants provable by forward propagation from constant
@@ -73,18 +58,18 @@ struct ConstantFacts {
   // other proved-constant nets, so these values still hold in any faulty
   // circuit whose stuck-at site is a net *outside* this set — the property
   // the untestability prover depends on.
-  std::vector<LogicValue> forward;
+  std::vector<synth::LogicValue> forward;
   // Tier two: the full implication/probing fixpoint (a superset of
   // `forward`). Sound for the fault-free circuit only; lint, strash and
   // CEC material.
-  std::vector<LogicValue> proved;
+  std::vector<synth::LogicValue> proved;
   std::size_t probes = 0;          // (net, value) probes performed
   std::size_t learned = 0;         // constants proved beyond `forward`
   std::size_t probe_rounds = 0;    // sweeps until fixpoint (or the cap)
 };
 
 // Tier one alone: `ConstantFacts::forward`, without any probing.
-[[nodiscard]] std::vector<LogicValue> forward_constants(
+[[nodiscard]] std::vector<synth::LogicValue> forward_constants(
     const netlist::Circuit& circuit);
 
 // Both tiers. Probe-learning sweeps over all nets, each sweep a full
@@ -94,56 +79,6 @@ struct ConstantFacts {
 // one probe are learned in ascending node order. Records a
 // "static-constants" trace span.
 [[nodiscard]] ConstantFacts analyze_constants(const netlist::Circuit& circuit);
-
-// Canonical value ids: 0 = const0, 1 = const1, 2 + i = primary input i,
-// then interned gate classes. Input ids are positional, so hashing two
-// circuits with the same input count into one hasher yields directly
-// comparable ids.
-class StructuralHasher {
- public:
-  explicit StructuralHasher(std::size_t num_inputs);
-
-  // Canonical id per node of `circuit` (indexed by NodeId). When
-  // `constants` is non-null, nets proved constant fold to the constant ids
-  // regardless of their structure. Throws std::invalid_argument when the
-  // circuit has more inputs than the hasher was sized for.
-  std::vector<std::uint32_t> hash_circuit(
-      const netlist::Circuit& circuit,
-      const std::vector<LogicValue>* constants = nullptr);
-
-  [[nodiscard]] static constexpr std::uint32_t const_id(bool value) noexcept {
-    return value ? 1u : 0u;
-  }
-  [[nodiscard]] std::uint32_t input_id(std::size_t position) const;
-
-  // Total distinct values interned so far (constants + inputs + classes).
-  [[nodiscard]] std::size_t num_values() const noexcept { return next_id_; }
-
- private:
-  struct Key {
-    std::uint8_t op;  // static_cast<uint8_t>(GateType): kAnd/kOr/kXor/kMaj
-    std::vector<std::uint32_t> args;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& key) const noexcept;
-  };
-
-  std::uint32_t intern(netlist::GateType op, std::vector<std::uint32_t> args);
-  std::uint32_t make_not(std::uint32_t arg);
-  std::uint32_t make_and_or(netlist::GateType op,
-                            std::vector<std::uint32_t> args);
-  std::uint32_t make_xor(std::vector<std::uint32_t> args);
-  std::uint32_t make_maj(std::uint32_t a, std::uint32_t b, std::uint32_t c);
-  [[nodiscard]] bool complements(std::uint32_t a, std::uint32_t b) const;
-
-  std::size_t num_inputs_;
-  std::uint32_t next_id_;
-  std::unordered_map<Key, std::uint32_t, KeyHash> classes_;
-  std::unordered_map<std::uint32_t, std::uint32_t> not_cache_;
-  // not_arg_[id] = x when id was interned as NOT(x); kNoNot otherwise.
-  std::vector<std::uint32_t> not_arg_;
-};
 
 struct CecOptions {
   std::uint64_t seed = 0xCEC5;

@@ -8,7 +8,7 @@
 
 namespace enb::fault {
 
-using analysis::LogicValue;
+using synth::LogicValue;
 using netlist::Circuit;
 using netlist::GateOp;
 using netlist::NodeId;
@@ -25,7 +25,7 @@ bool blocks(const Circuit& circuit, NodeId id, NodeId through,
   const auto fanins = circuit.fanins(id);
   if (op == GateOp::kAnd || op == GateOp::kOr) {
     const LogicValue control =
-        analysis::to_logic(netlist::controlling_value(op));
+        synth::to_logic(netlist::controlling_value(op));
     for (const NodeId f : fanins) {
       if (f != through && constant[f] == control) return true;
     }

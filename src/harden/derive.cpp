@@ -30,11 +30,11 @@ std::optional<std::vector<NodeId>> node_origins(const BaseIndex& base,
   if (variant.num_inputs() != base.num_inputs()) return std::nullopt;
   // Hash into a copy so the shared index stays read-only; classes the base
   // never computes get fresh ids past its first_node table.
-  analysis::StructuralHasher hasher = base.hasher();
+  synth::StructuralHasher hasher = base.hasher();
   const std::vector<std::uint32_t> classes = hasher.hash_circuit(variant);
   std::vector<NodeId> origins(variant.node_count());
   for (NodeId id = 0; id < variant.node_count(); ++id) {
-    if (classes[id] == analysis::StructuralHasher::const_id(false)) {
+    if (classes[id] == synth::StructuralHasher::const_id(false)) {
       origins[id] = kZeroOrigin;
       continue;
     }

@@ -4,7 +4,7 @@
 // The transforms are append-only rebuilds (harden/transform.hpp), so every
 // fault-free node of a variant computes the function of some base node, or
 // the constant 0. A node's origin is the first base node that
-// analysis::StructuralHasher proves computes the same function: replicas
+// synth::StructuralHasher proves computes the same function: replicas
 // land on their base gate, voters and their two-input netlists on the
 // voted node, and DWC comparators and their OR on constant 0.
 //
@@ -22,10 +22,10 @@
 #include <optional>
 #include <vector>
 
-#include "analysis/static_reason.hpp"
 #include "core/profile.hpp"
 #include "harden/transform.hpp"
 #include "netlist/circuit.hpp"
+#include "synth/structural_hasher.hpp"
 
 namespace enb::harden {
 
@@ -41,7 +41,7 @@ class BaseIndex {
 
   [[nodiscard]] std::size_t num_inputs() const noexcept { return num_inputs_; }
   // The hasher with the base hashed into it.
-  [[nodiscard]] const analysis::StructuralHasher& hasher() const noexcept {
+  [[nodiscard]] const synth::StructuralHasher& hasher() const noexcept {
     return hasher_;
   }
   // The first base node of hasher class `value`, or netlist::kInvalidNode
@@ -50,7 +50,7 @@ class BaseIndex {
 
  private:
   std::size_t num_inputs_;
-  analysis::StructuralHasher hasher_;
+  synth::StructuralHasher hasher_;
   std::vector<netlist::NodeId> first_node_;  // indexed by class id
 };
 

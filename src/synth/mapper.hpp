@@ -1,11 +1,20 @@
 // The mapping pipeline onto the paper's generic gate library — every
 // structural gate type (AND/NAND/OR/NOR/XOR/XNOR/NOT/BUF, plus MAJ when
 // k >= 3) at fanin at most k: sweep -> strash -> fanin reduction -> sweep ->
-// strash, with built-in equivalence verification. This is the repo's
-// stand-in for "optimized in SIS using script.rugged and mapped using a
-// generic library comprised of gates with a maximum fanin of three"
+// strash, with built-in equivalence verification (check_mapping). This is
+// the repo's stand-in for "optimized in SIS using script.rugged and mapped
+// using a generic library comprised of gates with a maximum fanin of three"
 // (paper, Section 6).
+//
+// Verification proves first and simulates only what the proof leaves open:
+// the original and the mapped netlist hash into one StructuralHasher
+// (synth/structural_hasher.hpp), plain, without constant folding or a BDD
+// stage, and an output whose two cones get the same id is proved. Most
+// mappings (mult16, rca256, mult8) are proved outright; when any output
+// stays open (c432, alu8), the whole mapping is simulated.
 #pragma once
+
+#include <cstddef>
 
 #include "netlist/circuit.hpp"
 #include "netlist/stats.hpp"
@@ -16,15 +25,30 @@ struct MapResult {
   netlist::Circuit circuit;
   netlist::CircuitStats before;
   netlist::CircuitStats after;
-  bool verified_exact = false;  // the equivalence check was exhaustive
+  // The circuit has at most 14 inputs, so the check was exact whichever
+  // way it settled: proved, or simulated exhaustively. Wider circuits are
+  // exact only where outputs_proved covers every output.
+  bool verified_exact = false;
+  // Outputs check_mapping proved by structural hashing.
+  std::size_t outputs_proved = 0;
 };
 
-// Maps `circuit` to gates of fanin at most `max_fanin`, then verifies the
-// result against the original: exhaustively up to 14 inputs, otherwise on
-// 512 random 64-pattern words. Throws std::invalid_argument when
-// max_fanin < 2 (reduce_fanin's check), and std::runtime_error if
-// verification fails (a mapper bug — the mapped netlist must be
-// functionally identical).
+// Checks that `mapped` computes the function of `original`, inputs and
+// outputs matched by position. Outputs whose cones hash to the same
+// StructuralHasher id are proved; if any output stays open, both circuits
+// are simulated exhaustively up to 14 inputs, otherwise on 512 random
+// 64-pattern words at a fixed seed. Returns the number of outputs proved.
+// Throws std::runtime_error when the interfaces differ or simulation finds
+// a difference.
+[[nodiscard]] std::size_t check_mapping(const netlist::Circuit& original,
+                                        const netlist::Circuit& mapped);
+
+// Maps `circuit` to gates of fanin at most `max_fanin`, then checks the
+// result against the original with check_mapping. Throws
+// std::invalid_argument when max_fanin < 2 (reduce_fanin's check), and
+// std::runtime_error if the check fails (a mapper bug — the mapped netlist
+// must be functionally identical). Records a "map-to-library" trace span
+// with a "map-check" child whose detail counts proved and open outputs.
 [[nodiscard]] MapResult map_to_library(const netlist::Circuit& circuit,
                                        int max_fanin);
 

@@ -337,10 +337,11 @@ TEST(Harden, SelectiveHardeningBeatsUniformTmrAtEqualAreaOnC17) {
 }
 
 // Full default sweeps, serialized through exec::write_result_json and pinned
-// by SHA-256: c17 takes the exact (BDD) activity route with exact
-// sensitivity, c432 the Monte-Carlo route with sampled sensitivity, and the
-// two-input voter style exercises the AND/OR voter netlists. Each sweep runs
-// on a fresh handle, so the base profile is extracted inside the sweep.
+// by SHA-256: c17 takes the exact (exhaustive simulation) activity route
+// with exact sensitivity, c432 the Monte-Carlo route with sampled
+// sensitivity, and the two-input voter style exercises the AND/OR voter
+// netlists. Each sweep runs on a fresh handle, so the base profile is
+// extracted inside the sweep.
 //
 // To re-pin after an *intentional* output change: run this test, copy the
 // "actual" digests from the failure messages, and update kSweepPins in the

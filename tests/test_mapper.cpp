@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "gen/parity.hpp"
 #include "gen/suite.hpp"
 #include "netlist/bench_io.hpp"
+#include "obs/trace.hpp"
 #include "sim/exhaustive.hpp"
 #include "util/sha256.hpp"
 
@@ -238,6 +240,95 @@ TEST(Mapper, ArityRangeInteractsWithAllows) {
 TEST(Mapper, RejectsTinyFanin) {
   EXPECT_THROW((void)map_to_library(gen::c17(), 1), std::invalid_argument);
   EXPECT_THROW((void)map_to_library(gen::c17(), 0), std::invalid_argument);
+}
+
+// ---- check_mapping: structural proof first, simulation for open outputs --
+
+TEST(Mapper, AdderAndMultiplierMappingsAreProvedStructurally) {
+  for (const char* name : {"mult16", "rca256"}) {
+    const netlist::Circuit circuit = gen::find_benchmark(name).build();
+    for (const int k : {2, 3}) {
+      const MapResult result = map_to_library(circuit, k);
+      EXPECT_EQ(result.outputs_proved, circuit.num_outputs())
+          << name << " at k=" << k;
+      EXPECT_FALSE(result.verified_exact) << name;
+    }
+  }
+}
+
+TEST(Mapper, OpenOutputsStillPassThroughSimulation) {
+  // Plain hashing leaves every c432 output and one alu8 output open; the
+  // mapping is then simulated (both have more than 14 inputs: sampled).
+  struct Case {
+    const char* name;
+    std::size_t proved;
+    std::size_t outputs;
+  };
+  for (const Case& c : {Case{"c432", 0, 7}, Case{"alu8", 9, 10}}) {
+    const netlist::Circuit circuit = gen::find_benchmark(c.name).build();
+    const MapResult result = map_to_library(circuit, 3);
+    EXPECT_EQ(circuit.num_outputs(), c.outputs) << c.name;
+    EXPECT_EQ(result.outputs_proved, c.proved) << c.name;
+    EXPECT_EQ(check_mapping(circuit, result.circuit), c.proved) << c.name;
+  }
+}
+
+// A copy of `circuit` in which fanin 0 of the gate driving output `output`
+// reads `to` instead: a hand-corrupted mapping.
+netlist::Circuit with_fanin_moved(const netlist::Circuit& circuit,
+                                  std::size_t output, NodeId to) {
+  const NodeId gate = circuit.outputs()[output];
+  netlist::Circuit copy(circuit.name());
+  for (NodeId id = 0; id < circuit.node_count(); ++id) {
+    const GateType type = circuit.type(id);
+    if (type == GateType::kInput) {
+      copy.add_input(circuit.node_name(id));
+    } else if (type == GateType::kConst0 || type == GateType::kConst1) {
+      copy.add_const(type == GateType::kConst1);
+    } else {
+      std::vector<NodeId> fanins(circuit.fanins(id).begin(),
+                                 circuit.fanins(id).end());
+      if (id == gate) fanins[0] = to;
+      copy.add_gate(type, std::move(fanins));
+    }
+  }
+  for (std::size_t o = 0; o < circuit.num_outputs(); ++o) {
+    copy.add_output(circuit.outputs()[o], circuit.output_name(o));
+  }
+  return copy;
+}
+
+TEST(Mapper, CorruptedMappingThrowsOnTheExhaustiveRoute) {
+  const netlist::Circuit c17 = gen::c17();  // 5 inputs
+  const netlist::Circuit mapped = map_to_library(c17, 3).circuit;
+  const netlist::Circuit corrupted =
+      with_fanin_moved(mapped, 0, mapped.inputs()[4]);
+  ASSERT_FALSE(sim::exhaustive_equivalent(mapped, corrupted));
+  EXPECT_EQ(check_mapping(c17, mapped), c17.num_outputs());
+  EXPECT_THROW((void)check_mapping(c17, corrupted), std::runtime_error);
+}
+
+TEST(Mapper, CorruptedMappingThrowsOnTheSampledRoute) {
+  const netlist::Circuit mult16 = gen::array_multiplier(16);  // 32 inputs
+  const netlist::Circuit mapped = map_to_library(mult16, 3).circuit;
+  const netlist::Circuit corrupted =
+      with_fanin_moved(mapped, 16, mapped.inputs()[0]);
+  ASSERT_FALSE(sim::random_equivalent(mapped, corrupted, 64, 7));
+  EXPECT_EQ(check_mapping(mult16, mapped), mult16.num_outputs());
+  EXPECT_THROW((void)check_mapping(mult16, corrupted), std::runtime_error);
+}
+
+TEST(Mapper, CheckSpanCountsProvedAndOpenOutputs) {
+  obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+  recorder.enable();
+  (void)map_to_library(gen::array_multiplier(16), 3);
+  (void)map_to_library(gen::find_benchmark("alu8").build(), 3);
+  recorder.disable();
+  std::ostringstream trace;
+  recorder.write_chrome_trace(trace);
+  EXPECT_NE(trace.str().find("map-to-library"), std::string::npos);
+  EXPECT_NE(trace.str().find("proved=32 open=0"), std::string::npos);
+  EXPECT_NE(trace.str().find("proved=9 open=1"), std::string::npos);
 }
 
 }  // namespace

@@ -46,6 +46,9 @@ using netlist::GateOp;
 using netlist::GateType;
 using netlist::kInvalidNode;
 using netlist::NodeId;
+using synth::LogicValue;
+using synth::StructuralHasher;
+using synth::to_logic;
 
 // ---- reference constant prover ---------------------------------------------
 

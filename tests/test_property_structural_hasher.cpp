@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/static_reason.hpp"
 #include "gen/random_circuit.hpp"
 #include "gen/suite.hpp"
 #include "netlist/circuit.hpp"
@@ -24,12 +23,12 @@
 #include "synth/decompose.hpp"
 #include "synth/mapper.hpp"
 #include "synth/strash.hpp"
+#include "synth/structural_hasher.hpp"
 #include "synth/sweep.hpp"
 
 namespace enb::synth {
 namespace {
 
-using analysis::StructuralHasher;
 using netlist::Circuit;
 using netlist::GateType;
 using netlist::NodeId;

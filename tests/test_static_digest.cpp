@@ -42,6 +42,7 @@ namespace {
 using netlist::Circuit;
 using netlist::GateType;
 using netlist::NodeId;
+using synth::StructuralHasher;
 
 template <typename T>
 void put_row(std::ostringstream& out, const char* label,

@@ -36,6 +36,8 @@ namespace {
 using netlist::Circuit;
 using netlist::GateType;
 using netlist::NodeId;
+using synth::LogicValue;
+using synth::StructuralHasher;
 
 // ---- analyze_constants ---------------------------------------------------
 
