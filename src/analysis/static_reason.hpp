@@ -5,7 +5,7 @@
 // and the correctness oracle the `harden` optimizer calls on every
 // candidate rewrite.
 //
-// Two provers live here, and a third is used from synth/:
+// Three provers; two live here, the structural hasher in synth/:
 //
 //   analyze_constants  — a two-tier constant prover. Tier one is plain
 //       forward propagation from constant gates (a gate whose output is

@@ -1,17 +1,11 @@
 // The mapping pipeline onto the paper's generic gate library — every
 // structural gate type (AND/NAND/OR/NOR/XOR/XNOR/NOT/BUF, plus MAJ when
 // k >= 3) at fanin at most k: sweep -> strash -> fanin reduction -> sweep ->
-// strash, with built-in equivalence verification (check_mapping). This is
-// the repo's stand-in for "optimized in SIS using script.rugged and mapped
-// using a generic library comprised of gates with a maximum fanin of three"
+// strash, then check_mapping, which proves the result by structural hashing
+// and simulates it only when the proof leaves an output open. This is the
+// repo's stand-in for "optimized in SIS using script.rugged and mapped using
+// a generic library comprised of gates with a maximum fanin of three"
 // (paper, Section 6).
-//
-// Verification proves first and simulates only what the proof leaves open:
-// the original and the mapped netlist hash into one StructuralHasher
-// (synth/structural_hasher.hpp), plain, without constant folding or a BDD
-// stage, and an output whose two cones get the same id is proved. Most
-// mappings (mult16, rca256, mult8) are proved outright; when any output
-// stays open (c432, alu8), the whole mapping is simulated.
 #pragma once
 
 #include <cstddef>
@@ -25,21 +19,20 @@ struct MapResult {
   netlist::Circuit circuit;
   netlist::CircuitStats before;
   netlist::CircuitStats after;
-  // The circuit has at most 14 inputs, so the check was exact whichever
-  // way it settled: proved, or simulated exhaustively. Wider circuits are
-  // exact only where outputs_proved covers every output.
+  // At most 14 inputs: the check was exact, proved or exhaustive. Wider
+  // circuits are exact only when outputs_proved covers every output.
   bool verified_exact = false;
   // Outputs check_mapping proved by structural hashing.
   std::size_t outputs_proved = 0;
 };
 
 // Checks that `mapped` computes the function of `original`, inputs and
-// outputs matched by position. Outputs whose cones hash to the same
-// StructuralHasher id are proved; if any output stays open, both circuits
-// are simulated exhaustively up to 14 inputs, otherwise on 512 random
-// 64-pattern words at a fixed seed. Returns the number of outputs proved.
-// Throws std::runtime_error when the interfaces differ or simulation finds
-// a difference.
+// outputs matched by position. An output whose two cones get the same id in
+// one StructuralHasher (plain: no constant folding, no BDD) is proved. If
+// any output stays open, both circuits are simulated: exhaustively up to 14
+// inputs, else on 512 random 64-pattern words at a fixed seed. Returns the
+// number of outputs proved. Throws std::runtime_error when the interfaces
+// differ or simulation finds a difference.
 [[nodiscard]] std::size_t check_mapping(const netlist::Circuit& original,
                                         const netlist::Circuit& mapped);
 
