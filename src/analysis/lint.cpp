@@ -13,6 +13,7 @@
 #include "fault/untestable.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/topo.hpp"
+#include "synth/structural_hasher.hpp"
 #include "util/json.hpp"
 
 namespace enb::analysis {

@@ -8,10 +8,10 @@
 
 namespace enb::fault {
 
-using synth::LogicValue;
 using netlist::Circuit;
 using netlist::GateOp;
 using netlist::NodeId;
+using synth::LogicValue;
 
 namespace {
 

@@ -36,6 +36,7 @@
 #include "sim/logic_sim.hpp"
 #include "sim/prng.hpp"
 #include "synth/strash.hpp"
+#include "synth/structural_hasher.hpp"
 #include "synth/sweep.hpp"
 
 namespace enb::analysis {

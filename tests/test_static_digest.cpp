@@ -34,6 +34,7 @@
 #include "harden/transform.hpp"
 #include "netlist/circuit.hpp"
 #include "sim/prng.hpp"
+#include "synth/structural_hasher.hpp"
 #include "util/sha256.hpp"
 
 namespace enb::analysis {

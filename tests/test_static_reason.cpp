@@ -29,6 +29,7 @@
 #include "gen/suite.hpp"
 #include "netlist/circuit.hpp"
 #include "synth/strash.hpp"
+#include "synth/structural_hasher.hpp"
 
 namespace enb::analysis {
 namespace {
