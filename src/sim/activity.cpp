@@ -70,34 +70,52 @@ Word input_word(Xoshiro256& rng, double p_in) {
   return p_in == 0.5 ? rng.next() : bernoulli_word(rng, p_in);
 }
 
+// Words per activity sweep: a shard runs its pairs (Monte-Carlo) or
+// truth-table blocks (exact) this many at a time, and a tail chunk counts
+// only its live words.
+constexpr int kActivityWords = 8;
+using ActivityBlock = Block<kActivityWords>;
+
+// Runs fn(first, live) over `shard` in chunks of kActivityWords.
+template <typename Fn>
+void for_each_chunk(const exec::Shard& shard, Fn&& fn) {
+  for (std::size_t first = shard.begin; first < shard.end;
+       first += kActivityWords) {
+    fn(first, static_cast<int>(std::min<std::size_t>(kActivityWords,
+                                                      shard.end - first)));
+  }
+}
+
 // Counts contributed by one shard; a pure function of (options.seed,
-// shard.index).
+// shard.index). Pair j of a chunk is word j of its blocks, drawn pair by
+// pair, a then b for each input, like one word per sweep.
 ActivityCounts activity_shard_counts(const Circuit& circuit,
                                      const ActivityOptions& options,
                                      const exec::Shard& shard) {
   const std::size_t n = circuit.node_count();
   const double p_in = options.input_one_probability;
   Xoshiro256 rng(exec::stream_seed(options.seed, shard.index));
-  LogicSim sim_a(circuit);
-  LogicSim sim_b(circuit);
-  std::vector<Word> in_a(circuit.num_inputs());
-  std::vector<Word> in_b(circuit.num_inputs());
+  std::vector<ActivityBlock> in_a(circuit.num_inputs());
+  std::vector<ActivityBlock> in_b(circuit.num_inputs());
+  std::vector<ActivityBlock> a(n);
+  std::vector<ActivityBlock> b(n);
   ActivityCounts counts(n);
-
-  for (std::size_t pair = shard.begin; pair < shard.end; ++pair) {
-    for (std::size_t i = 0; i < in_a.size(); ++i) {
-      in_a[i] = input_word(rng, p_in);
-      in_b[i] = input_word(rng, p_in);
+  for_each_chunk(shard, [&](std::size_t, int live) {
+    for (int k = 0; k < live; ++k) {
+      for (std::size_t i = 0; i < in_a.size(); ++i) {
+        in_a[i].words[k] = input_word(rng, p_in);
+        in_b[i].words[k] = input_word(rng, p_in);
+      }
     }
-    sim_a.eval(in_a);
-    sim_b.eval(in_b);
-    for (std::size_t id = 0; id < n; ++id) {
-      const Word a = sim_a.values()[id];
-      const Word b = sim_b.values()[id];
-      counts.ones[id] += static_cast<std::uint64_t>(popcount(a));
-      counts.toggles[id] += static_cast<std::uint64_t>(popcount(a ^ b));
-    }
-  }
+    const ActivityBlock mask = ActivityBlock::low_mask(live * kWordBits);
+    sweep<ActivityBlock>(circuit, in_a, a);
+    sweep<ActivityBlock>(
+        circuit, in_b, b, [&](NodeId id, const ActivityBlock& value) {
+          counts.ones[id] += static_cast<std::uint64_t>(popcount(a[id] & mask));
+          counts.toggles[id] +=
+              static_cast<std::uint64_t>(popcount((a[id] ^ value) & mask));
+        });
+  });
   return counts;
 }
 
@@ -140,18 +158,24 @@ constexpr std::size_t kExactShardBlocks = 64;
 ActivityCounts exact_shard_counts(const Circuit& circuit,
                                   const exec::Shard& shard) {
   const int n = static_cast<int>(circuit.num_inputs());
-  const Word valid = exhaustive_valid_mask(n);
-  LogicSim sim(circuit);
-  std::vector<Word> inputs;
+  std::vector<Word> words;
+  std::vector<ActivityBlock> inputs(circuit.num_inputs());
+  std::vector<ActivityBlock> values(circuit.node_count());
   ActivityCounts counts(circuit.node_count());
-  for (std::size_t block = shard.begin; block < shard.end; ++block) {
-    fill_exhaustive_block(n, block, inputs);
-    sim.eval(inputs);
-    for (std::size_t id = 0; id < counts.ones.size(); ++id) {
-      counts.ones[id] +=
-          static_cast<std::uint64_t>(popcount(sim.values()[id] & valid));
+  for_each_chunk(shard, [&](std::size_t first, int live) {
+    ActivityBlock valid;
+    for (int k = 0; k < live; ++k) {
+      fill_exhaustive_block(n, first + static_cast<std::size_t>(k), words);
+      for (std::size_t i = 0; i < words.size(); ++i) {
+        inputs[i].words[k] = words[i];
+      }
+      valid.words[k] = exhaustive_valid_mask(n);
     }
-  }
+    sweep<ActivityBlock>(
+        circuit, inputs, values, [&](NodeId id, const ActivityBlock& value) {
+          counts.ones[id] += static_cast<std::uint64_t>(popcount(value & valid));
+        });
+  });
   return counts;
 }
 

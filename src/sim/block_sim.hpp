@@ -23,6 +23,7 @@
 #include "netlist/circuit.hpp"
 #include "netlist/flat.hpp"
 #include "sim/bitpack.hpp"
+#include "sim/logic_sim.hpp"
 
 namespace enb::sim {
 
@@ -42,11 +43,7 @@ class BlockSim {
   // The good machine: inputs[s] is the block of the input in slot s
   // (Circuit::input_index), one per circuit input. Not during a flip.
   void eval(std::span<const Value> inputs) {
-    for (NodeId id = 0; id < circuit_->node_count(); ++id) {
-      const int slot = circuit_->input_index(id);
-      values_[id] = slot >= 0 ? inputs[static_cast<std::size_t>(slot)]
-                              : gate_value(id);
-    }
+    sweep<Value>(*circuit_, inputs, values_);
   }
 
   // Complements `node` on every pattern and propagates the change; value()

@@ -17,13 +17,7 @@ void LogicSim::eval(std::span<const Word> input_words) {
         "LogicSim::eval: expected " + std::to_string(circuit_->num_inputs()) +
         " input words, got " + std::to_string(input_words.size()));
   }
-  const Circuit& c = *circuit_;
-  for (NodeId id = 0; id < c.node_count(); ++id) {
-    const int slot = c.input_index(id);
-    values_[id] = slot >= 0 ? input_words[static_cast<std::size_t>(slot)]
-                            : netlist::eval_gate<Word>(c.type(id), values_,
-                                                       c.fanins(id));
-  }
+  sweep<Word>(*circuit_, input_words, values_);
 }
 
 std::vector<Word> LogicSim::output_values() const {

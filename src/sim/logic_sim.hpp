@@ -1,8 +1,15 @@
-// 64-way bit-parallel logic simulator.
+// The good machine: one fault-free sweep over a circuit, and its 64-way
+// one-word simulator.
 //
-// One eval() pass computes 64 independent evaluations (one per bit lane) of
-// every node in the circuit; node-id order is topological by construction,
-// so evaluation is a single linear sweep over the circuit's flat layout.
+// Node-id order is topological by construction, so sweep() sets every
+// node in one linear pass over the circuit's flat layout: a primary input
+// takes its slot's value, a gate its rule (netlist::eval_gate) over values
+// already set. V is sim::Word (64 evaluations, one per bit lane) or
+// sim::Block<W> (64 W). The visitor, when given, runs right after each
+// node's value is set and may change it; the nodes after it read what it
+// leaves. Every good-machine evaluation in sim/ is this sweep: LogicSim at
+// one word, BlockSim<W>::eval at a block, NoisySim with a visitor that
+// injects errors, and the activity shards with visitors that count.
 #pragma once
 
 #include <span>
@@ -13,6 +20,27 @@
 #include "sim/bitpack.hpp"
 
 namespace enb::sim {
+
+// values[id] for every node, given inputs[s] for the input in slot s
+// (Circuit::input_index); calls visit(id, values[id]) after each node.
+template <typename V, typename Visit>
+void sweep(const netlist::Circuit& circuit, std::span<const V> inputs,
+           std::span<V> values, Visit&& visit) {
+  for (netlist::NodeId id = 0; id < circuit.node_count(); ++id) {
+    const int slot = circuit.input_index(id);
+    values[id] = slot >= 0 ? inputs[static_cast<std::size_t>(slot)]
+                           : netlist::eval_gate<V>(
+                                 circuit.type(id), std::span<const V>(values),
+                                 circuit.fanins(id));
+    visit(id, values[id]);
+  }
+}
+
+template <typename V>
+void sweep(const netlist::Circuit& circuit, std::span<const V> inputs,
+           std::span<V> values) {
+  sweep<V>(circuit, inputs, values, [](netlist::NodeId, V&) {});
+}
 
 class LogicSim {
  public:

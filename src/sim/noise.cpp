@@ -4,10 +4,11 @@
 #include <string>
 #include <utility>
 
+#include "sim/logic_sim.hpp"
+
 namespace enb::sim {
 
 using netlist::Circuit;
-using netlist::GateType;
 using netlist::NodeId;
 
 NoisySim::NoisySim(const Circuit& circuit, double epsilon, std::uint64_t seed)
@@ -25,7 +26,7 @@ NoisySim::NoisySim(const Circuit& circuit, std::vector<double> epsilons,
     throw std::invalid_argument("NoisySim: epsilon vector size mismatch");
   }
   for (double e : epsilons_) {
-    if (e < 0.0 || e > 0.5) {
+    if (!(e >= 0.0 && e <= 0.5)) {  // NaN fails both comparisons
       throw std::invalid_argument(
           "NoisySim: epsilon must be in [0, 0.5], got " + std::to_string(e));
     }
@@ -39,23 +40,11 @@ void NoisySim::eval(std::span<const Word> input_words) {
   // Error draws in node-id order: the RNG stream is part of every noisy
   // estimator's reproducibility contract.
   const Circuit& c = *circuit_;
-  for (NodeId id = 0; id < c.node_count(); ++id) {
-    const int slot = c.input_index(id);
-    if (slot >= 0) {
-      values_[id] = input_words[static_cast<std::size_t>(slot)];
-      errors_[id] = 0;
-      continue;
-    }
-    const GateType type = c.type(id);
-    const Word clean = netlist::eval_gate<Word>(type, values_, c.fanins(id));
-    if (counts_as_gate(type) && epsilons_[id] > 0.0) {
-      errors_[id] = bernoulli_word(rng_, epsilons_[id]);
-      values_[id] = clean ^ errors_[id];
-    } else {
-      errors_[id] = 0;
-      values_[id] = clean;
-    }
-  }
+  sweep<Word>(c, input_words, values_, [&](NodeId id, Word& value) {
+    const bool noisy = counts_as_gate(c.type(id)) && epsilons_[id] > 0.0;
+    errors_[id] = noisy ? bernoulli_word(rng_, epsilons_[id]) : 0;
+    value ^= errors_[id];
+  });
 }
 
 std::vector<Word> NoisySim::output_values() const {

@@ -460,6 +460,25 @@ TEST(Batch, ZeroSampledSensitivityBudgetFailsTheRequest) {
       << results[0].error;
 }
 
+// A NaN ε reaches the noisy simulator unchanged from the manifest, which
+// must fail the request (the CLI's batch then exits 2), not report a
+// reliability computed without noise.
+TEST(Batch, NanEpsilonFailsTheRequest) {
+  std::istringstream in(
+      "r kind=reliability circuit=c17 eps=nan budget=2048\n"
+      "w kind=worst-case circuit=c17 eps=nan budget=64\n");
+  std::map<std::string, CompiledCircuit> handles;
+  const auto results = evaluate_requests(
+      parse_manifest_requests(in, memoized_resolver(handles)));
+  ASSERT_EQ(results.size(), 2u);
+  for (const AnalysisResult& result : results) {
+    EXPECT_FALSE(result.ok) << result.name;
+    EXPECT_NE(result.error.find("epsilon must be in [0, 0.5]"),
+              std::string::npos)
+        << result.name << ": " << result.error;
+  }
+}
+
 // A harden request's nested sweep runs under the evaluator's Parallelism:
 // a serial batch submits no parallel job to any pool, and its result JSON
 // is the default pool's.

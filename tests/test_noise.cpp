@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "sim/bitpack.hpp"
 
@@ -114,6 +116,27 @@ TEST(NoisySim, RejectsBadEpsilon) {
   EXPECT_THROW(NoisySim(c, 0.6, 1), std::invalid_argument);
   EXPECT_THROW(NoisySim(c, std::vector<double>{0.1}, 1),
                std::invalid_argument);
+}
+
+// NaN fails every comparison, so a range check written as "reject when
+// below 0 or above 0.5" would let it through; both constructors reject it
+// with the range message.
+TEST(NoisySim, RejectsNanEpsilon) {
+  const Circuit c = buffer_chain(1);
+  const double nan = std::nan("");
+  for (const std::vector<double>& epsilons :
+       {std::vector<double>(c.node_count(), nan),
+        std::vector<double>{0.0, nan}}) {
+    try {
+      NoisySim sim(c, epsilons, 1);
+      ADD_FAILURE() << "NaN epsilon accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("epsilon must be in [0, 0.5]"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW(NoisySim(c, nan, 1), std::invalid_argument);
 }
 
 TEST(NoisySim, FreshNoisePerEval) {

@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <functional>
+#include <ostream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -56,6 +57,8 @@ struct Case {
   std::string name;
   std::function<Circuit()> build;
 };
+
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
 
 Circuit random_dag(int inputs, int gates, int fanin, std::uint64_t seed) {
   gen::RandomCircuitOptions options;
