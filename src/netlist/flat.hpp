@@ -11,10 +11,11 @@
 //
 // eval_gate<V> is the bit-parallel gate rule: V is sim::Word (or any type
 // with the bitwise operators), and every bit is an independent evaluation.
-// Every simulator evaluates gates through it: logic, noise and block
-// (sim::BlockSim) simulation, and the scalar fault reference (on words
-// that are 0 or all-ones). netlist::eval_word checks arity and
-// delegates to it. It switches on the gate type directly instead of reading
+// Two loops call it: sim::sweep (sim/logic_sim.hpp), the one good-machine
+// sweep that LogicSim, BlockSim, NoisySim and the activity shards run,
+// and BlockSim's flips; the scalar fault reference keeps its own loop (on
+// words that are 0 or all-ones) as an oracle. netlist::eval_word checks
+// arity and delegates to it. It switches on the gate type directly instead of reading
 // the operator-plus-inversion table in gate_type.hpp, because it is the
 // inner loop of every sweep; the gate-type tests check the two agree.
 #pragma once

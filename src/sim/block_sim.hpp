@@ -1,6 +1,7 @@
 // Event-driven flip propagation on pattern blocks: the one answer to "what
 // changes when this node flips?". BlockSim<W> holds a sim::Block<W> (64 W
-// patterns, one per bit) per node. eval() sets the good machine; flip(node)
+// patterns, one per bit) per node. eval() sets the good machine with
+// sim::sweep (logic_sim.hpp), which needs no Fanouts; flip(node)
 // complements `node` on every pattern and evaluates only the nodes the
 // change reaches over the fanout inverse, stopping wherever a whole block
 // keeps its value; restore() rewrites just the nodes the flip changed. A

@@ -1,15 +1,12 @@
-// The good machine: one fault-free sweep over a circuit, and its 64-way
-// one-word simulator.
+// The good machine: the one fault-free sweep, and LogicSim, its 64-way
+// one-word use.
 //
-// Node-id order is topological by construction, so sweep() sets every
-// node in one linear pass over the circuit's flat layout: a primary input
-// takes its slot's value, a gate its rule (netlist::eval_gate) over values
-// already set. V is sim::Word (64 evaluations, one per bit lane) or
-// sim::Block<W> (64 W). The visitor, when given, runs right after each
-// node's value is set and may change it; the nodes after it read what it
-// leaves. Every good-machine evaluation in sim/ is this sweep: LogicSim at
-// one word, BlockSim<W>::eval at a block, NoisySim with a visitor that
-// injects errors, and the activity shards with visitors that count.
+// Node-id order is topological, so sweep() sets every node in one linear
+// pass: an input takes its slot's value, a gate its rule (eval_gate) over
+// values already set. V is sim::Word or sim::Block<W>. The visitor runs
+// right after each node's value is set and may change it before any
+// fanout reads it. LogicSim, BlockSim<W>::eval, NoisySim (a visitor that
+// injects errors) and the activity shards (visitors that count) all run it.
 #pragma once
 
 #include <span>
@@ -21,11 +18,16 @@
 
 namespace enb::sim {
 
+// Visits nothing.
+struct NoVisit {
+  void operator()(netlist::NodeId, const auto&) const noexcept {}
+};
+
 // values[id] for every node, given inputs[s] for the input in slot s
 // (Circuit::input_index); calls visit(id, values[id]) after each node.
-template <typename V, typename Visit>
+template <typename V, typename Visit = NoVisit>
 void sweep(const netlist::Circuit& circuit, std::span<const V> inputs,
-           std::span<V> values, Visit&& visit) {
+           std::span<V> values, Visit&& visit = {}) {
   for (netlist::NodeId id = 0; id < circuit.node_count(); ++id) {
     const int slot = circuit.input_index(id);
     values[id] = slot >= 0 ? inputs[static_cast<std::size_t>(slot)]
@@ -34,12 +36,6 @@ void sweep(const netlist::Circuit& circuit, std::span<const V> inputs,
                                  circuit.fanins(id));
     visit(id, values[id]);
   }
-}
-
-template <typename V>
-void sweep(const netlist::Circuit& circuit, std::span<const V> inputs,
-           std::span<V> values) {
-  sweep<V>(circuit, inputs, values, [](netlist::NodeId, V&) {});
 }
 
 class LogicSim {

@@ -4,7 +4,10 @@
 // symmetric channel of error probability ε (paper Figure 1): after the gate's
 // word is computed, each lane independently flips with probability ε.
 // Primary inputs and constants never fail; per-gate ε overrides support
-// heterogeneous-noise ablations.
+// heterogeneous-noise ablations. eval() is the good-machine sweep
+// (sim::sweep) with a visitor that draws each gate's error word right after
+// the gate is evaluated, in node-id order and only where ε > 0, so ε = 0
+// draws nothing and is the good machine.
 #pragma once
 
 #include <optional>
@@ -21,7 +24,9 @@ namespace enb::sim {
 
 class NoisySim {
  public:
-  // Uniform gate error probability `epsilon` in [0, 0.5].
+  // Uniform gate error probability `epsilon` in [0, 0.5]; either
+  // constructor throws std::invalid_argument on any ε outside it, NaN
+  // included.
   NoisySim(const netlist::Circuit& circuit, double epsilon,
            std::uint64_t seed);
 
