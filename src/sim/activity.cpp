@@ -108,13 +108,15 @@ ActivityCounts activity_shard_counts(const Circuit& circuit,
         in_b[i].words[k] = input_word(rng, p_in);
       }
     }
-    const ActivityBlock mask = ActivityBlock::low_mask(live * kWordBits);
     sweep<ActivityBlock>(circuit, in_a, a);
     sweep<ActivityBlock>(
         circuit, in_b, b, [&](NodeId id, const ActivityBlock& value) {
-          counts.ones[id] += static_cast<std::uint64_t>(popcount(a[id] & mask));
-          counts.toggles[id] +=
-              static_cast<std::uint64_t>(popcount((a[id] ^ value) & mask));
+          for (int k = 0; k < live; ++k) {
+            const Word word = a[id].words[k];
+            counts.ones[id] += static_cast<std::uint64_t>(popcount(word));
+            counts.toggles[id] +=
+                static_cast<std::uint64_t>(popcount(word ^ value.words[k]));
+          }
         });
   }
   return counts;
@@ -159,23 +161,26 @@ constexpr std::size_t kExactShardBlocks = 64;
 ActivityCounts exact_shard_counts(const Circuit& circuit,
                                   const exec::Shard& shard) {
   const int n = static_cast<int>(circuit.num_inputs());
+  const Word valid = exhaustive_valid_mask(n);
   std::vector<Word> words;
   std::vector<ActivityBlock> inputs(circuit.num_inputs());
   std::vector<ActivityBlock> values(circuit.node_count());
   ActivityCounts counts(circuit.node_count());
   for (std::size_t first = shard.begin; first < shard.end;
        first += kActivityWords) {
-    ActivityBlock valid;
-    for (int k = 0; k < live_words(shard, first); ++k) {
+    const int live = live_words(shard, first);
+    for (int k = 0; k < live; ++k) {
       fill_exhaustive_block(n, first + static_cast<std::size_t>(k), words);
       for (std::size_t i = 0; i < words.size(); ++i) {
         inputs[i].words[k] = words[i];
       }
-      valid.words[k] = exhaustive_valid_mask(n);
     }
     sweep<ActivityBlock>(
         circuit, inputs, values, [&](NodeId id, const ActivityBlock& value) {
-          counts.ones[id] += static_cast<std::uint64_t>(popcount(value & valid));
+          for (int k = 0; k < live; ++k) {
+            counts.ones[id] +=
+                static_cast<std::uint64_t>(popcount(value.words[k] & valid));
+          }
         });
   }
   return counts;

@@ -94,14 +94,6 @@ struct Block {
                                                  const Block&) = default;
 };
 
-// Set bits over all W words.
-template <int W>
-[[nodiscard]] int popcount(const Block<W>& block) noexcept {
-  int count = 0;
-  for (const Word w : block.words) count += std::popcount(w);
-  return count;
-}
-
 // Words needed for `patterns` patterns (rounded up).
 [[nodiscard]] constexpr int words_for(int patterns) noexcept {
   return (patterns + kWordBits - 1) / kWordBits;
