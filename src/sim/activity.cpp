@@ -45,13 +45,12 @@ struct ActivityCounts {
   }
 };
 
-// Rates and gate averages from merged counts: p = ones / `ones_lanes`
-// per node, and sw = toggles / (64 sample_pairs), or 2 p (1-p) (temporal
-// independence) when the counts are exact (sample_pairs 0).
+// Rates and gate averages from merged counts. `ones_per_pair` is how many
+// of each pair's two vectors feed `ones` (1 clean, 2 noisy).
 ActivityResult finalize_activity(const Circuit& circuit,
                                  std::size_t sample_pairs,
                                  const ActivityCounts& counts,
-                                 double ones_lanes) {
+                                 double ones_per_pair) {
   const std::size_t n = circuit.node_count();
   const double lanes = static_cast<double>(sample_pairs) * kWordBits;
   ActivityResult result;
@@ -59,11 +58,9 @@ ActivityResult finalize_activity(const Circuit& circuit,
   result.one_probability.resize(n);
   result.toggle_rate.resize(n);
   for (std::size_t id = 0; id < n; ++id) {
-    const double p = static_cast<double>(counts.ones[id]) / ones_lanes;
-    result.one_probability[id] = p;
-    result.toggle_rate[id] =
-        sample_pairs == 0 ? activity_from_probability(p)
-                          : static_cast<double>(counts.toggles[id]) / lanes;
+    result.one_probability[id] =
+        static_cast<double>(counts.ones[id]) / (ones_per_pair * lanes);
+    result.toggle_rate[id] = static_cast<double>(counts.toggles[id]) / lanes;
   }
   finalize_gate_averages(circuit, result);
   return result;
@@ -186,6 +183,24 @@ ActivityCounts exact_shard_counts(const Circuit& circuit,
   return counts;
 }
 
+// p = ones / 2^n per node, sw = 2 p (1-p), then the gate averages.
+ActivityResult finalize_exact_activity(const Circuit& circuit,
+                                       const ActivityCounts& counts) {
+  const double total =
+      static_cast<double>(std::uint64_t{1} << circuit.num_inputs());
+  ActivityResult result;
+  result.sample_pairs = 0;  // exact, not sampled
+  result.one_probability.resize(circuit.node_count());
+  result.toggle_rate.resize(circuit.node_count());
+  for (std::size_t id = 0; id < circuit.node_count(); ++id) {
+    const double p = static_cast<double>(counts.ones[id]) / total;
+    result.one_probability[id] = p;
+    result.toggle_rate[id] = activity_from_probability(p);
+  }
+  finalize_gate_averages(circuit, result);
+  return result;
+}
+
 }  // namespace
 
 // Each shard owns a counter-based PRNG stream and local accumulators; the
@@ -203,8 +218,7 @@ exec::ShardedJob<ActivityResult> activity_job(const Circuit& circuit,
         return activity_shard_counts(circuit, options, plan.shard(i));
       },
       [&circuit, pairs = options.sample_pairs](const ActivityCounts& counts) {
-        return finalize_activity(circuit, pairs, counts,
-                                 static_cast<double>(pairs) * kWordBits);
+        return finalize_activity(circuit, pairs, counts, 1.0);
       });
 }
 
@@ -229,9 +243,7 @@ exec::ShardedJob<ActivityResult> noisy_activity_job(
                                            plan.shard(i));
       },
       [&circuit, pairs = options.sample_pairs](const ActivityCounts& counts) {
-        // Both vectors of a noisy pair count toward `ones`.
-        return finalize_activity(circuit, pairs, counts,
-                                 2.0 * (static_cast<double>(pairs) * kWordBits));
+        return finalize_activity(circuit, pairs, counts, 2.0);
       });
 }
 
@@ -255,9 +267,7 @@ exec::ShardedJob<ActivityResult> exact_activity_job(const Circuit& circuit) {
         return exact_shard_counts(circuit, plan.shard(i));
       },
       [&circuit](const ActivityCounts& counts) {
-        return finalize_activity(
-            circuit, 0, counts,
-            static_cast<double>(std::uint64_t{1} << circuit.num_inputs()));
+        return finalize_exact_activity(circuit, counts);
       });
 }
 
