@@ -45,12 +45,13 @@ struct ActivityCounts {
   }
 };
 
-// Rates and gate averages from merged counts. `ones_per_pair` is how many
-// of each pair's two vectors feed `ones` (1 clean, 2 noisy).
+// Rates and gate averages from merged counts: p = ones / `ones_lanes` per
+// node, and sw = toggles / (64 sample_pairs), or 2 p (1-p) when the counts
+// are exact (sample_pairs 0, as the result reports them).
 ActivityResult finalize_activity(const Circuit& circuit,
                                  std::size_t sample_pairs,
                                  const ActivityCounts& counts,
-                                 double ones_per_pair) {
+                                 double ones_lanes) {
   const std::size_t n = circuit.node_count();
   const double lanes = static_cast<double>(sample_pairs) * kWordBits;
   ActivityResult result;
@@ -58,61 +59,50 @@ ActivityResult finalize_activity(const Circuit& circuit,
   result.one_probability.resize(n);
   result.toggle_rate.resize(n);
   for (std::size_t id = 0; id < n; ++id) {
-    result.one_probability[id] =
-        static_cast<double>(counts.ones[id]) / (ones_per_pair * lanes);
-    result.toggle_rate[id] = static_cast<double>(counts.toggles[id]) / lanes;
+    const double p = static_cast<double>(counts.ones[id]) / ones_lanes;
+    result.one_probability[id] = p;
+    result.toggle_rate[id] =
+        sample_pairs == 0 ? activity_from_probability(p)
+                          : static_cast<double>(counts.toggles[id]) / lanes;
   }
   finalize_gate_averages(circuit, result);
   return result;
 }
 
-Word input_word(Xoshiro256& rng, double p_in) {
-  return p_in == 0.5 ? rng.next() : bernoulli_word(rng, p_in);
-}
-
-// Words per activity sweep: a shard runs its pairs (Monte-Carlo) or
-// truth-table blocks (exact) this many at a time, and a tail chunk counts
-// only its live words. 8 words ran no faster than 4 on a 397k-gate profile
-// and held 64 B more per node per task.
-constexpr int kActivityWords = 4;
-using ActivityBlock = Block<kActivityWords>;
-
-// Live words of the chunk of `shard` that starts at `first`.
-int live_words(const exec::Shard& shard, std::size_t first) {
-  return static_cast<int>(
-      std::min<std::size_t>(kActivityWords, shard.end - first));
-}
+// One activity sweep runs a block of 8 words: 4 Monte-Carlo pairs (pair j
+// is word j, its vector a, and word 4 + j, its vector b) or 8 truth-table
+// blocks. A tail chunk of a shard counts only its live words.
+using ActivityBlock = Block<kBlockWords>;
+constexpr int kSweepPairs = kBlockWords / 2;
 
 // Counts contributed by one shard; a pure function of (options.seed,
-// shard.index). Pair j of a chunk is word j of its blocks, drawn pair by
-// pair, a then b for each input, like one word per sweep.
+// shard.index). Pairs are drawn in order, a then b for each input, as if
+// one pair were swept at a time.
 ActivityCounts activity_shard_counts(const Circuit& circuit,
                                      const ActivityOptions& options,
                                      const exec::Shard& shard) {
   const double p_in = options.input_one_probability;
   Xoshiro256 rng(exec::stream_seed(options.seed, shard.index));
-  std::vector<ActivityBlock> in_a(circuit.num_inputs());
-  std::vector<ActivityBlock> in_b(circuit.num_inputs());
-  std::vector<ActivityBlock> a(circuit.node_count());
-  std::vector<ActivityBlock> b(circuit.node_count());
+  std::vector<ActivityBlock> inputs(circuit.num_inputs());
+  std::vector<ActivityBlock> values(circuit.node_count());
   ActivityCounts counts(circuit.node_count());
   for (std::size_t first = shard.begin; first < shard.end;
-       first += kActivityWords) {
-    const int live = live_words(shard, first);
+       first += kSweepPairs) {
+    const int live =
+        static_cast<int>(std::min<std::size_t>(kSweepPairs, shard.end - first));
     for (int k = 0; k < live; ++k) {
-      for (std::size_t i = 0; i < in_a.size(); ++i) {
-        in_a[i].words[k] = input_word(rng, p_in);
-        in_b[i].words[k] = input_word(rng, p_in);
+      for (ActivityBlock& in : inputs) {
+        in.words[k] = input_word(rng, p_in);
+        in.words[kSweepPairs + k] = input_word(rng, p_in);
       }
     }
-    sweep<ActivityBlock>(circuit, in_a, a);
     sweep<ActivityBlock>(
-        circuit, in_b, b, [&](NodeId id, const ActivityBlock& value) {
+        circuit, inputs, values, [&](NodeId id, const ActivityBlock& value) {
           for (int k = 0; k < live; ++k) {
-            const Word word = a[id].words[k];
-            counts.ones[id] += static_cast<std::uint64_t>(popcount(word));
-            counts.toggles[id] +=
-                static_cast<std::uint64_t>(popcount(word ^ value.words[k]));
+            const Word a = value.words[k];
+            counts.ones[id] += static_cast<std::uint64_t>(popcount(a));
+            counts.toggles[id] += static_cast<std::uint64_t>(
+                popcount(a ^ value.words[kSweepPairs + k]));
           }
         });
   }
@@ -164,8 +154,9 @@ ActivityCounts exact_shard_counts(const Circuit& circuit,
   std::vector<ActivityBlock> values(circuit.node_count());
   ActivityCounts counts(circuit.node_count());
   for (std::size_t first = shard.begin; first < shard.end;
-       first += kActivityWords) {
-    const int live = live_words(shard, first);
+       first += kBlockWords) {
+    const int live =
+        static_cast<int>(std::min<std::size_t>(kBlockWords, shard.end - first));
     for (int k = 0; k < live; ++k) {
       fill_exhaustive_block(n, first + static_cast<std::size_t>(k), words);
       for (std::size_t i = 0; i < words.size(); ++i) {
@@ -181,24 +172,6 @@ ActivityCounts exact_shard_counts(const Circuit& circuit,
         });
   }
   return counts;
-}
-
-// p = ones / 2^n per node, sw = 2 p (1-p), then the gate averages.
-ActivityResult finalize_exact_activity(const Circuit& circuit,
-                                       const ActivityCounts& counts) {
-  const double total =
-      static_cast<double>(std::uint64_t{1} << circuit.num_inputs());
-  ActivityResult result;
-  result.sample_pairs = 0;  // exact, not sampled
-  result.one_probability.resize(circuit.node_count());
-  result.toggle_rate.resize(circuit.node_count());
-  for (std::size_t id = 0; id < circuit.node_count(); ++id) {
-    const double p = static_cast<double>(counts.ones[id]) / total;
-    result.one_probability[id] = p;
-    result.toggle_rate[id] = activity_from_probability(p);
-  }
-  finalize_gate_averages(circuit, result);
-  return result;
 }
 
 }  // namespace
@@ -218,7 +191,8 @@ exec::ShardedJob<ActivityResult> activity_job(const Circuit& circuit,
         return activity_shard_counts(circuit, options, plan.shard(i));
       },
       [&circuit, pairs = options.sample_pairs](const ActivityCounts& counts) {
-        return finalize_activity(circuit, pairs, counts, 1.0);
+        return finalize_activity(circuit, pairs, counts,
+                                 static_cast<double>(pairs) * kWordBits);
       });
 }
 
@@ -243,7 +217,8 @@ exec::ShardedJob<ActivityResult> noisy_activity_job(
                                            plan.shard(i));
       },
       [&circuit, pairs = options.sample_pairs](const ActivityCounts& counts) {
-        return finalize_activity(circuit, pairs, counts, 2.0);
+        return finalize_activity(circuit, pairs, counts,
+                                 2.0 * static_cast<double>(pairs) * kWordBits);
       });
 }
 
@@ -267,7 +242,9 @@ exec::ShardedJob<ActivityResult> exact_activity_job(const Circuit& circuit) {
         return exact_shard_counts(circuit, plan.shard(i));
       },
       [&circuit](const ActivityCounts& counts) {
-        return finalize_exact_activity(circuit, counts);
+        return finalize_activity(
+            circuit, 0, counts,
+            static_cast<double>(std::uint64_t{1} << circuit.num_inputs()));
       });
 }
 

@@ -8,9 +8,8 @@
 // realizes that definition directly. The exact route counts one-lanes over
 // the full truth table and converts the probabilities through the identity,
 // which is also exposed for other exact probabilities (the BDD package's).
-// Both run the good-machine sweep (sim::sweep) on blocks of 4 words, 4
-// pairs or truth-table blocks per sweep, and count in its visitor; the
-// noisy estimator runs sim::NoisySim one word per sweep.
+// Both count in the visitor of the good-machine sweep (sim::sweep), 8 words
+// per sweep; the noisy estimator runs sim::NoisySim one word per sweep.
 #pragma once
 
 #include <cstdint>

@@ -11,13 +11,12 @@ using netlist::NodeId;
 LogicSim::LogicSim(const Circuit& circuit)
     : circuit_(&circuit), values_(circuit.node_count(), 0) {}
 
-void LogicSim::eval(std::span<const Word> input_words) {
-  if (input_words.size() != circuit_->num_inputs()) {
+void LogicSim::check_input_count(std::size_t words) const {
+  if (words != circuit_->num_inputs()) {
     throw std::invalid_argument(
         "LogicSim::eval: expected " + std::to_string(circuit_->num_inputs()) +
-        " input words, got " + std::to_string(input_words.size()));
+        " input words, got " + std::to_string(words));
   }
-  sweep<Word>(*circuit_, input_words, values_);
 }
 
 std::vector<Word> LogicSim::output_values() const {
@@ -29,18 +28,14 @@ std::vector<Word> LogicSim::output_values() const {
 
 std::vector<bool> eval_single(const Circuit& circuit,
                               const std::vector<bool>& inputs) {
-  if (inputs.size() != circuit.num_inputs()) {
-    throw std::invalid_argument("eval_single: input count mismatch");
-  }
   std::vector<Word> words(inputs.size());
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     words[i] = inputs[i] ? kAllOnes : 0;
   }
   LogicSim sim(circuit);
-  sim.eval(words);
+  sim.eval(words);  // throws on an input count mismatch
   std::vector<bool> out;
-  out.reserve(circuit.num_outputs());
-  for (NodeId id : circuit.outputs()) out.push_back((sim.value(id) & 1U) != 0);
+  for (const Word w : sim.output_values()) out.push_back((w & 1U) != 0);
   return out;
 }
 

@@ -1,12 +1,9 @@
-// The good machine: the one fault-free sweep, and LogicSim, its 64-way
-// one-word use.
-//
-// Node-id order is topological, so sweep() sets every node in one linear
-// pass: an input takes its slot's value, a gate its rule (eval_gate) over
-// values already set. V is sim::Word or sim::Block<W>. The visitor runs
-// right after each node's value is set and may change it before any
-// fanout reads it. LogicSim, BlockSim<W>::eval, NoisySim (a visitor that
-// injects errors) and the activity shards (visitors that count) all run it.
+// The good machine: sweep() is the one fault-free sweep, and LogicSim its
+// 64-way one-word use. Node-id order is topological, so one linear pass
+// sets every node: an input takes its slot's value, a gate its rule
+// (eval_gate). V is sim::Word or sim::Block<W>. The visitor runs right
+// after each node is set and may change the value before any fanout reads
+// it: NoisySim injects errors there, the activity shards count there.
 #pragma once
 
 #include <span>
@@ -18,7 +15,6 @@
 
 namespace enb::sim {
 
-// Visits nothing.
 struct NoVisit {
   void operator()(netlist::NodeId, const auto&) const noexcept {}
 };
@@ -43,9 +39,13 @@ class LogicSim {
   explicit LogicSim(const netlist::Circuit& circuit);
 
   // Evaluates all nodes for the given primary-input words (one word per
-  // input, in circuit input order). Throws std::invalid_argument on a size
-  // mismatch.
-  void eval(std::span<const Word> input_words);
+  // input, in circuit input order), visiting each node as sweep() does.
+  // Throws std::invalid_argument on a size mismatch.
+  template <typename Visit = NoVisit>
+  void eval(std::span<const Word> input_words, Visit&& visit = {}) {
+    check_input_count(input_words.size());
+    sweep<Word>(*circuit_, input_words, values_, visit);
+  }
 
   [[nodiscard]] Word value(netlist::NodeId id) const { return values_.at(id); }
   [[nodiscard]] std::span<const Word> values() const noexcept { return values_; }
@@ -58,6 +58,8 @@ class LogicSim {
   }
 
  private:
+  void check_input_count(std::size_t words) const;
+
   const netlist::Circuit* circuit_;
   std::vector<Word> values_;
 };

@@ -4,8 +4,6 @@
 #include <string>
 #include <utility>
 
-#include "sim/logic_sim.hpp"
-
 namespace enb::sim {
 
 using netlist::Circuit;
@@ -17,10 +15,9 @@ NoisySim::NoisySim(const Circuit& circuit, double epsilon, std::uint64_t seed)
 
 NoisySim::NoisySim(const Circuit& circuit, std::vector<double> epsilons,
                    std::uint64_t seed)
-    : circuit_(&circuit),
+    : LogicSim(circuit),
       epsilons_(std::move(epsilons)),
       rng_(seed),
-      values_(circuit.node_count(), 0),
       errors_(circuit.node_count(), 0) {
   if (epsilons_.size() != circuit.node_count()) {
     throw std::invalid_argument("NoisySim: epsilon vector size mismatch");
@@ -34,24 +31,14 @@ NoisySim::NoisySim(const Circuit& circuit, std::vector<double> epsilons,
 }
 
 void NoisySim::eval(std::span<const Word> input_words) {
-  if (input_words.size() != circuit_->num_inputs()) {
-    throw std::invalid_argument("NoisySim::eval: input word count mismatch");
-  }
   // Error draws in node-id order: the RNG stream is part of every noisy
   // estimator's reproducibility contract.
-  const Circuit& c = *circuit_;
-  sweep<Word>(c, input_words, values_, [&](NodeId id, Word& value) {
+  const Circuit& c = circuit();
+  LogicSim::eval(input_words, [&](NodeId id, Word& value) {
     const bool noisy = counts_as_gate(c.type(id)) && epsilons_[id] > 0.0;
     errors_[id] = noisy ? bernoulli_word(rng_, epsilons_[id]) : 0;
     value ^= errors_[id];
   });
-}
-
-std::vector<Word> NoisySim::output_values() const {
-  std::vector<Word> out;
-  out.reserve(circuit_->num_outputs());
-  for (NodeId id : circuit_->outputs()) out.push_back(values_[id]);
-  return out;
 }
 
 }  // namespace enb::sim

@@ -4,10 +4,9 @@
 // symmetric channel of error probability ε (paper Figure 1): after the gate's
 // word is computed, each lane independently flips with probability ε.
 // Primary inputs and constants never fail; per-gate ε overrides support
-// heterogeneous-noise ablations. eval() is the good-machine sweep
-// (sim::sweep) with a visitor that draws each gate's error word right after
-// the gate is evaluated, in node-id order and only where ε > 0, so ε = 0
-// draws nothing and is the good machine.
+// heterogeneous-noise ablations. NoisySim is a LogicSim whose sweep visitor
+// draws each gate's error word, in node-id order and only where ε > 0, so
+// ε = 0 draws nothing and is the good machine.
 #pragma once
 
 #include <optional>
@@ -18,15 +17,15 @@
 #include "netlist/flat.hpp"
 #include "sim/activity.hpp"
 #include "sim/bitpack.hpp"
+#include "sim/logic_sim.hpp"
 #include "sim/prng.hpp"
 
 namespace enb::sim {
 
-class NoisySim {
+class NoisySim : private LogicSim {
  public:
-  // Uniform gate error probability `epsilon` in [0, 0.5]; either
-  // constructor throws std::invalid_argument on any ε outside it, NaN
-  // included.
+  // Uniform gate error probability `epsilon` in [0, 0.5]. Both constructors
+  // throw std::invalid_argument on any other ε, NaN included.
   NoisySim(const netlist::Circuit& circuit, double epsilon,
            std::uint64_t seed);
 
@@ -39,9 +38,9 @@ class NoisySim {
   // calls with the same inputs model two independent noisy executions.
   void eval(std::span<const Word> input_words);
 
-  [[nodiscard]] Word value(netlist::NodeId id) const { return values_.at(id); }
-  [[nodiscard]] std::span<const Word> values() const noexcept { return values_; }
-  [[nodiscard]] std::vector<Word> output_values() const;
+  using LogicSim::output_values;
+  using LogicSim::value;
+  using LogicSim::values;
 
   // Error words applied on the last eval (bit set == lane flipped), useful
   // for tests and fault-coverage statistics.
@@ -50,10 +49,8 @@ class NoisySim {
   }
 
  private:
-  const netlist::Circuit* circuit_;
   std::vector<double> epsilons_;
   Xoshiro256 rng_;
-  std::vector<Word> values_;
   std::vector<Word> errors_;
 };
 

@@ -37,4 +37,11 @@ class Xoshiro256 {
 [[nodiscard]] std::uint64_t bernoulli_word(Xoshiro256& rng, double p,
                                            int precision_bits = 32) noexcept;
 
+// A random input word of the Monte-Carlo estimators, each lane 1 with
+// probability p: one uniform draw at p = 0.5, else bernoulli_word.
+[[nodiscard]] inline std::uint64_t input_word(Xoshiro256& rng,
+                                              double p) noexcept {
+  return p == 0.5 ? rng.next() : bernoulli_word(rng, p);
+}
+
 }  // namespace enb::sim

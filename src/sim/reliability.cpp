@@ -53,11 +53,7 @@ std::uint64_t reliability_shard_failures(const Circuit& noisy,
 
   std::uint64_t failures = 0;
   for (std::size_t pass = shard.begin; pass < shard.end; ++pass) {
-    for (Word& w : inputs) {
-      w = options.input_one_probability == 0.5
-              ? rng.next()
-              : bernoulli_word(rng, options.input_one_probability);
-    }
+    for (Word& w : inputs) w = input_word(rng, options.input_one_probability);
     noisy_sim.eval(inputs);
     golden_sim.eval(inputs);
     Word wrong = 0;
