@@ -11,12 +11,12 @@
 //
 // eval_gate<V> is the bit-parallel gate rule: V is sim::Word (or any type
 // with the bitwise operators), and every bit is an independent evaluation.
-// sim::sweep (sim/logic_sim.hpp), the one good-machine sweep, and
-// BlockSim's flips call it; the scalar fault reference keeps its own loop
-// (on words that are 0 or all-ones) as an oracle. netlist::eval_word checks
-// arity and delegates to it. It switches on the gate type directly instead of reading
-// the operator-plus-inversion table in gate_type.hpp, because it is the
-// inner loop of every sweep; the gate-type tests check the two agree.
+// sim::sweep (the good machine) and BlockSim's flips call it, and so does
+// the scalar fault reference, an oracle with its own loop over words that
+// are 0 or all-ones. netlist::eval_word checks arity and delegates to it.
+// It switches on the gate type directly instead of reading the
+// operator-plus-inversion table in gate_type.hpp, because it is the inner
+// loop of every sweep; the gate-type tests check the two agree.
 #pragma once
 
 #include <cstdint>

@@ -44,7 +44,7 @@ class BlockSim {
   // The good machine: inputs[s] is the block of the input in slot s
   // (Circuit::input_index), one per circuit input. Not during a flip.
   void eval(std::span<const Value> inputs) {
-    sweep<Value>(*circuit_, inputs, values_);
+    sweep<Value>(*circuit_, inputs, values_, [](NodeId, const Value&) {});
   }
 
   // Complements `node` on every pattern and propagates the change; value()

@@ -1,8 +1,5 @@
 #include "sim/logic_sim.hpp"
 
-#include <stdexcept>
-#include <string>
-
 namespace enb::sim {
 
 using netlist::Circuit;
@@ -11,12 +8,8 @@ using netlist::NodeId;
 LogicSim::LogicSim(const Circuit& circuit)
     : circuit_(&circuit), values_(circuit.node_count(), 0) {}
 
-void LogicSim::check_input_count(std::size_t words) const {
-  if (words != circuit_->num_inputs()) {
-    throw std::invalid_argument(
-        "LogicSim::eval: expected " + std::to_string(circuit_->num_inputs()) +
-        " input words, got " + std::to_string(words));
-  }
+void LogicSim::eval(std::span<const Word> input_words) {
+  eval(input_words, [](NodeId, Word) {});
 }
 
 std::vector<Word> LogicSim::output_values() const {

@@ -7,6 +7,8 @@
 #pragma once
 
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "netlist/circuit.hpp"
@@ -15,15 +17,11 @@
 
 namespace enb::sim {
 
-struct NoVisit {
-  void operator()(netlist::NodeId, const auto&) const noexcept {}
-};
-
 // values[id] for every node, given inputs[s] for the input in slot s
 // (Circuit::input_index); calls visit(id, values[id]) after each node.
-template <typename V, typename Visit = NoVisit>
+template <typename V, typename Visit>
 void sweep(const netlist::Circuit& circuit, std::span<const V> inputs,
-           std::span<V> values, Visit&& visit = {}) {
+           std::span<V> values, Visit&& visit) {
   for (netlist::NodeId id = 0; id < circuit.node_count(); ++id) {
     const int slot = circuit.input_index(id);
     values[id] = slot >= 0 ? inputs[static_cast<std::size_t>(slot)]
@@ -39,13 +37,9 @@ class LogicSim {
   explicit LogicSim(const netlist::Circuit& circuit);
 
   // Evaluates all nodes for the given primary-input words (one word per
-  // input, in circuit input order), visiting each node as sweep() does.
-  // Throws std::invalid_argument on a size mismatch.
-  template <typename Visit = NoVisit>
-  void eval(std::span<const Word> input_words, Visit&& visit = {}) {
-    check_input_count(input_words.size());
-    sweep<Word>(*circuit_, input_words, values_, visit);
-  }
+  // input, in circuit input order). Throws std::invalid_argument on a size
+  // mismatch.
+  void eval(std::span<const Word> input_words);
 
   [[nodiscard]] Word value(netlist::NodeId id) const { return values_.at(id); }
   [[nodiscard]] std::span<const Word> values() const noexcept { return values_; }
@@ -57,9 +51,20 @@ class LogicSim {
     return *circuit_;
   }
 
- private:
-  void check_input_count(std::size_t words) const;
+ protected:
+  // eval() with visit(id, value) after each node, as in sweep().
+  template <typename Visit>
+  void eval(std::span<const Word> input_words, Visit&& visit) {
+    if (input_words.size() != circuit_->num_inputs()) {
+      throw std::invalid_argument(
+          "LogicSim::eval: expected " +
+          std::to_string(circuit_->num_inputs()) + " input words, got " +
+          std::to_string(input_words.size()));
+    }
+    sweep<Word>(*circuit_, input_words, values_, visit);
+  }
 
+ private:
   const netlist::Circuit* circuit_;
   std::vector<Word> values_;
 };

@@ -31,8 +31,6 @@ NoisySim::NoisySim(const Circuit& circuit, std::vector<double> epsilons,
 }
 
 void NoisySim::eval(std::span<const Word> input_words) {
-  // Error draws in node-id order: the RNG stream is part of every noisy
-  // estimator's reproducibility contract.
   const Circuit& c = circuit();
   LogicSim::eval(input_words, [&](NodeId id, Word& value) {
     const bool noisy = counts_as_gate(c.type(id)) && epsilons_[id] > 0.0;

@@ -5,8 +5,8 @@
 // word is computed, each lane independently flips with probability ε.
 // Primary inputs and constants never fail; per-gate ε overrides support
 // heterogeneous-noise ablations. NoisySim is a LogicSim whose sweep visitor
-// draws each gate's error word, in node-id order and only where ε > 0, so
-// ε = 0 draws nothing and is the good machine.
+// draws each gate's error word, only where ε > 0 and in node-id order: that
+// order is every noisy estimator's RNG stream, and ε = 0 draws nothing.
 #pragma once
 
 #include <optional>
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "netlist/circuit.hpp"
-#include "netlist/flat.hpp"
 #include "sim/activity.hpp"
 #include "sim/bitpack.hpp"
 #include "sim/logic_sim.hpp"
