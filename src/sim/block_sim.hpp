@@ -1,16 +1,15 @@
 // Event-driven flip propagation on pattern blocks: the one answer to "what
 // changes when this node flips?". BlockSim<W> holds a sim::Block<W> (64 W
-// patterns, one per bit) per node. eval() sets the good machine
-// (sim::sweep); flip(node) complements `node` on every pattern and
-// evaluates only the nodes the change reaches over the fanout inverse,
-// stopping wherever a whole block keeps its value; restore() rewrites just
-// the nodes the flip changed. A flip reaches nearly the same nodes whatever
-// number of patterns it carries, so one event grades up to 512 patterns.
-// The fault kernel flips fanout-free-region stems (fault/fault_sim.hpp) and
-// the sensitivity sweep flips primary inputs (sim/sensitivity.hpp); each
-// caller owns its BlockSim and may share the Circuit and Fanouts read-only.
-// The loop lives in this header, so each caller compiles it for the widths
-// it uses.
+// patterns, one per bit) per node. eval() runs sim::sweep; flip(node)
+// complements `node` on every pattern and evaluates only the nodes the
+// change reaches over the fanout inverse, stopping wherever a whole block
+// keeps its value; restore() rewrites just the nodes the flip changed. A
+// flip reaches nearly the same nodes whatever number of patterns it
+// carries, so one event grades up to 512 patterns. The fault kernel flips
+// fanout-free-region stems (fault/fault_sim.hpp) and the sensitivity sweep
+// flips primary inputs (sim/sensitivity.hpp); each caller owns its
+// BlockSim and may share the Circuit and Fanouts read-only. The loop lives
+// in this header, so each caller compiles it for the widths it uses.
 #pragma once
 
 #include <algorithm>
